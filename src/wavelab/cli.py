@@ -83,7 +83,10 @@ _FAMILIES = (
 # ---------------------------------------------------------------------------
 
 def _parse_float(s: str) -> float:
-    return float(s)
+    v = float(s)
+    if not np.isfinite(v):
+        raise ValueError(f"must be finite, got {s}")
+    return v
 
 
 def _parse_int(s: str) -> int:
@@ -109,7 +112,7 @@ def _parse_float_list(s: str) -> tuple:
     parts = [p.strip() for p in s.split(",") if p.strip()]
     if not parts:
         raise ValueError("expected a comma-separated list of numbers")
-    return tuple(float(p) for p in parts)
+    return tuple(_parse_float(p) for p in parts)
 
 
 _COMMON = {
@@ -628,7 +631,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     failures = [name for name, ok, _ in results if not ok]
     if failures:
         print(f"verification failed: {failures[0]}")
-        return 1
+        return EXIT_NUMERIC
     print("all checks passed")
     return EXIT_OK
 

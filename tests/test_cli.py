@@ -67,6 +67,20 @@ def test_invariant_violating_parameters_are_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("scenario, override", [
+    ("dispersion", "k_max=nan"),
+    ("dispersion", "c=inf"),
+    ("evolve", "mass=inf"),
+    ("nrlimit", "c_ladder=10.0,inf"),
+])
+def test_non_finite_float_is_exit_2(tmp_path, capsys, scenario, override):
+    rc = cli.main([scenario, "--out", str(tmp_path / "o"), "--set", override])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "must be finite" in err
+
+
 def test_malformed_line_reports_line_number(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("# fine\nnot a pair\n")
@@ -235,6 +249,29 @@ def test_nrlimit_report_and_fits(tmp_path):
     assert [entry["c"] for entry in tree["ladder"]] == [10.0, 20.0, 40.0]
 
 
+def test_nrlimit_dominance_column_is_exact_parseval_value(tmp_path):
+    # shipped config, c = 10: the ratio of the envelope equation's terms under
+    # exact evolution, summed over the packet's modes by Parseval
+    out = tmp_path / "nr"
+    assert cli.main(["nrlimit", "--config", str(CONFIGS / "nrlimit_ladder.cfg"),
+                     "--out", str(out)]) == 0
+    header, rows = read_csv(out / "nrlimit.csv")
+    got = [r for c, r in zip(column(rows, header, "c"), column(rows, header, "dominance_ratio"))
+           if c == 10.0]
+
+    grid = Grid1D(512, 64.0)
+    psi0 = gaussian_packet(GaussianPacketSpec(16.0, 1.0, 2.0), grid, normalize=True)
+    power = np.abs(np.fft.fft(psi0.samples)) ** 2
+    c, omega_rest = 10.0, 100.0
+    big_omega = np.sqrt((grid.wavenumbers * c) ** 2 + omega_rest ** 2) - omega_rest
+    want = np.sqrt(np.sum(power * big_omega ** 4)
+                   / np.sum(power * (omega_rest ** 2 + 2.0 * omega_rest * big_omega) ** 2))
+    assert want == pytest.approx(4.6966e-5, rel=1e-4)
+    assert len(got) == 5
+    for ratio in got:
+        assert abs(ratio - want) <= 1e-10 * want
+
+
 def test_nrlimit_single_mode_matches_gap_oracle(tmp_path):
     out = tmp_path / "nr"
     k0 = 2 * np.pi * 4 / 16.0
@@ -350,7 +387,7 @@ def test_verify_names_injected_failure(monkeypatch, capsys):
     monkeypatch.setattr(cli, "DEFAULT_CHECKS",
                         [("wrong_dispersion", wrong_dispersion)] + cli.DEFAULT_CHECKS[1:])
     rc = cli.main(["verify"])
-    assert rc != 0
+    assert rc == 3
     out = capsys.readouterr().out
     assert "wrong_dispersion: FAIL" in out
     assert "verification failed: wrong_dispersion" in out

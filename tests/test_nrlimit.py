@@ -12,8 +12,10 @@ from wavelab import (
     WaveField,
     dominance_ratio_field,
     dominance_terms_mode,
+    evolve_schrodinger_spectral,
     evolve_second_order_spectral,
     factor_rest_phase,
+    gaussian_packet,
     kg_vs_schrodinger,
     l2_norm,
     nr_expansion_error,
@@ -132,6 +134,23 @@ def test_dominance_mode_c_scaling_exponent():
     assert abs(slope + 4.0) <= 0.2
 
 
+def test_envelope_frequency_keeps_precision_at_large_c():
+    # at c = 1e6 the rest frequency is 1e12, so omega_KG - m c^2/hbar would
+    # lose ~4 digits to cancellation; the non-relativistic series is exact here
+    c = 1e6
+    consts = PhysicalConstants(1.0, c)
+    k, psi0 = normalized_mode(Grid1D(64, 16.0), 4, consts)
+    omega_rest = c * c
+    big_omega = k ** 2 / 2.0 - k ** 4 / (8.0 * c * c)  # next term is ~1e-24 relative
+    want = big_omega ** 2 / (omega_rest ** 2 + 2.0 * omega_rest * big_omega)
+    assert dominance_terms_mode(k, 1.0, consts).ratio == pytest.approx(want, rel=1e-12)
+
+    rep = nr_limit_report(psi0, 1.0, consts, TimeSpec(0.05, 100), snapshot_every=10)
+    gap = -big_omega ** 2 / (2.0 * omega_rest)
+    for t, dev in zip(rep.times, rep.deviation):
+        assert dev == pytest.approx(2.0 * abs(np.sin(gap * t / 2.0)), rel=1e-9, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # dominance condition, finite differences on fields
 # ---------------------------------------------------------------------------
@@ -242,3 +261,56 @@ def test_relativistic_carrier_warns():
     with pytest.warns(UserWarning):
         kg_vs_schrodinger(GaussianPacketSpec(16.0, 1.0, 2.0), grid, 1.0, slow_light,
                           TimeSpec(0.05, 4), snapshot_every=1)
+
+
+# ---------------------------------------------------------------------------
+# closed-form report against the lab-frame oracle
+# ---------------------------------------------------------------------------
+
+def lab_frame_envelope(psi0, m, consts, t):
+    """Factored envelope of lab-frame Klein-Gordon evolution (accurate for small c)."""
+    eq = KleinGordon(m)
+    state = positive_branch_init(psi0, eq, consts)
+    fld = psi0.copy() if t == 0 else evolve_second_order_spectral(state, eq, consts, t).psi
+    return factor_rest_phase(fld, m, consts, t)
+
+
+@pytest.mark.parametrize("c", [10.0, 20.0])
+def test_report_deviation_matches_lab_frame_oracle(c):
+    grid = Grid1D(512, 64.0)
+    consts = PhysicalConstants(1.0, c)
+    psi0 = gaussian_packet(GaussianPacketSpec(16.0, 1.0, 2.0), grid, normalize=True)
+    rep = nr_limit_report(psi0, 1.0, consts, TimeSpec(0.1, 200), snapshot_every=25)
+    assert rep.deviation[0] == 0.0
+    for t, dev in zip(rep.times[1:], rep.deviation[1:]):
+        env = lab_frame_envelope(psi0, 1.0, consts, t)
+        schro = evolve_schrodinger_spectral(psi0, 1.0, consts, t)
+        want = l2_norm(WaveField(grid, env.psi_c.samples - schro.samples)) / l2_norm(psi0)
+        assert abs(dev - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("c", [10.0, 20.0])
+def test_report_dominance_matches_dense_field_series(c):
+    grid = Grid1D(512, 64.0)
+    consts = PhysicalConstants(1.0, c)
+    psi0 = gaussian_packet(GaussianPacketSpec(16.0, 1.0, 2.0), grid, normalize=True)
+    rep = nr_limit_report(psi0, 1.0, consts, TimeSpec(0.1, 20), snapshot_every=5)
+    assert len(set(rep.dominance_ratio)) == 1  # one value, constant in t
+    series = [lab_frame_envelope(psi0, 1.0, consts, 1e-3 * i) for i in range(5)]
+    want = dominance_ratio_field(series, consts).ratio
+    assert abs(rep.dominance_ratio[0] - want) <= 0.01 * want
+
+
+def test_final_deviation_follows_c_minus_2_to_large_c():
+    # the benchmark-shaped ladder: a lab-frame rest phase m c^2 t / hbar
+    # would bury the envelope in rounding long before c = 1e6
+    grid = Grid1D(2048, 128.0)
+    spec = GaussianPacketSpec(32.0, 1.0, 2.0)
+    cs = np.array([1e1, 1e2, 1e3, 1e4, 1e5, 1e6])
+    finals = [
+        kg_vs_schrodinger(spec, grid, 1.0, PhysicalConstants(1.0, float(c)),
+                          TimeSpec(0.1, 60), snapshot_every=1).deviation[-1]
+        for c in cs
+    ]
+    slope = np.polyfit(np.log(cs), np.log(finals), 1)[0]
+    assert abs(slope + 2.0) <= 0.05
