@@ -60,6 +60,7 @@ from .propagate import (
     harmonic_potential,
     packet_width,
     positive_branch_init,
+    second_order_psi_snapshots,
     split_step_evolve,
     zero_potential,
 )
@@ -394,16 +395,18 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> int:
     else:
         snaps = _evolve_split_step_snapshots(cfg, grid, consts, psi0, _build_potential(cfg, grid))
 
-    x = grid.positions
+    # the x column is the same in every snapshot file: format it once
+    x_cells = [f"{xj!r}," for xj in grid.positions.tolist()]
     summary_rows = []
     for idx, (t, fld) in enumerate(snaps):
         if not np.all(np.isfinite(fld.samples)):
             raise NumericalFailure(f"non-finite field in snapshot {idx}", step=idx)
-        rows = [
-            (t, float(xj), float(s.real), float(s.imag), float(abs(s) ** 2))
-            for xj, s in zip(x, fld.samples)
-        ]
-        _write_csv(out / f"snapshot_{idx:04d}.csv", "t,x,re_psi,im_psi,abs2", rows)
+        prefix = f"{t!r},"
+        # scalar abs(z) ** 2: vectorised np.abs(samples) ** 2 can differ in the last digit
+        lines = [f"{prefix}{xc}{z.real!r},{z.imag!r},{abs(z) ** 2!r}"
+                 for xc, z in zip(x_cells, fld.samples.tolist())]
+        _write_text(out / f"snapshot_{idx:04d}.csv",
+                    "t,x,re_psi,im_psi,abs2\n" + "\n".join(lines) + "\n")
         summary_rows.append((t, l2_norm(fld), centroid(fld), packet_width(fld)))
     _write_csv(out / "summary.csv", "t,norm,centroid,width", summary_rows)
     return EXIT_OK
@@ -423,12 +426,8 @@ def _snapshot_steps(n_steps: int, every: int) -> list:
 def _evolve_second_order_snapshots(cfg, grid, consts, psi0):
     eq = _build_equation(cfg, grid)
     state0 = positive_branch_init(psi0, eq, consts)
-    snaps = []
-    for step in _snapshot_steps(cfg["n_steps"], cfg["snapshot_every"]):
-        t = step * cfg["dt"]
-        state = state0 if step == 0 else evolve_second_order_spectral(state0, eq, consts, t)
-        snaps.append((t, state.psi))
-    return snaps
+    times = [step * cfg["dt"] for step in _snapshot_steps(cfg["n_steps"], cfg["snapshot_every"])]
+    return list(zip(times, second_order_psi_snapshots(state0, eq, consts, times)))
 
 
 def _evolve_split_step_snapshots(cfg, grid, consts, psi0, potential):

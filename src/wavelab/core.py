@@ -26,10 +26,10 @@ class PhysicalConstants:
     c: float = 1.0
 
     def __post_init__(self):
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
-        if not self.c > 0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        if not 0 < self.hbar < np.inf:
+            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
+        if not 0 < self.c < np.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c}")
 
 
 NATURAL_UNITS = PhysicalConstants()
@@ -49,8 +49,8 @@ class Grid1D:
         n = self.n_points
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError(f"n_points must be a power of two >= 8, got {n}")
-        if not self.length > 0:
-            raise ValueError(f"length must be positive, got {self.length}")
+        if not 0 < self.length < np.inf:
+            raise ValueError(f"length must be positive and finite, got {self.length}")
 
     @property
     def spacing(self) -> float:
@@ -74,8 +74,8 @@ class TimeSpec:
     n_steps: int
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
 
@@ -149,8 +149,8 @@ class GaussianPacketSpec:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
 
 def dft(field: WaveField) -> SpectralField:

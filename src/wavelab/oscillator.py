@@ -33,10 +33,10 @@ class OscillatorProblem:
     consts: PhysicalConstants = NATURAL_UNITS
 
     def __post_init__(self):
-        if not self.m > 0:
-            raise ValueError(f"mass must be positive, got {self.m}")
-        if not self.omega_c > 0:
-            raise ValueError(f"omega_c must be positive, got {self.omega_c}")
+        if not 0 < self.m < math.inf:
+            raise ValueError(f"mass must be positive and finite, got {self.m}")
+        if not 0 < self.omega_c < math.inf:
+            raise ValueError(f"omega_c must be positive and finite, got {self.omega_c}")
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .core import (
     l2_norm,
 )
 from .dispersion import EquationKind, is_second_order, omega_of_k
-from .exceptions import LinearSolveFailure, WrongEquationFamily, ZeroField
+from .exceptions import LinearSolveFailure, NumericalFailure, WrongEquationFamily, ZeroField
 
 
 @dataclass
@@ -118,6 +118,26 @@ def evolve_schrodinger_spectral(psi0: WaveField, m: float,
     return idft(SpectralField(psi0.grid, spec.mode_amplitudes * np.exp(-1j * w * t)))
 
 
+def _require_second_order(eq: EquationKind):
+    if not is_second_order(eq):
+        raise WrongEquationFamily(
+            f"{type(eq).__name__} is first-order in time; use the Schrodinger propagators"
+        )
+
+
+def _rotate_modes(w, a0, b0, t: float):
+    """(psi_hat, psidot_hat) at time t, by the rotation of `evolve_second_order_spectral`."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        cos_wt = np.cos(w * t)
+        sin_wt = np.sin(w * t)
+        sin_over_w = t * np.sinc(w * t / np.pi)  # == sin(wt)/w, finite at w = 0
+        a = a0 * cos_wt + b0 * sin_over_w
+        b = -w * sin_wt * a0 + b0 * cos_wt
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise NumericalFailure(f"non-finite mode amplitudes at t = {t}")
+    return a, b
+
+
 def evolve_second_order_spectral(state0: SecondOrderState, eq: EquationKind,
                                  consts: PhysicalConstants = NATURAL_UNITS,
                                  t: float = 0.0) -> SecondOrderState:
@@ -129,25 +149,36 @@ def evolve_second_order_spectral(state0: SecondOrderState, eq: EquationKind,
     The w = 0 mode uses the sin(wt)/w -> t limit, i.e. psi_hat = psi_hat_0 +
     psidot_hat_0 * t.  Each mode conserves w^2 |psi_hat|^2 + |psidot_hat|^2.
     """
-    if not is_second_order(eq):
-        raise WrongEquationFamily(
-            f"{type(eq).__name__} is first-order in time; use the Schrodinger propagators"
-        )
+    _require_second_order(eq)
     if t == 0.0:
         return state0.copy()
     grid = state0.grid
     w = omega_of_k(eq, grid.wavenumbers, consts)
-    a0 = dft(state0.psi).mode_amplitudes
-    b0 = dft(state0.psi_dot).mode_amplitudes
-    cos_wt = np.cos(w * t)
-    sin_wt = np.sin(w * t)
-    sin_over_w = t * np.sinc(w * t / np.pi)  # == sin(wt)/w, finite at w = 0
-    a = a0 * cos_wt + b0 * sin_over_w
-    b = -w * sin_wt * a0 + b0 * cos_wt
+    a, b = _rotate_modes(w, dft(state0.psi).mode_amplitudes,
+                         dft(state0.psi_dot).mode_amplitudes, t)
     return SecondOrderState(
         idft(SpectralField(grid, a)),
         idft(SpectralField(grid, b)),
     )
+
+
+def second_order_psi_snapshots(state0: SecondOrderState, eq: EquationKind,
+                               consts: PhysicalConstants, times) -> list:
+    """psi at each of `times`, equal to `evolve_second_order_spectral(...).psi`.
+
+    omega(k) and the forward transforms of psi and psi_dot are computed once;
+    each time then costs one rotation and one inverse transform.
+    """
+    _require_second_order(eq)
+    grid = state0.grid
+    w = omega_of_k(eq, grid.wavenumbers, consts)
+    a0 = dft(state0.psi).mode_amplitudes
+    b0 = dft(state0.psi_dot).mode_amplitudes
+    return [
+        state0.psi.copy() if t == 0.0
+        else idft(SpectralField(grid, _rotate_modes(w, a0, b0, t)[0]))
+        for t in times
+    ]
 
 
 def positive_branch_init(psi0: WaveField, eq: EquationKind,
@@ -190,8 +221,11 @@ def split_step_evolve(psi0: WaveField, m: float, potential,
     grid = psi0.grid
     v = _check_potential(potential, grid)
     dt = time.dt
-    half_kick = np.exp(-0.5j * v * dt / consts.hbar)
-    drift = np.exp(-1j * consts.hbar * grid.wavenumbers ** 2 * dt / (2.0 * m))
+    with np.errstate(invalid="ignore", over="ignore"):
+        half_kick = np.exp(-0.5j * v * dt / consts.hbar)
+        drift = np.exp(-1j * consts.hbar * grid.wavenumbers ** 2 * dt / (2.0 * m))
+    if not (np.all(np.isfinite(half_kick)) and np.all(np.isfinite(drift))):
+        raise NumericalFailure(f"non-finite Strang factors at dt = {dt}", step=0)
 
     snapshots, norms, centroids = [], [], []
     psi = psi0.samples.copy()

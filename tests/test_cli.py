@@ -8,9 +8,15 @@ from wavelab import cli
 from wavelab import (
     GaussianPacketSpec,
     Grid1D,
+    KleinGordon,
     PhysicalConstants,
+    TimeSpec,
+    evolve_second_order_spectral,
     gaussian_packet,
     nr_expansion_error,
+    positive_branch_init,
+    split_step_evolve,
+    zero_potential,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -214,6 +220,48 @@ def test_evolve_nonfinite_potential_is_exit_3(tmp_path):
                    "--set", "family=schrodinger_potential",
                    "--set", "potential=harmonic", "--set", "omega_c=1e200"])
     assert rc == 3
+
+
+@pytest.mark.parametrize("family", ["schrodinger_free", "klein_gordon"])
+def test_evolve_overflowing_dt_is_exit_3(tmp_path, capsys, family):
+    rc = cli.main(["evolve", "--out", str(tmp_path / "o"), "--set", f"family={family}",
+                   "--set", "dt=1e306", "--set", "n_steps=1000"])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def _library_snapshots(family):
+    """free_gaussian.cfg at n_steps=50, snapshot_every=25, evolved without the CLI."""
+    grid = Grid1D(512, 64.0)
+    psi0 = gaussian_packet(GaussianPacketSpec(16.0, 1.0, 1.0), grid)
+    dt = 0.01
+    if family == "schrodinger_free":
+        return split_step_evolve(psi0, 1.0, zero_potential(grid), PhysicalConstants(),
+                                 TimeSpec(dt, 50), snapshot_every=25).snapshots
+    eq, consts = KleinGordon(1.0), PhysicalConstants(c=10.0)
+    state = positive_branch_init(psi0, eq, consts)
+    return [(0.0, psi0)] + [
+        (step * dt, evolve_second_order_spectral(state, eq, consts, step * dt).psi)
+        for step in (25, 50)
+    ]
+
+
+@pytest.mark.parametrize("family", ["schrodinger_free", "klein_gordon"])
+def test_snapshot_csv_text_matches_library_fields(tmp_path, family):
+    out = tmp_path / "run"
+    assert cli.main(["evolve", "--config", str(CONFIGS / "free_gaussian.cfg"),
+                     "--out", str(out), "--set", f"family={family}", "--set", "c=10.0",
+                     "--set", "n_steps=50", "--set", "snapshot_every=25"]) == 0
+    snaps = _library_snapshots(family)
+    paths = sorted(out.glob("snapshot_*.csv"))
+    assert len(paths) == len(snaps)
+    for path, (t, fld) in zip(paths, snaps):
+        want = ["t,x,re_psi,im_psi,abs2"] + [
+            ",".join(repr(v) for v in
+                     (t, float(x), float(s.real), float(s.imag), float(abs(s) ** 2)))
+            for x, s in zip(fld.grid.positions, fld.samples)
+        ]
+        assert path.read_text() == "\n".join(want) + "\n"
 
 
 def test_evolve_deterministic_and_reproducible_from_echo(tmp_path):

@@ -34,6 +34,10 @@ def test_constants_require_positive_values():
         PhysicalConstants(hbar=0.0)
     with pytest.raises(ValueError):
         PhysicalConstants(c=-1.0)
+    with pytest.raises(ValueError):
+        PhysicalConstants(hbar=np.inf)
+    with pytest.raises(ValueError):
+        PhysicalConstants(c=np.inf)
 
 
 @pytest.mark.parametrize("n", [0, 4, 7, 12, 100])
@@ -45,6 +49,8 @@ def test_grid_rejects_non_power_of_two(n):
 def test_grid_rejects_non_positive_length():
     with pytest.raises(ValueError):
         Grid1D(16, 0.0)
+    with pytest.raises(ValueError):
+        Grid1D(64, np.inf)
 
 
 def test_grid_geometry():
@@ -64,6 +70,8 @@ def test_timespec_validation():
         TimeSpec(0.0, 10)
     with pytest.raises(ValueError):
         TimeSpec(0.1, 0)
+    with pytest.raises(ValueError):
+        TimeSpec(np.inf, 3)
     assert TimeSpec(0.5, 4).total_time == 2.0
 
 
@@ -80,6 +88,8 @@ def test_wavefield_validation():
 def test_packet_spec_rejects_non_positive_sigma():
     with pytest.raises(ValueError):
         GaussianPacketSpec(0.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        GaussianPacketSpec(0.0, 1.0, np.inf)
 
 
 # ---------------------------------------------------------------------------

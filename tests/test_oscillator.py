@@ -33,6 +33,10 @@ def test_problem_validation():
         OscillatorProblem(0.0, 1.0)
     with pytest.raises(ValueError):
         OscillatorProblem(1.0, -2.0)
+    with pytest.raises(ValueError):
+        OscillatorProblem(np.inf, 1.0)
+    with pytest.raises(ValueError):
+        OscillatorProblem(1.0, np.inf)
 
 
 # ---------------------------------------------------------------------------
