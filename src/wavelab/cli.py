@@ -53,11 +53,11 @@ from .oscillator import (
     minimize_bound_numeric,
 )
 from .propagate import (
-    centroid,
     constant_potential,
     evolve_second_order_spectral,
     gaussian_packet,
     harmonic_potential,
+    packet_moments,
     packet_width,
     positive_branch_init,
     second_order_psi_snapshots,
@@ -407,7 +407,7 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> int:
                  for xc, z in zip(x_cells, fld.samples.tolist())]
         _write_text(out / f"snapshot_{idx:04d}.csv",
                     "t,x,re_psi,im_psi,abs2\n" + "\n".join(lines) + "\n")
-        summary_rows.append((t, l2_norm(fld), centroid(fld), packet_width(fld)))
+        summary_rows.append((t, l2_norm(fld), *packet_moments(fld)))
     _write_csv(out / "summary.csv", "t,norm,centroid,width", summary_rows)
     return EXIT_OK
 
@@ -424,6 +424,8 @@ def _snapshot_steps(n_steps: int, every: int) -> list:
 
 
 def _evolve_second_order_snapshots(cfg, grid, consts, psi0):
+    if cfg["n_steps"] > 0:
+        TimeSpec(cfg["dt"], cfg["n_steps"])  # refuses dt <= 0, as the split-step path does
     eq = _build_equation(cfg, grid)
     state0 = positive_branch_init(psi0, eq, consts)
     times = [step * cfg["dt"] for step in _snapshot_steps(cfg["n_steps"], cfg["snapshot_every"])]
@@ -498,10 +500,11 @@ def cmd_oscillator(cfg: RunConfig, out: Path) -> int:
     ground = imaginary_time_ground_state(problem, grid, tau_step=cfg["tau_step"],
                                          max_iters=cfg["max_iters"],
                                          energy_tol=cfg["energy_tol"])
+    ground_width = packet_width(ground.psi)
     rows = [
         ("analytic", analytic.delta_x, analytic.energy),
         ("golden_section", numeric.delta_x, numeric.energy),
-        ("imaginary_time", packet_width(ground.psi), ground.energy),
+        ("imaginary_time", ground_width, ground.energy),
     ]
     _write_csv(out / "oscillator.csv", "method,delta_x,energy", rows)
     report_tree = {
@@ -513,7 +516,7 @@ def cmd_oscillator(cfg: RunConfig, out: Path) -> int:
             "energy_gap_vs_analytic": abs(numeric.energy - analytic.energy),
         },
         "imaginary_time": {
-            "delta_x": packet_width(ground.psi),
+            "delta_x": ground_width,
             "energy": ground.energy,
             "relative_error_vs_analytic": abs(ground.energy - analytic.energy) / analytic.energy,
         },

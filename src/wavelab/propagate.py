@@ -128,9 +128,12 @@ def _require_second_order(eq: EquationKind):
 def _rotate_modes(w, a0, b0, t: float):
     """(psi_hat, psidot_hat) at time t, by the rotation of `evolve_second_order_spectral`."""
     with np.errstate(invalid="ignore", over="ignore"):
-        cos_wt = np.cos(w * t)
-        sin_wt = np.sin(w * t)
-        sin_over_w = t * np.sinc(w * t / np.pi)  # == sin(wt)/w, finite at w = 0
+        wt = w * t
+        cos_wt = np.cos(wt)
+        sin_wt = np.sin(wt)
+        # sin(wt)/w from the same rounded argument as cos(wt), so the rotation
+        # stays unitary at any wt; the w = 0 limit is t
+        sin_over_w = np.divide(sin_wt, w, out=np.full(w.shape, float(t)), where=w != 0.0)
         a = a0 * cos_wt + b0 * sin_over_w
         b = -w * sin_wt * a0 + b0 * cos_wt
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
@@ -205,6 +208,21 @@ def _record(snapshots, norms, centroids, t, grid, samples):
     centroids.append(centroid(fld) if norms[-1] > 0 else float("nan"))
 
 
+def _strang_step(psi, half_kick, drift):
+    """One Strang step: half kick, spectral drift, half kick.
+
+    Overwrites `psi` and returns the new samples.  The factors are complex for
+    real time and real for imaginary time.  Each product keeps the factor as
+    the first operand: complex multiplication is not bitwise commutative.
+    """
+    np.multiply(half_kick, psi, out=psi)
+    f = np.fft.fft(psi)
+    np.multiply(drift, f, out=f)
+    psi = np.fft.ifft(f)
+    np.multiply(half_kick, psi, out=psi)
+    return psi
+
+
 def split_step_evolve(psi0: WaveField, m: float, potential,
                       consts: PhysicalConstants = NATURAL_UNITS,
                       time: TimeSpec = TimeSpec(0.01, 1),
@@ -231,9 +249,7 @@ def split_step_evolve(psi0: WaveField, m: float, potential,
     psi = psi0.samples.copy()
     _record(snapshots, norms, centroids, 0.0, grid, psi)
     for step in range(1, time.n_steps + 1):
-        psi = half_kick * psi
-        psi = np.fft.ifft(drift * np.fft.fft(psi))
-        psi = half_kick * psi
+        psi = _strang_step(psi, half_kick, drift)
         if (snapshot_every > 0 and step % snapshot_every == 0) or step == time.n_steps:
             _record(snapshots, norms, centroids, step * dt, grid, psi)
     return EvolutionResult(final=snapshots[-1][1].copy(), snapshots=snapshots,
@@ -346,33 +362,63 @@ def analytic_free_gaussian(spec: GaussianPacketSpec, grid: Grid1D, m: float,
     return WaveField(grid, psi)
 
 
-def _windowed_moments(field: WaveField):
-    """Weights and signed offsets (in cells) measured from the |psi|^2 maximum."""
+def packet_moments(field: WaveField) -> tuple:
+    """(centroid, RMS width) of |psi|^2 from one pass over the samples.
+
+    Offsets are unwrapped around the density maximum, so both are
+    periodic-aware; the centroid lies in [0, L).
+    """
     w = np.abs(field.samples) ** 2
     total = float(w.sum())
     if total == 0.0:
         raise ZeroField("centroid/width undefined for a zero field")
-    n = field.grid.n_points
+    grid = field.grid
+    n = grid.n_points
     j_peak = int(np.argmax(w))
     offsets = (np.arange(n) - j_peak + n // 2) % n - n // 2
-    return w, total, j_peak, offsets
+    mean_off = float(w @ offsets) / total
+    var = float(w @ (offsets - mean_off) ** 2) / total
+    return (float((j_peak + mean_off) * grid.spacing % grid.length),
+            float(np.sqrt(var) * grid.spacing))
 
 
 def centroid(field: WaveField) -> float:
     """First moment of |psi|^2, unwrapped around the density maximum; in [0, L)."""
-    w, total, j_peak, offsets = _windowed_moments(field)
-    dx = field.grid.spacing
-    mean_off = float(w @ offsets) / total
-    return float((j_peak + mean_off) * dx % field.grid.length)
+    return packet_moments(field)[0]
 
 
 def packet_width(field: WaveField) -> float:
     """RMS width of |psi|^2 around its centroid (periodic-aware)."""
-    w, total, j_peak, offsets = _windowed_moments(field)
-    dx = field.grid.spacing
-    mean_off = float(w @ offsets) / total
-    var = float(w @ (offsets - mean_off) ** 2) / total
-    return float(np.sqrt(var) * dx)
+    return packet_moments(field)[1]
+
+
+def _kinetic_symbol(grid: Grid1D, m: float, consts: PhysicalConstants) -> np.ndarray:
+    """hbar^2 k^2 / 2m on the grid's modes."""
+    return consts.hbar ** 2 * grid.wavenumbers ** 2 / (2.0 * m)
+
+
+def _energies(samples: np.ndarray, v: np.ndarray, symbol: np.ndarray, dx: float):
+    """(<psi|H|psi> / <psi|psi>, <psi|psi>) of each row of `samples`, shape (..., N).
+
+    `symbol` is the kinetic symbol of `_kinetic_symbol`.  Row-wise transforms
+    and sums of a C-contiguous stack equal the 1-D calls bit for bit, so a
+    batch of states gets the energies of one at a time.
+    """
+    amps = np.fft.fft(samples, norm="ortho", axis=-1)
+    kinetic = np.sum(symbol * np.abs(amps) ** 2, axis=-1) * dx
+    dens = np.abs(samples) ** 2
+    pot = np.sum(v * dens, axis=-1) * dx
+    norm_sq = np.sum(dens, axis=-1) * dx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (kinetic + pot) / norm_sq, norm_sq
+
+
+def _energy_spread(psi: np.ndarray, v: np.ndarray, symbol: np.ndarray, dx: float,
+                   energy: float) -> float:
+    """sqrt(<psi|(H - E)^2|psi>) of unit-norm samples: the energy's standard deviation."""
+    h_psi = np.fft.ifft(symbol * np.fft.fft(psi))
+    residual = h_psi + (v - energy) * psi
+    return float(np.sqrt(np.sum(np.abs(residual) ** 2) * dx))
 
 
 def energy_expectation(field: WaveField, potential, m: float,
@@ -380,14 +426,8 @@ def energy_expectation(field: WaveField, potential, m: float,
     """<psi|H|psi> / <psi|psi> with the kinetic term evaluated spectrally."""
     grid = field.grid
     v = _check_potential(potential, grid)
-    dx = grid.spacing
-    amps = np.fft.fft(field.samples, norm="ortho")
-    kinetic = float(np.sum(
-        consts.hbar ** 2 * grid.wavenumbers ** 2 / (2.0 * m) * np.abs(amps) ** 2
-    ) * dx)
-    dens = np.abs(field.samples) ** 2
-    pot = float(np.sum(v * dens) * dx)
-    norm_sq = float(np.sum(dens) * dx)
+    energy, norm_sq = _energies(field.samples, v, _kinetic_symbol(grid, m, consts),
+                                grid.spacing)
     if norm_sq == 0.0:
         raise ZeroField("energy expectation undefined for a zero field")
-    return (kinetic + pot) / norm_sq
+    return float(energy)

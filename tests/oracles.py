@@ -75,3 +75,40 @@ def coherent_state_oracle(grid, m, omega_c, hbar, displacement, center, t):
                                        - (a * a / 4.0) * np.sin(2.0 * omega_c * t)))
     return ((m * omega_c / (np.pi * hbar)) ** 0.25
             * np.exp(-(m * omega_c / (2.0 * hbar)) * (x - xt) ** 2 - 1j * phase))
+
+
+def imaginary_time_oracle(n, length, m, omega_c, hbar, tau, energy_tol, max_iters,
+                          psi0=None):
+    """Imaginary-time Strang relaxation in a centred harmonic trap, checked every step.
+
+    Returns (energy, samples, iterations) at the first iteration whose energy
+    differs from the previous one by less than energy_tol, or None if
+    max_iters pass without that.  The start defaults to the Gaussian twice as
+    wide as the ground state.
+    """
+    dx = length / n
+    x = np.arange(n) * dx
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
+    v = 0.5 * m * omega_c * omega_c * (x - length / 2.0) ** 2
+    half_kick = np.exp(-0.5 * v * tau / hbar)
+    drift = np.exp(-hbar * k ** 2 * tau / (2.0 * m))
+    if psi0 is None:
+        width = np.sqrt(hbar / (2.0 * m * omega_c))
+        psi0 = np.exp(-((x - length / 2.0) ** 2) / (4.0 * (2.0 * width) ** 2))
+    psi = np.array(psi0, dtype=np.complex128)
+    psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
+    previous = np.inf
+    for iteration in range(1, max_iters + 1):
+        psi = half_kick * psi
+        psi = np.fft.ifft(drift * np.fft.fft(psi))
+        psi = half_kick * psi
+        psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
+        amps = np.fft.fft(psi, norm="ortho")
+        kinetic = float(np.sum(hbar ** 2 * k ** 2 / (2.0 * m) * np.abs(amps) ** 2) * dx)
+        dens = np.abs(psi) ** 2
+        energy = ((kinetic + float(np.sum(v * dens) * dx))
+                  / float(np.sum(dens) * dx))
+        if abs(energy - previous) < energy_tol:
+            return energy, psi, iteration
+        previous = energy
+    return None

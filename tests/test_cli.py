@@ -230,6 +230,24 @@ def test_evolve_overflowing_dt_is_exit_3(tmp_path, capsys, family):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_second_order_negative_dt_is_exit_2(tmp_path, capsys):
+    rc = cli.main(["evolve", "--out", str(tmp_path / "o"), "--set", "family=klein_gordon",
+                   "--set", "dt=-0.01", "--set", "n_steps=10", "--set", "snapshot_every=5"])
+    assert rc == 2
+    assert "dt must be positive" in capsys.readouterr().err
+
+
+def test_second_order_rotation_stays_unitary_at_huge_time(tmp_path):
+    out = tmp_path / "o"
+    rc = cli.main(["evolve", "--out", str(out), "--set", "family=klein_gordon",
+                   "--set", "dt=1e300", "--set", "n_steps=2", "--set", "snapshot_every=1"])
+    assert rc == 0
+    header, rows = read_csv(out / "summary.csv")
+    norms = column(rows, header, "norm")
+    assert len(norms) == 3
+    assert max(abs(n - 1.0) for n in norms) <= 1e-12
+
+
 def _library_snapshots(family):
     """free_gaussian.cfg at n_steps=50, snapshot_every=25, evolved without the CLI."""
     grid = Grid1D(512, 64.0)
@@ -404,6 +422,23 @@ def test_oscillator_iteration_budget_exhausted_is_exit_3(tmp_path):
     rc = cli.main(["oscillator", "--config", str(CONFIGS / "oscillator.cfg"),
                    "--out", str(tmp_path / "o"), "--set", "max_iters=2"])
     assert rc == 3
+
+
+@pytest.mark.parametrize("tau_step", ["5", "1e300"])
+def test_oscillator_frozen_wrong_state_is_exit_3(tmp_path, capsys, tau_step):
+    rc = cli.main(["oscillator", "--config", str(CONFIGS / "oscillator.cfg"),
+                   "--out", str(tmp_path / "o"), "--set", f"tau_step={tau_step}"])
+    assert rc == 3
+    assert "energy spread" in capsys.readouterr().err
+
+
+def test_oscillator_coarse_valid_step_is_exit_0(tmp_path):
+    out = tmp_path / "o"
+    rc = cli.main(["oscillator", "--config", str(CONFIGS / "oscillator.cfg"),
+                   "--out", str(out), "--set", "tau_step=0.2"])
+    assert rc == 0
+    header, rows = read_csv(out / "oscillator.csv")
+    assert abs(column(rows, header, "energy")[-1] - 0.5) <= 5e-5
 
 
 def test_oscillator_coarse_grid_is_exit_4(tmp_path, capsys):

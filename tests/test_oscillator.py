@@ -23,7 +23,10 @@ from wavelab.exceptions import (
     InvalidBracket,
     NoConvergence,
     NonPositiveDeltaX,
+    NumericalFailure,
 )
+
+from oracles import imaginary_time_oracle
 
 UNIT = OscillatorProblem(1.0, 1.0)
 
@@ -201,3 +204,71 @@ def test_grid_too_coarse_raises():
 def test_no_convergence_when_iteration_budget_tiny():
     with pytest.raises(NoConvergence):
         imaginary_time_ground_state(UNIT, Grid1D(256, 20.0), max_iters=3)
+
+
+# (n_points, length, omega_c, tau_step, energy_tol, random start); the package
+# checks energies in batches of min(8, 8192 // n_points) iterates
+RELAX_CASES = {
+    # the shipped config: stops at iteration 253, the 5th of a batch of 8
+    "shipped": (256, 20.0, 1.0, 0.02, 1e-12, False),
+    # stops at iteration 145, the first of a batch: the previous energy comes
+    # from the batch before
+    "batch_start": (256, 20.0, 1.0, 0.05, 1e-11, False),
+    # stops at iteration 152, the last of a batch of 8
+    "batch_end": (256, 20.0, 1.0, 0.03, 1e-10, False),
+    # batches of 4, from noise
+    "noisy_start": (2048, 40.0, 2.0, 0.01, 1e-10, True),
+}
+
+
+def _relax_both(case, max_iters=50000):
+    n, length, omega_c, tau, tol, noisy = RELAX_CASES[case]
+    start = None
+    if noisy:
+        rng = np.random.default_rng(3)
+        start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    want = imaginary_time_oracle(n, length, 1.0, omega_c, 1.0, tau, tol, max_iters, start)
+    grid = Grid1D(n, length)
+    initial = None if start is None else WaveField(grid, start)
+    return want, lambda iters: imaginary_time_ground_state(
+        OscillatorProblem(1.0, omega_c), grid, tau_step=tau, max_iters=iters,
+        energy_tol=tol, initial=initial)
+
+
+@pytest.mark.parametrize("case", sorted(RELAX_CASES))
+def test_batched_stopping_rule_equals_per_iteration_rule(case):
+    want, relax = _relax_both(case)
+    energy, psi, iterations = want
+    got = relax(50000)
+    assert got.energy == energy
+    assert np.array_equal(got.psi.samples, psi)
+    # the same iteration count: a budget of exactly that many steps suffices,
+    # and one step fewer (not a multiple of the batch size) does not
+    last = relax(iterations)
+    assert last.energy == energy
+    assert np.array_equal(last.psi.samples, psi)
+    with pytest.raises(NoConvergence):
+        relax(iterations - 1)
+
+
+@pytest.mark.parametrize("tau_step", [1.0, 5.0, 1e300])
+def test_frozen_wrong_state_is_refused(tau_step):
+    # a large step stops changing long before it is an eigenstate
+    with pytest.raises(NoConvergence, match="energy spread"):
+        imaginary_time_ground_state(UNIT, Grid1D(256, 20.0), tau_step=tau_step)
+
+
+def test_coarse_but_valid_step_is_accepted():
+    # sigma / E is 7e-3 here, under the 1e-2 acceptance bound
+    got = imaginary_time_ground_state(UNIT, Grid1D(256, 20.0), tau_step=0.2)
+    assert abs(got.energy - 0.5) <= 5e-5
+
+
+def test_state_wiped_out_by_the_kick_is_a_numerical_failure():
+    # a start on the box edge, where the half kick of a huge step underflows to 0
+    grid = Grid1D(256, 20.0)
+    start = np.zeros(256, dtype=complex)
+    start[0] = 1.0
+    with pytest.raises(NumericalFailure):
+        imaginary_time_ground_state(UNIT, grid, tau_step=1e300,
+                                    initial=WaveField(grid, start))

@@ -250,6 +250,23 @@ def test_split_step_snapshots_and_unitarity():
     assert np.max(np.abs(np.diff(norms))) / norms[0] <= 1e-12
 
 
+def test_split_step_equals_out_of_place_strang_loop():
+    # the in-place kernel must round exactly like the plain out-of-place step
+    grid = Grid1D(256, 20.0)
+    psi0 = gaussian_packet(GaussianPacketSpec(8.0, 1.5, 1.0), grid)
+    v = harmonic_potential(grid, 1.0, 1.3)
+    dt = 0.01
+    res = split_step_evolve(psi0, 1.0, v, NATURAL, TimeSpec(dt, 200))
+    half_kick = np.exp(-0.5j * v * dt)
+    drift = np.exp(-1j * grid.wavenumbers ** 2 * dt / 2.0)
+    psi = psi0.samples.copy()
+    for _ in range(200):
+        psi = half_kick * psi
+        psi = np.fft.ifft(drift * np.fft.fft(psi))
+        psi = half_kick * psi
+    assert np.array_equal(res.final.samples, psi)
+
+
 def test_split_step_ground_state_is_stationary():
     problem = OscillatorProblem(1.0, 1.0)
     grid = Grid1D(256, 20.0)
