@@ -53,6 +53,7 @@ from .oscillator import (
     minimize_bound_numeric,
 )
 from .propagate import (
+    _snapshot_steps,
     constant_potential,
     evolve_second_order_spectral,
     gaussian_packet,
@@ -410,17 +411,6 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> int:
         summary_rows.append((t, l2_norm(fld), *packet_moments(fld)))
     _write_csv(out / "summary.csv", "t,norm,centroid,width", summary_rows)
     return EXIT_OK
-
-
-def _snapshot_steps(n_steps: int, every: int) -> list:
-    if n_steps == 0:
-        return [0]
-    if every <= 0:
-        return [0, n_steps]
-    steps = list(range(0, n_steps + 1, every))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
-    return steps
 
 
 def _evolve_second_order_snapshots(cfg, grid, consts, psi0):

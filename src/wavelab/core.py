@@ -163,9 +163,14 @@ def idft(spec: SpectralField) -> WaveField:
     return WaveField(spec.grid, np.fft.ifft(spec.mode_amplitudes, norm="ortho"))
 
 
+def _l2(samples: np.ndarray, dx: float):
+    """sqrt(sum |psi_j|^2 dx) of each row of `samples`, shape (..., N)."""
+    return np.sqrt(np.sum(np.abs(samples) ** 2, axis=-1) * dx)
+
+
 def l2_norm(field: WaveField) -> float:
     """Discrete L2 norm, sqrt(sum |psi_j|^2 dx)."""
-    return float(np.sqrt(np.sum(np.abs(field.samples) ** 2) * field.grid.spacing))
+    return float(_l2(field.samples, field.grid.spacing))
 
 
 def inner_product(bra: WaveField, ket: WaveField) -> complex:

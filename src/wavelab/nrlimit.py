@@ -37,11 +37,12 @@ from .core import (
     PhysicalConstants,
     TimeSpec,
     WaveField,
+    _l2,
     dft,
 )
 from .dispersion import KleinGordon, omega_of_k
 from .exceptions import InsufficientSnapshots, NonUniformTimes
-from .propagate import gaussian_packet
+from .propagate import _snapshot_steps, gaussian_packet
 
 
 @dataclass
@@ -123,10 +124,6 @@ def _uniform_dt(snapshots) -> float:
     return float(dts[0])
 
 
-def _field_l2(grid: Grid1D, samples: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.abs(samples) ** 2) * grid.spacing))
-
-
 def dominance_ratio_field(snapshots, consts: PhysicalConstants = NATURAL_UNITS) -> DominanceTerms:
     """Field-level dominance terms from a uniformly spaced FactoredField series.
 
@@ -141,17 +138,14 @@ def dominance_ratio_field(snapshots, consts: PhysicalConstants = NATURAL_UNITS) 
             f"need at least 3 snapshots for central differences, got {len(snapshots)}"
         )
     dt = _uniform_dt(snapshots)
-    grid = snapshots[0].psi_c.grid
+    dx = snapshots[0].psi_c.grid.spacing
     omega_rest = snapshots[0].m * consts.c ** 2 / consts.hbar
     stack = np.stack([s.psi_c.samples for s in snapshots])
-    smalls, bigs = [], []
-    for i in range(1, len(snapshots) - 1):
-        d1 = (stack[i + 1] - stack[i - 1]) / (2.0 * dt)
-        d2 = (stack[i + 1] - 2.0 * stack[i] + stack[i - 1]) / (dt * dt)
-        smalls.append(_field_l2(grid, d2))
-        bigs.append(_field_l2(grid, omega_rest ** 2 * stack[i] + 2j * omega_rest * d1))
-    small = float(np.mean(smalls))
-    big = float(np.mean(bigs))
+    prev, mid, nxt = stack[:-2], stack[1:-1], stack[2:]  # rows are the interior times
+    d1 = (nxt - prev) / (2.0 * dt)
+    d2 = (nxt - 2.0 * mid + prev) / (dt * dt)
+    small = float(np.mean(_l2(d2, dx)))
+    big = float(np.mean(_l2(omega_rest ** 2 * mid + 2j * omega_rest * d1, dx)))
     return DominanceTerms(small_term=small, big_term=big,
                           ratio=small / big if big > 0 else float("inf"))
 
@@ -201,10 +195,7 @@ def nr_limit_report(psi0: WaveField, m: float,
     power = np.abs(spec.mode_amplitudes) ** 2
     power /= np.sum(power)
 
-    steps = list(range(0, time.n_steps + 1, snapshot_every))
-    if steps[-1] != time.n_steps:  # off-cadence final snapshot
-        steps.append(time.n_steps)
-    times = [step * time.dt for step in steps]
+    times = [step * time.dt for step in _snapshot_steps(time.n_steps, snapshot_every)]
     # one snapshot at a time: memory stays O(N) however many snapshots there are
     deviation = [2.0 * float(np.sqrt(np.dot(power, np.sin(half_gap * t) ** 2))) for t in times]
 

@@ -13,8 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .core import (
     NATURAL_UNITS,
@@ -201,11 +199,30 @@ def positive_branch_init(psi0: WaveField, eq: EquationKind,
 # stepping schemes (Schrodinger with potential)
 # ---------------------------------------------------------------------------
 
-def _record(snapshots, norms, centroids, t, grid, samples):
-    fld = WaveField(grid, samples.copy())
-    snapshots.append((t, fld))
-    norms.append(l2_norm(fld))
-    centroids.append(centroid(fld) if norms[-1] > 0 else float("nan"))
+def _snapshot_steps(n_steps: int, every: int) -> list:
+    """Steps that get a snapshot: 0, each multiple of `every` (if > 0), and n_steps."""
+    steps = list(range(0, n_steps + 1, every)) if every > 0 else [0]
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    return steps
+
+
+def _stepped_evolution(psi0: WaveField, step, time: TimeSpec,
+                       snapshot_every: int) -> EvolutionResult:
+    """Apply `step(samples) -> samples` n_steps times, recording each snapshot step."""
+    snapshots, norms, centroids = [], [], []
+    psi = psi0.samples.copy()
+    done = 0
+    for n in _snapshot_steps(time.n_steps, snapshot_every):
+        for _ in range(n - done):
+            psi = step(psi)
+        done = n
+        fld = WaveField(psi0.grid, psi.copy())
+        snapshots.append((n * time.dt, fld))
+        norms.append(l2_norm(fld))
+        centroids.append(centroid(fld) if norms[-1] > 0 else float("nan"))
+    return EvolutionResult(final=snapshots[-1][1].copy(), snapshots=snapshots,
+                           norms=norms, centroids=centroids)
 
 
 def _strang_step(psi, half_kick, drift):
@@ -244,16 +261,8 @@ def split_step_evolve(psi0: WaveField, m: float, potential,
         drift = np.exp(-1j * consts.hbar * grid.wavenumbers ** 2 * dt / (2.0 * m))
     if not (np.all(np.isfinite(half_kick)) and np.all(np.isfinite(drift))):
         raise NumericalFailure(f"non-finite Strang factors at dt = {dt}", step=0)
-
-    snapshots, norms, centroids = [], [], []
-    psi = psi0.samples.copy()
-    _record(snapshots, norms, centroids, 0.0, grid, psi)
-    for step in range(1, time.n_steps + 1):
-        psi = _strang_step(psi, half_kick, drift)
-        if (snapshot_every > 0 and step % snapshot_every == 0) or step == time.n_steps:
-            _record(snapshots, norms, centroids, step * dt, grid, psi)
-    return EvolutionResult(final=snapshots[-1][1].copy(), snapshots=snapshots,
-                           norms=norms, centroids=centroids)
+    return _stepped_evolution(psi0, lambda psi: _strang_step(psi, half_kick, drift),
+                              time, snapshot_every)
 
 
 def crank_nicolson_evolve(psi0: WaveField, m: float, potential,
@@ -266,8 +275,11 @@ def crank_nicolson_evolve(psi0: WaveField, m: float, potential,
     boundaries, i.e. a tridiagonal system with corner entries.  H is Hermitian,
     so the step is exactly unitary in exact arithmetic; accuracy is
     O(dt^2 + dx^2).  Used only as an independent cross-check of the spectral
-    split-step scheme.
+    split-step scheme, so scipy is imported here and never by the CLI.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
     if not m > 0:
         raise ValueError(f"mass must be positive, got {m}")
     grid = psi0.grid
@@ -291,16 +303,7 @@ def crank_nicolson_evolve(psi0: WaveField, m: float, potential,
         lu = splu(a_mat)
     except RuntimeError as exc:  # singular system; cannot occur for dt > 0
         raise LinearSolveFailure(str(exc)) from exc
-
-    snapshots, norms, centroids = [], [], []
-    psi = psi0.samples.copy()
-    _record(snapshots, norms, centroids, 0.0, grid, psi)
-    for step in range(1, time.n_steps + 1):
-        psi = lu.solve(b_mat @ psi)
-        if (snapshot_every > 0 and step % snapshot_every == 0) or step == time.n_steps:
-            _record(snapshots, norms, centroids, step * time.dt, grid, psi)
-    return EvolutionResult(final=snapshots[-1][1].copy(), snapshots=snapshots,
-                           norms=norms, centroids=centroids)
+    return _stepped_evolution(psi0, lambda psi: lu.solve(b_mat @ psi), time, snapshot_every)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,68 @@
+"""Cold start: the CLI loads no scipy, and Crank-Nicolson imports it on demand.
+
+Each check runs in a fresh interpreter, because this test session has most
+likely imported scipy already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CHILD = r"""
+import json, sys
+
+import numpy as np
+import wavelab
+import wavelab.cli
+from wavelab import (GaussianPacketSpec, Grid1D, PhysicalConstants, TimeSpec,
+                     crank_nicolson_evolve, gaussian_packet, harmonic_potential, l2_norm)
+
+configs, out = sys.argv[1], sys.argv[2]
+runs = [("dispersion", "dispersion_kg"), ("evolve", "free_gaussian"),
+        ("evolve", "harmonic_ground"), ("nrlimit", "nrlimit_ladder"),
+        ("oscillator", "oscillator"), ("verify", None)]
+codes = {}
+for i, (scenario, name) in enumerate(runs):
+    argv = [scenario, "--out", f"{out}/{i}"]
+    if name is not None:
+        argv += ["--config", f"{configs}/{name}.cfg"]
+    codes[f"{scenario}:{name}"] = wavelab.cli.main(argv)
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+after_cli = scipy_modules()
+grid = Grid1D(64, 20.0)
+psi0 = gaussian_packet(GaussianPacketSpec(10.0, 1.0, 1.0), grid)
+res = crank_nicolson_evolve(psi0, 1.0, harmonic_potential(grid, 1.0, 1.0),
+                            PhysicalConstants(), TimeSpec(0.01, 50))
+print(json.dumps({
+    "scenarios": sorted({s for s, _ in runs}),
+    "dispatch": sorted(wavelab.cli._DISPATCH),
+    "codes": codes,
+    "scipy_after_cli": after_cli,
+    "scipy_after_cn": "scipy" in scipy_modules(),
+    "cn_finite": bool(np.all(np.isfinite(res.final.samples))),
+    "cn_norm": l2_norm(res.final),
+}))
+"""
+
+
+def test_cli_loads_no_scipy_and_crank_nicolson_imports_it(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(ROOT / "configs"), str(tmp_path / "out")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["scenarios"] == report["dispatch"]  # every scenario was run
+    assert all(rc == 0 for rc in report["codes"].values()), report["codes"]
+    assert report["scipy_after_cli"] == []
+    assert report["scipy_after_cn"]
+    assert report["cn_finite"]
+    assert abs(report["cn_norm"] - 1.0) <= 1e-10
