@@ -442,14 +442,15 @@ def cmd_nrlimit(cfg: RunConfig, out: Path) -> int:
     time = TimeSpec(cfg["dt"], cfg["n_steps"])
 
     runs = []
-    csv_rows = []
+    lines = ["c,t,deviation,dominance_ratio"]
     for c in ladder:
         consts = PhysicalConstants(hbar=cfg["hbar"], c=c)
         report = nr_limit_report(psi0, cfg["mass"], consts, time,
                                  snapshot_every=max(1, cfg["snapshot_every"]))
         runs.append(report)
-        for t, dev, ratio in zip(report.times, report.deviation, report.dominance_ratio):
-            csv_rows.append((float(c), t, dev, ratio))
+        prefix = f"{float(c)!r},"  # the c column is one value per run: format it once
+        lines.extend(f"{prefix}{t!r},{dev!r},{ratio!r}" for t, dev, ratio
+                     in zip(report.times, report.deviation, report.dominance_ratio))
 
     k_carrier = _carrier_k(cfg, grid)
     dev_exponent = _loglog_slope(ladder, [r.deviation[-1] for r in runs])
@@ -459,7 +460,7 @@ def cmd_nrlimit(cfg: RunConfig, out: Path) -> int:
     ]
     ratio_exponent = _loglog_slope(ladder, mode_ratio)
 
-    _write_csv(out / "nrlimit.csv", "c,t,deviation,dominance_ratio", csv_rows)
+    _write_text(out / "nrlimit.csv", "\n".join(lines) + "\n")
     report_tree = {
         "config": _config_dict(cfg),
         "ladder": [

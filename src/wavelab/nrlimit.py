@@ -41,7 +41,7 @@ from .core import (
     dft,
 )
 from .dispersion import KleinGordon, omega_of_k
-from .exceptions import InsufficientSnapshots, NonUniformTimes
+from .exceptions import InsufficientSnapshots, NonUniformTimes, NumericalFailure
 from .propagate import _snapshot_steps, gaussian_packet
 
 
@@ -185,22 +185,47 @@ def nr_limit_report(psi0: WaveField, m: float,
     so every snapshot reports that one value.  Snapshots fall every
     `snapshot_every` steps plus the final step; one forward transform of psi0
     serves them all.
+
+    delta depends on k only through k^2, and in FFT order the wavenumber of
+    mode N - j is the exact negative of mode j's, so each snapshot evaluates
+    N/2 + 1 sines (modes 0..N/2, k = 0 and Nyquist included) and mirrors the
+    rest.  The sum still runs over all N modes in FFT order, so it equals the
+    full N-sine sum bit for bit.
+
+    Raises NumericalFailure when the envelope frequencies or the dominance
+    ratio are not finite (m c^2/hbar underflowing to 0 or overflowing).
     """
     if snapshot_every < 1:
         raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
     spec = dft(psi0)
-    big_omega, omega_rest = _envelope_frequency(spec.wavenumbers, m, consts)
-    x = big_omega / omega_rest
-    half_gap = -0.25 * big_omega * x  # delta / 2
-    power = np.abs(spec.mode_amplitudes) ** 2
-    power /= np.sum(power)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        big_omega, omega_rest = _envelope_frequency(spec.wavenumbers, m, consts)
+        x = big_omega / omega_rest
+        half_gap = -0.25 * big_omega * x  # delta / 2
+        power = np.abs(spec.mode_amplitudes) ** 2
+        power /= np.sum(power)
+        # both norms divided by omega_r^2, which cancels in the ratio
+        ratio = float(np.sqrt(np.dot(power, x ** 4) / np.dot(power, (1.0 + 2.0 * x) ** 2)))
+    if not (np.all(np.isfinite(half_gap)) and np.isfinite(ratio)):
+        raise NumericalFailure(
+            f"non-finite envelope frequencies or dominance ratio at c = {consts.c!r} "
+            f"(m c^2/hbar = {omega_rest!r})"
+        )
 
     times = [step * time.dt for step in _snapshot_steps(time.n_steps, snapshot_every)]
     # one snapshot at a time: memory stays O(N) however many snapshots there are
-    deviation = [2.0 * float(np.sqrt(np.dot(power, np.sin(half_gap * t) ** 2))) for t in times]
+    h = psi0.grid.n_points // 2
+    gap_head = half_gap[:h + 1]
+    sin2 = np.empty_like(half_gap)
+    head = sin2[:h + 1]
+    deviation = []
+    for t in times:
+        np.multiply(gap_head, t, out=head)
+        np.sin(head, out=head)
+        np.square(head, out=head)
+        sin2[h + 1:] = sin2[h - 1:0:-1]  # mode N - j takes mode j's value
+        deviation.append(2.0 * float(np.sqrt(np.dot(power, sin2))))
 
-    # both norms divided by omega_r^2, which cancels in the ratio
-    ratio = float(np.sqrt(np.dot(power, x ** 4) / np.dot(power, (1.0 + 2.0 * x) ** 2)))
     info = dict(params or {})
     info.update(m=m, hbar=consts.hbar, c=consts.c, dt=time.dt,
                 n_steps=time.n_steps, snapshot_every=snapshot_every,

@@ -100,7 +100,8 @@ def minimize_bound_numeric(problem: OscillatorProblem,
 
     The bracket must contain the minimum; an interior maximum (both edge
     values below the midpoint value) is evidence the objective is not unimodal
-    there and raises InvalidBracket.
+    there and raises InvalidBracket.  The search stops once hi - lo is within
+    tol or within 4 ulps of the midpoint, whichever is larger.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < lo < hi):
@@ -119,7 +120,8 @@ def minimize_bound_numeric(problem: OscillatorProblem,
     c = hi - (hi - lo) * _INV_PHI
     d = lo + (hi - lo) * _INV_PHI
     fc, fd = f(c), f(d)
-    while hi - lo > tol:
+    # the bracket cannot shrink much below one ulp of its midpoint: floor tol there
+    while hi - lo > max(tol, 4.0 * math.ulp(0.5 * (lo + hi))):
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - (hi - lo) * _INV_PHI

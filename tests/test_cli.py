@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -374,6 +375,20 @@ def test_nrlimit_rest_mode_run_stays_at_noise_floor(tmp_path):
         assert dev <= 1e-12
     tree = json.loads((out / "report.json").read_text())
     assert tree["fits"]["carrier_dominance_c_exponent"] is None
+
+
+@pytest.mark.parametrize("ladder", ["1e-200,1e-100", "10.0,1e200"])
+def test_nrlimit_non_finite_envelope_is_exit_3(tmp_path, capsys, ladder):
+    # m c^2/hbar underflows to 0 (or overflows to inf): the run used to exit 0
+    # with nan deviations and null fits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning may reach stderr
+        rc = cli.main(["nrlimit", "--config", str(CONFIGS / "nrlimit_ladder.cfg"),
+                       "--out", str(tmp_path / "o"), "--set", f"c_ladder={ladder}"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert not (tmp_path / "o" / "nrlimit.csv").exists()
 
 
 def test_nrlimit_requires_ladder_of_two(tmp_path):

@@ -25,7 +25,8 @@ from wavelab import (
     positive_branch_init,
     restore_rest_phase,
 )
-from wavelab.exceptions import InsufficientSnapshots, NonUniformTimes
+from wavelab.exceptions import InsufficientSnapshots, NonUniformTimes, NumericalFailure
+from wavelab.nrlimit import _envelope_frequency
 
 C10 = PhysicalConstants(1.0, 10.0)
 
@@ -253,6 +254,38 @@ def test_report_tolerates_off_cadence_final_snapshot():
     assert len(rep.dominance_ratio) == 4
     assert all(np.isfinite(rep.dominance_ratio))
     assert rep.dominance_ratio[-1] == rep.dominance_ratio[-2]
+
+
+def test_report_deviation_equals_full_mode_sum():
+    # the report takes N/2 + 1 sines and mirrors the rest by k -> -k; it must
+    # equal the plain sum over all N modes bit for bit
+    rng = np.random.default_rng(20260601)
+    time = TimeSpec(0.37, 23)  # cadence 5: the final snapshot is off the ladder
+    for n in (8, 64, 2048):
+        grid = Grid1D(n, 40.0)
+        psi0 = WaveField(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        amps = np.fft.fft(psi0.samples, norm="ortho")
+        power = np.abs(amps) ** 2
+        power /= np.sum(power)
+        assert power[0] > 0 and power[n // 2] > 0  # k = 0 and Nyquist both count
+        for c in (10.0, 1e3, 1e6):
+            consts = PhysicalConstants(1.0, c)
+            big_omega, omega_rest = _envelope_frequency(grid.wavenumbers, 1.0, consts)
+            half_gap = -0.25 * big_omega * (big_omega / omega_rest)
+            rep = nr_limit_report(psi0, 1.0, consts, time, snapshot_every=5)
+            assert rep.times[-1] == 23 * 0.37 and len(rep.times) == 6
+            want = [2.0 * float(np.sqrt(np.dot(power, np.sin(half_gap * t) ** 2)))
+                    for t in rep.times]
+            assert rep.deviation == want, (n, c)
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+def test_report_refuses_non_finite_envelope(c):
+    # m c^2/hbar underflows to 0 (or overflows): no NaN series may come back
+    grid = Grid1D(64, 16.0)
+    _, psi0 = normalized_mode(grid, 2)
+    with pytest.raises(NumericalFailure, match="non-finite"):
+        nr_limit_report(psi0, 1.0, PhysicalConstants(1.0, c), TimeSpec(0.05, 10))
 
 
 def test_relativistic_carrier_warns():

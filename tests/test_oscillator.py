@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -130,6 +131,30 @@ def test_golden_section_energy_quadratic_in_tol():
 def test_golden_section_bracket_excluding_minimum_hits_boundary():
     got = minimize_bound_numeric(UNIT, (2.0, 10.0), 1e-9)
     assert got.delta_x == pytest.approx(2.0, abs=1e-6)
+
+
+def test_golden_section_tol_below_ulp_floor_returns():
+    # hi - lo cannot shrink below ~1 ulp of the minimum, so a tolerance under
+    # that used to loop forever; the alarm only detects a hang
+    def hang(signum, frame):
+        pytest.fail("minimize_bound_numeric did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(60)
+    try:
+        for tol in (1e-16, 5e-324):
+            got = minimize_bound_numeric(UNIT, (0.05, 20.0), tol)
+            assert got.delta_x == pytest.approx(0.7071067811865476, abs=1e-7)
+            assert got.energy == 0.5
+        # dx* ~ 7e11: one ulp there (1.2e-4) dwarfs the default tolerance
+        wide = OscillatorProblem(1e-12, 1e-12)
+        dx_star, e0 = minimize_bound_analytic(wide)
+        got = minimize_bound_numeric(wide, (1.0, 1e13), 1e-12)
+        assert got.delta_x == pytest.approx(dx_star, rel=1e-7)
+        assert got.energy == pytest.approx(e0, rel=1e-12)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_golden_section_rejects_bad_bracket():
