@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from .dispersion import (
     SchrodingerFree,
     SchrodingerPotential,
     group_velocity,
+    is_second_order,
     kinematic_map,
     nr_expansion_error,
     omega_of_k,
@@ -55,6 +57,7 @@ from .oscillator import (
 from .propagate import (
     _snapshot_steps,
     constant_potential,
+    evolve_schrodinger_spectral,
     evolve_second_order_spectral,
     gaussian_packet,
     harmonic_potential,
@@ -71,13 +74,16 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_RESOLUTION = 4
 
-_FAMILIES = (
-    "classical_wave",
-    "electromagnetic",
-    "klein_gordon",
-    "schrodinger_free",
-    "schrodinger_potential",
-)
+# CLI family name -> builder(cfg, grid) of its equation.  Without a grid (the
+# dispersion scan) the potential family gets the constant v0.
+_FAMILIES = {
+    "classical_wave": lambda cfg, grid: ClassicalWave(cfg["wave_speed"]),
+    "electromagnetic": lambda cfg, grid: Electromagnetic(),
+    "klein_gordon": lambda cfg, grid: KleinGordon(cfg["mass"]),
+    "schrodinger_free": lambda cfg, grid: SchrodingerFree(cfg["mass"]),
+    "schrodinger_potential": lambda cfg, grid: SchrodingerPotential(
+        cfg["mass"], np.full(1, cfg["v0"]) if grid is None else _build_potential(cfg, grid)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +195,6 @@ SCHEMAS = {
 }
 
 
-class RunConfig:
-    """Validated flat configuration for one scenario."""
-
-    def __init__(self, scenario: str, values: dict):
-        self.scenario = scenario
-        self.values = values
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-
 def parse_config_file(path: Path) -> list:
     """Read `key = value` lines; returns [(lineno, key, value), ...]."""
     try:
@@ -227,10 +222,13 @@ def parse_config_file(path: Path) -> list:
     return pairs
 
 
-def build_config(scenario: str, pairs, overrides) -> RunConfig:
-    """Fill defaults, apply file pairs then --set overrides, reject unknowns."""
+def build_config(scenario: str, pairs, overrides) -> dict:
+    """Fill defaults, apply file pairs then --set overrides, reject unknowns.
+
+    Returns {"scenario": scenario, key: value, ...} in schema order.
+    """
     schema = SCHEMAS[scenario]
-    values = {key: default for key, (_, default) in schema.items()}
+    values = {"scenario": scenario, **{key: default for key, (_, default) in schema.items()}}
 
     def apply(src, key, raw):
         if key == "scenario":
@@ -254,7 +252,7 @@ def build_config(scenario: str, pairs, overrides) -> RunConfig:
             raise ConfigError(f"--set #{i}: expected key=value, got {item!r}")
         key, _, raw = item.partition("=")
         apply(f"--set #{i}", key.strip(), raw.strip())
-    return RunConfig(scenario, values)
+    return values
 
 
 def _fmt(v) -> str:
@@ -267,11 +265,8 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def echo_config(cfg: RunConfig) -> str:
-    lines = [f"scenario = {cfg.scenario}"]
-    for key in SCHEMAS[cfg.scenario]:
-        lines.append(f"{key} = {_fmt(cfg.values[key])}")
-    return "\n".join(lines) + "\n"
+def echo_config(cfg: dict) -> str:
+    return "".join(f"{key} = {_fmt(v)}\n" for key, v in cfg.items())
 
 
 def _write_text(path: Path, text: str):
@@ -285,33 +280,15 @@ def _write_csv(path: Path, header: str, rows):
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _config_dict(cfg: RunConfig) -> dict:
-    out = {"scenario": cfg.scenario}
-    for key in SCHEMAS[cfg.scenario]:
-        v = cfg.values[key]
-        out[key] = list(v) if isinstance(v, tuple) else v
-    return out
+def _config_dict(cfg: dict) -> dict:
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in cfg.items()}
 
 
 # ---------------------------------------------------------------------------
 # shared builders
 # ---------------------------------------------------------------------------
 
-def _build_equation(cfg: RunConfig, grid: Grid1D | None):
-    family = cfg["family"]
-    if family == "classical_wave":
-        return ClassicalWave(cfg["wave_speed"])
-    if family == "electromagnetic":
-        return Electromagnetic()
-    if family == "klein_gordon":
-        return KleinGordon(cfg["mass"])
-    if family == "schrodinger_free":
-        return SchrodingerFree(cfg["mass"])
-    v = _build_potential(cfg, grid) if grid is not None else np.full(1, cfg["v0"])
-    return SchrodingerPotential(cfg["mass"], v)
-
-
-def _build_potential(cfg: RunConfig, grid: Grid1D) -> np.ndarray:
+def _build_potential(cfg: dict, grid: Grid1D) -> np.ndarray:
     kind = cfg["potential"]
     if kind == "none":
         return zero_potential(grid)
@@ -324,7 +301,7 @@ def _build_potential(cfg: RunConfig, grid: Grid1D) -> np.ndarray:
     return v
 
 
-def _carrier_k(cfg: RunConfig, grid: Grid1D) -> float:
+def _carrier_k(cfg: dict, grid: Grid1D) -> float:
     """Carrier wavenumber: snapped to the nearest grid mode for plane waves."""
     if cfg["packet_kind"] == "plane_wave":
         n = round(cfg["k0"] * grid.length / (2.0 * np.pi))
@@ -332,7 +309,7 @@ def _carrier_k(cfg: RunConfig, grid: Grid1D) -> float:
     return cfg["k0"]
 
 
-def _build_packet(cfg: RunConfig, grid: Grid1D) -> WaveField:
+def _build_packet(cfg: dict, grid: Grid1D) -> WaveField:
     if cfg["packet_kind"] == "plane_wave":
         k = _carrier_k(cfg, grid)
         fld = planewave_sample(PlaneWaveMode(1.0, k, 0.0), grid, 0.0)
@@ -353,48 +330,55 @@ def _loglog_slope(xs, ys):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_dispersion(cfg: RunConfig, out: Path) -> int:
+def cmd_dispersion(cfg: dict, out: Path) -> int:
     consts = PhysicalConstants(hbar=cfg["hbar"], c=cfg["c"])
-    eq = _build_equation(cfg, grid=None)
+    eq = _FAMILIES[cfg["family"]](cfg, None)
     if cfg["k_count"] < 1:
         raise ConfigError("k_count must be >= 1")
-    ks = np.linspace(cfg["k_min"], cfg["k_max"], cfg["k_count"])
-    has_mass = cfg["family"] in ("klein_gordon", "schrodinger_free", "schrodinger_potential")
+    header = "family,k,omega,group_velocity,p,E,nr_gap,nr_bound"
+    m = getattr(eq, "m", None)
+    # every column must be finite but the NR pair, which is nan for the massless families
+    checked = header.split(",")[1:6 if m is None else 8]
     rows = []
-    for k in ks:
-        w = omega_of_k(eq, float(k), consts)
-        g = group_velocity(eq, float(k), consts)
-        pair = kinematic_map(float(k), w, consts)
-        if has_mass:
-            gap, bound = nr_expansion_error(cfg["mass"], float(k), consts)
-        else:
-            gap, bound = float("nan"), float("nan")
-        rows.append((cfg["family"], float(k), w, g, pair.p, pair.E, gap, bound))
-    _write_csv(out / "dispersion.csv", "family,k,omega,group_velocity,p,E,nr_gap,nr_bound", rows)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in np.linspace(cfg["k_min"], cfg["k_max"], cfg["k_count"]).tolist():
+            w = omega_of_k(eq, k, consts)
+            pair = kinematic_map(k, w, consts)
+            nr = (math.nan, math.nan) if m is None else nr_expansion_error(m, k, consts)
+            row = (k, w, group_velocity(eq, k, consts), pair.p, pair.E, *nr)
+            for name, v in zip(checked, row):
+                if not math.isfinite(v):
+                    raise NumericalFailure(f"dispersion row at k = {k!r} has {name} = {v!r}")
+            rows.append((cfg["family"], *row))
+    _write_csv(out / "dispersion.csv", header, rows)
     return EXIT_OK
 
 
-def cmd_evolve(cfg: RunConfig, out: Path) -> int:
+def cmd_evolve(cfg: dict, out: Path) -> int:
     consts = PhysicalConstants(hbar=cfg["hbar"], c=cfg["c"])
     grid = Grid1D(cfg["n_points"], cfg["length"])
-    family = cfg["family"]
-    if cfg["n_steps"] < 0:
+    n_steps, dt = cfg["n_steps"], cfg["dt"]
+    if n_steps < 0:
         raise ConfigError("n_steps must be >= 0")
     if cfg["snapshot_every"] < 0:
         raise ConfigError("snapshot_every must be >= 0")
     psi0 = _build_packet(cfg, grid)
+    eq = _FAMILIES[cfg["family"]](cfg, grid)
+    if cfg["potential"] != "none" and not isinstance(eq, SchrodingerPotential):
+        raise ConfigError(f"family '{cfg['family']}' does not take a potential; "
+                          "use family = schrodinger_potential")
+    time = TimeSpec(dt, n_steps) if n_steps > 0 else None  # refuses dt <= 0
 
-    if family in ("classical_wave", "electromagnetic", "klein_gordon"):
-        if cfg["potential"] != "none":
-            raise ConfigError(f"family '{family}' does not take a potential")
-        snaps = _evolve_second_order_snapshots(cfg, grid, consts, psi0)
-    elif family == "schrodinger_free":
-        if cfg["potential"] != "none":
-            raise ConfigError("family 'schrodinger_free' does not take a potential; "
-                              "use family = schrodinger_potential")
-        snaps = _evolve_split_step_snapshots(cfg, grid, consts, psi0, zero_potential(grid))
+    if is_second_order(eq):
+        state0 = positive_branch_init(psi0, eq, consts)
+        times = [step * dt for step in _snapshot_steps(n_steps, cfg["snapshot_every"])]
+        snaps = list(zip(times, second_order_psi_snapshots(state0, eq, consts, times)))
+    elif time is None:
+        snaps = [(0.0, psi0)]
     else:
-        snaps = _evolve_split_step_snapshots(cfg, grid, consts, psi0, _build_potential(cfg, grid))
+        potential = eq.potential if isinstance(eq, SchrodingerPotential) else zero_potential(grid)
+        snaps = split_step_evolve(psi0, eq.m, potential, consts, time,
+                                  snapshot_every=cfg["snapshot_every"]).snapshots
 
     # the x column is the same in every snapshot file: format it once
     x_cells = [f"{xj!r}," for xj in grid.positions.tolist()]
@@ -413,25 +397,7 @@ def cmd_evolve(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _evolve_second_order_snapshots(cfg, grid, consts, psi0):
-    if cfg["n_steps"] > 0:
-        TimeSpec(cfg["dt"], cfg["n_steps"])  # refuses dt <= 0, as the split-step path does
-    eq = _build_equation(cfg, grid)
-    state0 = positive_branch_init(psi0, eq, consts)
-    times = [step * cfg["dt"] for step in _snapshot_steps(cfg["n_steps"], cfg["snapshot_every"])]
-    return list(zip(times, second_order_psi_snapshots(state0, eq, consts, times)))
-
-
-def _evolve_split_step_snapshots(cfg, grid, consts, psi0, potential):
-    if cfg["n_steps"] == 0:
-        return [(0.0, psi0)]
-    time = TimeSpec(cfg["dt"], cfg["n_steps"])
-    result = split_step_evolve(psi0, cfg["mass"], potential, consts, time,
-                               snapshot_every=cfg["snapshot_every"])
-    return result.snapshots
-
-
-def cmd_nrlimit(cfg: RunConfig, out: Path) -> int:
+def cmd_nrlimit(cfg: dict, out: Path) -> int:
     ladder = cfg["c_ladder"]
     if len(ladder) < 2:
         raise ConfigError("c_ladder needs at least 2 entries")
@@ -481,7 +447,7 @@ def cmd_nrlimit(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_oscillator(cfg: RunConfig, out: Path) -> int:
+def cmd_oscillator(cfg: dict, out: Path) -> int:
     problem = OscillatorProblem(cfg["mass"], cfg["omega_c"],
                                 PhysicalConstants(hbar=cfg["hbar"]))
     grid = Grid1D(cfg["n_points"], cfg["length"])
@@ -521,14 +487,11 @@ def cmd_oscillator(cfg: RunConfig, out: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def _check_plane_wave_exactness():
-    from .propagate import evolve_schrodinger_spectral
-
     grid = Grid1D(32, 16.0)
     consts = PhysicalConstants()
-    families = [ClassicalWave(1.3), Electromagnetic(), KleinGordon(1.0),
-                SchrodingerFree(1.0), SchrodingerPotential(1.0, constant_potential(grid, 0.5))]
+    cfg = {"wave_speed": 1.3, "mass": 1.0, "potential": "constant", "v0": 0.5}
     t = 3.0
-    for eq in families:
+    for eq in (build(cfg, grid) for build in _FAMILIES.values()):
         for n in (0, 1, 3, -5):
             k = 2.0 * np.pi * n / grid.length
             w = omega_of_k(eq, k, consts)
@@ -536,15 +499,14 @@ def _check_plane_wave_exactness():
             res = planewave_residual(eq, mode, consts)
             assert res <= 1e-12, f"residual {res} for {type(eq).__name__}, n={n}"
             psi0 = planewave_sample(mode, grid, 0.0)
-            if isinstance(eq, (SchrodingerFree, SchrodingerPotential)):
-                if isinstance(eq, SchrodingerPotential):
-                    evolved = split_step_evolve(psi0, eq.m, eq.potential, consts,
-                                                TimeSpec(t / 64, 64)).final
-                else:
-                    evolved = evolve_schrodinger_spectral(psi0, eq.m, consts, t)
-            else:
+            if is_second_order(eq):
                 state = positive_branch_init(psi0, eq, consts)
                 evolved = evolve_second_order_spectral(state, eq, consts, t).psi
+            elif isinstance(eq, SchrodingerPotential):
+                evolved = split_step_evolve(psi0, eq.m, eq.potential, consts,
+                                            TimeSpec(t / 64, 64)).final
+            else:
+                evolved = evolve_schrodinger_spectral(psi0, eq.m, consts, t)
             expect = planewave_sample(mode, grid, t)
             err = float(np.max(np.abs(evolved.samples - expect.samples)))
             assert err <= 1e-11, f"phase error {err} for {type(eq).__name__}, n={n}"
@@ -614,7 +576,7 @@ def run_verification(checks=None) -> list:
     return results
 
 
-def cmd_verify(cfg: RunConfig, out: Path) -> int:
+def cmd_verify(cfg: dict, out: Path) -> int:
     results = run_verification()
     for name, ok, msg in results:
         line = f"{name}: {'PASS' if ok else 'FAIL'}"
@@ -670,10 +632,7 @@ def main(argv=None) -> int:
         if args.command != "verify":
             _write_text(out / "config_echo.cfg", echo_config(cfg))
         return _DISPATCH[args.command](cfg, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, InvalidBracket) as exc:  # parameter rejected by an invariant
+    except (ConfigError, ValueError, InvalidBracket) as exc:  # incl. a rejected parameter
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalFailure, LinearSolveFailure, NoConvergence) as exc:

@@ -78,12 +78,9 @@ EquationKind = Union[
     ClassicalWave, Electromagnetic, KleinGordon, SchrodingerFree, SchrodingerPotential
 ]
 
-SECOND_ORDER_FAMILIES = (ClassicalWave, Electromagnetic, KleinGordon)
-
-
 def is_second_order(eq: EquationKind) -> bool:
     """True for the families with a second-order time derivative."""
-    return isinstance(eq, SECOND_ORDER_FAMILIES)
+    return isinstance(eq, (ClassicalWave, Electromagnetic, KleinGordon))
 
 
 def _constant_potential_value(eq: SchrodingerPotential) -> float:
@@ -220,12 +217,14 @@ def nr_expansion_error(m: float, k: float,
 
     Returns the exact gap |omega_KG(k) - m c^2/hbar - hbar k^2/2m| together
     with the leading correction bound hbar^3 k^4 / (8 m^3 c^2) of the binomial
-    expansion; the gap is below the bound throughout hbar|k| < m c.
+    expansion; the gap is below the bound throughout hbar|k| < m c.  Both are
+    taken in float64, so an overflow gives inf (or nan), not an exception.
     """
     if not m > 0:
         raise ValueError(f"mass must be positive, got {m}")
-    hbar, c = consts.hbar, consts.c
-    w = omega_of_k(KleinGordon(m), k, consts)
-    gap = abs(w - m * c * c / hbar - hbar * k * k / (2.0 * m))
-    bound = hbar ** 3 * k ** 4 / (8.0 * m ** 3 * c * c)
-    return NrExpansionError(exact_gap=gap, next_term_bound=bound)
+    hbar, c, m, k = (np.float64(v) for v in (consts.hbar, consts.c, m, k))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = omega_of_k(KleinGordon(m), k, consts)
+        gap = abs(w - m * c * c / hbar - hbar * k * k / (2.0 * m))
+        bound = hbar ** 3 * k ** 4 / (8.0 * m ** 3 * c * c)
+    return NrExpansionError(exact_gap=float(gap), next_term_bound=float(bound))

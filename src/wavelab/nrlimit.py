@@ -26,7 +26,7 @@ branch), so factoring multiplies by e^{+i m c^2 t / hbar}.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,13 +105,18 @@ def dominance_terms_mode(k: float, m: float,
         big   = m^2 c^4 / hbar^2 + (2 m c^2 / hbar) Omega
 
     (the bracket's modulus; both contributions add for the particle branch).
-    The ratio vanishes at k = 0 and falls off as c^-4 at fixed k.
+    The ratio vanishes at k = 0 and falls off as c^-4 at fixed k.  Both terms
+    are taken in float64; NumericalFailure is raised when either is not finite.
     """
-    big_omega, omega_rest = _envelope_frequency(k, m, consts)
-    small = big_omega ** 2
-    big = omega_rest ** 2 + 2.0 * omega_rest * big_omega
-    return DominanceTerms(small_term=small, big_term=big,
-                          ratio=small / big if big > 0 else float("inf"))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        big_omega, omega_rest = _envelope_frequency(np.float64(k), m, consts)
+        small = big_omega ** 2
+        big = np.float64(omega_rest) ** 2 + 2.0 * omega_rest * big_omega
+    if not (np.isfinite(small) and np.isfinite(big)):
+        raise NumericalFailure(f"non-finite dominance terms at c = {consts.c!r} "
+                               f"(m c^2/hbar = {omega_rest!r})")
+    return DominanceTerms(small_term=float(small), big_term=float(big),
+                          ratio=float(small / big) if big > 0 else float("inf"))
 
 
 def _uniform_dt(snapshots) -> float:
@@ -157,7 +162,6 @@ class NrLimitReport:
     times: list
     deviation: list       # ||psi_c(t) - psi_S(t)|| / ||psi_0||
     dominance_ratio: list
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (len(self.times) == len(self.deviation) == len(self.dominance_ratio)):
@@ -167,8 +171,7 @@ class NrLimitReport:
 def nr_limit_report(psi0: WaveField, m: float,
                     consts: PhysicalConstants = NATURAL_UNITS,
                     time: TimeSpec = TimeSpec(0.01, 1),
-                    snapshot_every: int = 1,
-                    params: dict | None = None) -> NrLimitReport:
+                    snapshot_every: int = 1) -> NrLimitReport:
     """Compare the factored massive envelope with Schrodinger evolution.
 
     psi0 is given the positive-branch pairing, so mode k of the envelope
@@ -225,13 +228,7 @@ def nr_limit_report(psi0: WaveField, m: float,
         np.square(head, out=head)
         sin2[h + 1:] = sin2[h - 1:0:-1]  # mode N - j takes mode j's value
         deviation.append(2.0 * float(np.sqrt(np.dot(power, sin2))))
-
-    info = dict(params or {})
-    info.update(m=m, hbar=consts.hbar, c=consts.c, dt=time.dt,
-                n_steps=time.n_steps, snapshot_every=snapshot_every,
-                n_points=psi0.grid.n_points, length=psi0.grid.length)
-    return NrLimitReport(times=times, deviation=deviation,
-                         dominance_ratio=[ratio] * len(times), params=info)
+    return NrLimitReport(times=times, deviation=deviation, dominance_ratio=[ratio] * len(times))
 
 
 def kg_vs_schrodinger(spec: GaussianPacketSpec, grid: Grid1D, m: float,
@@ -250,5 +247,4 @@ def kg_vs_schrodinger(spec: GaussianPacketSpec, grid: Grid1D, m: float,
             stacklevel=2,
         )
     psi0 = gaussian_packet(spec, grid, normalize=True)
-    params = dict(x0=spec.x0, k0=spec.k0, sigma=spec.sigma)
-    return nr_limit_report(psi0, m, consts, time, snapshot_every, params=params)
+    return nr_limit_report(psi0, m, consts, time, snapshot_every)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import NATURAL_UNITS, Grid1D, PhysicalConstants, WaveField, l2_norm
+from .core import NATURAL_UNITS, Grid1D, PhysicalConstants, WaveField, _l2, l2_norm
 from .exceptions import (
     GridTooCoarse,
     InvalidBracket,
@@ -199,7 +199,7 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
         psi = psi.astype(np.complex128)
     else:
         psi = initial.samples.copy()
-    nrm = np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
+    nrm = _l2(psi, dx)
     if nrm == 0.0:
         raise ValueError("initial state must be nonzero")
     psi /= nrm
@@ -212,7 +212,7 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
         rows = stack[:min(len(stack), max_iters - done)]
         for row in range(len(rows)):
             psi = _strang_step(psi, half_kick, drift)
-            nrm = np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
+            nrm = _l2(psi, dx)
             if not 0.0 < nrm < math.inf:
                 raise NumericalFailure(f"state lost at iteration {done + row + 1} "
                                        f"(norm {nrm})", step=done + row + 1)

@@ -56,7 +56,6 @@ class EvolutionResult:
     final: object  # WaveField or SecondOrderState
     snapshots: list = field(default_factory=list)  # [(t, WaveField), ...]
     norms: list = field(default_factory=list)
-    centroids: list = field(default_factory=list)
 
     @property
     def times(self) -> list:
@@ -185,10 +184,7 @@ def second_order_psi_snapshots(state0: SecondOrderState, eq: EquationKind,
 def positive_branch_init(psi0: WaveField, eq: EquationKind,
                          consts: PhysicalConstants = NATURAL_UNITS) -> SecondOrderState:
     """Pair psi0 with psidot_hat = -i omega(k) psi_hat so every mode evolves as e^{-i omega t}."""
-    if not is_second_order(eq):
-        raise WrongEquationFamily(
-            f"{type(eq).__name__} carries no independent psi_dot degree of freedom"
-        )
+    _require_second_order(eq)
     spec = dft(psi0)
     w = omega_of_k(eq, spec.wavenumbers, consts)
     psi_dot = idft(SpectralField(psi0.grid, -1j * w * spec.mode_amplitudes))
@@ -210,7 +206,7 @@ def _snapshot_steps(n_steps: int, every: int) -> list:
 def _stepped_evolution(psi0: WaveField, step, time: TimeSpec,
                        snapshot_every: int) -> EvolutionResult:
     """Apply `step(samples) -> samples` n_steps times, recording each snapshot step."""
-    snapshots, norms, centroids = [], [], []
+    snapshots, norms = [], []
     psi = psi0.samples.copy()
     done = 0
     for n in _snapshot_steps(time.n_steps, snapshot_every):
@@ -220,9 +216,7 @@ def _stepped_evolution(psi0: WaveField, step, time: TimeSpec,
         fld = WaveField(psi0.grid, psi.copy())
         snapshots.append((n * time.dt, fld))
         norms.append(l2_norm(fld))
-        centroids.append(centroid(fld) if norms[-1] > 0 else float("nan"))
-    return EvolutionResult(final=snapshots[-1][1].copy(), snapshots=snapshots,
-                           norms=norms, centroids=centroids)
+    return EvolutionResult(final=snapshots[-1][1].copy(), snapshots=snapshots, norms=norms)
 
 
 def _strang_step(psi, half_kick, drift):

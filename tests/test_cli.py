@@ -7,11 +7,14 @@ import pytest
 
 from wavelab import cli
 from wavelab import (
+    ClassicalWave,
+    Electromagnetic,
     GaussianPacketSpec,
     Grid1D,
     KleinGordon,
     PhysicalConstants,
     TimeSpec,
+    constant_potential,
     evolve_second_order_spectral,
     gaussian_packet,
     nr_expansion_error,
@@ -126,15 +129,16 @@ def test_dispersion_massive_scan(tmp_path):
 
 
 def test_dispersion_massless_scan(tmp_path):
-    out = tmp_path / "disp"
-    rc = cli.main(["dispersion", "--out", str(out),
-                   "--set", "family=electromagnetic", "--set", "k_count=5"])
-    assert rc == 0
-    header, rows = read_csv(out / "dispersion.csv")
-    ks = column(rows, header, "k")
-    omegas = column(rows, header, "omega")
-    assert omegas == ks
-    assert all(np.isnan(v) for v in column(rows, header, "nr_gap"))
+    for family in ("electromagnetic", "classical_wave"):
+        out = tmp_path / family
+        rc = cli.main(["dispersion", "--out", str(out),
+                       "--set", f"family={family}", "--set", "k_count=5"])
+        assert rc == 0
+        header, rows = read_csv(out / "dispersion.csv")
+        ks = column(rows, header, "k")
+        omegas = column(rows, header, "omega")
+        assert omegas == ks
+        assert all(np.isnan(v) for v in column(rows, header, "nr_gap"))
 
 
 def test_dispersion_free_particle_row(tmp_path):
@@ -149,6 +153,23 @@ def test_dispersion_free_particle_row(tmp_path):
     assert column([row], header, "group_velocity")[0] == 2.0
     assert column([row], header, "p")[0] == 2.0
     assert column([row], header, "E")[0] == 2.0
+
+
+@pytest.mark.parametrize("overrides", [
+    ["k_max=1e100"],                                           # k ** 4 overflows
+    ["family=klein_gordon", "c=5e-324", "k_min=1e-300"],       # omega = 0: 0/0
+    ["family=klein_gordon", "c=1e200"],                        # m c^2/hbar = inf
+], ids=["k4_overflow", "zero_omega", "rest_frequency_overflow"])
+def test_dispersion_non_finite_row_is_exit_3(tmp_path, capsys, overrides):
+    # these used to end in a traceback (exit 1) or write inf/nan rows with exit 0
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning may reach stderr
+        rc = cli.main(["dispersion", "--out", str(tmp_path / "o"), *sets])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert not (tmp_path / "o" / "dispersion.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +235,10 @@ def test_evolve_rejects_potential_for_free_families(tmp_path):
     rc = cli.main(["evolve", "--out", str(tmp_path / "o2"),
                    "--set", "family=klein_gordon", "--set", "potential=constant"])
     assert rc == 2
+    for family in ("classical_wave", "electromagnetic"):
+        rc = cli.main(["evolve", "--out", str(tmp_path / family),
+                       "--set", f"family={family}", "--set", "potential=constant"])
+        assert rc == 2
 
 
 def test_evolve_nonfinite_potential_is_exit_3(tmp_path):
@@ -249,15 +274,29 @@ def test_second_order_rotation_stays_unitary_at_huge_time(tmp_path):
     assert max(abs(n - 1.0) for n in norms) <= 1e-12
 
 
+# family -> extra --set overrides of its CLI run
+_CSV_FAMILY_SETS = {
+    "schrodinger_free": [],
+    "schrodinger_potential": ["potential=constant", "v0=0.5"],
+    "klein_gordon": [],
+    "classical_wave": ["wave_speed=1.5"],
+    "electromagnetic": [],
+}
+
+
 def _library_snapshots(family):
     """free_gaussian.cfg at n_steps=50, snapshot_every=25, evolved without the CLI."""
     grid = Grid1D(512, 64.0)
     psi0 = gaussian_packet(GaussianPacketSpec(16.0, 1.0, 1.0), grid)
     dt = 0.01
-    if family == "schrodinger_free":
-        return split_step_evolve(psi0, 1.0, zero_potential(grid), PhysicalConstants(),
+    if family in ("schrodinger_free", "schrodinger_potential"):
+        v = constant_potential(grid, 0.5) if family == "schrodinger_potential" \
+            else zero_potential(grid)
+        return split_step_evolve(psi0, 1.0, v, PhysicalConstants(),
                                  TimeSpec(dt, 50), snapshot_every=25).snapshots
-    eq, consts = KleinGordon(1.0), PhysicalConstants(c=10.0)
+    eq = {"klein_gordon": KleinGordon(1.0), "classical_wave": ClassicalWave(1.5),
+          "electromagnetic": Electromagnetic()}[family]
+    consts = PhysicalConstants(c=10.0)
     state = positive_branch_init(psi0, eq, consts)
     return [(0.0, psi0)] + [
         (step * dt, evolve_second_order_spectral(state, eq, consts, step * dt).psi)
@@ -265,12 +304,13 @@ def _library_snapshots(family):
     ]
 
 
-@pytest.mark.parametrize("family", ["schrodinger_free", "klein_gordon"])
+@pytest.mark.parametrize("family", list(_CSV_FAMILY_SETS))
 def test_snapshot_csv_text_matches_library_fields(tmp_path, family):
     out = tmp_path / "run"
+    sets = [arg for item in _CSV_FAMILY_SETS[family] for arg in ("--set", item)]
     assert cli.main(["evolve", "--config", str(CONFIGS / "free_gaussian.cfg"),
                      "--out", str(out), "--set", f"family={family}", "--set", "c=10.0",
-                     "--set", "n_steps=50", "--set", "snapshot_every=25"]) == 0
+                     "--set", "n_steps=50", "--set", "snapshot_every=25", *sets]) == 0
     snaps = _library_snapshots(family)
     paths = sorted(out.glob("snapshot_*.csv"))
     assert len(paths) == len(snaps)
@@ -377,10 +417,12 @@ def test_nrlimit_rest_mode_run_stays_at_noise_floor(tmp_path):
     assert tree["fits"]["carrier_dominance_c_exponent"] is None
 
 
-@pytest.mark.parametrize("ladder", ["1e-200,1e-100", "10.0,1e200"])
+@pytest.mark.parametrize("ladder", ["1e-200,1e-100", "10.0,1e200", "1e100,1e150", "1e60,1e80"])
 def test_nrlimit_non_finite_envelope_is_exit_3(tmp_path, capsys, ladder):
     # m c^2/hbar underflows to 0 (or overflows to inf): the run used to exit 0
-    # with nan deviations and null fits
+    # with nan deviations and null fits.  In the last two ladders the report is
+    # finite but (m c^2/hbar)^2 of the carrier's dominance terms overflows,
+    # which used to end in an OverflowError traceback
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning may reach stderr
         rc = cli.main(["nrlimit", "--config", str(CONFIGS / "nrlimit_ladder.cfg"),

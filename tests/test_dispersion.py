@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,15 @@ def test_nr_expansion_shrinks_with_c():
     ratio = gap10 / gap20
     assert 3.8 < ratio < 4.2
     assert ratio == pytest.approx(GAP_RATIO_C10_OVER_C20, rel=1e-12)
+
+
+def test_nr_expansion_overflow_gives_inf_not_exception():
+    # k ** 4 and 1/c^2 leave float64 range: the bound is inf, nothing is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning either
+        assert nr_expansion_error(1.0, 1e100).next_term_bound == np.inf
+        assert nr_expansion_error(1.0, 1.0, PhysicalConstants(1.0, 5e-324)).next_term_bound \
+            == np.inf
 
 
 def test_nr_expansion_bounded_in_validity_region():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -286,6 +288,15 @@ def test_report_refuses_non_finite_envelope(c):
     _, psi0 = normalized_mode(grid, 2)
     with pytest.raises(NumericalFailure, match="non-finite"):
         nr_limit_report(psi0, 1.0, PhysicalConstants(1.0, c), TimeSpec(0.05, 10))
+
+
+@pytest.mark.parametrize("c", [1e80, 1e200])
+def test_mode_terms_refuse_overflow(c):
+    # (m c^2/hbar)^2 overflows float64: a typed error, not an OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning either
+        with pytest.raises(NumericalFailure, match="non-finite dominance terms"):
+            dominance_terms_mode(1.0, 1.0, PhysicalConstants(1.0, c))
 
 
 def test_relativistic_carrier_warns():
