@@ -75,14 +75,15 @@ EXIT_NUMERIC = 3
 EXIT_RESOLUTION = 4
 
 # CLI family name -> builder(cfg, grid) of its equation.  Without a grid (the
-# dispersion scan) the potential family gets the constant v0.
+# dispersion scan) the potential family gets v0 if potential = constant, else 0.
 _FAMILIES = {
     "classical_wave": lambda cfg, grid: ClassicalWave(cfg["wave_speed"]),
     "electromagnetic": lambda cfg, grid: Electromagnetic(),
     "klein_gordon": lambda cfg, grid: KleinGordon(cfg["mass"]),
     "schrodinger_free": lambda cfg, grid: SchrodingerFree(cfg["mass"]),
     "schrodinger_potential": lambda cfg, grid: SchrodingerPotential(
-        cfg["mass"], np.full(1, cfg["v0"]) if grid is None else _build_potential(cfg, grid)),
+        cfg["mass"],
+        np.full(1, _constant_v0(cfg)) if grid is None else _build_potential(cfg, grid)),
 }
 
 
@@ -288,12 +289,13 @@ def _config_dict(cfg: dict) -> dict:
 # shared builders
 # ---------------------------------------------------------------------------
 
+def _constant_v0(cfg: dict) -> float:
+    return cfg["v0"] if cfg["potential"] == "constant" else 0.0
+
+
 def _build_potential(cfg: dict, grid: Grid1D) -> np.ndarray:
-    kind = cfg["potential"]
-    if kind == "none":
-        return zero_potential(grid)
-    if kind == "constant":
-        return constant_potential(grid, cfg["v0"])
+    if cfg["potential"] != "harmonic":
+        return constant_potential(grid, _constant_v0(cfg))
     center = None if cfg["x_c"] < 0 else cfg["x_c"]
     v = harmonic_potential(grid, cfg["mass"], cfg["omega_c"], center)
     if not np.all(np.isfinite(v)):
@@ -367,13 +369,13 @@ def cmd_evolve(cfg: dict, out: Path) -> int:
     if cfg["potential"] != "none" and not isinstance(eq, SchrodingerPotential):
         raise ConfigError(f"family '{cfg['family']}' does not take a potential; "
                           "use family = schrodinger_potential")
-    time = TimeSpec(dt, n_steps) if n_steps > 0 else None  # refuses dt <= 0
+    time = TimeSpec(dt, max(n_steps, 1))  # refuses dt <= 0, even when no step is taken
 
     if is_second_order(eq):
         state0 = positive_branch_init(psi0, eq, consts)
         times = [step * dt for step in _snapshot_steps(n_steps, cfg["snapshot_every"])]
         snaps = list(zip(times, second_order_psi_snapshots(state0, eq, consts, times)))
-    elif time is None:
+    elif n_steps == 0:
         snaps = [(0.0, psi0)]
     else:
         potential = eq.potential if isinstance(eq, SchrodingerPotential) else zero_potential(grid)

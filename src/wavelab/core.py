@@ -164,8 +164,14 @@ def idft(spec: SpectralField) -> WaveField:
 
 
 def _l2(samples: np.ndarray, dx: float):
-    """sqrt(sum |psi_j|^2 dx) of each row of `samples`, shape (..., N)."""
-    return np.sqrt(np.sum(np.abs(samples) ** 2, axis=-1) * dx)
+    """sqrt(sum |psi_j|^2 dx) of each row of `samples`, shape (..., N).
+
+    Squared in place and summed by `np.add.reduce`: the bits of
+    `np.sum(np.abs(samples) ** 2, axis=-1)`, with one temporary instead of two.
+    """
+    dens = np.abs(samples)
+    np.multiply(dens, dens, out=dens)
+    return np.sqrt(np.add.reduce(dens, axis=-1) * dx)
 
 
 def l2_norm(field: WaveField) -> float:

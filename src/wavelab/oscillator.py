@@ -77,13 +77,20 @@ class GroundState(NamedTuple):
 
 
 def energy_bound(problem: OscillatorProblem, delta_x: float) -> UncertaintyPoint:
-    """Evaluate the bound curve E(dx); always >= hbar omega_c / 2."""
+    """Evaluate the bound curve E(dx); always >= hbar omega_c / 2.
+
+    Taken in float64 (the same pow as Python floats), so an overflow gives inf
+    instead of an exception; NumericalFailure is raised when E is not finite.
+    """
     if not delta_x > 0:
         raise NonPositiveDeltaX(f"delta_x must be positive, got {delta_x}")
-    hbar = problem.consts.hbar
-    e = (hbar ** 2 / (8.0 * problem.m * delta_x ** 2)
-         + 0.5 * problem.m * problem.omega_c ** 2 * delta_x ** 2)
-    return UncertaintyPoint(delta_x=delta_x, energy=e)
+    hbar, m, omega_c, dx = (np.float64(v) for v in
+                            (problem.consts.hbar, problem.m, problem.omega_c, delta_x))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        e = hbar ** 2 / (8.0 * m * dx ** 2) + 0.5 * m * omega_c ** 2 * dx ** 2
+    if not np.isfinite(e):
+        raise NumericalFailure(f"bound curve E(dx) = {float(e)!r} at dx = {delta_x!r}")
+    return UncertaintyPoint(delta_x=delta_x, energy=float(e))
 
 
 def minimize_bound_analytic(problem: OscillatorProblem) -> BoundMinimum:
@@ -192,6 +199,7 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
     v = harmonic_potential(grid, problem.m, problem.omega_c)
     half_kick = np.exp(-0.5 * v * tau_step / hbar)
     drift = np.exp(-hbar * grid.wavenumbers ** 2 * tau_step / (2.0 * problem.m))
+    drift /= grid.n_points  # the 1/N of the kernel's unscaled inverse transform
 
     if initial is None:
         x = grid.positions
@@ -207,17 +215,17 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
     symbol = _kinetic_symbol(grid, problem.m, problem.consts)
     stack = np.empty((max(1, min(_MAX_BATCH, _STACK_POINTS // grid.n_points)),
                       grid.n_points), dtype=np.complex128)
+    spec = np.empty(grid.n_points, dtype=np.complex128)
     energy_prev = math.inf
     for done in range(0, max_iters, len(stack)):
         rows = stack[:min(len(stack), max_iters - done)]
         for row in range(len(rows)):
-            psi = _strang_step(psi, half_kick, drift)
+            psi = _strang_step(psi, half_kick, drift, spec, rows[row])  # stepped into its row
             nrm = _l2(psi, dx)
             if not 0.0 < nrm < math.inf:
                 raise NumericalFailure(f"state lost at iteration {done + row + 1} "
                                        f"(norm {nrm})", step=done + row + 1)
             psi /= nrm
-            rows[row] = psi
         energies, _ = _energies(rows, v, symbol, dx)
         for row, energy in enumerate(energies.tolist()):
             if abs(energy - energy_prev) < energy_tol:

@@ -219,19 +219,24 @@ def _stepped_evolution(psi0: WaveField, step, time: TimeSpec,
     return EvolutionResult(final=snapshots[-1][1].copy(), snapshots=snapshots, norms=norms)
 
 
-def _strang_step(psi, half_kick, drift):
+def _strang_step(psi, half_kick, drift, spec, out):
     """One Strang step: half kick, spectral drift, half kick.
 
-    Overwrites `psi` and returns the new samples.  The factors are complex for
-    real time and real for imaginary time.  Each product keeps the factor as
-    the first operand: complex multiplication is not bitwise commutative.
+    Writes the new samples into `out` (which may be `psi`) and returns it;
+    `spec` is a caller-owned spectrum buffer, so the step allocates nothing.
+    The factors are complex for real time and real for imaginary time, and
+    `drift` carries the inverse transform's 1/N: N is a power of two, so the
+    unscaled inverse of the pre-scaled product equals the scaled inverse of
+    the plain product bit for bit (barring subnormals).  Each product keeps
+    the factor as the first operand: complex multiplication is not bitwise
+    commutative.
     """
-    np.multiply(half_kick, psi, out=psi)
-    f = np.fft.fft(psi)
-    np.multiply(drift, f, out=f)
-    psi = np.fft.ifft(f)
-    np.multiply(half_kick, psi, out=psi)
-    return psi
+    np.multiply(half_kick, psi, out=out)
+    np.fft.fft(out, out=spec)
+    np.multiply(drift, spec, out=spec)
+    np.fft.ifft(spec, norm="forward", out=out)
+    np.multiply(half_kick, out, out=out)
+    return out
 
 
 def split_step_evolve(psi0: WaveField, m: float, potential,
@@ -255,7 +260,9 @@ def split_step_evolve(psi0: WaveField, m: float, potential,
         drift = np.exp(-1j * consts.hbar * grid.wavenumbers ** 2 * dt / (2.0 * m))
     if not (np.all(np.isfinite(half_kick)) and np.all(np.isfinite(drift))):
         raise NumericalFailure(f"non-finite Strang factors at dt = {dt}", step=0)
-    return _stepped_evolution(psi0, lambda psi: _strang_step(psi, half_kick, drift),
+    drift /= grid.n_points  # the 1/N of the kernel's unscaled inverse transform
+    spec = np.empty(grid.n_points, dtype=np.complex128)
+    return _stepped_evolution(psi0, lambda psi: _strang_step(psi, half_kick, drift, spec, psi),
                               time, snapshot_every)
 
 
@@ -324,7 +331,9 @@ def gaussian_packet(spec: GaussianPacketSpec, grid: Grid1D,
             stacklevel=2,
         )
     x = grid.positions
-    psi = np.exp(-((x - spec.x0) ** 2) / (4.0 * spec.sigma ** 2) + 1j * spec.k0 * x)
+    with np.errstate(over="ignore"):  # a sigma**2 overflow is the flat envelope's limit
+        four_var = 4.0 * np.float64(spec.sigma) ** 2
+    psi = np.exp(-((x - spec.x0) ** 2) / four_var + 1j * spec.k0 * x)
     fld = WaveField(grid, psi)
     if normalize:
         fld = WaveField(grid, fld.samples / l2_norm(fld))

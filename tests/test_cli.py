@@ -43,6 +43,27 @@ def tree_bytes(root: Path) -> dict:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def main_strict(argv, allowed=None):
+    """(exit code, allowed warnings that fired) of cli.main, with every warning
+    but the `allowed` message raised as an error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error")
+        if allowed:
+            warnings.filterwarnings("always", message=allowed)
+        rc = cli.main(argv)
+    return rc, [str(w.message) for w in caught]
+
+
+def assert_finite_csv(path: Path):
+    _, rows = read_csv(path)
+    values = np.array(rows, dtype=float)
+    assert values.size and np.all(np.isfinite(values))
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"non-finite {name} in a JSON artifact")
+
+
 # ---------------------------------------------------------------------------
 # config handling
 # ---------------------------------------------------------------------------
@@ -155,6 +176,19 @@ def test_dispersion_free_particle_row(tmp_path):
     assert column([row], header, "E")[0] == 2.0
 
 
+@pytest.mark.parametrize("potential, omega", [("none", 4.5), ("constant", 4.75)])
+def test_dispersion_potential_family_applies_v0_only_for_constant(tmp_path, potential, omega):
+    # v0 used to be added whatever the potential key said
+    out = tmp_path / "disp"
+    rc = cli.main(["dispersion", "--out", str(out), "--set", "family=schrodinger_potential",
+                   "--set", "v0=0.25", "--set", f"potential={potential}",
+                   "--set", "k_min=-3.0", "--set", "k_max=-3.0", "--set", "k_count=1"])
+    assert rc == 0
+    header, rows = read_csv(out / "dispersion.csv")
+    assert column(rows, header, "omega") == [omega]
+    assert column(rows, header, "E") == [omega]
+
+
 @pytest.mark.parametrize("overrides", [
     ["k_max=1e100"],                                           # k ** 4 overflows
     ["family=klein_gordon", "c=5e-324", "k_min=1e-300"],       # omega = 0: 0/0
@@ -261,6 +295,33 @@ def test_second_order_negative_dt_is_exit_2(tmp_path, capsys):
                    "--set", "dt=-0.01", "--set", "n_steps=10", "--set", "snapshot_every=5"])
     assert rc == 2
     assert "dt must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", list(cli._FAMILIES))
+def test_negative_dt_is_exit_2_even_without_steps(tmp_path, capsys, family):
+    # with n_steps = 0 no TimeSpec used to be built, so the run exited 0
+    # (and the second-order families wrote t = -0.0)
+    out = tmp_path / "o"
+    rc = cli.main(["evolve", "--out", str(out), "--set", f"family={family}",
+                   "--set", "dt=-0.01", "--set", "n_steps=0"])
+    assert rc == 2
+    assert "dt must be positive" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_evolve_flat_packet_is_exit_0(tmp_path):
+    # sigma ** 2 overflowed (OverflowError, exit 1); the envelope is now flat,
+    # so the packet is the normalised plane wave of the carrier
+    out = tmp_path / "o"
+    rc, seen = main_strict(["evolve", "--out", str(out), "--set", "sigma=1e308"],
+                           allowed="sigma = .* periodic images")
+    assert rc == 0 and seen
+    paths = sorted(out.glob("*.csv"))
+    assert len(paths) == 7  # six snapshots and the summary
+    for path in paths:
+        assert_finite_csv(path)
+    header, rows = read_csv(out / "snapshot_0000.csv")
+    assert column(rows, header, "abs2") == pytest.approx([1.0 / 64.0] * 512, rel=1e-12)
 
 
 def test_second_order_rotation_stays_unitary_at_huge_time(tmp_path):
@@ -433,6 +494,18 @@ def test_nrlimit_non_finite_envelope_is_exit_3(tmp_path, capsys, ladder):
     assert not (tmp_path / "o" / "nrlimit.csv").exists()
 
 
+def test_nrlimit_flat_packet_in_tiny_box_is_exit_0(tmp_path):
+    # sigma ** 2 overflowed in the packet (OverflowError, exit 1)
+    out = tmp_path / "o"
+    rc, seen = main_strict(["nrlimit", "--config", str(CONFIGS / "nrlimit_ladder.cfg"),
+                            "--out", str(out), "--set", "length=1e-12", "--set", "sigma=1e300"],
+                           allowed="sigma = .* periodic images")
+    assert rc == 0 and seen
+    assert_finite_csv(out / "nrlimit.csv")
+    tree = json.loads((out / "report.json").read_text(), parse_constant=_refuse_constant)
+    assert None not in tree["fits"].values()
+
+
 def test_nrlimit_requires_ladder_of_two(tmp_path):
     rc = cli.main(["nrlimit", "--out", str(tmp_path / "o"),
                    "--set", "c_ladder=10.0"])
@@ -473,6 +546,20 @@ def test_oscillator_bad_bracket_is_exit_2(tmp_path):
                    "--out", str(tmp_path / "o"),
                    "--set", "bracket_lo=5.0", "--set", "bracket_hi=1.0"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("override", ["bracket_hi=1e300", "mass=5e-324"],
+                         ids=["bracket_overflow", "subnormal_mass"])
+def test_oscillator_overflowing_bound_curve_is_exit_3(tmp_path, capsys, override):
+    # E(dx) overflowed (OverflowError) or divided by an underflowed 8 m dx^2
+    # (ZeroDivisionError) in the golden-section search: both exited 1
+    out = tmp_path / "o"
+    rc, _ = main_strict(["oscillator", "--config", str(CONFIGS / "oscillator.cfg"),
+                         "--out", str(out), "--set", override])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert not (out / "oscillator.csv").exists()
 
 
 def test_oscillator_iteration_budget_exhausted_is_exit_3(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,17 @@ def test_energy_bound_dual_width_symmetry():
         a = energy_bound(UNIT, dx).energy
         b = energy_bound(UNIT, dual).energy
         assert a == pytest.approx(b, rel=1e-12)
+
+
+@pytest.mark.parametrize("problem, dx", [
+    (UNIT, 1e300),                           # dx^2 overflows
+    (OscillatorProblem(5e-324, 1.0), 0.05),  # 8 m dx^2 underflows to 0
+], ids=["dx_overflow", "subnormal_mass"])
+def test_energy_bound_overflow_is_numerical_failure(problem, dx):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="bound curve"):
+            energy_bound(problem, dx)
 
 
 def test_energy_bound_rejects_non_positive_width():
@@ -243,6 +255,9 @@ RELAX_CASES = {
     "batch_end": (256, 20.0, 1.0, 0.03, 1e-10, False),
     # batches of 4, from noise
     "noisy_start": (2048, 40.0, 2.0, 0.01, 1e-10, True),
+    # the oscillator_relax benchmark's size: stops at iteration 2721, the
+    # first of a batch of 8
+    "benchmark": (1024, 40.0, 1.0, 0.002, 1e-12, False),
 }
 
 

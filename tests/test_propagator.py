@@ -267,6 +267,30 @@ def test_split_step_equals_out_of_place_strang_loop():
     assert np.array_equal(res.final.samples, psi)
 
 
+@pytest.mark.parametrize("n", [8, 1024, 4096], ids=lambda n: f"N={n}")
+def test_strang_kernel_matches_out_of_place_loop(n):
+    # the kernel's buffers and its 1/N folded into the drift must round exactly
+    # like the plain loop with the scaled inverse transform, at every snapshot
+    grid = Grid1D(n, 0.05 * n)
+    rng = np.random.default_rng(n)
+    psi0 = WaveField(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    v = harmonic_potential(grid, 1.0, 1.1)
+    dt = 0.003
+    res = split_step_evolve(psi0, 1.0, v, NATURAL, TimeSpec(dt, 60), snapshot_every=25)
+    half_kick = np.exp(-0.5j * v * dt)
+    drift = np.exp(-1j * grid.wavenumbers ** 2 * dt / 2.0)
+    psi = psi0.samples.copy()
+    want = {0: psi.copy()}
+    for step in range(1, 61):
+        psi = half_kick * psi
+        psi = np.fft.ifft(drift * np.fft.fft(psi))
+        psi = half_kick * psi
+        want[step] = psi
+    assert res.times == [0.0, 25 * dt, 50 * dt, 60 * dt]
+    for (_, fld), step in zip(res.snapshots, (0, 25, 50, 60)):
+        assert np.array_equal(fld.samples, want[step])
+
+
 def test_split_step_ground_state_is_stationary():
     problem = OscillatorProblem(1.0, 1.0)
     grid = Grid1D(256, 20.0)
