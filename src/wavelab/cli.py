@@ -40,6 +40,7 @@ from .dispersion import (
 )
 from .exceptions import (
     ConfigError,
+    DispersionUndefined,
     GridTooCoarse,
     InvalidBracket,
     LinearSolveFailure,
@@ -55,6 +56,7 @@ from .oscillator import (
     minimize_bound_numeric,
 )
 from .propagate import (
+    _phase_snapshots,
     _snapshot_steps,
     constant_potential,
     evolve_schrodinger_spectral,
@@ -64,9 +66,7 @@ from .propagate import (
     packet_moments,
     packet_width,
     positive_branch_init,
-    second_order_psi_snapshots,
     split_step_evolve,
-    zero_potential,
 )
 
 EXIT_OK = 0
@@ -371,16 +371,14 @@ def cmd_evolve(cfg: dict, out: Path) -> int:
                           "use family = schrodinger_potential")
     time = TimeSpec(dt, max(n_steps, 1))  # refuses dt <= 0, even when no step is taken
 
-    if is_second_order(eq):
-        state0 = positive_branch_init(psi0, eq, consts)
+    try:
+        omega = omega_of_k(eq, grid.wavenumbers, consts)
+    except DispersionUndefined:  # V(x) varies: Strang splitting, if a step is taken
+        snaps = [(0.0, psi0)] if n_steps == 0 else split_step_evolve(
+            psi0, eq.m, eq.potential, consts, time, cfg["snapshot_every"]).snapshots
+    else:  # every mode's exact phase; dt only places the snapshots
         times = [step * dt for step in _snapshot_steps(n_steps, cfg["snapshot_every"])]
-        snaps = list(zip(times, second_order_psi_snapshots(state0, eq, consts, times)))
-    elif n_steps == 0:
-        snaps = [(0.0, psi0)]
-    else:
-        potential = eq.potential if isinstance(eq, SchrodingerPotential) else zero_potential(grid)
-        snaps = split_step_evolve(psi0, eq.m, potential, consts, time,
-                                  snapshot_every=cfg["snapshot_every"]).snapshots
+        snaps = list(zip(times, _phase_snapshots(psi0, omega, times)))
 
     # the x column is the same in every snapshot file: format it once
     x_cells = [f"{xj!r}," for xj in grid.positions.tolist()]

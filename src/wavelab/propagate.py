@@ -22,6 +22,7 @@ from .core import (
     SpectralField,
     TimeSpec,
     WaveField,
+    _l2,
     dft,
     idft,
     l2_norm,
@@ -110,9 +111,29 @@ def evolve_schrodinger_spectral(psi0: WaveField, m: float,
         raise ValueError(f"mass must be positive, got {m}")
     if t == 0.0:
         return psi0.copy()
-    spec = dft(psi0)
-    w = consts.hbar * spec.wavenumbers ** 2 / (2.0 * m)
-    return idft(SpectralField(psi0.grid, spec.mode_amplitudes * np.exp(-1j * w * t)))
+    w = consts.hbar * psi0.grid.wavenumbers ** 2 / (2.0 * m)
+    return _phase_snapshots(psi0, w, [t])[0]
+
+
+def _phase_snapshots(psi0: WaveField, omega, times) -> list:
+    """psi at each of `times` by psi_hat(k, t) = psi_hat(k, 0) e^{-i omega(k) t}.
+
+    One forward transform serves every time; each t > 0 then costs one phase
+    and one inverse transform, so no (times x N) array is formed.  t = 0 gives
+    a copy of psi0, bit for bit.
+    """
+    amps = dft(psi0).mode_amplitudes
+    snaps = []
+    for t in times:
+        if t == 0.0:
+            snaps.append(psi0.copy())
+            continue
+        with np.errstate(invalid="ignore", over="ignore"):
+            a = amps * np.exp(-1j * omega * t)
+        if not np.all(np.isfinite(a)):
+            raise NumericalFailure(f"non-finite mode amplitudes at t = {t}")
+        snaps.append(idft(SpectralField(psi0.grid, a)))
+    return snaps
 
 
 def _require_second_order(eq: EquationKind):
@@ -120,22 +141,6 @@ def _require_second_order(eq: EquationKind):
         raise WrongEquationFamily(
             f"{type(eq).__name__} is first-order in time; use the Schrodinger propagators"
         )
-
-
-def _rotate_modes(w, a0, b0, t: float):
-    """(psi_hat, psidot_hat) at time t, by the rotation of `evolve_second_order_spectral`."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        wt = w * t
-        cos_wt = np.cos(wt)
-        sin_wt = np.sin(wt)
-        # sin(wt)/w from the same rounded argument as cos(wt), so the rotation
-        # stays unitary at any wt; the w = 0 limit is t
-        sin_over_w = np.divide(sin_wt, w, out=np.full(w.shape, float(t)), where=w != 0.0)
-        a = a0 * cos_wt + b0 * sin_over_w
-        b = -w * sin_wt * a0 + b0 * cos_wt
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise NumericalFailure(f"non-finite mode amplitudes at t = {t}")
-    return a, b
 
 
 def evolve_second_order_spectral(state0: SecondOrderState, eq: EquationKind,
@@ -154,31 +159,23 @@ def evolve_second_order_spectral(state0: SecondOrderState, eq: EquationKind,
         return state0.copy()
     grid = state0.grid
     w = omega_of_k(eq, grid.wavenumbers, consts)
-    a, b = _rotate_modes(w, dft(state0.psi).mode_amplitudes,
-                         dft(state0.psi_dot).mode_amplitudes, t)
+    a0 = dft(state0.psi).mode_amplitudes
+    b0 = dft(state0.psi_dot).mode_amplitudes
+    with np.errstate(invalid="ignore", over="ignore"):
+        wt = w * t
+        cos_wt = np.cos(wt)
+        sin_wt = np.sin(wt)
+        # sin(wt)/w from the same rounded argument as cos(wt), so the rotation
+        # stays unitary at any wt; the w = 0 limit is t
+        sin_over_w = np.divide(sin_wt, w, out=np.full(w.shape, float(t)), where=w != 0.0)
+        a = a0 * cos_wt + b0 * sin_over_w
+        b = -w * sin_wt * a0 + b0 * cos_wt
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise NumericalFailure(f"non-finite mode amplitudes at t = {t}")
     return SecondOrderState(
         idft(SpectralField(grid, a)),
         idft(SpectralField(grid, b)),
     )
-
-
-def second_order_psi_snapshots(state0: SecondOrderState, eq: EquationKind,
-                               consts: PhysicalConstants, times) -> list:
-    """psi at each of `times`, equal to `evolve_second_order_spectral(...).psi`.
-
-    omega(k) and the forward transforms of psi and psi_dot are computed once;
-    each time then costs one rotation and one inverse transform.
-    """
-    _require_second_order(eq)
-    grid = state0.grid
-    w = omega_of_k(eq, grid.wavenumbers, consts)
-    a0 = dft(state0.psi).mode_amplitudes
-    b0 = dft(state0.psi_dot).mode_amplitudes
-    return [
-        state0.psi.copy() if t == 0.0
-        else idft(SpectralField(grid, _rotate_modes(w, a0, b0, t)[0]))
-        for t in times
-    ]
 
 
 def positive_branch_init(psi0: WaveField, eq: EquationKind,
@@ -331,13 +328,16 @@ def gaussian_packet(spec: GaussianPacketSpec, grid: Grid1D,
             stacklevel=2,
         )
     x = grid.positions
-    with np.errstate(over="ignore"):  # a sigma**2 overflow is the flat envelope's limit
+    # a sigma**2 overflow is the flat envelope's limit; a sigma**2 underflow
+    # (0/0 at x0) or an x0 far off the grid leaves a packet refused below
+    with np.errstate(all="ignore"):
         four_var = 4.0 * np.float64(spec.sigma) ** 2
-    psi = np.exp(-((x - spec.x0) ** 2) / four_var + 1j * spec.k0 * x)
-    fld = WaveField(grid, psi)
-    if normalize:
-        fld = WaveField(grid, fld.samples / l2_norm(fld))
-    return fld
+        psi = np.exp(-((x - spec.x0) ** 2) / four_var + 1j * spec.k0 * x)
+        nrm = float(_l2(psi, grid.spacing))
+    if not 0.0 < nrm < np.inf:  # a non-finite sample, or no sample above underflow
+        raise ValueError(f"packet with sigma = {spec.sigma!r}, x0 = {spec.x0!r} has no "
+                         "finite, nonzero samples on the grid")
+    return WaveField(grid, psi / nrm if normalize else psi)
 
 
 def analytic_free_gaussian(spec: GaussianPacketSpec, grid: Grid1D, m: float,

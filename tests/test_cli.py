@@ -13,15 +13,17 @@ from wavelab import (
     Grid1D,
     KleinGordon,
     PhysicalConstants,
-    TimeSpec,
+    SchrodingerFree,
+    SchrodingerPotential,
+    analytic_free_gaussian,
     constant_potential,
     evolve_second_order_spectral,
     gaussian_packet,
     nr_expansion_error,
+    omega_of_k,
     positive_branch_init,
-    split_step_evolve,
-    zero_potential,
 )
+from wavelab.propagate import _phase_snapshots
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -227,17 +229,22 @@ def test_evolve_free_gaussian_norm_constant(tmp_path):
 
 
 def test_evolve_zero_steps_emits_initial_packet(tmp_path):
-    out = tmp_path / "run"
-    rc = cli.main(["evolve", "--config", str(CONFIGS / "free_gaussian.cfg"),
-                   "--out", str(out), "--set", "n_steps=0"])
-    assert rc == 0
-    header, rows = read_csv(out / "snapshot_0000.csv")
-    grid = Grid1D(512, 64.0)
-    want = gaussian_packet(GaussianPacketSpec(16.0, 1.0, 1.0), grid)
-    got = np.array(column(rows, header, "re_psi")) \
-        + 1j * np.array(column(rows, header, "im_psi"))
-    assert np.max(np.abs(got - want.samples)) == 0.0
-    assert len(sorted(out.glob("snapshot_*.csv"))) == 1
+    # one config per propagation path: the exact phase and Strang splitting
+    for name, grid, spec in [
+        ("free_gaussian.cfg", Grid1D(512, 64.0), GaussianPacketSpec(16.0, 1.0, 1.0)),
+        ("harmonic_ground.cfg", Grid1D(256, 20.0),
+         GaussianPacketSpec(10.0, 0.0, 0.7071067811865476)),
+    ]:
+        out = tmp_path / name
+        rc = cli.main(["evolve", "--config", str(CONFIGS / name),
+                       "--out", str(out), "--set", "n_steps=0"])
+        assert rc == 0
+        header, rows = read_csv(out / "snapshot_0000.csv")
+        want = gaussian_packet(spec, grid)
+        got = np.array(column(rows, header, "re_psi")) \
+            + 1j * np.array(column(rows, header, "im_psi"))
+        assert np.max(np.abs(got - want.samples)) == 0.0
+        assert len(sorted(out.glob("snapshot_*.csv"))) == 1
 
 
 def test_evolve_harmonic_ground_width_constant(tmp_path):
@@ -345,43 +352,82 @@ _CSV_FAMILY_SETS = {
 }
 
 
+def _library_case(family):
+    """(psi0, equation, constants) of the CLI run of `_run_csv_family`."""
+    grid = Grid1D(512, 64.0)
+    eq = {"schrodinger_free": SchrodingerFree(1.0),
+          "schrodinger_potential": SchrodingerPotential(1.0, constant_potential(grid, 0.5)),
+          "klein_gordon": KleinGordon(1.0), "classical_wave": ClassicalWave(1.5),
+          "electromagnetic": Electromagnetic()}[family]
+    return gaussian_packet(GaussianPacketSpec(16.0, 1.0, 1.0), grid), eq, PhysicalConstants(c=10.0)
+
+
 def _library_snapshots(family):
     """free_gaussian.cfg at n_steps=50, snapshot_every=25, evolved without the CLI."""
-    grid = Grid1D(512, 64.0)
-    psi0 = gaussian_packet(GaussianPacketSpec(16.0, 1.0, 1.0), grid)
-    dt = 0.01
-    if family in ("schrodinger_free", "schrodinger_potential"):
-        v = constant_potential(grid, 0.5) if family == "schrodinger_potential" \
-            else zero_potential(grid)
-        return split_step_evolve(psi0, 1.0, v, PhysicalConstants(),
-                                 TimeSpec(dt, 50), snapshot_every=25).snapshots
-    eq = {"klein_gordon": KleinGordon(1.0), "classical_wave": ClassicalWave(1.5),
-          "electromagnetic": Electromagnetic()}[family]
-    consts = PhysicalConstants(c=10.0)
-    state = positive_branch_init(psi0, eq, consts)
-    return [(0.0, psi0)] + [
-        (step * dt, evolve_second_order_spectral(state, eq, consts, step * dt).psi)
-        for step in (25, 50)
-    ]
+    psi0, eq, consts = _library_case(family)
+    omega = omega_of_k(eq, psi0.grid.wavenumbers, consts)
+    times = [step * 0.01 for step in (0, 25, 50)]
+    return list(zip(times, _phase_snapshots(psi0, omega, times)))
 
 
-@pytest.mark.parametrize("family", list(_CSV_FAMILY_SETS))
-def test_snapshot_csv_text_matches_library_fields(tmp_path, family):
-    out = tmp_path / "run"
+def _run_csv_family(out, family):
     sets = [arg for item in _CSV_FAMILY_SETS[family] for arg in ("--set", item)]
     assert cli.main(["evolve", "--config", str(CONFIGS / "free_gaussian.cfg"),
                      "--out", str(out), "--set", f"family={family}", "--set", "c=10.0",
                      "--set", "n_steps=50", "--set", "snapshot_every=25", *sets]) == 0
+    return sorted(out.glob("snapshot_*.csv"))
+
+
+@pytest.mark.parametrize("family", list(_CSV_FAMILY_SETS))
+def test_snapshot_csv_text_matches_library_fields(tmp_path, family):
+    paths = _run_csv_family(tmp_path / "run", family)
     snaps = _library_snapshots(family)
-    paths = sorted(out.glob("snapshot_*.csv"))
     assert len(paths) == len(snaps)
     for path, (t, fld) in zip(paths, snaps):
         want = ["t,x,re_psi,im_psi,abs2"] + [
             ",".join(repr(v) for v in
                      (t, float(x), float(s.real), float(s.imag), float(abs(s) ** 2)))
             for x, s in zip(fld.grid.positions, fld.samples)
-        ]
-        assert path.read_text() == "\n".join(want) + "\n"
+        ] + [""]
+        got = path.read_text().split("\n")
+        # report the first differing line only: pytest's diff of two whole
+        # 33 KB texts takes about a minute
+        first = next(((g, w) for g, w in zip(got, want) if g != w), None)
+        assert first is None and len(got) == len(want)
+
+
+@pytest.mark.parametrize("family", ["klein_gordon", "classical_wave", "electromagnetic"])
+def test_second_order_snapshots_match_public_rotation(tmp_path, family):
+    # the CLI takes the phase e^{-i omega t}; the public (psi, psi_dot) rotation
+    # of the positive-branch pairing is the same field to rounding
+    paths = _run_csv_family(tmp_path / "run", family)
+    psi0, eq, consts = _library_case(family)
+    state = positive_branch_init(psi0, eq, consts)
+    assert len(paths) == 3
+    for path in paths:
+        header, rows = read_csv(path)
+        t = column(rows, header, "t")[0]
+        got = np.array(column(rows, header, "re_psi")) \
+            + 1j * np.array(column(rows, header, "im_psi"))
+        want = evolve_second_order_spectral(state, eq, consts, t).psi.samples
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_free_packet_error_does_not_grow_with_step_count(tmp_path):
+    # Strang splitting lies 8.9e-13 from the closed form at 30,000 steps; the
+    # exact phase keeps the 2.8e-13 it has at 300 steps
+    out = tmp_path / "run"
+    rc = cli.main(["evolve", "--config", str(CONFIGS / "free_gaussian.cfg"), "--out", str(out),
+                   "--set", "dt=1e-4", "--set", "n_steps=30000", "--set", "snapshot_every=0"])
+    assert rc == 0
+    header, rows = read_csv(out / "snapshot_0001.csv")
+    t = column(rows, header, "t")[0]
+    got = np.array(column(rows, header, "re_psi")) \
+        + 1j * np.array(column(rows, header, "im_psi"))
+    want = analytic_free_gaussian(GaussianPacketSpec(16.0, 1.0, 1.0), Grid1D(512, 64.0),
+                                  1.0, PhysicalConstants(), t)
+    assert t == pytest.approx(3.0, rel=1e-15)
+    assert np.max(np.abs(got - want.samples)) <= 5e-13
 
 
 def test_evolve_deterministic_and_reproducible_from_echo(tmp_path):
@@ -504,6 +550,25 @@ def test_nrlimit_flat_packet_in_tiny_box_is_exit_0(tmp_path):
     assert_finite_csv(out / "nrlimit.csv")
     tree = json.loads((out / "report.json").read_text(), parse_constant=_refuse_constant)
     assert None not in tree["fits"].values()
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--set", "sigma=1e-300"],                     # 4 sigma^2 underflows: 0/0 at x0
+    ["nrlimit", "--set", "sigma=1e-300"],
+    ["evolve", "--set", "x0=1e308", "--set", "sigma=1e-3"],  # zero on every grid point
+], ids=["evolve_sigma_underflow", "nrlimit_sigma_underflow", "evolve_packet_off_grid"])
+def test_degenerate_packet_is_exit_2(tmp_path, capsys, argv):
+    # these exited 2 with numpy RuntimeWarnings on stderr (a traceback, exit 1,
+    # with warnings as errors) and named neither sigma nor x0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", UserWarning)  # the underresolved-sigma notice
+        rc = cli.main([*argv, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "sigma = " in err and "x0 = " in err
+    assert not list((tmp_path / "o").glob("*.csv"))
 
 
 def test_nrlimit_requires_ladder_of_two(tmp_path):

@@ -30,7 +30,6 @@ from wavelab import (
     packet_width,
     planewave_sample,
     positive_branch_init,
-    second_order_psi_snapshots,
     split_step_evolve,
     zero_potential,
 )
@@ -180,22 +179,6 @@ def test_second_order_composition():
         evolve_second_order_spectral(state, eq, NATURAL, 1.3), eq, NATURAL, 2.1)
     once = evolve_second_order_spectral(state, eq, NATURAL, 3.4)
     assert np.max(np.abs(ab.psi.samples - once.psi.samples)) <= 1e-11
-
-
-def test_psi_snapshots_equal_per_time_propagation():
-    grid = Grid1D(128, 32.0)
-    eq = KleinGordon(1.0)
-    consts = PhysicalConstants(1.0, 3.0)
-    psi0 = gaussian_packet(GaussianPacketSpec(8.0, 1.0, 1.5), grid)
-    state = positive_branch_init(psi0, eq, consts)
-    times = [0.0, 0.25, 1.0, 7.5]
-    got = second_order_psi_snapshots(state, eq, consts, times)
-    assert len(got) == len(times)
-    for t, fld in zip(times, got):
-        want = evolve_second_order_spectral(state, eq, consts, t).psi
-        assert np.array_equal(fld.samples, want.samples)
-    with pytest.raises(WrongEquationFamily):
-        second_order_psi_snapshots(state, SchrodingerFree(1.0), consts, times)
 
 
 def test_dalembert_standing_wave_split():
