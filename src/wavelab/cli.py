@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GaussianPacketSpec, Grid1D, PhysicalConstants, TimeSpec, WaveField, l2_norm
+from .core import GaussianPacketSpec, Grid1D, PhysicalConstants, TimeSpec, WaveField, dft, l2_norm
 from .dispersion import (
     ClassicalWave,
     Electromagnetic,
@@ -50,7 +50,6 @@ from .exceptions import (
 from .nrlimit import dominance_terms_mode, nr_limit_report
 from .oscillator import (
     OscillatorProblem,
-    energy_bound,
     imaginary_time_ground_state,
     minimize_bound_analytic,
     minimize_bound_numeric,
@@ -411,8 +410,7 @@ def cmd_nrlimit(cfg: dict, out: Path) -> int:
     lines = ["c,t,deviation,dominance_ratio"]
     for c in ladder:
         consts = PhysicalConstants(hbar=cfg["hbar"], c=c)
-        report = nr_limit_report(psi0, cfg["mass"], consts, time,
-                                 snapshot_every=max(1, cfg["snapshot_every"]))
+        report = nr_limit_report(psi0, cfg["mass"], consts, time, cfg["snapshot_every"])
         runs.append(report)
         prefix = f"{float(c)!r},"  # the c column is one value per run: format it once
         lines.extend(f"{prefix}{t!r},{dev!r},{ratio!r}" for t, dev, ratio
@@ -513,8 +511,6 @@ def _check_plane_wave_exactness():
 
 
 def _check_parseval():
-    from .core import dft
-
     rng = np.random.default_rng(20240811)
     grid = Grid1D(64, 10.0)
     fld = WaveField(grid, rng.standard_normal(64) + 1j * rng.standard_normal(64))
@@ -564,10 +560,10 @@ DEFAULT_CHECKS = [
 ]
 
 
-def run_verification(checks=None) -> list:
-    """Run (name, callable) checks; returns [(name, passed, message), ...]."""
+def run_verification() -> list:
+    """Run the DEFAULT_CHECKS; returns [(name, passed, message), ...]."""
     results = []
-    for name, fn in (DEFAULT_CHECKS if checks is None else checks):
+    for name, fn in DEFAULT_CHECKS:
         try:
             fn()
             results.append((name, True, ""))

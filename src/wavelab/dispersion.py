@@ -83,13 +83,28 @@ def is_second_order(eq: EquationKind) -> bool:
     return isinstance(eq, (ClassicalWave, Electromagnetic, KleinGordon))
 
 
-def _constant_potential_value(eq: SchrodingerPotential) -> float:
-    v = eq.potential
-    if v.size and np.ptp(v) != 0.0:
-        raise DispersionUndefined(
-            "no single dispersion relation exists for a non-constant potential"
-        )
-    return float(v[0]) if v.size else 0.0
+def _closed_form(eq: EquationKind, consts: PhysicalConstants) -> tuple:
+    """A family's closed-form parameters, resolved from its class here and only here.
+
+    Second order: (s, m), omega = hypot(s k, m s^2/hbar), s = v or c, m None if massless.
+    First order: (m, V0), omega = hbar k^2/2m + V0/hbar.
+    """
+    if isinstance(eq, ClassicalWave):
+        return eq.v, None
+    if isinstance(eq, Electromagnetic):
+        return consts.c, None
+    if isinstance(eq, KleinGordon):
+        return consts.c, eq.m
+    if isinstance(eq, SchrodingerFree):
+        return eq.m, 0.0
+    if isinstance(eq, SchrodingerPotential):
+        v = eq.potential
+        if v.size and np.ptp(v) != 0.0:
+            raise DispersionUndefined(
+                "no single dispersion relation exists for a non-constant potential"
+            )
+        return eq.m, float(v[0]) if v.size else 0.0
+    raise TypeError(f"unknown equation family: {eq!r}")
 
 
 @dataclass(frozen=True)
@@ -128,41 +143,26 @@ class NrExpansionError(NamedTuple):
 def omega_of_k(eq: EquationKind, k, consts: PhysicalConstants = NATURAL_UNITS):
     """Angular frequency of the positive branch at wavenumber k (scalar or array)."""
     karr = np.asarray(k, dtype=float)
-    hbar, c = consts.hbar, consts.c
-    if isinstance(eq, ClassicalWave):
-        w = eq.v * np.abs(karr)
-    elif isinstance(eq, Electromagnetic):
-        w = c * np.abs(karr)
-    elif isinstance(eq, KleinGordon):
+    hbar = consts.hbar
+    if is_second_order(eq):
+        s, m = _closed_form(eq, consts)
         # hypot keeps the rest-energy / kinetic split accurate for small k*c
-        w = np.hypot(karr * c, eq.m * c * c / hbar)
-    elif isinstance(eq, SchrodingerFree):
-        w = hbar * karr * karr / (2.0 * eq.m)
-    elif isinstance(eq, SchrodingerPotential):
-        v0 = _constant_potential_value(eq)
-        w = hbar * karr * karr / (2.0 * eq.m) + v0 / hbar
+        w = np.abs(karr * s) if m is None else np.hypot(karr * s, m * s * s / hbar)
     else:
-        raise TypeError(f"unknown equation family: {eq!r}")
+        m, v0 = _closed_form(eq, consts)
+        w = hbar * karr * karr / (2.0 * m) + v0 / hbar
     return w if w.ndim else float(w)
 
 
 def group_velocity(eq: EquationKind, k, consts: PhysicalConstants = NATURAL_UNITS):
     """Analytic d(omega)/dk of the closed form (0 at the k = 0 kink of |k| laws)."""
     karr = np.asarray(k, dtype=float)
-    hbar, c = consts.hbar, consts.c
-    if isinstance(eq, ClassicalWave):
-        g = eq.v * np.sign(karr)
-    elif isinstance(eq, Electromagnetic):
-        g = c * np.sign(karr)
-    elif isinstance(eq, KleinGordon):
-        g = karr * c * c / omega_of_k(eq, karr, consts)
-    elif isinstance(eq, SchrodingerFree):
-        g = hbar * karr / eq.m
-    elif isinstance(eq, SchrodingerPotential):
-        _constant_potential_value(eq)  # raises unless constant
-        g = hbar * karr / eq.m
+    if is_second_order(eq):
+        s, m = _closed_form(eq, consts)
+        g = s * np.sign(karr) if m is None else karr * s * s / omega_of_k(eq, karr, consts)
     else:
-        raise TypeError(f"unknown equation family: {eq!r}")
+        m, _ = _closed_form(eq, consts)  # raises unless the potential is constant
+        g = consts.hbar * karr / m
     return g if g.ndim else float(g)
 
 
@@ -196,19 +196,13 @@ def planewave_residual(eq: EquationKind, mode: PlaneWaveMode,
     massive case); the Schrodinger families use |hbar omega - hbar^2 k^2/2m|/hbar.
     """
     k, w = mode.k, mode.omega
-    hbar, c = consts.hbar, consts.c
-    if isinstance(eq, ClassicalWave):
-        return abs(-k * k + w * w / (eq.v * eq.v))
-    if isinstance(eq, Electromagnetic):
-        return abs(-k * k + w * w / (c * c))
-    if isinstance(eq, KleinGordon):
-        return abs(-k * k + w * w / (c * c) - eq.m * eq.m * c * c / (hbar * hbar))
-    if isinstance(eq, SchrodingerFree):
-        return abs(w - hbar * k * k / (2.0 * eq.m))
-    if isinstance(eq, SchrodingerPotential):
-        v0 = _constant_potential_value(eq)
-        return abs(w - hbar * k * k / (2.0 * eq.m) - v0 / hbar)
-    raise TypeError(f"unknown equation family: {eq!r}")
+    hbar = consts.hbar
+    if is_second_order(eq):
+        s, m = _closed_form(eq, consts)
+        mass_term = 0.0 if m is None else m * m * s * s / (hbar * hbar)
+        return abs(-k * k + w * w / (s * s) - mass_term)
+    m, v0 = _closed_form(eq, consts)
+    return abs(w - hbar * k * k / (2.0 * m) - v0 / hbar)
 
 
 def nr_expansion_error(m: float, k: float,

@@ -185,9 +185,9 @@ def nr_limit_report(psi0: WaveField, m: float,
 
         sqrt(sum Omega^4 |a_0|^2) / sqrt(sum (omega_r^2 + 2 omega_r Omega)^2 |a_0|^2)
 
-    so every snapshot reports that one value.  Snapshots fall every
-    `snapshot_every` steps plus the final step; one forward transform of psi0
-    serves them all.
+    so every snapshot reports that one value.  Snapshots fall at step 0, every
+    `snapshot_every` steps (if > 0) and at the final step; one forward
+    transform of psi0 serves them all.
 
     delta depends on k only through k^2, and in FFT order the wavenumber of
     mode N - j is the exact negative of mode j's, so each snapshot evaluates
@@ -198,8 +198,8 @@ def nr_limit_report(psi0: WaveField, m: float,
     Raises NumericalFailure when the envelope frequencies or the dominance
     ratio are not finite (m c^2/hbar underflowing to 0 or overflowing).
     """
-    if snapshot_every < 1:
-        raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
+    if snapshot_every < 0:
+        raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
     spec = dft(psi0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         big_omega, omega_rest = _envelope_frequency(spec.wavenumbers, m, consts)

@@ -31,6 +31,7 @@ from .propagate import (
     _energies,
     _energy_spread,
     _kinetic_symbol,
+    _strang_factors,
     _strang_step,
     energy_expectation,
     harmonic_potential,
@@ -197,9 +198,7 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
         )
 
     v = harmonic_potential(grid, problem.m, problem.omega_c)
-    half_kick = np.exp(-0.5 * v * tau_step / hbar)
-    drift = np.exp(-hbar * grid.wavenumbers ** 2 * tau_step / (2.0 * problem.m))
-    drift /= grid.n_points  # the 1/N of the kernel's unscaled inverse transform
+    half_kick, drift, spec = _strang_factors(v, grid, problem.m, hbar, tau_step, 1)
 
     if initial is None:
         x = grid.positions
@@ -215,7 +214,6 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
     symbol = _kinetic_symbol(grid, problem.m, problem.consts)
     stack = np.empty((max(1, min(_MAX_BATCH, _STACK_POINTS // grid.n_points)),
                       grid.n_points), dtype=np.complex128)
-    spec = np.empty(grid.n_points, dtype=np.complex128)
     energy_prev = math.inf
     for done in range(0, max_iters, len(stack)):
         rows = stack[:min(len(stack), max_iters - done)]

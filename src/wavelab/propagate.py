@@ -27,7 +27,7 @@ from .core import (
     idft,
     l2_norm,
 )
-from .dispersion import EquationKind, is_second_order, omega_of_k
+from .dispersion import EquationKind, SchrodingerFree, is_second_order, omega_of_k
 from .exceptions import LinearSolveFailure, NumericalFailure, WrongEquationFamily, ZeroField
 
 
@@ -107,12 +107,10 @@ def evolve_schrodinger_spectral(psi0: WaveField, m: float,
 
     Exact for any t (no time-step error); the L2 norm is preserved to rounding.
     """
-    if not m > 0:
-        raise ValueError(f"mass must be positive, got {m}")
+    eq = SchrodingerFree(m)  # refuses m <= 0, also at t = 0
     if t == 0.0:
         return psi0.copy()
-    w = consts.hbar * psi0.grid.wavenumbers ** 2 / (2.0 * m)
-    return _phase_snapshots(psi0, w, [t])[0]
+    return _phase_snapshots(psi0, omega_of_k(eq, psi0.grid.wavenumbers, consts), [t])[0]
 
 
 def _phase_snapshots(psi0: WaveField, omega, times) -> list:
@@ -236,6 +234,16 @@ def _strang_step(psi, half_kick, drift, spec, out):
     return out
 
 
+def _strang_factors(v: np.ndarray, grid: Grid1D, m: float, hbar: float, dt: float, unit):
+    """(half_kick, drift / N, spectrum buffer) of `_strang_step`; `unit` is 1j for
+    real time and 1 for imaginary time (dt -> -i tau), where both factors are real."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        half_kick = np.exp(-0.5 * unit * v * dt / hbar)
+        drift = np.exp(-unit * hbar * grid.wavenumbers ** 2 * dt / (2.0 * m))
+    drift /= grid.n_points
+    return half_kick, drift, np.empty(grid.n_points, dtype=np.complex128)
+
+
 def split_step_evolve(psi0: WaveField, m: float, potential,
                       consts: PhysicalConstants = NATURAL_UNITS,
                       time: TimeSpec = TimeSpec(0.01, 1),
@@ -251,14 +259,9 @@ def split_step_evolve(psi0: WaveField, m: float, potential,
         raise ValueError(f"mass must be positive, got {m}")
     grid = psi0.grid
     v = _check_potential(potential, grid)
-    dt = time.dt
-    with np.errstate(invalid="ignore", over="ignore"):
-        half_kick = np.exp(-0.5j * v * dt / consts.hbar)
-        drift = np.exp(-1j * consts.hbar * grid.wavenumbers ** 2 * dt / (2.0 * m))
+    half_kick, drift, spec = _strang_factors(v, grid, m, consts.hbar, time.dt, 1j)
     if not (np.all(np.isfinite(half_kick)) and np.all(np.isfinite(drift))):
-        raise NumericalFailure(f"non-finite Strang factors at dt = {dt}", step=0)
-    drift /= grid.n_points  # the 1/N of the kernel's unscaled inverse transform
-    spec = np.empty(grid.n_points, dtype=np.complex128)
+        raise NumericalFailure(f"non-finite Strang factors at dt = {time.dt}", step=0)
     return _stepped_evolution(psi0, lambda psi: _strang_step(psi, half_kick, drift, spec, psi),
                               time, snapshot_every)
 

@@ -552,6 +552,22 @@ def test_nrlimit_flat_packet_in_tiny_box_is_exit_0(tmp_path):
     assert None not in tree["fits"].values()
 
 
+def test_nrlimit_snapshot_every_means_what_evolve_means(tmp_path, capsys):
+    # 0 is the first and last snapshot only, as in evolve (it used to become 1,
+    # a row per step); a negative value is refused, as in evolve
+    out = tmp_path / "nr"
+    assert cli.main(["nrlimit", "--config", str(CONFIGS / "nrlimit_ladder.cfg"),
+                     "--out", str(out), "--set", "snapshot_every=0"]) == 0
+    header, rows = read_csv(out / "nrlimit.csv")
+    assert column(rows, header, "c") == [10.0, 10.0, 20.0, 20.0, 40.0, 40.0]
+    assert column(rows, header, "t") == [0.0, 200 * 0.1] * 3
+    rc = cli.main(["nrlimit", "--config", str(CONFIGS / "nrlimit_ladder.cfg"),
+                   "--out", str(tmp_path / "neg"), "--set", "snapshot_every=-1"])
+    assert rc == 2
+    assert "snapshot_every must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "neg" / "nrlimit.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["evolve", "--set", "sigma=1e-300"],                     # 4 sigma^2 underflows: 0/0 at x0
     ["nrlimit", "--set", "sigma=1e-300"],

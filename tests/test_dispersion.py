@@ -181,6 +181,45 @@ def test_massless_reduction_to_electromagnetic():
         assert abs(w_small_mass - w_massless) / w_massless <= 1e-7
 
 
+def test_closed_forms_keep_their_bits():
+    # each family's omega, v_g and residual (at an off-shell omega) against the
+    # closed forms written out term by term, compared with ==: a reordered
+    # operand changes the last bit and fails here
+    hbar, c, m, v, v0, w = 1.7, 2.9, 0.37, 1.3, 0.25, 2.3
+    consts = PhysicalConstants(hbar=hbar, c=c)
+    ks = [-5.0, -0.7, 0.0, 1e-300, 3.1]
+
+    def expected(k):
+        kg_w = np.hypot(k * c, m * c * c / hbar)
+        return [
+            (ClassicalWave(v), v * abs(k), v * np.sign(k), abs(-k * k + w * w / (v * v))),
+            (Electromagnetic(), c * abs(k), c * np.sign(k), abs(-k * k + w * w / (c * c))),
+            (KleinGordon(m), kg_w, k * c * c / kg_w,
+             abs(-k * k + w * w / (c * c) - m * m * c * c / (hbar * hbar))),
+            (SchrodingerFree(m), hbar * k * k / (2.0 * m), hbar * k / m,
+             abs(w - hbar * k * k / (2.0 * m))),
+            (SchrodingerPotential(m, np.full(8, v0)), hbar * k * k / (2.0 * m) + v0 / hbar,
+             hbar * k / m, abs(w - hbar * k * k / (2.0 * m) - v0 / hbar)),
+        ]
+
+    cases = {k: expected(k) for k in ks}
+    for k in ks:
+        for eq, omega, vg, residual in cases[k]:
+            name = f"{type(eq).__name__} at k = {k!r}"
+            assert omega_of_k(eq, k, consts) == omega, name
+            assert group_velocity(eq, k, consts) == vg, name
+            assert planewave_residual(eq, PlaneWaveMode(1.0, k, w), consts) == residual, name
+    for i, (eq, *_) in enumerate(cases[0.0]):  # the same bits from one array call
+        assert np.array_equal(omega_of_k(eq, np.array(ks), consts), [cases[k][i][1] for k in ks])
+        assert np.array_equal(group_velocity(eq, np.array(ks), consts),
+                              [cases[k][i][2] for k in ks])
+
+    # m c^2/hbar underflows to 0: still the massive law, so v_g(0) = 0/0, not
+    # the massless c sign(0) = 0
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(group_velocity(KleinGordon(5e-324), 0.0, PhysicalConstants(1.0, 0.1)))
+
+
 # ---------------------------------------------------------------------------
 # non-relativistic expansion error
 # ---------------------------------------------------------------------------
