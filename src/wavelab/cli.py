@@ -484,6 +484,12 @@ def cmd_oscillator(cfg: dict, out: Path) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+def _require(ok: bool, message: str):
+    """Fail a verify check with `message`; unlike `assert`, not stripped by `python -O`."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def _check_plane_wave_exactness():
     grid = Grid1D(32, 16.0)
     consts = PhysicalConstants()
@@ -495,7 +501,7 @@ def _check_plane_wave_exactness():
             w = omega_of_k(eq, k, consts)
             mode = PlaneWaveMode(1.0, k, w)
             res = planewave_residual(eq, mode, consts)
-            assert res <= 1e-12, f"residual {res} for {type(eq).__name__}, n={n}"
+            _require(res <= 1e-12, f"residual {res} for {type(eq).__name__}, n={n}")
             psi0 = planewave_sample(mode, grid, 0.0)
             if is_second_order(eq):
                 state = positive_branch_init(psi0, eq, consts)
@@ -507,7 +513,7 @@ def _check_plane_wave_exactness():
                 evolved = evolve_schrodinger_spectral(psi0, eq.m, consts, t)
             expect = planewave_sample(mode, grid, t)
             err = float(np.max(np.abs(evolved.samples - expect.samples)))
-            assert err <= 1e-11, f"phase error {err} for {type(eq).__name__}, n={n}"
+            _require(err <= 1e-11, f"phase error {err} for {type(eq).__name__}, n={n}")
 
 
 def _check_parseval():
@@ -517,7 +523,7 @@ def _check_parseval():
     spec = dft(fld)
     a = float(np.sum(np.abs(spec.mode_amplitudes) ** 2))
     b = float(np.sum(np.abs(fld.samples) ** 2))
-    assert abs(a - b) <= 1e-12 * b, f"Parseval gap {abs(a - b)}"
+    _require(abs(a - b) <= 1e-12 * b, f"Parseval gap {abs(a - b)}")
 
 
 def _check_norm_conservation():
@@ -528,7 +534,7 @@ def _check_norm_conservation():
                                TimeSpec(0.01, 200), snapshot_every=1)
     norms = np.asarray(result.norms)
     drift = float(np.max(np.abs(np.diff(norms)))) / norms[0]
-    assert drift <= 1e-12, f"per-step norm drift {drift}"
+    _require(drift <= 1e-12, f"per-step norm drift {drift}")
 
 
 def _check_massless_limit():
@@ -539,7 +545,7 @@ def _check_massless_limit():
         w_massive = omega_of_k(KleinGordon(1e-8), k, consts)
         w_massless = omega_of_k(Electromagnetic(), k, consts)
         rel = abs(w_massive - w_massless) / w_massless
-        assert rel <= 1e-7, f"massless-limit gap {rel} at mode {n}"
+        _require(rel <= 1e-7, f"massless-limit gap {rel} at mode {n}")
 
 
 def _check_dominance_scaling():
@@ -548,7 +554,7 @@ def _check_dominance_scaling():
         dominance_terms_mode(1.0, 1.0, PhysicalConstants(1.0, c)).ratio for c in cs
     ])
     slope = float(np.polyfit(np.log(cs), np.log(ratios), 1)[0])
-    assert abs(slope + 4.0) <= 0.2, f"dominance c-exponent {slope}"
+    _require(abs(slope + 4.0) <= 0.2, f"dominance c-exponent {slope}")
 
 
 DEFAULT_CHECKS = [

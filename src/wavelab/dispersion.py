@@ -199,8 +199,11 @@ def planewave_residual(eq: EquationKind, mode: PlaneWaveMode,
     hbar = consts.hbar
     if is_second_order(eq):
         s, m = _closed_form(eq, consts)
-        mass_term = 0.0 if m is None else m * m * s * s / (hbar * hbar)
-        return abs(-k * k + w * w / (s * s) - mass_term)
+        # in float64, so an s^2 or hbar^2 that underflows gives inf, not ZeroDivisionError
+        s, hbar = np.float64(s), np.float64(hbar)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            mass_term = 0.0 if m is None else m * m * s * s / (hbar * hbar)
+            return float(abs(-k * k + w * w / (s * s) - mass_term))
     m, v0 = _closed_form(eq, consts)
     return abs(w - hbar * k * k / (2.0 * m) - v0 / hbar)
 

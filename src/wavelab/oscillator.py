@@ -161,7 +161,12 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
     """Relax to the harmonic ground state by imaginary-time split stepping.
 
     The real-time split-step kernel with dt -> -i tau damps every excited
-    component; each step renormalizes and the loop stops at the first
+    component.  Its factors are real, so the state is stepped in real
+    arithmetic: a real start (the default) as one real row, a start with a
+    nonzero imaginary part as two, Re and Im.  The operator is real and linear,
+    so the rows relax independently and share one norm, and a batch energy is
+    sum_r <row_r|H|row_r> / sum_r <row_r|row_r>.  Each step renormalizes and
+    the loop stops at the first
     iteration whose energy <psi|H|psi> differs from the previous iteration's by
     less than energy_tol.  The energies are taken for a batch of consecutive
     iterates at once, which stops at the same iteration as checking after
@@ -200,34 +205,38 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
     v = harmonic_potential(grid, problem.m, problem.omega_c)
     half_kick, drift, spec = _strang_factors(v, grid, problem.m, hbar, tau_step, 1)
 
+    # the state: a real (R, N) stack, R = 1 for a real start, R = 2 (Re, Im) otherwise
     if initial is None:
         x = grid.positions
         psi = np.exp(-((x - grid.length / 2.0) ** 2) / (4.0 * (2.0 * ground_width) ** 2))
-        psi = psi.astype(np.complex128)
+        psi = psi[np.newaxis]
     else:
-        psi = initial.samples.copy()
-    nrm = _l2(psi, dx)
+        start = initial.samples
+        psi = np.stack([start.real, start.imag] if np.any(start.imag) else [start.real])
+    nrm = _l2(psi.reshape(-1), dx)
     if nrm == 0.0:
         raise ValueError("initial state must be nonzero")
-    psi /= nrm
+    psi *= 1.0 / nrm
+    spec = np.empty((len(psi), len(spec)), dtype=spec.dtype)  # one spectrum row per state row
 
     symbol = _kinetic_symbol(grid, problem.m, problem.consts)
-    stack = np.empty((max(1, min(_MAX_BATCH, _STACK_POINTS // grid.n_points)),
-                      grid.n_points), dtype=np.complex128)
+    stack = np.empty((max(1, min(_MAX_BATCH, _STACK_POINTS // grid.n_points)),) + psi.shape)
     energy_prev = math.inf
     for done in range(0, max_iters, len(stack)):
         rows = stack[:min(len(stack), max_iters - done)]
         for row in range(len(rows)):
             psi = _strang_step(psi, half_kick, drift, spec, rows[row])  # stepped into its row
-            nrm = _l2(psi, dx)
+            nrm = _l2(psi.reshape(-1), dx)
             if not 0.0 < nrm < math.inf:
                 raise NumericalFailure(f"state lost at iteration {done + row + 1} "
                                        f"(norm {nrm})", step=done + row + 1)
-            psi /= nrm
-        energies, _ = _energies(rows, v, symbol, dx)
-        for row, energy in enumerate(energies.tolist()):
+            psi *= 1.0 / nrm
+        h, norm_sq = _energies(rows, v, symbol, dx)
+        for row, energy in enumerate((h.sum(axis=-1) / norm_sq.sum(axis=-1)).tolist()):
             if abs(energy - energy_prev) < energy_tol:
-                return _accept(problem, grid, v, symbol, rows[row].copy())
+                parts = rows[row]
+                samples = parts[0] + 1j * parts[1] if len(parts) == 2 else parts[0]
+                return _accept(problem, grid, v, symbol, samples)
             energy_prev = energy
     raise NoConvergence(
         f"energy change still above {energy_tol} after {max_iters} iterations"
@@ -239,7 +248,7 @@ def _accept(problem: OscillatorProblem, grid: Grid1D, v: np.ndarray, symbol: np.
     """The stopped state, if its energy spread marks it as an eigenstate."""
     ground = WaveField(grid, psi)
     energy = energy_expectation(ground, v, problem.m, problem.consts)
-    spread = _energy_spread(psi, v, symbol, grid.spacing, energy)
+    spread = _energy_spread(ground.samples, v, symbol, grid.spacing, energy)
     if not spread <= _SPREAD_TOL * energy:
         raise NoConvergence(
             f"relaxed state has energy spread {spread:.3g} at energy {energy:.6g}; "

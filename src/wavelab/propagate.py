@@ -219,29 +219,40 @@ def _strang_step(psi, half_kick, drift, spec, out):
 
     Writes the new samples into `out` (which may be `psi`) and returns it;
     `spec` is a caller-owned spectrum buffer, so the step allocates nothing.
-    The factors are complex for real time and real for imaginary time, and
-    `drift` carries the inverse transform's 1/N: N is a power of two, so the
-    unscaled inverse of the pre-scaled product equals the scaled inverse of
-    the plain product bit for bit (barring subnormals).  Each product keeps
-    the factor as the first operand: complex multiplication is not bitwise
-    commutative.
+    Real time steps a complex state through the full spectrum (`fft`/`ifft`)
+    with complex factors.  Imaginary time steps a real state, shape (..., N),
+    through its half spectrum (`rfft`/`irfft`, N/2 + 1 modes) with real
+    factors, which keep every iterate real.  `drift` carries the inverse
+    transform's 1/N: N is a power of two, so the unscaled inverse of the
+    pre-scaled product equals the scaled inverse of the plain product bit for
+    bit (barring subnormals).  Each product keeps the factor as the first
+    operand: complex multiplication is not bitwise commutative.
     """
+    forward, inverse = ((np.fft.fft, np.fft.ifft) if np.iscomplexobj(out)
+                        else (np.fft.rfft, np.fft.irfft))
     np.multiply(half_kick, psi, out=out)
-    np.fft.fft(out, out=spec)
+    forward(out, out=spec)
     np.multiply(drift, spec, out=spec)
-    np.fft.ifft(spec, norm="forward", out=out)
+    inverse(spec, n=out.shape[-1], norm="forward", out=out)
     np.multiply(half_kick, out, out=out)
     return out
 
 
 def _strang_factors(v: np.ndarray, grid: Grid1D, m: float, hbar: float, dt: float, unit):
-    """(half_kick, drift / N, spectrum buffer) of `_strang_step`; `unit` is 1j for
-    real time and 1 for imaginary time (dt -> -i tau), where both factors are real."""
+    """(half_kick, drift / N, spectrum buffer) of `_strang_step`.
+
+    `unit` is 1j for real time: complex factors on all N modes.  It is 1 for
+    imaginary time (dt -> -i tau): real factors, with the drift and the buffer
+    on the N/2 + 1 modes of a real state's half spectrum.
+    """
+    k = grid.wavenumbers
+    if np.isrealobj(unit):
+        k = k[:grid.n_points // 2 + 1]
     with np.errstate(invalid="ignore", over="ignore"):
         half_kick = np.exp(-0.5 * unit * v * dt / hbar)
-        drift = np.exp(-unit * hbar * grid.wavenumbers ** 2 * dt / (2.0 * m))
+        drift = np.exp(-unit * hbar * k ** 2 * dt / (2.0 * m))
     drift /= grid.n_points
-    return half_kick, drift, np.empty(grid.n_points, dtype=np.complex128)
+    return half_kick, drift, np.empty(len(k), dtype=np.complex128)
 
 
 def split_step_evolve(psi0: WaveField, m: float, potential,
@@ -407,19 +418,24 @@ def _kinetic_symbol(grid: Grid1D, m: float, consts: PhysicalConstants) -> np.nda
 
 
 def _energies(samples: np.ndarray, v: np.ndarray, symbol: np.ndarray, dx: float):
-    """(<psi|H|psi> / <psi|psi>, <psi|psi>) of each row of `samples`, shape (..., N).
+    """(<psi|H|psi>, <psi|psi>) of each row of `samples`, shape (..., N).
 
-    `symbol` is the kinetic symbol of `_kinetic_symbol`.  Row-wise transforms
-    and sums of a C-contiguous stack equal the 1-D calls bit for bit, so a
-    batch of states gets the energies of one at a time.
+    `symbol` is the kinetic symbol of `_kinetic_symbol`.  Real rows go through
+    `rfft`: their spectrum is Hermitian, so each mode 0 < k < N/2 of the half
+    spectrum counts twice.  Row-wise transforms and sums of a C-contiguous
+    stack equal the 1-D calls bit for bit, so a batch of states gets the
+    values of one at a time.
     """
-    amps = np.fft.fft(samples, norm="ortho", axis=-1)
+    if np.iscomplexobj(samples):
+        amps = np.fft.fft(samples, norm="ortho", axis=-1)
+    else:
+        amps = np.fft.rfft(samples, norm="ortho", axis=-1)
+        symbol = symbol[:amps.shape[-1]].copy()
+        symbol[1:(samples.shape[-1] + 1) // 2] *= 2.0
     kinetic = np.sum(symbol * np.abs(amps) ** 2, axis=-1) * dx
     dens = np.abs(samples) ** 2
     pot = np.sum(v * dens, axis=-1) * dx
-    norm_sq = np.sum(dens, axis=-1) * dx
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (kinetic + pot) / norm_sq, norm_sq
+    return kinetic + pot, np.sum(dens, axis=-1) * dx
 
 
 def _energy_spread(psi: np.ndarray, v: np.ndarray, symbol: np.ndarray, dx: float,
@@ -435,8 +451,8 @@ def energy_expectation(field: WaveField, potential, m: float,
     """<psi|H|psi> / <psi|psi> with the kinetic term evaluated spectrally."""
     grid = field.grid
     v = _check_potential(potential, grid)
-    energy, norm_sq = _energies(field.samples, v, _kinetic_symbol(grid, m, consts),
-                                grid.spacing)
+    h, norm_sq = _energies(field.samples, v, _kinetic_symbol(grid, m, consts), grid.spacing)
     if norm_sq == 0.0:
         raise ZeroField("energy expectation undefined for a zero field")
-    return float(energy)
+    with np.errstate(invalid="ignore"):
+        return float(h / norm_sq)

@@ -112,3 +112,58 @@ def imaginary_time_oracle(n, length, m, omega_c, hbar, tau, energy_tol, max_iter
             return energy, psi, iteration
         previous = energy
     return None
+
+
+def real_imaginary_time_oracle(n, length, m, omega_c, hbar, tau, energy_tol, max_iters,
+                               psi0=None):
+    """The relaxation of `imaginary_time_oracle` in real arithmetic, checked every step.
+
+    The imaginary-time factors are real, so a real start stays real: the state
+    is stepped through `rfft`/`irfft` and normalised by a real norm.  A complex
+    start is relaxed as two real rows, Re and Im, which share one norm.  The
+    stopping energy is taken from the half spectrum, where each mode
+    0 < k < N/2 stands for itself and its mirror.  Returns (energy, samples,
+    iterations) as `imaginary_time_oracle` does, with the energy of the
+    returned complex samples taken over the full spectrum, or None.
+    """
+    dx = length / n
+    x = np.arange(n) * dx
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
+    v = 0.5 * m * omega_c * omega_c * (x - length / 2.0) ** 2
+    half_kick = np.exp(-0.5 * v * tau / hbar)
+    drift = np.exp(-hbar * k ** 2 * tau / (2.0 * m))
+    weight = np.full(len(k), 2.0)
+    weight[0] = 1.0
+    if n % 2 == 0:
+        weight[-1] = 1.0  # the Nyquist mode has no mirror
+    kinetic_symbol = weight * (hbar ** 2 * k ** 2 / (2.0 * m))
+    if psi0 is None:
+        width = np.sqrt(hbar / (2.0 * m * omega_c))
+        psi0 = np.exp(-((x - length / 2.0) ** 2) / (4.0 * (2.0 * width) ** 2))
+    psi0 = np.asarray(psi0)
+    rows = [psi0.real, psi0.imag] if np.any(psi0.imag) else [psi0.real]
+    psi = np.array(rows, dtype=np.float64)
+    psi = psi * (1.0 / np.sqrt(np.sum(psi ** 2) * dx))
+    previous = np.inf
+    for iteration in range(1, max_iters + 1):
+        psi = half_kick * psi
+        psi = np.fft.irfft(drift * np.fft.rfft(psi), n=n)
+        psi = half_kick * psi
+        psi = psi * (1.0 / np.sqrt(np.sum(psi ** 2) * dx))
+        energy_sum = norm_sum = 0.0
+        for row in psi:
+            amps = np.fft.rfft(row, norm="ortho")
+            kinetic = np.sum(kinetic_symbol * np.abs(amps) ** 2) * dx
+            energy_sum = energy_sum + (kinetic + np.sum(v * row ** 2) * dx)
+            norm_sum = norm_sum + np.sum(row ** 2) * dx
+        energy = float(energy_sum / norm_sum)
+        if abs(energy - previous) < energy_tol:
+            samples = psi[0] + 1j * psi[1] if len(psi) == 2 else psi[0] + 0j
+            amps = np.fft.fft(samples, norm="ortho")
+            k_full = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
+            kinetic = float(np.sum(hbar ** 2 * k_full ** 2 / (2.0 * m) * np.abs(amps) ** 2) * dx)
+            dens = np.abs(samples) ** 2
+            return ((kinetic + float(np.sum(v * dens) * dx)) / float(np.sum(dens) * dx),
+                    samples, iteration)
+        previous = energy
+    return None

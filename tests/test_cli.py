@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -699,3 +702,19 @@ def test_verify_names_injected_failure(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "wrong_dispersion: FAIL" in out
     assert "verification failed: wrong_dispersion" in out
+
+
+def test_verify_fails_under_python_optimize(tmp_path):
+    # -O strips assert statements; a failing check must still exit 3
+    child = (
+        "import sys, types\n"
+        "from wavelab import cli\n"
+        "cli.dominance_terms_mode = lambda m, k, consts: types.SimpleNamespace(ratio=consts.c)\n"
+        "sys.exit(cli.main(['verify']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", child], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert "dominance_scaling: FAIL (dominance c-exponent 1." in proc.stdout
+    assert "verification failed: dominance_scaling" in proc.stdout

@@ -172,6 +172,19 @@ def test_residual_detects_wrong_frequency():
     assert res == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("eq, consts", [
+    (KleinGordon(1.0), PhysicalConstants(hbar=1e-200)),  # hbar^2 underflows
+    (Electromagnetic(), PhysicalConstants(c=1e-200)),    # c^2 underflows
+], ids=["kg_tiny_hbar", "em_tiny_c"])
+def test_residual_with_underflowing_square_is_a_float(eq, consts):
+    # the mode misses the curve by ~1e400: the residual overflows to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = planewave_residual(eq, PlaneWaveMode(1.0, 1.0, 1.0), consts)
+    assert type(res) is float
+    assert res == math.inf
+
+
 def test_massless_reduction_to_electromagnetic():
     length = 16.0
     for n in range(1, 9):

@@ -28,7 +28,7 @@ from wavelab.exceptions import (
     NumericalFailure,
 )
 
-from oracles import imaginary_time_oracle
+from oracles import imaginary_time_oracle, real_imaginary_time_oracle
 
 UNIT = OscillatorProblem(1.0, 1.0)
 
@@ -261,13 +261,13 @@ RELAX_CASES = {
 }
 
 
-def _relax_both(case, max_iters=50000):
+def _relax_both(case, oracle, max_iters=50000):
     n, length, omega_c, tau, tol, noisy = RELAX_CASES[case]
     start = None
     if noisy:
         rng = np.random.default_rng(3)
         start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    want = imaginary_time_oracle(n, length, 1.0, omega_c, 1.0, tau, tol, max_iters, start)
+    want = oracle(n, length, 1.0, omega_c, 1.0, tau, tol, max_iters, start)
     grid = Grid1D(n, length)
     initial = None if start is None else WaveField(grid, start)
     return want, lambda iters: imaginary_time_ground_state(
@@ -277,7 +277,8 @@ def _relax_both(case, max_iters=50000):
 
 @pytest.mark.parametrize("case", sorted(RELAX_CASES))
 def test_batched_stopping_rule_equals_per_iteration_rule(case):
-    want, relax = _relax_both(case)
+    # the oracle steps in the kernel's real arithmetic, so the bits must agree
+    want, relax = _relax_both(case, real_imaginary_time_oracle)
     energy, psi, iterations = want
     got = relax(50000)
     assert got.energy == energy
@@ -289,6 +290,38 @@ def test_batched_stopping_rule_equals_per_iteration_rule(case):
     assert np.array_equal(last.psi.samples, psi)
     with pytest.raises(NoConvergence):
         relax(iterations - 1)
+
+
+@pytest.mark.parametrize("case", sorted(RELAX_CASES))
+def test_real_relaxation_tracks_the_complex_one(case):
+    # against the complex per-step relaxation: the real stack drops only the
+    # imaginary rounding noise, so it stops at the same iteration, nearly
+    # bit for bit
+    want, relax = _relax_both(case, imaginary_time_oracle)
+    energy, psi, iterations = want
+    got = relax(iterations)
+    assert abs(got.energy - energy) <= 1e-12
+    assert np.max(np.abs(got.psi.samples - psi)) <= 1e-13
+    with pytest.raises(NoConvergence):
+        relax(iterations - 1)
+
+
+def test_real_start_relaxes_to_a_real_state():
+    got = imaginary_time_ground_state(UNIT, Grid1D(256, 20.0))
+    assert np.all(got.psi.samples.imag == 0.0)
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.0, 2.5, -2.0])
+def test_complex_start_relaxes_as_its_real_and_imaginary_parts(theta):
+    # e^{i theta} g relaxes as two real rows, cos(theta) g and sin(theta) g,
+    # under one shared norm: the result is e^{i theta} times g's
+    grid = Grid1D(256, 20.0)
+    g = np.random.default_rng(5).standard_normal(256)
+    phase = np.exp(1j * theta)
+    base = imaginary_time_ground_state(UNIT, grid, initial=WaveField(grid, g))
+    got = imaginary_time_ground_state(UNIT, grid, initial=WaveField(grid, phase * g))
+    assert np.max(np.abs(got.psi.samples - phase * base.psi.samples)) <= 1e-14
+    assert abs(got.energy - base.energy) <= 1e-15
 
 
 @pytest.mark.parametrize("tau_step", [1.0, 5.0, 1e300])
