@@ -8,8 +8,8 @@ effective configuration is echoed next to every report, and re-running from
 the echoed file reproduces the run byte for byte (floats are serialized in
 shortest-roundtrip decimal form).
 
-Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 resolution
-precondition failure.
+Exit codes: 0 ok, 2 config error (an ``--out`` that cannot be written
+included), 3 numerical failure, 4 resolution precondition failure.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -31,7 +32,6 @@ from .dispersion import (
     SchrodingerFree,
     SchrodingerPotential,
     group_velocity,
-    is_second_order,
     kinematic_map,
     nr_expansion_error,
     omega_of_k,
@@ -58,13 +58,10 @@ from .propagate import (
     _phase_snapshots,
     _snapshot_steps,
     constant_potential,
-    evolve_schrodinger_spectral,
-    evolve_second_order_spectral,
     gaussian_packet,
     harmonic_potential,
     packet_moments,
     packet_width,
-    positive_branch_init,
     split_step_evolve,
 )
 
@@ -369,31 +366,88 @@ def cmd_evolve(cfg: dict, out: Path) -> int:
         raise ConfigError(f"family '{cfg['family']}' does not take a potential; "
                           "use family = schrodinger_potential")
     time = TimeSpec(dt, max(n_steps, 1))  # refuses dt <= 0, even when no step is taken
+    snaps = _propagate(eq, psi0, consts, time if n_steps else None, cfg["snapshot_every"])
 
-    try:
-        omega = omega_of_k(eq, grid.wavenumbers, consts)
-    except DispersionUndefined:  # V(x) varies: Strang splitting, if a step is taken
-        snaps = [(0.0, psi0)] if n_steps == 0 else split_step_evolve(
-            psi0, eq.m, eq.potential, consts, time, cfg["snapshot_every"]).snapshots
-    else:  # every mode's exact phase; dt only places the snapshots
-        times = [step * dt for step in _snapshot_steps(n_steps, cfg["snapshot_every"])]
-        snaps = list(zip(times, _phase_snapshots(psi0, omega, times)))
-
-    # the x column is the same in every snapshot file: format it once
-    x_cells = [f"{xj!r}," for xj in grid.positions.tolist()]
+    # check every snapshot before the first file is written
     summary_rows = []
     for idx, (t, fld) in enumerate(snaps):
         if not np.all(np.isfinite(fld.samples)):
             raise NumericalFailure(f"non-finite field in snapshot {idx}", step=idx)
-        prefix = f"{t!r},"
-        # scalar abs(z) ** 2: vectorised np.abs(samples) ** 2 can differ in the last digit
-        lines = [f"{prefix}{xc}{z.real!r},{z.imag!r},{abs(z) ** 2!r}"
-                 for xc, z in zip(x_cells, fld.samples.tolist())]
-        _write_text(out / f"snapshot_{idx:04d}.csv",
-                    "t,x,re_psi,im_psi,abs2\n" + "\n".join(lines) + "\n")
         summary_rows.append((t, l2_norm(fld), *packet_moments(fld)))
+    out.mkdir(parents=True, exist_ok=True)
+    _write_snapshots(out, snaps, grid.positions)
     _write_csv(out / "summary.csv", "t,norm,centroid,width", summary_rows)
     return EXIT_OK
+
+
+def _propagate(eq, psi0: WaveField, consts: PhysicalConstants, time: TimeSpec | None,
+               snapshot_every: int) -> list:
+    """[(t, psi)] at the snapshot steps of `time`, or [(0, psi0)] when `time` is None.
+
+    Every family with an omega(k) takes the exact phase, so `time.dt` only places
+    the snapshots; a potential V(x) that varies takes Strang splitting.
+    """
+    try:
+        omega = omega_of_k(eq, psi0.grid.wavenumbers, consts)
+    except DispersionUndefined:
+        return [(0.0, psi0)] if time is None else split_step_evolve(
+            psi0, eq.m, eq.potential, consts, time, snapshot_every).snapshots
+    times = [0.0] if time is None else [
+        step * time.dt for step in _snapshot_steps(time.n_steps, snapshot_every)]
+    return list(zip(times, _phase_snapshots(psi0, omega, times)))
+
+
+def _write_snapshots(out: Path, snaps, positions):
+    """Write snapshot_NNNN.csv for each (t, field) of `snaps` into the existing `out`.
+
+    Up to one process per CPU this process may use (forked, so nothing is
+    pickled or imported) writes the files whose index is r modulo their count,
+    the caller taking r = 0.  Every file comes from the same formatting code, so
+    its bytes do not depend on the count.  The caller rewrites the share of any
+    child that fails or cannot be forked: a persistent fault then raises here.
+    """
+    import warnings  # for the one filter around os.fork below
+
+    # the x column is the same in every snapshot file: format it once
+    x_cells = [f"{xj!r}," for xj in positions.tolist()]
+    n_procs = (min(len(os.sched_getaffinity(0)), len(snaps))
+               if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+
+    def write_share(r):
+        for idx in range(r, len(snaps), n_procs):
+            t, fld = snaps[idx]
+            prefix = f"{t!r},"
+            # scalar abs(z) ** 2: vectorised np.abs(samples) ** 2 can differ in the last digit
+            lines = ["t,x,re_psi,im_psi,abs2"]
+            lines.extend(f"{prefix}{xc}{z.real!r},{z.imag!r},{abs(z) ** 2!r}"
+                         for xc, z in zip(x_cells, fld.samples.tolist()))
+            lines.append("")  # one join, so the file's text exists once
+            (out / f"snapshot_{idx:04d}.csv").write_text("\n".join(lines))
+
+    children = {}
+    for r in range(1, n_procs):
+        try:
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns on fork in a process with threads (OpenBLAS's
+                # workers); the child calls no BLAS, imports nothing and never returns
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except OSError:  # no process to spare: the caller writes this share too
+            pid = None
+        if pid == 0:
+            code = 1
+            try:
+                write_share(r)
+                code = 0
+            finally:
+                os._exit(code)  # skips the inherited buffers and atexit handlers
+        children[r] = pid
+    try:
+        write_share(0)
+    finally:
+        failed = [r for r, pid in children.items() if pid is None or os.waitpid(pid, 0)[1]]
+    for r in failed:
+        write_share(r)
 
 
 def cmd_nrlimit(cfg: dict, out: Path) -> int:
@@ -503,14 +557,7 @@ def _check_plane_wave_exactness():
             res = planewave_residual(eq, mode, consts)
             _require(res <= 1e-12, f"residual {res} for {type(eq).__name__}, n={n}")
             psi0 = planewave_sample(mode, grid, 0.0)
-            if is_second_order(eq):
-                state = positive_branch_init(psi0, eq, consts)
-                evolved = evolve_second_order_spectral(state, eq, consts, t).psi
-            elif isinstance(eq, SchrodingerPotential):
-                evolved = split_step_evolve(psi0, eq.m, eq.potential, consts,
-                                            TimeSpec(t / 64, 64)).final
-            else:
-                evolved = evolve_schrodinger_spectral(psi0, eq.m, consts, t)
+            evolved = _propagate(eq, psi0, consts, TimeSpec(t, 1), 0)[-1][1]
             expect = planewave_sample(mode, grid, t)
             err = float(np.max(np.abs(evolved.samples - expect.samples)))
             _require(err <= 1e-11, f"phase error {err} for {type(eq).__name__}, n={n}")
@@ -636,6 +683,9 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](cfg, out)
     except (ConfigError, ValueError, InvalidBracket) as exc:  # incl. a rejected parameter
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalFailure, LinearSolveFailure, NoConvergence) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -59,6 +59,11 @@ def main_strict(argv, allowed=None):
     return rc, [str(w.message) for w in caught]
 
 
+def usable_cpus(monkeypatch, n):
+    """Make cli see `n` CPUs this process may use, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def assert_finite_csv(path: Path):
     _, rows = read_csv(path)
     values = np.array(rows, dtype=float)
@@ -231,8 +236,11 @@ def test_evolve_free_gaussian_norm_constant(tmp_path):
     assert len(srows) == 512
 
 
-def test_evolve_zero_steps_emits_initial_packet(tmp_path):
-    # one config per propagation path: the exact phase and Strang splitting
+def test_evolve_zero_steps_emits_initial_packet(tmp_path, monkeypatch):
+    # one config per propagation path: the exact phase and Strang splitting;
+    # one snapshot is one writer process, however many CPUs there are
+    usable_cpus(monkeypatch, 4)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a 1-snapshot run forked"))
     for name, grid, spec in [
         ("free_gaussian.cfg", Grid1D(512, 64.0), GaussianPacketSpec(16.0, 1.0, 1.0)),
         ("harmonic_ground.cfg", Grid1D(256, 20.0),
@@ -433,17 +441,87 @@ def test_free_packet_error_does_not_grow_with_step_count(tmp_path):
     assert np.max(np.abs(got - want.samples)) <= 5e-13
 
 
-def test_evolve_deterministic_and_reproducible_from_echo(tmp_path):
-    args = ["evolve", "--config", str(CONFIGS / "free_gaussian.cfg"),
-            "--set", "n_steps=50", "--set", "snapshot_every=25"]
-    out1, out2, out3 = (tmp_path / n for n in ("a", "b", "c"))
-    assert cli.main(args + ["--out", str(out1)]) == 0
-    assert cli.main(args + ["--out", str(out2)]) == 0
-    assert tree_bytes(out1) == tree_bytes(out2)
-    # the echoed config alone reproduces the artifacts
-    assert cli.main(["evolve", "--config", str(out1 / "config_echo.cfg"),
-                     "--out", str(out3)]) == 0
-    assert tree_bytes(out1) == tree_bytes(out3)
+# name -> evolve arguments: 3, 9 (Strang) and 21 snapshots (the shape of the
+# benchmark's write-bound workload at N = 512)
+_WRITER_RUNS = {
+    "free_gaussian": ["--config", str(CONFIGS / "free_gaussian.cfg"),
+                      "--set", "n_steps=50", "--set", "snapshot_every=25"],
+    "harmonic_ground": ["--config", str(CONFIGS / "harmonic_ground.cfg")],
+    "klein_gordon_21": ["--config", str(CONFIGS / "free_gaussian.cfg"),
+                        "--set", "family=klein_gordon", "--set", "dt=0.5",
+                        "--set", "n_steps=20", "--set", "snapshot_every=1"],
+}
+
+
+def test_evolve_deterministic_and_reproducible_from_echo(tmp_path, monkeypatch):
+    # the bytes depend neither on the run nor on how many processes write the
+    # snapshots: the default count, 1 (no fork) and 4
+    fork = os.fork
+    for name, args in _WRITER_RUNS.items():
+        out1, out2, out3 = (tmp_path / name / n for n in ("a", "b", "c"))
+        assert cli.main(["evolve", *args, "--out", str(out1)]) == 0
+        with monkeypatch.context() as m:
+            usable_cpus(m, 1)
+            m.setattr(os, "fork", lambda: pytest.fail("a 1-CPU run forked"))
+            assert cli.main(["evolve", *args, "--out", str(out2)]) == 0
+        assert tree_bytes(out1) == tree_bytes(out2)
+        # the echoed config alone reproduces the artifacts
+        forks = []
+        with monkeypatch.context() as m:
+            usable_cpus(m, 4)
+            m.setattr(os, "fork", lambda: forks.append(1) or fork())
+            assert cli.main(["evolve", "--config", str(out1 / "config_echo.cfg"),
+                             "--out", str(out3)]) == 0
+        assert len(forks) == min(4, len(list(out1.glob("snapshot_*.csv")))) - 1
+        assert tree_bytes(out1) == tree_bytes(out3)
+
+
+def test_failed_writer_child_share_is_rewritten(tmp_path, monkeypatch):
+    # every child fails to write, or no child can be forked: the parent
+    # writes their shares
+    args = ["evolve", "--config", str(CONFIGS / "free_gaussian.cfg")]
+    assert cli.main([*args, "--out", str(tmp_path / "a")]) == 0
+    parent, write_text = os.getpid(), Path.write_text
+
+    def parent_only(path, *a, **kw):
+        if os.getpid() != parent:
+            raise OSError("no space left on device")
+        return write_text(path, *a, **kw)
+
+    def no_fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    usable_cpus(monkeypatch, 4)
+    with monkeypatch.context() as m:
+        m.setattr(Path, "write_text", parent_only)
+        assert cli.main([*args, "--out", str(tmp_path / "b")]) == 0
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert cli.main([*args, "--out", str(tmp_path / "c")]) == 0
+    assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b") == tree_bytes(tmp_path / "c")
+
+
+def test_unwritable_snapshot_path_is_exit_2(tmp_path, capsys, monkeypatch):
+    # the child writing the odd snapshots fails; the parent's rewrite of its
+    # share raises the fault as its own error
+    usable_cpus(monkeypatch, 2)
+    out = tmp_path / "o"
+    (out / "snapshot_0001.csv").mkdir(parents=True)
+    rc = cli.main(["evolve", "--config", str(CONFIGS / "free_gaussian.cfg"), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output:") and err.count("\n") == 1
+    assert "snapshot_0001.csv" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scenario", ["dispersion", "evolve", "nrlimit", "oscillator"])
+def test_unwritable_out_is_exit_2(tmp_path, capsys, scenario):
+    # an --out under a regular file ended in a NotADirectoryError traceback, exit 1
+    (tmp_path / "afile").touch()
+    rc = cli.main([scenario, "--out", str(tmp_path / "afile" / "sub")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
