@@ -188,6 +188,10 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
     """
     if not tau_step > 0:
         raise ValueError(f"tau_step must be positive, got {tau_step}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not energy_tol > 0:
+        raise ValueError(f"energy_tol must be positive, got {energy_tol}")
     hbar = problem.consts.hbar
     dx = grid.spacing
     ground_width = math.sqrt(hbar / (2.0 * problem.m * problem.omega_c))

@@ -130,6 +130,34 @@ def test_malformed_line_reports_line_number(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["dispersion", "--set", "k_count=0"], "--set #1: k_count must be >= 1, got 0"),
+    (["evolve", "--set", "n_steps=-1"], "--set #1: n_steps must be >= 0, got -1"),
+    (["evolve", "--set", "snapshot_every=-1"], "--set #1: snapshot_every must be >= 0"),
+    (["nrlimit", "--set", "c_ladder=10"], "--set #1: c_ladder must list at least 2"),
+    (["nrlimit", "--set", "c_ladder=10,-1"], "--set #1: c_ladder must be > 0"),
+    (["nrlimit", "--set", "c_ladder=,"], "--set #1: c_ladder must list at least 2"),
+    (["evolve", "--set", "n_steps"], "--set #1: expected key=value"),
+    (["evolve", "--config", "{tmp}/empty_key.cfg"], "empty_key.cfg:2: empty key"),
+    (["evolve", "--config", "{tmp}/missing.cfg"], "missing.cfg"),
+    (["evolve", "--set", "family=foo"], "--set #1: family must be one of"),
+    (["evolve", "--seed", "-1"], "seed must be >= 0, got -1"),
+], ids=["k_count", "n_steps", "snapshot_every", "ladder_of_one", "ladder_negative",
+        "ladder_empty", "set_without_equals", "empty_key", "missing_config", "unknown_family",
+        "negative_seed"])
+def test_refused_config_is_one_line_and_writes_nothing(tmp_path, capsys, argv, named):
+    # the single-key bounds were checked in the command bodies, after
+    # config_echo.cfg had been written to --out
+    (tmp_path / "empty_key.cfg").write_text("dt = 0.1\n= 3\n")
+    out = tmp_path / "o"
+    rc = cli.main([arg.replace("{tmp}", str(tmp_path)) for arg in argv] + ["--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert named in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_config_echo_roundtrips(tmp_path):
     out = tmp_path / "run"
     assert cli.main(["dispersion", "--config", str(CONFIGS / "dispersion_kg.cfg"),
@@ -730,6 +758,21 @@ def test_oscillator_iteration_budget_exhausted_is_exit_3(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("override", ["max_iters=0", "max_iters=-5", "energy_tol=0",
+                                      "energy_tol=-1"])
+def test_oscillator_empty_budget_or_tolerance_is_exit_2(tmp_path, capsys, override):
+    # these exited 3: "still above 1e-12 after 0 iterations", or, for
+    # energy_tol <= 0, after running all 50,000 iterations
+    out = tmp_path / "o"
+    rc = cli.main(["oscillator", "--config", str(CONFIGS / "oscillator.cfg"),
+                   "--out", str(out), "--set", override])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert override.partition("=")[0] in err
+    assert not (out / "oscillator.csv").exists()
+
+
 @pytest.mark.parametrize("tau_step", ["5", "1e300"])
 def test_oscillator_frozen_wrong_state_is_exit_3(tmp_path, capsys, tau_step):
     rc = cli.main(["oscillator", "--config", str(CONFIGS / "oscillator.cfg"),
@@ -767,6 +810,29 @@ def test_verify_passes_and_is_deterministic(capsys):
     assert cli.main(["verify"]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_verify_refuses_physics_keys(capsys):
+    # verify reads no config: hbar = 2 used to pass in natural units, exit 0
+    assert cli.main(["verify", "--set", "hbar=2"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key 'hbar'" in err and err.count("\n") == 1
+
+
+def test_python_m_wavelab(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "wavelab", *args], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=300)
+
+    ok = run("verify")
+    assert ok.returncode == 0, ok.stdout + ok.stderr
+    assert ok.stdout.splitlines()[-1] == "all checks passed"
+    refused = run("dispersion", "--set", "k_count=0")
+    assert refused.returncode == 2
+    assert refused.stderr == "config error: --set #1: k_count must be >= 1, got 0\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_names_injected_failure(monkeypatch, capsys):

@@ -243,6 +243,16 @@ def test_no_convergence_when_iteration_budget_tiny():
         imaginary_time_ground_state(UNIT, Grid1D(256, 20.0), max_iters=3)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("max_iters", 0), ("max_iters", -5), ("energy_tol", 0.0), ("energy_tol", -1.0),
+])
+def test_empty_budget_or_tolerance_is_refused(key, value):
+    # max_iters < 1 raised NoConvergence "after 0 iterations"; energy_tol <= 0
+    # can never be met, so the relaxation ran out its whole budget first
+    with pytest.raises(ValueError, match=key):
+        imaginary_time_ground_state(UNIT, Grid1D(256, 20.0), **{key: value})
+
+
 # (n_points, length, omega_c, tau_step, energy_tol, random start); the package
 # checks energies in batches of min(8, 8192 // n_points) iterates
 RELAX_CASES = {
