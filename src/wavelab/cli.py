@@ -10,7 +10,8 @@ configuration is echoed next to every report; re-running from the echo
 reproduces the run byte for byte (floats in shortest-roundtrip decimal form).
 
 Exit codes: 0 ok, 2 config error (an ``--out`` that cannot be written
-included), 3 numerical failure, 4 resolution precondition failure.
+included), 3 numerical failure, 4 resolution precondition failure.  A run that
+exits non-zero writes nothing to ``--out``, unless writing itself fails.
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ SCHEMAS = {
 
 
 def parse_config_file(path: Path) -> list:
-    """Read `key = value` lines; returns [(lineno, key, value), ...]."""
+    """Read `key = value` lines; returns [("path:lineno", key, value), ...]."""
     try:
         text = path.read_text()
     except OSError as exc:
@@ -231,21 +232,33 @@ def parse_config_file(path: Path) -> list:
     return pairs
 
 
-def build_config(scenario: str, pairs, overrides) -> dict:
-    """Fill defaults, apply file pairs then --set overrides, reject unknowns.
+def _override_pairs(items, seed) -> list:
+    """[(source, key, value), ...] of `--set` items, then of `--seed` (which wins)."""
+    pairs = []
+    for i, item in enumerate(items, start=1):
+        if "=" not in item:
+            raise ConfigError(f"--set #{i}: expected key=value, got {item!r}")
+        key, _, raw = item.partition("=")
+        pairs.append((f"--set #{i}", key.strip(), raw.strip()))
+    if seed is not None:
+        pairs.append(("--seed", "seed", str(seed)))
+    return pairs
 
-    Returns {"scenario": scenario, key: value, ...} in schema order.
+
+def build_config(scenario: str, pairs, overrides) -> dict:
+    """Fill defaults, apply file pairs then overrides (both (source, key, value)
+    lists), reject unknowns.  Returns {"scenario": scenario, key: value, ...}
+    in schema order.
     """
     schema = SCHEMAS[scenario]
     values = {"scenario": scenario, **{key: default for key, (_, default) in schema.items()}}
-
-    def apply(src, key, raw):
+    for src, key, raw in (*pairs, *overrides):
         if key == "scenario":
             if raw != scenario:
                 raise ConfigError(
                     f"{src}: config is for scenario '{raw}', command is '{scenario}'"
                 )
-            return
+            continue
         if key not in schema:
             raise ConfigError(f"{src}: unknown key '{key}' for scenario '{scenario}'")
         parse, _ = schema[key]
@@ -253,14 +266,6 @@ def build_config(scenario: str, pairs, overrides) -> dict:
             values[key] = parse(raw)
         except ValueError as exc:
             raise ConfigError(f"{src}: {key} {exc}") from exc
-
-    for src, key, raw in pairs:
-        apply(src, key, raw)
-    for i, item in enumerate(overrides, start=1):
-        if "=" not in item:
-            raise ConfigError(f"--set #{i}: expected key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        apply(f"--set #{i}", key.strip(), raw.strip())
     return values
 
 
@@ -373,6 +378,7 @@ def cmd_evolve(cfg: dict, out: Path) -> int:
 
     # every snapshot is a WaveField, so finite; a failing moment writes no file
     summary_rows = [(t, l2_norm(fld), *packet_moments(fld)) for t, fld in snaps]
+    out.mkdir(parents=True, exist_ok=True)
     _write_snapshots(out, snaps, grid.positions)
     _write_csv(out / "summary.csv", "t,norm,centroid,width", summary_rows)
     return EXIT_OK
@@ -667,14 +673,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         pairs = parse_config_file(Path(args.config)) if args.config else []
-        overrides = list(args.set or [])
-        if args.seed is not None:
-            overrides.append(f"seed={args.seed}")
-        cfg = build_config(args.command, pairs, overrides)
+        cfg = build_config(args.command, pairs, _override_pairs(args.set or [], args.seed))
         out = Path(args.out) if args.out else Path("out") / args.command
-        if args.command != "verify":
+        rc = _DISPATCH[args.command](cfg, out)
+        if args.command != "verify":  # last, so a run that fails leaves no echo
             _write_text(out / "config_echo.cfg", echo_config(cfg))
-        return _DISPATCH[args.command](cfg, out)
+        return rc
     except (ConfigError, ValueError, InvalidBracket) as exc:  # incl. a rejected parameter
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -198,8 +198,7 @@ def nr_limit_report(psi0: WaveField, m: float,
     Raises NumericalFailure when the envelope frequencies or the dominance
     ratio are not finite (m c^2/hbar underflowing to 0 or overflowing).
     """
-    if snapshot_every < 0:
-        raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
+    times = [step * time.dt for step in _snapshot_steps(time.n_steps, snapshot_every)]
     spec = dft(psi0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         big_omega, omega_rest = _envelope_frequency(spec.wavenumbers, m, consts)
@@ -215,7 +214,6 @@ def nr_limit_report(psi0: WaveField, m: float,
             f"(m c^2/hbar = {omega_rest!r})"
         )
 
-    times = [step * time.dt for step in _snapshot_steps(time.n_steps, snapshot_every)]
     # one snapshot at a time: memory stays O(N) however many snapshots there are
     h = psi0.grid.n_points // 2
     gap_head = half_gap[:h + 1]

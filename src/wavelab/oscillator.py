@@ -31,8 +31,7 @@ from .propagate import (
     _energies,
     _energy_spread,
     _kinetic_symbol,
-    _strang_factors,
-    _strang_step,
+    _strang,
     energy_expectation,
     harmonic_potential,
 )
@@ -206,9 +205,6 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
             f"{16.0 * ground_width:.4g}; enlarge the box"
         )
 
-    v = harmonic_potential(grid, problem.m, problem.omega_c)
-    half_kick, drift, spec = _strang_factors(v, grid, problem.m, hbar, tau_step, 1)
-
     # the state: a real (R, N) stack, R = 1 for a real start, R = 2 (Re, Im) otherwise
     if initial is None:
         x = grid.positions
@@ -221,7 +217,8 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
     if nrm == 0.0:
         raise ValueError("initial state must be nonzero")
     psi *= 1.0 / nrm
-    spec = np.empty((len(psi), len(spec)), dtype=spec.dtype)  # one spectrum row per state row
+    v = harmonic_potential(grid, problem.m, problem.omega_c)
+    step = _strang(v, grid, problem.m, hbar, tau_step, 1, rows=psi.shape[:-1])
 
     symbol = _kinetic_symbol(grid, problem.m, problem.consts)
     stack = np.empty((max(1, min(_MAX_BATCH, _STACK_POINTS // grid.n_points)),) + psi.shape)
@@ -229,7 +226,7 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
     for done in range(0, max_iters, len(stack)):
         rows = stack[:min(len(stack), max_iters - done)]
         for row in range(len(rows)):
-            psi = _strang_step(psi, half_kick, drift, spec, rows[row])  # stepped into its row
+            psi = step(psi, rows[row])  # stepped into its row
             nrm = _l2(psi.reshape(-1), dx)
             if not 0.0 < nrm < math.inf:
                 raise NumericalFailure(f"state lost at iteration {done + row + 1} "

@@ -192,6 +192,8 @@ def positive_branch_init(psi0: WaveField, eq: EquationKind,
 
 def _snapshot_steps(n_steps: int, every: int) -> list:
     """Steps that get a snapshot: 0, each multiple of `every` (if > 0), and n_steps."""
+    if every < 0:
+        raise ValueError(f"snapshot_every must be >= 0, got {every}")
     steps = list(range(0, n_steps + 1, every)) if every > 0 else [0]
     if steps[-1] != n_steps:
         steps.append(n_steps)
@@ -214,45 +216,44 @@ def _stepped_evolution(psi0: WaveField, step, time: TimeSpec,
     return EvolutionResult(final=snapshots[-1][1].copy(), snapshots=snapshots, norms=norms)
 
 
-def _strang_step(psi, half_kick, drift, spec, out):
-    """One Strang step: half kick, spectral drift, half kick.
+def _strang(v: np.ndarray, grid: Grid1D, m: float, hbar: float, dt: float, unit, rows=()):
+    """`step(psi, out)`: one Strang step, half kick, spectral drift, half kick.
 
-    Writes the new samples into `out` (which may be `psi`) and returns it;
-    `spec` is a caller-owned spectrum buffer, so the step allocates nothing.
-    Real time steps a complex state through the full spectrum (`fft`/`ifft`)
-    with complex factors.  Imaginary time steps a real state, shape (..., N),
+    `step` writes the new samples into `out` (which may be `psi`) and returns
+    it, through a spectrum buffer of shape `rows + (modes,)` that the builder
+    owns, so a step allocates nothing.  `unit` is 1j for real time: a complex
+    state through the full spectrum (`fft`/`ifft`) with complex factors.  It
+    is 1 for imaginary time (dt -> -i tau): a real state, shape rows + (N,),
     through its half spectrum (`rfft`/`irfft`, N/2 + 1 modes) with real
-    factors, which keep every iterate real.  `drift` carries the inverse
+    factors, which keep every iterate real.  The drift carries the inverse
     transform's 1/N: N is a power of two, so the unscaled inverse of the
     pre-scaled product equals the scaled inverse of the plain product bit for
     bit (barring subnormals).  Each product keeps the factor as the first
     operand: complex multiplication is not bitwise commutative.
-    """
-    forward, inverse = ((np.fft.fft, np.fft.ifft) if np.iscomplexobj(out)
-                        else (np.fft.rfft, np.fft.irfft))
-    np.multiply(half_kick, psi, out=out)
-    forward(out, out=spec)
-    np.multiply(drift, spec, out=spec)
-    inverse(spec, n=out.shape[-1], norm="forward", out=out)
-    np.multiply(half_kick, out, out=out)
-    return out
 
-
-def _strang_factors(v: np.ndarray, grid: Grid1D, m: float, hbar: float, dt: float, unit):
-    """(half_kick, drift / N, spectrum buffer) of `_strang_step`.
-
-    `unit` is 1j for real time: complex factors on all N modes.  It is 1 for
-    imaginary time (dt -> -i tau): real factors, with the drift and the buffer
-    on the N/2 + 1 modes of a real state's half spectrum.
+    Raises NumericalFailure (step 0) when a factor is not finite.
     """
     k = grid.wavenumbers
+    forward, inverse = np.fft.fft, np.fft.ifft
     if np.isrealobj(unit):
         k = k[:grid.n_points // 2 + 1]
+        forward, inverse = np.fft.rfft, np.fft.irfft
     with np.errstate(invalid="ignore", over="ignore"):
         half_kick = np.exp(-0.5 * unit * v * dt / hbar)
         drift = np.exp(-unit * hbar * k ** 2 * dt / (2.0 * m))
     drift /= grid.n_points
-    return half_kick, drift, np.empty(len(k), dtype=np.complex128)
+    if not (np.all(np.isfinite(half_kick)) and np.all(np.isfinite(drift))):
+        raise NumericalFailure(f"non-finite Strang factors at dt = {dt}", step=0)
+    spec = np.empty(rows + (len(k),), dtype=np.complex128)
+
+    def step(psi, out):
+        np.multiply(half_kick, psi, out=out)
+        forward(out, out=spec)
+        np.multiply(drift, spec, out=spec)
+        inverse(spec, n=grid.n_points, norm="forward", out=out)
+        np.multiply(half_kick, out, out=out)
+        return out
+    return step
 
 
 def split_step_evolve(psi0: WaveField, m: float, potential,
@@ -264,17 +265,13 @@ def split_step_evolve(psi0: WaveField, m: float, potential,
     Both factors are unitary, so the norm is conserved to rounding per step;
     the global error against the exact solution is O(dt^2).  Snapshots are
     recorded at step 0, every `snapshot_every` steps (if > 0), and at the
-    final step.
+    final step; a negative `snapshot_every` raises ValueError.
     """
     if not m > 0:
         raise ValueError(f"mass must be positive, got {m}")
-    grid = psi0.grid
-    v = _check_potential(potential, grid)
-    half_kick, drift, spec = _strang_factors(v, grid, m, consts.hbar, time.dt, 1j)
-    if not (np.all(np.isfinite(half_kick)) and np.all(np.isfinite(drift))):
-        raise NumericalFailure(f"non-finite Strang factors at dt = {time.dt}", step=0)
-    return _stepped_evolution(psi0, lambda psi: _strang_step(psi, half_kick, drift, spec, psi),
-                              time, snapshot_every)
+    step = _strang(_check_potential(potential, psi0.grid), psi0.grid, m, consts.hbar,
+                   time.dt, 1j)
+    return _stepped_evolution(psi0, lambda psi: step(psi, psi), time, snapshot_every)
 
 
 def crank_nicolson_evolve(psi0: WaveField, m: float, potential,

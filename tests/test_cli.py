@@ -142,18 +142,42 @@ def test_malformed_line_reports_line_number(tmp_path, capsys):
     (["evolve", "--config", "{tmp}/missing.cfg"], "missing.cfg"),
     (["evolve", "--set", "family=foo"], "--set #1: family must be one of"),
     (["evolve", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["evolve", "--set", "n_steps=abc"], "--set #1: n_steps must be an integer, got 'abc'"),
+    (["evolve", "--seed", "18446744073709551616"], "--seed: seed must fit in u64"),
+    (["evolve", "--set", "dt=0.1", "--set", "n_steps=3", "--seed", "-1"],
+     "--seed: seed must be >= 0, got -1"),
+    (["evolve", "--set", "n_points=100"], "n_points must be a power of two"),
+    (["oscillator", "--set", "max_iters=0"], "max_iters must be >= 1, got 0"),
 ], ids=["k_count", "n_steps", "snapshot_every", "ladder_of_one", "ladder_negative",
         "ladder_empty", "set_without_equals", "empty_key", "missing_config", "unknown_family",
-        "negative_seed"])
+        "negative_seed", "n_steps_not_integer", "seed_past_u64", "seed_named_as_itself",
+        "n_points_library_bound", "max_iters_library_bound"])
 def test_refused_config_is_one_line_and_writes_nothing(tmp_path, capsys, argv, named):
     # the single-key bounds were checked in the command bodies, after
-    # config_echo.cfg had been written to --out
+    # config_echo.cfg had been written to --out; a library's refusal left that
+    # echo behind, and a --seed refusal was named after the last --set item
     (tmp_path / "empty_key.cfg").write_text("dt = 0.1\n= 3\n")
     out = tmp_path / "o"
     rc = cli.main([arg.replace("{tmp}", str(tmp_path)) for arg in argv] + ["--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert named in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code, named", [
+    (["oscillator", "--set", "bracket_hi=1e300"], 3, "bound curve E(dx) = inf"),
+    (["oscillator", "--set", "n_points=8"], 4, "ground width"),
+    (["evolve", "--set", "family=schrodinger_potential", "--set", "potential=harmonic",
+      "--set", "dt=1e307"], 3, "non-finite Strang factors at dt = 1e+307"),
+], ids=["bound_overflow", "grid_too_coarse", "strang_factor_overflow"])
+def test_failed_run_writes_nothing(tmp_path, capsys, argv, code, named):
+    # config_echo.cfg was written before the command ran, so every exit 3 or 4
+    # left it in --out
+    out = tmp_path / "o"
+    assert cli.main(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
     assert not out.exists()
 

@@ -233,6 +233,15 @@ def test_split_step_snapshots_and_unitarity():
     assert np.max(np.abs(np.diff(norms))) / norms[0] <= 1e-12
 
 
+@pytest.mark.parametrize("evolve", [split_step_evolve, crank_nicolson_evolve])
+def test_negative_snapshot_every_is_refused(evolve):
+    # it was read as 0: a first and a last snapshot only
+    grid = Grid1D(128, 20.0)
+    psi0 = gaussian_packet(GaussianPacketSpec(10.0, 0.0, 1.0), grid)
+    with pytest.raises(ValueError, match="snapshot_every must be >= 0, got -1"):
+        evolve(psi0, 1.0, zero_potential(grid), NATURAL, TimeSpec(0.01, 10), snapshot_every=-1)
+
+
 def test_split_step_equals_out_of_place_strang_loop():
     # the in-place kernel must round exactly like the plain out-of-place step
     grid = Grid1D(256, 20.0)
