@@ -669,12 +669,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _writable(out: Path) -> bool:
+    """Whether the nearest existing ancestor of `out` is a directory this process may write."""
+    while not out.exists():
+        out = out.parent
+    return out.is_dir() and os.access(out, os.W_OK | os.X_OK)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         pairs = parse_config_file(Path(args.config)) if args.config else []
         cfg = build_config(args.command, pairs, _override_pairs(args.set or [], args.seed))
         out = Path(args.out) if args.out else Path("out") / args.command
+        if args.command != "verify" and not _writable(out):  # refused before the work
+            raise OSError(f"{out}: nearest existing path is not a writable directory")
         rc = _DISPATCH[args.command](cfg, out)
         if args.command != "verify":  # last, so a run that fails leaves no echo
             _write_text(out / "config_echo.cfg", echo_config(cfg))

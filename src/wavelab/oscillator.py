@@ -221,18 +221,22 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
     step = _strang(v, grid, problem.m, hbar, tau_step, 1, rows=psi.shape[:-1])
 
     symbol = _kinetic_symbol(grid, problem.m, problem.consts)
+    half = symbol[:grid.n_points // 2 + 1].copy()  # real rows' Hermitian half spectrum:
+    half[1:grid.n_points // 2] *= 2.0  # each mode 0 < k < N/2 counts twice
     stack = np.empty((max(1, min(_MAX_BATCH, _STACK_POINTS // grid.n_points)),) + psi.shape)
+    amps = np.empty(stack.shape[:-1] + half.shape, dtype=np.complex128)
+    squares = np.empty(psi.shape)  # _l2's bits: |x|^2 of a real x is x * x
     energy_prev = math.inf
     for done in range(0, max_iters, len(stack)):
         rows = stack[:min(len(stack), max_iters - done)]
         for row in range(len(rows)):
             psi = step(psi, rows[row])  # stepped into its row
-            nrm = _l2(psi.reshape(-1), dx)
+            nrm = math.sqrt(np.add.reduce(np.multiply(psi, psi, out=squares).reshape(-1)) * dx)
             if not 0.0 < nrm < math.inf:
                 raise NumericalFailure(f"state lost at iteration {done + row + 1} "
                                        f"(norm {nrm})", step=done + row + 1)
             psi *= 1.0 / nrm
-        h, norm_sq = _energies(rows, v, symbol, dx)
+        h, norm_sq = _energies(rows, v, half, dx, amps[:len(rows)])
         for row, energy in enumerate((h.sum(axis=-1) / norm_sq.sum(axis=-1)).tolist()):
             if abs(energy - energy_prev) < energy_tol:
                 parts = rows[row]

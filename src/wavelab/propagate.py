@@ -216,6 +216,12 @@ def _stepped_evolution(psi0: WaveField, step, time: TimeSpec,
     return EvolutionResult(final=snapshots[-1][1].copy(), snapshots=snapshots, norms=norms)
 
 
+def _real_kernels():
+    """`(rfft_n_even, irfft)`: the pocketfft gufuncs `np.fft.rfft`/`irfft` call, numpy >= 2.0."""
+    from numpy.fft._pocketfft_umath import irfft, rfft_n_even  # here: the CLI loads no numpy.fft
+    return rfft_n_even, irfft
+
+
 def _strang(v: np.ndarray, grid: Grid1D, m: float, hbar: float, dt: float, unit, rows=()):
     """`step(psi, out)`: one Strang step, half kick, spectral drift, half kick.
 
@@ -224,33 +230,35 @@ def _strang(v: np.ndarray, grid: Grid1D, m: float, hbar: float, dt: float, unit,
     owns, so a step allocates nothing.  `unit` is 1j for real time: a complex
     state through the full spectrum (`fft`/`ifft`) with complex factors.  It
     is 1 for imaginary time (dt -> -i tau): a real state, shape rows + (N,),
-    through its half spectrum (`rfft`/`irfft`, N/2 + 1 modes) with real
-    factors, which keep every iterate real.  The drift carries the inverse
-    transform's 1/N: N is a power of two, so the unscaled inverse of the
-    pre-scaled product equals the scaled inverse of the plain product bit for
-    bit (barring subnormals).  Each product keeps the factor as the first
-    operand: complex multiplication is not bitwise commutative.
+    through its half spectrum (N/2 + 1 modes) by the `_real_kernels` at the
+    fct 1.0 of `rfft` and `irfft(norm="forward")`, with real factors, which
+    keep every iterate real.  The drift, stored complex as numpy would cast
+    it, carries the inverse transform's 1/N: N is a power of two, so the
+    unscaled inverse of the pre-scaled product equals the scaled inverse of
+    the plain product bit for bit (barring subnormals).  Each product keeps
+    the factor first: complex multiplication is not bitwise commutative.
 
     Raises NumericalFailure (step 0) when a factor is not finite.
     """
     k = grid.wavenumbers
     forward, inverse = np.fft.fft, np.fft.ifft
+    fwd_args, inv_args = (), (grid.n_points, -1, "forward")  # ifft(a, n, axis, norm)
     if np.isrealobj(unit):
         k = k[:grid.n_points // 2 + 1]
-        forward, inverse = np.fft.rfft, np.fft.irfft
+        (forward, inverse), fwd_args, inv_args = _real_kernels(), (1.0,), (1.0,)
     with np.errstate(invalid="ignore", over="ignore"):
         half_kick = np.exp(-0.5 * unit * v * dt / hbar)
         drift = np.exp(-unit * hbar * k ** 2 * dt / (2.0 * m))
-    drift /= grid.n_points
+    drift = (drift / grid.n_points).astype(np.complex128)
     if not (np.all(np.isfinite(half_kick)) and np.all(np.isfinite(drift))):
         raise NumericalFailure(f"non-finite Strang factors at dt = {dt}", step=0)
     spec = np.empty(rows + (len(k),), dtype=np.complex128)
 
     def step(psi, out):
         np.multiply(half_kick, psi, out=out)
-        forward(out, out=spec)
+        forward(out, *fwd_args, out=spec)
         np.multiply(drift, spec, out=spec)
-        inverse(spec, n=grid.n_points, norm="forward", out=out)
+        inverse(spec, *inv_args, out=out)
         np.multiply(half_kick, out, out=out)
         return out
     return step
@@ -414,23 +422,23 @@ def _kinetic_symbol(grid: Grid1D, m: float, consts: PhysicalConstants) -> np.nda
     return consts.hbar ** 2 * grid.wavenumbers ** 2 / (2.0 * m)
 
 
-def _energies(samples: np.ndarray, v: np.ndarray, symbol: np.ndarray, dx: float):
+def _energies(samples: np.ndarray, v: np.ndarray, symbol: np.ndarray, dx: float, amps=None):
     """(<psi|H|psi>, <psi|psi>) of each row of `samples`, shape (..., N).
 
-    `symbol` is the kinetic symbol of `_kinetic_symbol`.  Real rows go through
-    `rfft`: their spectrum is Hermitian, so each mode 0 < k < N/2 of the half
-    spectrum counts twice.  Row-wise transforms and sums of a C-contiguous
-    stack equal the 1-D calls bit for bit, so a batch of states gets the
-    values of one at a time.
+    `symbol` is the kinetic symbol of `_kinetic_symbol`.  Real rows (the
+    relaxation's) go through the rfft of `_real_kernels`, at the fct 1/sqrt(N)
+    of `norm="ortho"`, into `amps`; their spectrum is Hermitian, so `symbol`
+    is then the half-spectrum one, each mode 0 < k < N/2 doubled.  Row-wise
+    transforms and sums of a C-contiguous stack equal the 1-D calls bit for
+    bit, so a batch of states gets the values of one at a time.
     """
     if np.iscomplexobj(samples):
         amps = np.fft.fft(samples, norm="ortho", axis=-1)
+        dens = np.abs(samples) ** 2
     else:
-        amps = np.fft.rfft(samples, norm="ortho", axis=-1)
-        symbol = symbol[:amps.shape[-1]].copy()
-        symbol[1:(samples.shape[-1] + 1) // 2] *= 2.0
+        _real_kernels()[0](samples, np.reciprocal(np.sqrt(samples.shape[-1])), out=amps)
+        dens = samples * samples
     kinetic = np.sum(symbol * np.abs(amps) ** 2, axis=-1) * dx
-    dens = np.abs(samples) ** 2
     pot = np.sum(v * dens, axis=-1) * dx
     return kinetic + pot, np.sum(dens, axis=-1) * dx
 

@@ -576,6 +576,21 @@ def test_unwritable_out_is_exit_2(tmp_path, capsys, scenario):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("scenario", ["dispersion", "evolve", "nrlimit", "oscillator"])
+def test_unwritable_out_is_refused_before_the_work(tmp_path, capsys, monkeypatch, scenario):
+    # checked before the command runs, so a long run does not fail only at its first write
+    def never(cfg, out):
+        raise AssertionError(f"{scenario} ran with an unwritable --out")
+
+    monkeypatch.setitem(cli._DISPATCH, scenario, never)
+    (tmp_path / "afile").touch()
+    rc = cli.main([scenario, "--out", str(tmp_path / "afile" / "sub")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
 # ---------------------------------------------------------------------------
 # nrlimit command
 # ---------------------------------------------------------------------------

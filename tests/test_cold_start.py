@@ -1,5 +1,7 @@
 """Cold start: the CLI loads no scipy, and Crank-Nicolson imports it on demand.
 
+Importing the CLI does not load `numpy.fft` either.
+
 Each check runs in a fresh interpreter, because this test session has most
 likely imported scipy already.
 """
@@ -18,6 +20,9 @@ import json, sys
 import numpy as np
 import wavelab
 import wavelab.cli
+
+fft_at_import = "numpy.fft" in sys.modules  # no module-level binding of the transforms
+
 from wavelab import (GaussianPacketSpec, Grid1D, PhysicalConstants, TimeSpec,
                      crank_nicolson_evolve, gaussian_packet, harmonic_potential, l2_norm)
 
@@ -41,6 +46,7 @@ psi0 = gaussian_packet(GaussianPacketSpec(10.0, 1.0, 1.0), grid)
 res = crank_nicolson_evolve(psi0, 1.0, harmonic_potential(grid, 1.0, 1.0),
                             PhysicalConstants(), TimeSpec(0.01, 50))
 print(json.dumps({
+    "fft_at_import": fft_at_import,
     "scenarios": sorted({s for s, _ in runs}),
     "dispatch": sorted(wavelab.cli._DISPATCH),
     "codes": codes,
@@ -60,6 +66,7 @@ def test_cli_loads_no_scipy_and_crank_nicolson_imports_it(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["fft_at_import"] is False
     assert report["scenarios"] == report["dispatch"]  # every scenario was run
     assert all(rc == 0 for rc in report["codes"].values()), report["codes"]
     assert report["scipy_after_cli"] == []

@@ -35,6 +35,7 @@ from wavelab import (
 )
 from wavelab.exceptions import WrongEquationFamily, ZeroField
 from wavelab.oscillator import OscillatorProblem
+from wavelab.propagate import _energies, _real_kernels
 
 from oracles import coherent_state_oracle, dft_bruteforce, moment_mean_and_width
 
@@ -281,6 +282,43 @@ def test_strang_kernel_matches_out_of_place_loop(n):
     assert res.times == [0.0, 25 * dt, 50 * dt, 60 * dt]
     for (_, fld), step in zip(res.snapshots, (0, 25, 50, 60)):
         assert np.array_equal(fld.samples, want[step])
+
+
+@pytest.mark.parametrize("rows", [(), (1,), (2,), (8, 1), (4, 2)], ids=str)
+@pytest.mark.parametrize("n", [8, 64, 1024, 16384], ids=lambda n: f"N={n}")
+def test_real_kernels_equal_the_public_transforms(n, rows):
+    # the relaxation calls numpy's pocketfft gufuncs without numpy.fft's
+    # wrapper; a numpy that moves or changes them fails here by name
+    rfft, irfft = _real_kernels()
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(rows + (n,))
+    spec = np.fft.rfft(x)
+    # the output fixes the gufuncs' core lengths: N/2 + 1 modes, N samples
+    assert np.array_equal(rfft(x, 1.0, out=np.empty_like(spec)), spec)
+    assert np.array_equal(rfft(x, np.reciprocal(np.sqrt(n)), out=np.empty_like(spec)),
+                          np.fft.rfft(x, norm="ortho"))
+    assert np.array_equal(irfft(spec, 1.0, out=np.empty_like(x)),
+                          np.fft.irfft(spec, n=n, norm="forward"))
+    # the drift is stored complex: the product numpy forms from a real one
+    drift = np.exp(-rng.random(n // 2 + 1))
+    assert np.array_equal(drift.astype(np.complex128) * spec, drift * spec)
+
+
+@pytest.mark.parametrize("rows", [(), (1,), (2,), (8, 1), (4, 2)], ids=str)
+def test_real_batch_energies_equal_the_public_formula(rows):
+    # the relaxation's batch energies, through the rfft kernel into its buffer
+    # with the doubled half-spectrum symbol, against np.fft.rfft(norm="ortho")
+    grid = Grid1D(256, 20.0)
+    dx = grid.spacing
+    v = harmonic_potential(grid, 1.0, 1.3)
+    half = grid.wavenumbers[:129] ** 2 / 2.0
+    half[1:128] *= 2.0
+    x = np.random.default_rng(7).standard_normal(rows + (256,))
+    h, norm_sq = _energies(x, v, half, dx, np.empty(rows + (129,), dtype=np.complex128))
+    dens = np.abs(x) ** 2
+    kinetic = np.sum(half * np.abs(np.fft.rfft(x, norm="ortho")) ** 2, axis=-1) * dx
+    assert np.array_equal(h, kinetic + np.sum(v * dens, axis=-1) * dx)
+    assert np.array_equal(norm_sq, np.sum(dens, axis=-1) * dx)
 
 
 def test_split_step_ground_state_is_stationary():
