@@ -18,6 +18,7 @@ from wavelab import (
     PhysicalConstants,
     SchrodingerFree,
     SchrodingerPotential,
+    WaveField,
     analytic_free_gaussian,
     constant_potential,
     evolve_second_order_spectral,
@@ -148,10 +149,13 @@ def test_malformed_line_reports_line_number(tmp_path, capsys):
      "--seed: seed must be >= 0, got -1"),
     (["evolve", "--set", "n_points=100"], "n_points must be a power of two"),
     (["oscillator", "--set", "max_iters=0"], "max_iters must be >= 1, got 0"),
+    (["nrlimit", "--set", "c_ladder=10,10"], "--set #1: c_ladder must list at least 2 distinct"),
+    (["nrlimit", "--set", "c_ladder=10,10,10"], "2 distinct speeds, got 1"),
 ], ids=["k_count", "n_steps", "snapshot_every", "ladder_of_one", "ladder_negative",
         "ladder_empty", "set_without_equals", "empty_key", "missing_config", "unknown_family",
         "negative_seed", "n_steps_not_integer", "seed_past_u64", "seed_named_as_itself",
-        "n_points_library_bound", "max_iters_library_bound"])
+        "n_points_library_bound", "max_iters_library_bound", "ladder_one_speed_twice",
+        "ladder_one_speed_thrice"])
 def test_refused_config_is_one_line_and_writes_nothing(tmp_path, capsys, argv, named):
     # the single-key bounds were checked in the command bodies, after
     # config_echo.cfg had been written to --out; a library's refusal left that
@@ -179,6 +183,36 @@ def test_failed_run_writes_nothing(tmp_path, capsys, argv, code, named):
     assert cli.main(argv + ["--out", str(out)]) == code
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# caps the child's address space at 2 GiB, so an absurd size fails fast and
+# leaves the host's memory alone
+OUT_OF_MEMORY_CHILD = (
+    "import resource, sys\n"
+    "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard))\n"
+    "from wavelab import cli\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds allocations on Linux")
+@pytest.mark.parametrize("argv", [
+    ["dispersion", "--set", "k_count=1000000000000"],
+    ["evolve", "--set", "n_points=1099511627776"],
+    ["nrlimit", "--set", "n_steps=1000000000000", "--set", "snapshot_every=1"],
+    ["oscillator", "--set", "n_points=1099511627776", "--set", "length=1e6"],
+], ids=["dispersion_k_count", "evolve_n_points", "nrlimit_n_steps", "oscillator_n_points"])
+def test_out_of_memory_exits_3_in_one_line(tmp_path, argv):
+    # each size passes its parser; the MemoryError used to end in a traceback, exit 1
+    out = tmp_path / "o"
+    env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", OUT_OF_MEMORY_CHILD, *argv, "--out", str(out)],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("numerical failure: out of memory (")
+    assert proc.stderr.count("\n") == 1 and "()" not in proc.stderr
     assert not out.exists()
 
 
@@ -741,6 +775,11 @@ def test_nrlimit_requires_ladder_of_two(tmp_path):
     assert rc == 2
 
 
+def test_nrlimit_ladder_may_repeat_a_speed():
+    cfg = cli.build_config("nrlimit", [], [("--set #1", "c_ladder", "10,10,20")])
+    assert cfg["c_ladder"] == (10.0, 10.0, 20.0)
+
+
 # ---------------------------------------------------------------------------
 # oscillator command
 # ---------------------------------------------------------------------------
@@ -885,6 +924,30 @@ def test_verify_names_injected_failure(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "wrong_dispersion: FAIL" in out
     assert "verification failed: wrong_dispersion" in out
+
+
+def test_verify_phase_error_above_rounding_fails(monkeypatch, capsys):
+    # 1e-12 passed the old fixed bound of 1e-11; the bound is now 64 eps max(1, |omega t|)
+    propagate = cli._propagate
+
+    def off_by_1e_12(*args):
+        return [(t, WaveField(fld.grid, fld.samples + 1e-12)) for t, fld in propagate(*args)]
+
+    monkeypatch.setattr(cli, "_propagate", off_by_1e_12)
+    assert cli.main(["verify"]) == 3
+    out = capsys.readouterr().out
+    assert "plane_wave_exactness: FAIL (phase error for " in out
+    assert "verification failed: plane_wave_exactness" in out
+    assert "transform_parseval: PASS" in out  # the other checks still run
+
+
+def test_verify_nan_value_fails(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "DEFAULT_CHECKS",
+                        cli.DEFAULT_CHECKS + [("nan_value", lambda: (float("nan"), 1.0, "gap"))])
+    assert cli.main(["verify"]) == 3
+    out = capsys.readouterr().out
+    assert "nan_value: FAIL (gap: nan > 1.0)" in out
+    assert "verification failed: nan_value" in out
 
 
 def test_verify_fails_under_python_optimize(tmp_path):
