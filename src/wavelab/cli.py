@@ -43,7 +43,6 @@ from .dispersion import (
 )
 from .exceptions import (
     ConfigError,
-    DispersionUndefined,
     GridTooCoarse,
     InvalidBracket,
     LinearSolveFailure,
@@ -58,6 +57,7 @@ from .oscillator import (
     minimize_bound_numeric,
 )
 from .propagate import (
+    _harmonic_snapshots,
     _phase_snapshots,
     _snapshot_steps,
     constant_potential,
@@ -305,11 +305,16 @@ def _constant_v0(cfg: dict) -> float:
     return cfg["v0"] if cfg["potential"] == "constant" else 0.0
 
 
+def _trap(cfg: dict):
+    """(omega_c, x_c) of a harmonic potential, x_c None for the grid center; else None."""
+    harmonic = cfg["potential"] == "harmonic"
+    return (cfg["omega_c"], None if cfg["x_c"] < 0 else cfg["x_c"]) if harmonic else None
+
+
 def _build_potential(cfg: dict, grid: Grid1D) -> np.ndarray:
-    if cfg["potential"] != "harmonic":
+    if _trap(cfg) is None:
         return constant_potential(grid, _constant_v0(cfg))
-    center = None if cfg["x_c"] < 0 else cfg["x_c"]
-    v = harmonic_potential(grid, cfg["mass"], cfg["omega_c"], center)
+    v = harmonic_potential(grid, cfg["mass"], *_trap(cfg))
     if not np.all(np.isfinite(v)):
         raise NumericalFailure("non-finite potential from config parameters", step=0)
     return v
@@ -375,7 +380,8 @@ def cmd_evolve(cfg: dict, out: Path) -> int:
         raise ConfigError(f"family '{cfg['family']}' does not take a potential; "
                           "use family = schrodinger_potential")
     time = TimeSpec(cfg["dt"], max(cfg["n_steps"], 1))  # refuses dt <= 0, even at 0 steps
-    snaps = _propagate(eq, psi0, consts, time if cfg["n_steps"] else None, cfg["snapshot_every"])
+    snaps = _propagate(eq, psi0, consts, time if cfg["n_steps"] else None, cfg["snapshot_every"],
+                       _trap(cfg))
 
     # every snapshot is a WaveField, so finite; a failing moment writes no file
     summary_rows = [(t, l2_norm(fld), *packet_moments(fld)) for t, fld in snaps]
@@ -386,20 +392,18 @@ def cmd_evolve(cfg: dict, out: Path) -> int:
 
 
 def _propagate(eq, psi0: WaveField, consts: PhysicalConstants, time: TimeSpec | None,
-               snapshot_every: int) -> list:
+               snapshot_every: int, trap=None) -> list:
     """[(t, psi)] at the snapshot steps of `time`, or [(0, psi0)] when `time` is None.
 
-    Every family with an omega(k) takes the exact phase, so `time.dt` only places
-    the snapshots; a potential V(x) that varies takes Strang splitting.
+    Every path is exact, so `time.dt` only places the snapshots: the harmonic
+    `trap` (omega_c, x_c) of `_trap` takes its exact propagator, and every other
+    family takes the exact phase of its omega(k).
     """
-    try:
-        omega = omega_of_k(eq, psi0.grid.wavenumbers, consts)
-    except DispersionUndefined:
-        return [(0.0, psi0)] if time is None else split_step_evolve(
-            psi0, eq.m, eq.potential, consts, time, snapshot_every).snapshots
     times = [0.0] if time is None else [
         step * time.dt for step in _snapshot_steps(time.n_steps, snapshot_every)]
-    return list(zip(times, _phase_snapshots(psi0, omega, times)))
+    snaps = (_harmonic_snapshots(psi0, eq.m, *trap, consts.hbar, times) if trap else
+             _phase_snapshots(psi0, omega_of_k(eq, psi0.grid.wavenumbers, consts), times))
+    return list(zip(times, snaps))
 
 
 def _write_snapshots(out: Path, snaps, positions):

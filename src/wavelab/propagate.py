@@ -1,14 +1,15 @@
 """Time evolution for every equation family.
 
-Spectral propagation is the primary method wherever coefficients are constant:
-it advances each Fourier mode by its exact phase, so the only error is
-rounding.  The split-step (Strang) scheme handles a position-dependent
-potential, and a Crank-Nicolson finite-difference scheme exists purely as an
-independent cross-check of the split-step results.
+Spectral propagation is the primary method wherever coefficients are constant
+(each Fourier mode gets its exact phase) and in the harmonic trap (an exact
+chirp, drift and chirp), so the only error is rounding.  The split-step
+(Strang) scheme handles any potential V(x), and a Crank-Nicolson finite-
+difference scheme exists purely as an independent cross-check of it.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -131,6 +132,40 @@ def _phase_snapshots(psi0: WaveField, omega, times) -> list:
         if not np.all(np.isfinite(a)):
             raise NumericalFailure(f"non-finite mode amplitudes at t = {t}")
         snaps.append(idft(SpectralField(psi0.grid, a)))
+    return snaps
+
+
+def _harmonic_snapshots(psi0: WaveField, m: float, omega_c: float, center, hbar: float,
+                        times) -> list:
+    """psi at each of `times` in the trap V = m omega_c^2 (x - center)^2 / 2, exact.
+
+    For |theta| = |omega_c dt| < pi the propagator over dt is exactly K D K, with
+    K = exp(-i (m omega_c / 2 hbar) tan(theta/2) (x - center)^2) and D = exp(-i
+    hbar k^2 sin(theta) / (2 m omega_c)): one `_strang` step of size
+    sin(theta)/omega_c (dt where theta rounds to 0) in V / cos^2(theta/2).  A
+    period 2 pi / omega_c negates psi, so theta is reduced mod 2 pi and split
+    into at most two parts: an interval costs at most two steps, built once per
+    distinct interval, and a zero interval none, so t = 0 gives a copy of psi0,
+    bit for bit.  A non-finite omega_c t raises NumericalFailure.
+    """
+    v = harmonic_potential(psi0.grid, m, omega_c, center)
+    built, snaps, psi, t_prev = {0.0: (0, None, 0)}, [], psi0.samples.copy(), 0.0
+    for t in times:
+        dt, t_prev = t - t_prev, t
+        if dt not in built:
+            theta = omega_c * dt
+            if not math.isfinite(theta):
+                raise NumericalFailure(f"non-finite trap angle omega_c * t at t = {t}")
+            turn = math.remainder(theta, 2.0 * math.pi)
+            parts = max(1, math.ceil(abs(turn) / (0.5 * math.pi)))
+            size = math.sin(turn / parts) / omega_c if theta else dt
+            step = _strang(v / math.cos(0.5 * turn / parts) ** 2, psi0.grid, m, hbar, size, 1j)
+            built[dt] = parts, step, round((theta - turn) / (2.0 * math.pi)) % 2
+        parts, step, odd = built[dt]
+        for _ in range(parts):
+            step(psi, psi)
+        psi = -psi if odd else psi
+        snaps.append(WaveField(psi0.grid, psi.copy()))
     return snaps
 
 

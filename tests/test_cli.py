@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -27,7 +28,10 @@ from wavelab import (
     omega_of_k,
     positive_branch_init,
 )
+from wavelab import propagate
 from wavelab.propagate import _phase_snapshots
+
+from oracles import coherent_state_oracle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -174,7 +178,7 @@ def test_refused_config_is_one_line_and_writes_nothing(tmp_path, capsys, argv, n
     (["oscillator", "--set", "bracket_hi=1e300"], 3, "bound curve E(dx) = inf"),
     (["oscillator", "--set", "n_points=8"], 4, "ground width"),
     (["evolve", "--set", "family=schrodinger_potential", "--set", "potential=harmonic",
-      "--set", "dt=1e307"], 3, "non-finite Strang factors at dt = 1e+307"),
+      "--set", "dt=1e307"], 3, "non-finite trap angle omega_c * t at t = inf"),
 ], ids=["bound_overflow", "grid_too_coarse", "strang_factor_overflow"])
 def test_failed_run_writes_nothing(tmp_path, capsys, argv, code, named):
     # config_echo.cfg was written before the command ran, so every exit 3 or 4
@@ -354,6 +358,73 @@ def test_evolve_harmonic_ground_width_constant(tmp_path):
     assert max(abs(w - widths[0]) for w in widths) <= 1e-6
 
 
+@pytest.mark.parametrize("a", [0.0, 1.0])
+def test_evolve_trap_matches_coherent_state(tmp_path, a):
+    # Strang splitting at this dt missed the closed form by ~1e-2; the exact
+    # trap propagator meets it to rounding at every snapshot, the shorter
+    # last interval (t = 87.5 -> 100) included
+    out = tmp_path / "run"
+    rc = cli.main(["evolve", "--config", str(CONFIGS / "harmonic_ground.cfg"), "--out", str(out),
+                   "--set", f"x0={10.0 + a!r}", "--set", "dt=0.25", "--set", "n_steps=400",
+                   "--set", "snapshot_every=70"])
+    assert rc == 0
+    snapshots = sorted(out.glob("snapshot_*.csv"))
+    assert len(snapshots) == 7
+    for path in snapshots:
+        header, rows = read_csv(path)
+        t = column(rows, header, "t")[0]
+        got = np.array(column(rows, header, "re_psi")) \
+            + 1j * np.array(column(rows, header, "im_psi"))
+        want = coherent_state_oracle(Grid1D(256, 20.0), 1.0, 1.0, 1.0, a, 10.0, t)
+        assert np.max(np.abs(got - want)) <= 1e-13, t
+    assert t == 100.0
+
+
+def test_evolve_trap_ground_width_stays_put_at_coarse_dt(tmp_path):
+    # with Strang steps this run exited 0 while the stationary width wandered
+    # from 0.7071 to 0.7303
+    out = tmp_path / "run"
+    rc = cli.main(["evolve", "--config", str(CONFIGS / "harmonic_ground.cfg"), "--out", str(out),
+                   "--set", "dt=0.5"])
+    assert rc == 0
+    header, rows = read_csv(out / "summary.csv")
+    widths = column(rows, header, "width")
+    assert len(widths) == 9
+    assert max(abs(w - widths[0]) for w in widths) <= 1e-12
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+@pytest.mark.parametrize("overrides, intervals", [
+    (["--set", "dt=1e307", "--set", "n_steps=1"], 1),
+    ([], 8),
+], ids=["huge_interval", "shipped"])
+def test_evolve_trap_costs_at_most_two_steps_per_interval(tmp_path, monkeypatch, overrides,
+                                                          intervals):
+    # t = 1e307 used to overflow a per-step Strang factor (exit 3); whole
+    # periods are reduced away, so an interval of any length takes <= 2 steps
+    steps, build = [], propagate._strang
+
+    def counting(*args, **kwargs):
+        step = build(*args, **kwargs)
+        return lambda psi, out: steps.append(1) or step(psi, out)
+
+    def hang(signum, frame):
+        raise TimeoutError("evolve did not finish within 20 s")
+
+    monkeypatch.setattr(propagate, "_strang", counting)
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(20)
+    try:
+        rc = cli.main(["evolve", "--config", str(CONFIGS / "harmonic_ground.cfg"),
+                       "--out", str(tmp_path / "o"), *overrides])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rc == 0
+    assert 0 < len(steps) <= 2 * intervals
+    assert_finite_csv(tmp_path / "o" / "summary.csv")
+
+
 def test_evolve_second_order_family(tmp_path):
     out = tmp_path / "run"
     rc = cli.main(["evolve", "--config", str(CONFIGS / "free_gaussian.cfg"),
@@ -527,7 +598,7 @@ def test_free_packet_error_does_not_grow_with_step_count(tmp_path):
     assert np.max(np.abs(got - want.samples)) <= 5e-13
 
 
-# name -> evolve arguments: 3, 9 (Strang) and 21 snapshots (the shape of the
+# name -> evolve arguments: 3, 9 (harmonic trap) and 21 snapshots (the shape of the
 # benchmark's write-bound workload at N = 512)
 _WRITER_RUNS = {
     "free_gaussian": ["--config", str(CONFIGS / "free_gaussian.cfg"),

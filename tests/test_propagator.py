@@ -35,9 +35,14 @@ from wavelab import (
 )
 from wavelab.exceptions import WrongEquationFamily, ZeroField
 from wavelab.oscillator import OscillatorProblem
-from wavelab.propagate import _energies, _real_kernels
+from wavelab.propagate import _energies, _harmonic_snapshots, _real_kernels
 
-from oracles import coherent_state_oracle, dft_bruteforce, moment_mean_and_width
+from oracles import (
+    coherent_state_oracle,
+    dft_bruteforce,
+    grid_exact_evolution,
+    moment_mean_and_width,
+)
 
 NATURAL = PhysicalConstants()
 
@@ -348,6 +353,31 @@ def test_split_step_order_two_against_coherent_oracle():
         errs.append(l2_norm(WaveField(grid, res.final.samples - ref.samples)))
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert abs(slope - 2.0) <= 0.15
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0])
+def test_harmonic_snapshots_match_grid_exact_reference(a):
+    # the exact trap propagator has no time error, so it stays on the grid
+    # Hamiltonian's own evolution at any t (measured 2.2e-15 to 5.7e-12)
+    grid = Grid1D(256, 20.0)
+    psi0 = WaveField(grid, coherent_state_oracle(grid, 1.0, 1.0, 1.0, a, 10.0, 0.0))
+    times = [0.0, 0.25, 2.0, np.pi, 10.0, 100.0]
+    ref = grid_exact_evolution(grid.length, 1.0, harmonic_potential(grid, 1.0, 1.0, 10.0), 1.0,
+                               psi0.samples, times)
+    for t, got, want in zip(times, _harmonic_snapshots(psi0, 1.0, 1.0, 10.0, 1.0, times), ref):
+        assert np.max(np.abs(got.samples - want)) <= 1e-12 * max(1.0, t), t
+
+
+def test_split_step_order_two_against_grid_exact_reference():
+    # the reference has no time error, so the fit sees Strang's alone
+    grid = Grid1D(256, 20.0)
+    v = harmonic_potential(grid, 1.0, 1.0)
+    psi0 = WaveField(grid, coherent_state_oracle(grid, 1.0, 1.0, 1.0, 1.0, 10.0, 0.0))
+    ref = grid_exact_evolution(grid.length, 1.0, v, 1.0, psi0.samples, [2.0])[0]
+    dts = [0.1, 0.05, 0.025, 0.0125]
+    errs = [np.max(np.abs(split_step_evolve(psi0, 1.0, v, NATURAL, TimeSpec(dt, round(2.0 / dt)))
+                          .final.samples - ref)) for dt in dts]
+    assert np.polyfit(np.log(dts), np.log(errs), 1)[0] == pytest.approx(2.0, abs=0.05)
 
 
 def test_crank_nicolson_unitarity_over_1000_steps():
