@@ -11,8 +11,9 @@ reproduces the run byte for byte (floats in shortest-roundtrip decimal form).
 
 Exit codes: 0 ok, 2 config error (an ``--out`` that cannot be written
 included), 3 numerical failure (out of memory included), 4 resolution
-precondition failure.  A run that exits non-zero writes nothing to ``--out``,
-unless writing itself fails.
+precondition failure.  Files are staged on ``--out``'s filesystem and move into
+it once the run has succeeded: a failed run leaves ``--out`` as it was, unless
+a move itself fails.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -282,15 +284,10 @@ def echo_config(cfg: dict) -> str:
     return "".join(f"{key} = {_fmt(v)}\n" for key, v in cfg.items())
 
 
-def _write_text(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-
-
 def _write_csv(path: Path, header: str, rows):
     lines = [header]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _config_dict(cfg: dict) -> dict:
@@ -379,80 +376,73 @@ def cmd_evolve(cfg: dict, out: Path) -> int:
     if cfg["potential"] != "none" and not isinstance(eq, SchrodingerPotential):
         raise ConfigError(f"family '{cfg['family']}' does not take a potential; "
                           "use family = schrodinger_potential")
-    time = TimeSpec(cfg["dt"], max(cfg["n_steps"], 1))  # refuses dt <= 0, even at 0 steps
-    snaps = _propagate(eq, psi0, consts, time if cfg["n_steps"] else None, cfg["snapshot_every"],
-                       _trap(cfg))
-
-    # every snapshot is a WaveField, so finite; a failing moment writes no file
-    summary_rows = [(t, l2_norm(fld), *packet_moments(fld)) for t, fld in snaps]
-    out.mkdir(parents=True, exist_ok=True)
-    _write_snapshots(out, snaps, grid.positions)
-    _write_csv(out / "summary.csv", "t,norm,centroid,width", summary_rows)
+    dt = TimeSpec(cfg["dt"], max(cfg["n_steps"], 1)).dt  # refuses dt <= 0, even at 0 steps
+    times = [step * dt for step in _snapshot_steps(cfg["n_steps"], cfg["snapshot_every"])]
+    _write_snapshots(out, lambda: _propagate(eq, psi0, consts, times, _trap(cfg)), len(times),
+                     grid.positions)
     return EXIT_OK
 
 
-def _propagate(eq, psi0: WaveField, consts: PhysicalConstants, time: TimeSpec | None,
-               snapshot_every: int, trap=None) -> list:
-    """[(t, psi)] at the snapshot steps of `time`, or [(0, psi0)] when `time` is None.
-
-    Every path is exact, so `time.dt` only places the snapshots: the harmonic
-    `trap` (omega_c, x_c) of `_trap` takes its exact propagator, and every other
-    family takes the exact phase of its omega(k).
+def _propagate(eq, psi0: WaveField, consts: PhysicalConstants, times, trap=None):
+    """Lazy (t, psi) at each of `times`, one field at a time.  Every path is exact:
+    the harmonic `trap` (omega_c, x_c) of `_trap` takes its exact propagator, and
+    every other family the exact phase of its omega(k).
     """
-    times = [0.0] if time is None else [
-        step * time.dt for step in _snapshot_steps(time.n_steps, snapshot_every)]
     snaps = (_harmonic_snapshots(psi0, eq.m, *trap, consts.hbar, times) if trap else
              _phase_snapshots(psi0, omega_of_k(eq, psi0.grid.wavenumbers, consts), times))
-    return list(zip(times, snaps))
+    return zip(times, snaps)
 
 
-def _write_snapshots(out: Path, snaps, positions):
-    """Write snapshot_NNNN.csv for each (t, field) of `snaps` into the existing `out`.
+def _write_snapshots(out: Path, passes, count: int, positions):
+    """Write snapshot_NNNN.csv for each of the `count` (t, field) pairs that `passes()`
+    yields into `out`, and their summary.csv rows (t, norm, centroid, width).
 
     Up to one process per CPU this process may use (forked, so nothing is
-    pickled or imported) writes the files whose index is r modulo their count,
-    the caller taking r = 0.  Every file comes from the same formatting code, so
-    its bytes do not depend on the count.  The caller rewrites the share of any
-    child that fails or cannot be forked: a persistent fault then raises here.
+    pickled) makes its own pass and writes the files whose index is r modulo
+    their count, the caller taking r = 0 and the summary, row by row, so one
+    field at a time is held.  The bytes do not depend on the count.  The caller
+    rewrites the share of any child that fails or cannot be forked: a
+    persistent fault then raises here.
     """
-    import warnings  # for the one filter around os.fork below
-
     # the x column is the same in every snapshot file: format it once
     x_cells = [f"{xj!r}," for xj in positions.tolist()]
-    n_procs = (min(len(os.sched_getaffinity(0)), len(snaps))
+    n_procs = (min(len(os.sched_getaffinity(0)), count)
                if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
 
-    def write_share(r):
-        for idx in range(r, len(snaps), n_procs):
-            t, fld = snaps[idx]
-            prefix = f"{t!r},"
-            # scalar abs(z) ** 2: vectorised np.abs(samples) ** 2 can differ in the last digit
-            lines = ["t,x,re_psi,im_psi,abs2"]
-            lines.extend(f"{prefix}{xc}{z.real!r},{z.imag!r},{abs(z) ** 2!r}"
-                         for xc, z in zip(x_cells, fld.samples.tolist()))
-            lines.append("")  # one join, so the file's text exists once
-            (out / f"snapshot_{idx:04d}.csv").write_text("\n".join(lines))
+    def write_share(r, summary=None):
+        for idx, (t, fld) in enumerate(passes()):
+            if summary is not None:  # every snapshot is a WaveField, so finite
+                summary.write(",".join(map(_fmt, (t, l2_norm(fld), *packet_moments(fld)))) + "\n")
+            if idx % n_procs == r:
+                prefix = f"{t!r},"
+                # scalar abs(z) ** 2: vectorised np.abs(samples) ** 2 can differ in the last digit
+                lines = ["t,x,re_psi,im_psi,abs2"]
+                lines.extend(f"{prefix}{xc}{z.real!r},{z.imag!r},{abs(z) ** 2!r}"
+                             for xc, z in zip(x_cells, fld.samples.tolist()))
+                lines.append("")  # one join, so the file's text exists once
+                (out / f"snapshot_{idx:04d}.csv").write_text("\n".join(lines))
 
     children = {}
     for r in range(1, n_procs):
         try:
             with warnings.catch_warnings():
                 # Python >= 3.12 warns on fork in a process with threads (OpenBLAS's
-                # workers); the child calls no BLAS, imports nothing and never returns
+                # workers); the child's pass calls no BLAS, and the child never returns
                 warnings.simplefilter("ignore", DeprecationWarning)
                 pid = os.fork()
         except OSError:  # no process to spare: the caller writes this share too
             pid = None
-        if pid == 0:
-            code = 1
+        if pid == 0:  # os._exit skips the inherited buffers, atexit handlers and finally clauses
             try:
                 write_share(r)
-                code = 0
+                os._exit(0)
             finally:
-                os._exit(code)  # skips the inherited buffers and atexit handlers
+                os._exit(1)
         children[r] = pid
     try:
-        write_share(0)
+        with (out / "summary.csv").open("w") as summary:  # opened after the forks: no child
+            summary.write("t,norm,centroid,width\n")    # inherits its buffer
+            write_share(0, summary)
     finally:
         failed = [r for r, pid in children.items() if pid is None or os.waitpid(pid, 0)[1]]
     for r in failed:
@@ -483,7 +473,7 @@ def cmd_nrlimit(cfg: dict, out: Path) -> int:
     ]
     ratio_exponent = _loglog_slope(ladder, mode_ratio)
 
-    _write_text(out / "nrlimit.csv", "\n".join(lines) + "\n")
+    (out / "nrlimit.csv").write_text("\n".join(lines) + "\n")
     report_tree = {
         "config": _config_dict(cfg),
         "ladder": [
@@ -500,7 +490,7 @@ def cmd_nrlimit(cfg: dict, out: Path) -> int:
             "carrier_dominance_c_exponent": ratio_exponent,
         },
     }
-    _write_text(out / "report.json", json.dumps(report_tree, indent=2, sort_keys=True) + "\n")
+    (out / "report.json").write_text(json.dumps(report_tree, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -535,7 +525,7 @@ def cmd_oscillator(cfg: dict, out: Path) -> int:
             "relative_error_vs_analytic": abs(ground.energy - analytic.energy) / analytic.energy,
         },
     }
-    _write_text(out / "report.json", json.dumps(report_tree, indent=2, sort_keys=True) + "\n")
+    (out / "report.json").write_text(json.dumps(report_tree, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -565,7 +555,7 @@ def _check_plane_wave_exactness():
                 case = f"for {type(eq).__name__}, n={n}"
                 yield planewave_residual(eq, mode, consts), 1e-12, f"residual {case}"
                 psi0 = planewave_sample(mode, grid, 0.0)
-                evolved = _propagate(eq, psi0, consts, TimeSpec(t, 1), 0)[-1][1]
+                (_, evolved), = _propagate(eq, psi0, consts, [t])
                 err = np.max(np.abs(evolved.samples - planewave_sample(mode, grid, t).samples))
                 yield err, _ROUNDING * max(1.0, abs(mode.omega * t)), f"phase error {case}"
     return _worst(cases())
@@ -669,11 +659,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _writable(out: Path) -> bool:
-    """Whether the nearest existing ancestor of `out` is a directory this process may write."""
+def _stage(out: Path) -> Path:
+    """A new `.wavelab-<pid>` in `out` or its nearest existing ancestor, on `out`'s filesystem."""
     while not out.exists():
         out = out.parent
-    return out.is_dir() and os.access(out, os.W_OK | os.X_OK)
+    stage = out / f".wavelab-{os.getpid()}"
+    stage.mkdir()
+    return stage
 
 
 def main(argv=None) -> int:
@@ -681,12 +673,20 @@ def main(argv=None) -> int:
     try:
         pairs = parse_config_file(Path(args.config)) if args.config else []
         cfg = build_config(args.command, pairs, _override_pairs(args.set or [], args.seed))
+        if args.command == "verify":  # writes no file
+            return cmd_verify(cfg, None)
         out = Path(args.out) if args.out else Path("out") / args.command
-        if args.command != "verify" and not _writable(out):  # refused before the work
-            raise OSError(f"{out}: nearest existing path is not a writable directory")
-        rc = _DISPATCH[args.command](cfg, out)
-        if args.command != "verify":  # last, so a run that fails leaves no echo
-            _write_text(out / "config_echo.cfg", echo_config(cfg))
+        stage = _stage(out)  # an --out that cannot be written is refused before the work
+        try:
+            rc = _DISPATCH[args.command](cfg, stage)
+            (stage / "config_echo.cfg").write_text(echo_config(cfg))
+            out.mkdir(parents=True, exist_ok=True)
+            for name in os.listdir(stage):  # only a run that succeeded gets here
+                os.replace(stage / name, out / name)
+        finally:
+            for name in os.listdir(stage):
+                os.unlink(stage / name)
+            stage.rmdir()
         return rc
     except (ConfigError, ValueError, InvalidBracket) as exc:  # incl. a rejected parameter
         print(f"config error: {exc}", file=sys.stderr)

@@ -109,47 +109,44 @@ def evolve_schrodinger_spectral(psi0: WaveField, m: float,
     Exact for any t (no time-step error); the L2 norm is preserved to rounding.
     """
     eq = SchrodingerFree(m)  # refuses m <= 0, also at t = 0
-    if t == 0.0:
-        return psi0.copy()
-    return _phase_snapshots(psi0, omega_of_k(eq, psi0.grid.wavenumbers, consts), [t])[0]
+    return next(_phase_snapshots(psi0, omega_of_k(eq, psi0.grid.wavenumbers, consts), [t]))
 
 
-def _phase_snapshots(psi0: WaveField, omega, times) -> list:
-    """psi at each of `times` by psi_hat(k, t) = psi_hat(k, 0) e^{-i omega(k) t}.
+def _phase_snapshots(psi0: WaveField, omega, times):
+    """Yield psi at each of `times` by psi_hat(k, t) = psi_hat(k, 0) e^{-i omega(k) t}.
 
     One forward transform serves every time; each t > 0 then costs one phase
-    and one inverse transform, so no (times x N) array is formed.  t = 0 gives
-    a copy of psi0, bit for bit.
+    and one inverse transform, so one field at a time is held.  t = 0 gives a
+    copy of psi0, bit for bit.
     """
     amps = dft(psi0).mode_amplitudes
-    snaps = []
     for t in times:
         if t == 0.0:
-            snaps.append(psi0.copy())
+            yield psi0.copy()
             continue
         with np.errstate(invalid="ignore", over="ignore"):
             a = amps * np.exp(-1j * omega * t)
         if not np.all(np.isfinite(a)):
             raise NumericalFailure(f"non-finite mode amplitudes at t = {t}")
-        snaps.append(idft(SpectralField(psi0.grid, a)))
-    return snaps
+        yield idft(SpectralField(psi0.grid, a))
 
 
 def _harmonic_snapshots(psi0: WaveField, m: float, omega_c: float, center, hbar: float,
-                        times) -> list:
-    """psi at each of `times` in the trap V = m omega_c^2 (x - center)^2 / 2, exact.
+                        times):
+    """Yield psi at each of `times` in the trap V = m omega_c^2 (x - center)^2 / 2, exact.
 
     For |theta| = |omega_c dt| < pi the propagator over dt is exactly K D K, with
     K = exp(-i (m omega_c / 2 hbar) tan(theta/2) (x - center)^2) and D = exp(-i
     hbar k^2 sin(theta) / (2 m omega_c)): one `_strang` step of size
     sin(theta)/omega_c (dt where theta rounds to 0) in V / cos^2(theta/2).  A
     period 2 pi / omega_c negates psi, so theta is reduced mod 2 pi and split
-    into at most two parts: an interval costs at most two steps, built once per
-    distinct interval, and a zero interval none, so t = 0 gives a copy of psi0,
-    bit for bit.  A non-finite omega_c t raises NumericalFailure.
+    into at most two parts: an interval costs at most two steps, built when it
+    differs from the last one (so memory stays O(N)), and a zero interval none,
+    so t = 0 gives a copy of psi0, bit for bit.  A non-finite omega_c t or trap
+    factor raises NumericalFailure naming the snapshot time t.
     """
     v = harmonic_potential(psi0.grid, m, omega_c, center)
-    built, snaps, psi, t_prev = {0.0: (0, None, 0)}, [], psi0.samples.copy(), 0.0
+    built, psi, t_prev = {0.0: (0, None, 0)}, psi0.samples.copy(), 0.0
     for t in times:
         dt, t_prev = t - t_prev, t
         if dt not in built:
@@ -159,14 +156,17 @@ def _harmonic_snapshots(psi0: WaveField, m: float, omega_c: float, center, hbar:
             turn = math.remainder(theta, 2.0 * math.pi)
             parts = max(1, math.ceil(abs(turn) / (0.5 * math.pi)))
             size = math.sin(turn / parts) / omega_c if theta else dt
-            step = _strang(v / math.cos(0.5 * turn / parts) ** 2, psi0.grid, m, hbar, size, 1j)
-            built[dt] = parts, step, round((theta - turn) / (2.0 * math.pi)) % 2
+            try:
+                step = _strang(v / math.cos(0.5 * turn / parts) ** 2, psi0.grid, m, hbar, size, 1j)
+            except NumericalFailure:  # its dt is the inner step size, which no config names
+                raise NumericalFailure(f"non-finite trap factors at t = {t} (interval {dt})",
+                                       step=0) from None
+            built = {0.0: built[0.0], dt: (parts, step, round((theta - turn) / (2 * math.pi)) % 2)}
         parts, step, odd = built[dt]
         for _ in range(parts):
             step(psi, psi)
         psi = -psi if odd else psi
-        snaps.append(WaveField(psi0.grid, psi.copy()))
-    return snaps
+        yield WaveField(psi0.grid, psi.copy())
 
 
 def _require_second_order(eq: EquationKind):

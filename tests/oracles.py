@@ -77,22 +77,29 @@ def coherent_state_oracle(grid, m, omega_c, hbar, displacement, center, t):
             * np.exp(-(m * omega_c / (2.0 * hbar)) * (x - xt) ** 2 - 1j * phase))
 
 
-def grid_exact_evolution(length, m, v, hbar, psi0, times):
-    """psi(t) = U e^{-iEt/hbar} U^dagger psi0 for the dense grid Hamiltonian, each t in `times`.
+def grid_hamiltonian(length, m, v, hbar):
+    """Dense H = F^-1 diag(hbar^2 k^2 / 2m) F + diag(V), F the unitary DFT matrix.
 
-    H = F^-1 diag(hbar^2 k^2 / 2m) F + diag(V) with F the unitary DFT matrix, the
-    spatial discretisation of the spectral propagators, diagonalised by
-    `numpy.linalg.eigh`.  Exact to rounding for any t, so the difference from a
-    propagator isolates its time error.  O(N^3): about 0.04 s at N = 256.
+    The spatial discretisation of the spectral propagators and of the
+    imaginary-time relaxation, on the grid of the samples of `v`.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
-    n = len(psi0)
+    n = len(v)
     j = np.arange(n)
     dft_matrix = np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
     kinetic = hbar * hbar * k * k / (2.0 * m)
-    ham = dft_matrix.conj().T @ (kinetic[:, None] * dft_matrix) + np.diag(np.asarray(v, float))
-    energies, vectors = np.linalg.eigh(ham)
+    return dft_matrix.conj().T @ (kinetic[:, None] * dft_matrix) + np.diag(np.asarray(v, float))
+
+
+def grid_exact_evolution(length, m, v, hbar, psi0, times):
+    """psi(t) = U e^{-iEt/hbar} U^dagger psi0 for the dense `grid_hamiltonian`, each t in `times`.
+
+    Diagonalised by `numpy.linalg.eigh`, so exact to rounding for any t: the
+    difference from a propagator isolates its time error.  O(N^3): about 0.04 s
+    at N = 256.
+    """
+    psi0 = np.asarray(psi0, dtype=complex)
+    energies, vectors = np.linalg.eigh(grid_hamiltonian(length, m, v, hbar))
     coeffs = vectors.conj().T @ psi0
     return np.array([vectors @ (np.exp(-1j * energies * t / hbar) * coeffs) for t in times])
 

@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -179,7 +180,14 @@ def test_refused_config_is_one_line_and_writes_nothing(tmp_path, capsys, argv, n
     (["oscillator", "--set", "n_points=8"], 4, "ground width"),
     (["evolve", "--set", "family=schrodinger_potential", "--set", "potential=harmonic",
       "--set", "dt=1e307"], 3, "non-finite trap angle omega_c * t at t = inf"),
-], ids=["bound_overflow", "grid_too_coarse", "strang_factor_overflow"])
+    # snapshots 0 and 1 succeed first
+    (["evolve", "--set", "dt=4e305", "--set", "n_steps=3", "--set", "snapshot_every=1"], 3,
+     "non-finite mode amplitudes at t = 8e+305"),
+    # the trap's refusal named its inner step size, dt = 0.02999550020249566
+    (["evolve", "--set", "family=schrodinger_potential", "--set", "potential=harmonic",
+      "--set", "mass=1e-310", "--set", "n_steps=3"], 3, "non-finite trap factors at t = 0.03 "),
+], ids=["bound_overflow", "grid_too_coarse", "strang_factor_overflow", "phase_overflow_at_2",
+        "trap_factor_overflow"])
 def test_failed_run_writes_nothing(tmp_path, capsys, argv, code, named):
     # config_echo.cfg was written before the command ran, so every exit 3 or 4
     # left it in --out
@@ -187,7 +195,40 @@ def test_failed_run_writes_nothing(tmp_path, capsys, argv, code, named):
     assert cli.main(argv + ["--out", str(out)]) == code
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+    assert "0.0299955" not in err
     assert not out.exists()
+    assert not list(tmp_path.iterdir())  # no staging directory either
+
+
+def test_failed_run_leaves_an_existing_out_as_it_was(tmp_path, capsys, monkeypatch):
+    # a write error at snapshot 2 left snapshots 0 and 1 in --out; files are now
+    # staged and move into --out only once the run has succeeded
+    out = tmp_path / "keep"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+
+    def state():  # every path under tmp_path, staging directories included, and out's bytes
+        return sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")), tree_bytes(out)
+
+    before = state()
+    argv = ["evolve", "--out", str(out), "--set", "n_steps=3", "--set", "snapshot_every=1"]
+    assert cli.main([*argv, "--set", "dt=4e305"]) == 3
+    assert "non-finite mode amplitudes at t = 8e+305" in capsys.readouterr().err
+    assert state() == before
+
+    write_text = Path.write_text
+
+    def full_at_snapshot_2(path, *args, **kwargs):
+        if path.name == "snapshot_0002.csv":
+            raise OSError(f"no space left on device: {path.name}")
+        return write_text(path, *args, **kwargs)
+
+    usable_cpus(monkeypatch, 1)
+    monkeypatch.setattr(Path, "write_text", full_at_snapshot_2)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output:") and "snapshot_0002.csv" in err
+    assert state() == before
 
 
 # caps the child's address space at 2 GiB, so an absurd size fails fast and
@@ -631,6 +672,30 @@ def test_evolve_deterministic_and_reproducible_from_echo(tmp_path, monkeypatch):
                              "--out", str(out3)]) == 0
         assert len(forks) == min(4, len(list(out1.glob("snapshot_*.csv")))) - 1
         assert tree_bytes(out1) == tree_bytes(out3)
+
+
+def test_evolve_memory_does_not_grow_with_snapshot_count(tmp_path, monkeypatch):
+    # every snapshot was held until the last one was computed: the traced peak
+    # grew from 0.19 to 1.8 MiB between 11 and 401 snapshots at N = 256.  One
+    # field is held at a time now (measured 0.18 -> 0.20 MiB)
+    usable_cpus(monkeypatch, 2)
+    runs = []
+
+    def peak(every):
+        runs.append(tmp_path / str(len(runs)))
+        tracemalloc.start()
+        try:
+            assert cli.main(["evolve", "--config", str(CONFIGS / "harmonic_ground.cfg"),
+                             "--out", str(runs[-1]), "--set", "n_steps=400",
+                             "--set", f"snapshot_every={every}"]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(40)  # warm-up
+    few, many = peak(40), peak(1)
+    assert len(list(runs[-1].glob("snapshot_*.csv"))) == 401
+    assert many <= 1.25 * few
 
 
 def test_failed_writer_child_share_is_rewritten(tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ from wavelab import (
     WaveField,
     energy_bound,
     harmonic_ground_exact,
+    harmonic_potential,
     imaginary_time_ground_state,
     inner_product,
     l2_norm,
@@ -28,7 +29,7 @@ from wavelab.exceptions import (
     NumericalFailure,
 )
 
-from oracles import imaginary_time_oracle, real_imaginary_time_oracle
+from oracles import grid_hamiltonian, imaginary_time_oracle, real_imaginary_time_oracle
 
 UNIT = OscillatorProblem(1.0, 1.0)
 
@@ -208,6 +209,17 @@ def test_ground_state_energy_default_problem():
     assert l2_norm(got.psi) == pytest.approx(1.0, abs=1e-10)
     exact = harmonic_ground_exact(UNIT, grid)
     assert abs(inner_product(exact, got.psi)) >= 1.0 - 1e-6
+
+
+def test_ground_state_energy_is_the_grid_ground_energy():
+    # oscillator.cfg's grid and step: the relaxation lands on the lowest eigenvalue
+    # of the grid Hamiltonian (measured 7.7e-13 from it, itself 7.6e-14 from
+    # hbar omega / 2), so it converges to the grid's own ground state
+    grid = Grid1D(256, 20.0)
+    got = imaginary_time_ground_state(UNIT, grid, tau_step=0.02, max_iters=50000,
+                                      energy_tol=1e-12)
+    h = grid_hamiltonian(grid.length, 1.0, harmonic_potential(grid, 1.0, 1.0), 1.0)
+    assert abs(got.energy - np.linalg.eigh(h)[0][0]) <= 1e-10
 
 
 def test_ground_state_energy_scaled_frequency():
