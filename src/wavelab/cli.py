@@ -62,7 +62,6 @@ from .propagate import (
     _harmonic_snapshots,
     _phase_snapshots,
     _snapshot_steps,
-    constant_potential,
     gaussian_packet,
     harmonic_potential,
     packet_moments,
@@ -75,16 +74,15 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_RESOLUTION = 4
 
-# CLI family name -> builder(cfg, grid) of its equation.  Without a grid (the
-# dispersion scan) the potential family gets v0 if potential = constant, else 0.
+# CLI family name -> builder(cfg) of its equation.  The potential family holds
+# its constant V0 only (v0 if potential = constant, else 0); a trap is `_trap`'s.
 _FAMILIES = {
-    "classical_wave": lambda cfg, grid: ClassicalWave(cfg["wave_speed"]),
-    "electromagnetic": lambda cfg, grid: Electromagnetic(),
-    "klein_gordon": lambda cfg, grid: KleinGordon(cfg["mass"]),
-    "schrodinger_free": lambda cfg, grid: SchrodingerFree(cfg["mass"]),
-    "schrodinger_potential": lambda cfg, grid: SchrodingerPotential(
-        cfg["mass"],
-        np.full(1, _constant_v0(cfg)) if grid is None else _build_potential(cfg, grid)),
+    "classical_wave": lambda cfg: ClassicalWave(cfg["wave_speed"]),
+    "electromagnetic": lambda cfg: Electromagnetic(),
+    "klein_gordon": lambda cfg: KleinGordon(cfg["mass"]),
+    "schrodinger_free": lambda cfg: SchrodingerFree(cfg["mass"]),
+    "schrodinger_potential": lambda cfg: SchrodingerPotential(
+        cfg["mass"], np.full(1, cfg["v0"] if cfg["potential"] == "constant" else 0.0)),
 }
 
 
@@ -290,16 +288,23 @@ def _write_csv(path: Path, header: str, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _config_dict(cfg: dict) -> dict:
-    return {key: list(v) if isinstance(v, tuple) else v for key, v in cfg.items()}
+def _write_report(out: Path, cfg: dict, **sections):
+    """report.json: {"config": cfg, **sections}, keys sorted (a tuple is a JSON list)."""
+    tree = {"config": cfg, **sections}
+    (out / "report.json").write_text(json.dumps(tree, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # shared builders
 # ---------------------------------------------------------------------------
 
-def _constant_v0(cfg: dict) -> float:
-    return cfg["v0"] if cfg["potential"] == "constant" else 0.0
+def _equation(cfg: dict):
+    """The equation of cfg's family; a potential is refused for a family without one."""
+    eq = _FAMILIES[cfg["family"]](cfg)
+    if cfg["potential"] != "none" and not isinstance(eq, SchrodingerPotential):
+        raise ConfigError(f"family '{cfg['family']}' does not take a potential; "
+                          "use family = schrodinger_potential")
+    return eq
 
 
 def _trap(cfg: dict):
@@ -308,20 +313,13 @@ def _trap(cfg: dict):
     return (cfg["omega_c"], None if cfg["x_c"] < 0 else cfg["x_c"]) if harmonic else None
 
 
-def _build_potential(cfg: dict, grid: Grid1D) -> np.ndarray:
-    if _trap(cfg) is None:
-        return constant_potential(grid, _constant_v0(cfg))
-    v = harmonic_potential(grid, cfg["mass"], *_trap(cfg))
-    if not np.all(np.isfinite(v)):
-        raise NumericalFailure("non-finite potential from config parameters", step=0)
-    return v
-
-
 def _carrier_k(cfg: dict, grid: Grid1D) -> float:
     """Carrier wavenumber: snapped to the nearest grid mode for plane waves."""
     if cfg["packet_kind"] == "plane_wave":
-        n = round(cfg["k0"] * grid.length / (2.0 * np.pi))
-        return 2.0 * np.pi * n / grid.length
+        n = cfg["k0"] * grid.length / (2.0 * np.pi)
+        if not math.isfinite(n):
+            raise ConfigError(f"k0 = {cfg['k0']!r} has no grid mode on length = {grid.length!r}")
+        return 2.0 * np.pi * round(n) / grid.length
     return cfg["k0"]
 
 
@@ -346,9 +344,9 @@ def _loglog_slope(xs, ys):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_dispersion(cfg: dict, out: Path) -> int:
+def cmd_dispersion(cfg: dict, out: Path):
     consts = PhysicalConstants(hbar=cfg["hbar"], c=cfg["c"])
-    eq = _FAMILIES[cfg["family"]](cfg, None)
+    eq = _equation(cfg)
     header = "family,k,omega,group_velocity,p,E,nr_gap,nr_bound"
     m = getattr(eq, "m", None)
     # every column must be finite but the NR pair, which is nan for the massless families
@@ -365,22 +363,17 @@ def cmd_dispersion(cfg: dict, out: Path) -> int:
                     raise NumericalFailure(f"dispersion row at k = {k!r} has {name} = {v!r}")
             rows.append((cfg["family"], *row))
     _write_csv(out / "dispersion.csv", header, rows)
-    return EXIT_OK
 
 
-def cmd_evolve(cfg: dict, out: Path) -> int:
+def cmd_evolve(cfg: dict, out: Path):
     consts = PhysicalConstants(hbar=cfg["hbar"], c=cfg["c"])
     grid = Grid1D(cfg["n_points"], cfg["length"])
     psi0 = _build_packet(cfg, grid)
-    eq = _FAMILIES[cfg["family"]](cfg, grid)
-    if cfg["potential"] != "none" and not isinstance(eq, SchrodingerPotential):
-        raise ConfigError(f"family '{cfg['family']}' does not take a potential; "
-                          "use family = schrodinger_potential")
+    eq = _equation(cfg)
     dt = TimeSpec(cfg["dt"], max(cfg["n_steps"], 1)).dt  # refuses dt <= 0, even at 0 steps
     times = [step * dt for step in _snapshot_steps(cfg["n_steps"], cfg["snapshot_every"])]
     _write_snapshots(out, lambda: _propagate(eq, psi0, consts, times, _trap(cfg)), len(times),
                      grid.positions)
-    return EXIT_OK
 
 
 def _propagate(eq, psi0: WaveField, consts: PhysicalConstants, times, trap=None):
@@ -449,7 +442,7 @@ def _write_snapshots(out: Path, passes, count: int, positions):
         write_share(r)
 
 
-def cmd_nrlimit(cfg: dict, out: Path) -> int:
+def cmd_nrlimit(cfg: dict, out: Path):
     ladder = cfg["c_ladder"]
     grid = Grid1D(cfg["n_points"], cfg["length"])
     psi0 = _build_packet(cfg, grid)
@@ -474,9 +467,9 @@ def cmd_nrlimit(cfg: dict, out: Path) -> int:
     ratio_exponent = _loglog_slope(ladder, mode_ratio)
 
     (out / "nrlimit.csv").write_text("\n".join(lines) + "\n")
-    report_tree = {
-        "config": _config_dict(cfg),
-        "ladder": [
+    _write_report(
+        out, cfg,
+        ladder=[
             {
                 "c": float(c),
                 "times": r.times,
@@ -485,16 +478,14 @@ def cmd_nrlimit(cfg: dict, out: Path) -> int:
             }
             for c, r in zip(ladder, runs)
         ],
-        "fits": {
+        fits={
             "final_deviation_c_exponent": dev_exponent,
             "carrier_dominance_c_exponent": ratio_exponent,
         },
-    }
-    (out / "report.json").write_text(json.dumps(report_tree, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK
+    )
 
 
-def cmd_oscillator(cfg: dict, out: Path) -> int:
+def cmd_oscillator(cfg: dict, out: Path):
     problem = OscillatorProblem(cfg["mass"], cfg["omega_c"],
                                 PhysicalConstants(hbar=cfg["hbar"]))
     grid = Grid1D(cfg["n_points"], cfg["length"])
@@ -511,22 +502,20 @@ def cmd_oscillator(cfg: dict, out: Path) -> int:
         ("imaginary_time", ground_width, ground.energy),
     ]
     _write_csv(out / "oscillator.csv", "method,delta_x,energy", rows)
-    report_tree = {
-        "config": _config_dict(cfg),
-        "analytic": {"delta_x": analytic.delta_x, "energy": analytic.energy},
-        "golden_section": {
+    _write_report(
+        out, cfg,
+        analytic={"delta_x": analytic.delta_x, "energy": analytic.energy},
+        golden_section={
             "delta_x": numeric.delta_x,
             "energy": numeric.energy,
             "energy_gap_vs_analytic": abs(numeric.energy - analytic.energy),
         },
-        "imaginary_time": {
+        imaginary_time={
             "delta_x": ground_width,
             "energy": ground.energy,
             "relative_error_vs_analytic": abs(ground.energy - analytic.energy) / analytic.energy,
         },
-    }
-    (out / "report.json").write_text(json.dumps(report_tree, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +537,7 @@ def _check_plane_wave_exactness():
     t = 3.0
 
     def cases():
-        for eq in (build(cfg, grid) for build in _FAMILIES.values()):
+        for eq in (build(cfg) for build in _FAMILIES.values()):
             for n in (0, 1, 3, -5):
                 k = 2.0 * np.pi * n / grid.length
                 mode = PlaneWaveMode(1.0, k, omega_of_k(eq, k, consts))
@@ -678,7 +667,7 @@ def main(argv=None) -> int:
         out = Path(args.out) if args.out else Path("out") / args.command
         stage = _stage(out)  # an --out that cannot be written is refused before the work
         try:
-            rc = _DISPATCH[args.command](cfg, stage)
+            _DISPATCH[args.command](cfg, stage)
             (stage / "config_echo.cfg").write_text(echo_config(cfg))
             out.mkdir(parents=True, exist_ok=True)
             for name in os.listdir(stage):  # only a run that succeeded gets here
@@ -687,7 +676,7 @@ def main(argv=None) -> int:
             for name in os.listdir(stage):
                 os.unlink(stage / name)
             stage.rmdir()
-        return rc
+        return EXIT_OK
     except (ConfigError, ValueError, InvalidBracket) as exc:  # incl. a rejected parameter
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -142,10 +142,14 @@ def _harmonic_snapshots(psi0: WaveField, m: float, omega_c: float, center, hbar:
     period 2 pi / omega_c negates psi, so theta is reduced mod 2 pi and split
     into at most two parts: an interval costs at most two steps, built when it
     differs from the last one (so memory stays O(N)), and a zero interval none,
-    so t = 0 gives a copy of psi0, bit for bit.  A non-finite omega_c t or trap
-    factor raises NumericalFailure naming the snapshot time t.
+    so t = 0 gives a copy of psi0, bit for bit.  A non-finite potential raises
+    NumericalFailure before the first snapshot, and a non-finite omega_c t or
+    trap factor one naming the snapshot time t.
     """
     v = harmonic_potential(psi0.grid, m, omega_c, center)
+    if not np.all(np.isfinite(v)):
+        raise NumericalFailure(f"non-finite trap potential at m = {m!r}, omega_c = {omega_c!r}, "
+                               f"center = {center!r}", step=0)
     built, psi, t_prev = {0.0: (0, None, 0)}, psi0.samples.copy(), 0.0
     for t in times:
         dt, t_prev = t - t_prev, t

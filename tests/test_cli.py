@@ -156,11 +156,20 @@ def test_malformed_line_reports_line_number(tmp_path, capsys):
     (["oscillator", "--set", "max_iters=0"], "max_iters must be >= 1, got 0"),
     (["nrlimit", "--set", "c_ladder=10,10"], "--set #1: c_ladder must list at least 2 distinct"),
     (["nrlimit", "--set", "c_ladder=10,10,10"], "2 distinct speeds, got 1"),
+    # round() of an infinite mode index raised OverflowError, exit 1
+    (["evolve", "--set", "packet_kind=plane_wave", "--set", "k0=1e308"],
+     "k0 = 1e+308 has no grid mode on length = 64.0"),
+    (["nrlimit", "--set", "packet_kind=plane_wave", "--set", "k0=-1e308"],
+     "k0 = -1e+308 has no grid mode on length = 64.0"),
+    # the scan exited 0 and echoed a potential it never used
+    (["dispersion", "--set", "family=klein_gordon", "--set", "potential=constant",
+      "--set", "v0=3"], "family 'klein_gordon' does not take a potential"),
 ], ids=["k_count", "n_steps", "snapshot_every", "ladder_of_one", "ladder_negative",
         "ladder_empty", "set_without_equals", "empty_key", "missing_config", "unknown_family",
         "negative_seed", "n_steps_not_integer", "seed_past_u64", "seed_named_as_itself",
         "n_points_library_bound", "max_iters_library_bound", "ladder_one_speed_twice",
-        "ladder_one_speed_thrice"])
+        "ladder_one_speed_thrice", "plane_wave_k0_overflow", "plane_wave_k0_overflow_negative",
+        "dispersion_potential_without_family"])
 def test_refused_config_is_one_line_and_writes_nothing(tmp_path, capsys, argv, named):
     # the single-key bounds were checked in the command bodies, after
     # config_echo.cfg had been written to --out; a library's refusal left that
@@ -186,8 +195,11 @@ def test_refused_config_is_one_line_and_writes_nothing(tmp_path, capsys, argv, n
     # the trap's refusal named its inner step size, dt = 0.02999550020249566
     (["evolve", "--set", "family=schrodinger_potential", "--set", "potential=harmonic",
       "--set", "mass=1e-310", "--set", "n_steps=3"], 3, "non-finite trap factors at t = 0.03 "),
+    # the trap builds its potential even where no step is built
+    (["evolve", "--set", "family=schrodinger_potential", "--set", "potential=harmonic",
+      "--set", "omega_c=1e200", "--set", "n_steps=0"], 3, "non-finite trap potential"),
 ], ids=["bound_overflow", "grid_too_coarse", "strang_factor_overflow", "phase_overflow_at_2",
-        "trap_factor_overflow"])
+        "trap_factor_overflow", "trap_potential_overflow_at_0_steps"])
 def test_failed_run_writes_nothing(tmp_path, capsys, argv, code, named):
     # config_echo.cfg was written before the command ran, so every exit 3 or 4
     # left it in --out
