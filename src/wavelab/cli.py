@@ -63,10 +63,8 @@ from .propagate import (
     _phase_snapshots,
     _snapshot_steps,
     gaussian_packet,
-    harmonic_potential,
     packet_moments,
     packet_width,
-    split_step_evolve,
 )
 
 EXIT_OK = 0
@@ -186,7 +184,7 @@ SCHEMAS = {
         "length": (_parse_float, 64.0),
         "dt": (_parse_float, 0.05),
         "n_steps": (_parse_int(), 400),
-        "snapshot_every": (_parse_int(), 20),
+        "snapshot_every": (_parse_int(0), 20),
         **_PACKET,
     },
     "oscillator": {
@@ -371,19 +369,18 @@ def cmd_evolve(cfg: dict, out: Path):
     psi0 = _build_packet(cfg, grid)
     eq = _equation(cfg)
     dt = TimeSpec(cfg["dt"], max(cfg["n_steps"], 1)).dt  # refuses dt <= 0, even at 0 steps
-    times = [step * dt for step in _snapshot_steps(cfg["n_steps"], cfg["snapshot_every"])]
-    _write_snapshots(out, lambda: _propagate(eq, psi0, consts, times, _trap(cfg)), len(times),
-                     grid.positions)
+    steps = _snapshot_steps(cfg["n_steps"], cfg["snapshot_every"])
+    _write_snapshots(out, lambda: _propagate(eq, psi0, consts, (s * dt for s in steps),
+                                             _trap(cfg)), len(steps), grid.positions)
 
 
 def _propagate(eq, psi0: WaveField, consts: PhysicalConstants, times, trap=None):
-    """Lazy (t, psi) at each of `times`, one field at a time.  Every path is exact:
-    the harmonic `trap` (omega_c, x_c) of `_trap` takes its exact propagator, and
-    every other family the exact phase of its omega(k).
+    """The one propagation door of `evolve` and `verify`: lazy (t, psi) at each t of
+    `times` (any iterable, read once).  Every path is exact: the harmonic `trap`
+    (omega_c, x_c) of `_trap` by its propagator, any other family by the phase of omega(k).
     """
-    snaps = (_harmonic_snapshots(psi0, eq.m, *trap, consts.hbar, times) if trap else
-             _phase_snapshots(psi0, omega_of_k(eq, psi0.grid.wavenumbers, consts), times))
-    return zip(times, snaps)
+    return (_harmonic_snapshots(psi0, eq.m, *trap, consts.hbar, times) if trap else
+            _phase_snapshots(psi0, omega_of_k(eq, psi0.grid.wavenumbers, consts), times))
 
 
 def _write_snapshots(out: Path, passes, count: int, positions):
@@ -401,6 +398,7 @@ def _write_snapshots(out: Path, passes, count: int, positions):
     x_cells = [f"{xj!r}," for xj in positions.tolist()]
     n_procs = (min(len(os.sched_getaffinity(0)), count)
                if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+    import numpy.fft  # noqa: F401  loaded once here, not again in every writer process
 
     def write_share(r, summary=None):
         for idx, (t, fld) in enumerate(passes()):
@@ -559,11 +557,12 @@ def _check_parseval():
 
 
 def _check_norm_conservation():
-    grid = Grid1D(128, 20.0)
-    psi0 = gaussian_packet(GaussianPacketSpec(8.0, 1.0, 1.0), grid)
-    norms = split_step_evolve(psi0, 1.0, harmonic_potential(grid, 1.0, 1.0), PhysicalConstants(),
-                              TimeSpec(0.01, 200), snapshot_every=1).norms
-    return np.max(np.abs(np.diff(norms))) / norms[0], _ROUNDING, "per-step norm drift"
+    cfg = {"family": "schrodinger_potential", "mass": 1.0, "potential": "harmonic",
+           "omega_c": 1.0, "x_c": -1.0}  # each trap interval is one real-time `_strang` step
+    psi0 = gaussian_packet(GaussianPacketSpec(8.0, 1.0, 1.0), Grid1D(128, 20.0))
+    norms = [l2_norm(fld) for _, fld in _propagate(_equation(cfg), psi0, PhysicalConstants(),
+                                                   (s * 0.01 for s in range(201)), _trap(cfg))]
+    return np.max(np.abs(np.diff(norms))) / norms[0], _ROUNDING, "per-interval norm drift"
 
 
 def _check_massless_limit():

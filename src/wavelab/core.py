@@ -84,6 +84,17 @@ class TimeSpec:
         return self.dt * self.n_steps
 
 
+def _on_grid(values, grid: Grid1D, name: str, what: str) -> np.ndarray:
+    """`values` as complex128, refused (ValueError) unless finite and of shape (N,)."""
+    values = np.asarray(values, dtype=np.complex128)
+    if values.shape != (grid.n_points,):
+        raise ValueError(f"{name} shape {values.shape} does not match grid "
+                         f"({grid.n_points} points)")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} must all be finite")
+    return values
+
+
 @dataclass
 class WaveField:
     """Complex field sampled on a periodic grid (position representation)."""
@@ -92,14 +103,7 @@ class WaveField:
     samples: np.ndarray
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
-        if self.samples.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"samples shape {self.samples.shape} does not match grid "
-                f"({self.grid.n_points} points)"
-            )
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("field samples must all be finite")
+        self.samples = _on_grid(self.samples, self.grid, "samples", "field samples")
 
     def copy(self) -> "WaveField":
         return WaveField(self.grid, self.samples.copy())
@@ -113,14 +117,8 @@ class SpectralField:
     mode_amplitudes: np.ndarray
 
     def __post_init__(self):
-        self.mode_amplitudes = np.asarray(self.mode_amplitudes, dtype=np.complex128)
-        if self.mode_amplitudes.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"mode_amplitudes shape {self.mode_amplitudes.shape} does not match "
-                f"grid ({self.grid.n_points} points)"
-            )
-        if not np.all(np.isfinite(self.mode_amplitudes)):
-            raise ValueError("mode amplitudes must all be finite")
+        self.mode_amplitudes = _on_grid(self.mode_amplitudes, self.grid, "mode_amplitudes",
+                                        "mode amplitudes")
 
     @property
     def wavenumbers(self) -> np.ndarray:

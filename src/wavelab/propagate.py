@@ -109,11 +109,11 @@ def evolve_schrodinger_spectral(psi0: WaveField, m: float,
     Exact for any t (no time-step error); the L2 norm is preserved to rounding.
     """
     eq = SchrodingerFree(m)  # refuses m <= 0, also at t = 0
-    return next(_phase_snapshots(psi0, omega_of_k(eq, psi0.grid.wavenumbers, consts), [t]))
+    return next(_phase_snapshots(psi0, omega_of_k(eq, psi0.grid.wavenumbers, consts), [t]))[1]
 
 
 def _phase_snapshots(psi0: WaveField, omega, times):
-    """Yield psi at each of `times` by psi_hat(k, t) = psi_hat(k, 0) e^{-i omega(k) t}.
+    """Yield (t, psi) at each t of `times` (read once) by psi_hat(k, 0) e^{-i omega(k) t}.
 
     One forward transform serves every time; each t > 0 then costs one phase
     and one inverse transform, so one field at a time is held.  t = 0 gives a
@@ -122,18 +122,18 @@ def _phase_snapshots(psi0: WaveField, omega, times):
     amps = dft(psi0).mode_amplitudes
     for t in times:
         if t == 0.0:
-            yield psi0.copy()
+            yield t, psi0.copy()
             continue
         with np.errstate(invalid="ignore", over="ignore"):
             a = amps * np.exp(-1j * omega * t)
         if not np.all(np.isfinite(a)):
             raise NumericalFailure(f"non-finite mode amplitudes at t = {t}")
-        yield idft(SpectralField(psi0.grid, a))
+        yield t, idft(SpectralField(psi0.grid, a))
 
 
 def _harmonic_snapshots(psi0: WaveField, m: float, omega_c: float, center, hbar: float,
                         times):
-    """Yield psi at each of `times` in the trap V = m omega_c^2 (x - center)^2 / 2, exact.
+    """Yield exact (t, psi) at each t of `times` (read once) in V = m omega_c^2 (x - center)^2 / 2.
 
     For |theta| = |omega_c dt| < pi the propagator over dt is exactly K D K, with
     K = exp(-i (m omega_c / 2 hbar) tan(theta/2) (x - center)^2) and D = exp(-i
@@ -170,7 +170,7 @@ def _harmonic_snapshots(psi0: WaveField, m: float, omega_c: float, center, hbar:
         for _ in range(parts):
             step(psi, psi)
         psi = -psi if odd else psi
-        yield WaveField(psi0.grid, psi.copy())
+        yield t, WaveField(psi0.grid, psi.copy())
 
 
 def _require_second_order(eq: EquationKind):

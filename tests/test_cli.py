@@ -140,6 +140,8 @@ def test_malformed_line_reports_line_number(tmp_path, capsys):
     (["dispersion", "--set", "k_count=0"], "--set #1: k_count must be >= 1, got 0"),
     (["evolve", "--set", "n_steps=-1"], "--set #1: n_steps must be >= 0, got -1"),
     (["evolve", "--set", "snapshot_every=-1"], "--set #1: snapshot_every must be >= 0"),
+    # nrlimit's parser took any integer, so the library's refusal named no source
+    (["nrlimit", "--set", "snapshot_every=-1"], "--set #1: snapshot_every must be >= 0, got -1"),
     (["nrlimit", "--set", "c_ladder=10"], "--set #1: c_ladder must list at least 2"),
     (["nrlimit", "--set", "c_ladder=10,-1"], "--set #1: c_ladder must be > 0"),
     (["nrlimit", "--set", "c_ladder=,"], "--set #1: c_ladder must list at least 2"),
@@ -164,12 +166,12 @@ def test_malformed_line_reports_line_number(tmp_path, capsys):
     # the scan exited 0 and echoed a potential it never used
     (["dispersion", "--set", "family=klein_gordon", "--set", "potential=constant",
       "--set", "v0=3"], "family 'klein_gordon' does not take a potential"),
-], ids=["k_count", "n_steps", "snapshot_every", "ladder_of_one", "ladder_negative",
-        "ladder_empty", "set_without_equals", "empty_key", "missing_config", "unknown_family",
-        "negative_seed", "n_steps_not_integer", "seed_past_u64", "seed_named_as_itself",
-        "n_points_library_bound", "max_iters_library_bound", "ladder_one_speed_twice",
-        "ladder_one_speed_thrice", "plane_wave_k0_overflow", "plane_wave_k0_overflow_negative",
-        "dispersion_potential_without_family"])
+], ids=["k_count", "n_steps", "snapshot_every", "nrlimit_snapshot_every", "ladder_of_one",
+        "ladder_negative", "ladder_empty", "set_without_equals", "empty_key", "missing_config",
+        "unknown_family", "negative_seed", "n_steps_not_integer", "seed_past_u64",
+        "seed_named_as_itself", "n_points_library_bound", "max_iters_library_bound",
+        "ladder_one_speed_twice", "ladder_one_speed_thrice", "plane_wave_k0_overflow",
+        "plane_wave_k0_overflow_negative", "dispersion_potential_without_family"])
 def test_refused_config_is_one_line_and_writes_nothing(tmp_path, capsys, argv, named):
     # the single-key bounds were checked in the command bodies, after
     # config_echo.cfg had been written to --out; a library's refusal left that
@@ -588,7 +590,7 @@ def _library_snapshots(family):
     psi0, eq, consts = _library_case(family)
     omega = omega_of_k(eq, psi0.grid.wavenumbers, consts)
     times = [step * 0.01 for step in (0, 25, 50)]
-    return list(zip(times, _phase_snapshots(psi0, omega, times)))
+    return list(_phase_snapshots(psi0, omega, times))
 
 
 def _run_csv_family(out, family):
@@ -1087,6 +1089,23 @@ def test_verify_phase_error_above_rounding_fails(monkeypatch, capsys):
     assert "plane_wave_exactness: FAIL (phase error for " in out
     assert "verification failed: plane_wave_exactness" in out
     assert "transform_parseval: PASS" in out  # the other checks still run
+
+
+def test_verify_catches_a_trap_that_drifts_the_norm(monkeypatch, capsys):
+    # the norm check ran the library's split_step_evolve, which no command runs;
+    # it now runs the trap propagator of evolve, so a drift of 1e-13 per interval fails
+    trap = cli._harmonic_snapshots
+
+    def drifting(*args):
+        for k, (t, fld) in enumerate(trap(*args)):
+            yield t, WaveField(fld.grid, fld.samples * (1.0 + 1e-13 * k))
+
+    monkeypatch.setattr(cli, "_harmonic_snapshots", drifting)
+    assert cli.main(["verify"]) == 3
+    out = capsys.readouterr().out
+    assert "norm_conservation: FAIL (per-interval norm drift: " in out
+    assert "verification failed: norm_conservation" in out
+    assert "plane_wave_exactness: PASS" in out  # the phase path is untouched
 
 
 def test_verify_nan_value_fails(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Cold start: the CLI loads no scipy, and Crank-Nicolson imports it on demand.
 
-Importing the CLI does not load `numpy.fft` either.
+Importing the CLI does not load `numpy.fft` either; `evolve` loads it once,
+before it forks its snapshot writers, so no writer process imports it again.
 
 Each check runs in a fresh interpreter, because this test session has most
 likely imported scipy already.
@@ -11,6 +12,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -73,3 +76,37 @@ def test_cli_loads_no_scipy_and_crank_nicolson_imports_it(tmp_path):
     assert report["scipy_after_cn"]
     assert report["cn_finite"]
     assert abs(report["cn_norm"] - 1.0) <= 1e-10
+
+
+FORK_CHILD = r"""
+import json, os, sys
+
+import wavelab.cli
+
+os.sched_getaffinity = lambda pid: {0, 1}  # two writer processes, whatever the host has
+fork, loaded = os.fork, []
+
+def spy():
+    loaded.append("numpy.fft" in sys.modules)
+    return fork()
+
+os.fork = spy
+rc = wavelab.cli.main(["evolve", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({"rc": rc, "loaded": loaded}))
+"""
+
+
+@pytest.mark.parametrize("name", ["harmonic_ground", "free_gaussian"])
+def test_evolve_loads_numpy_fft_before_it_forks(tmp_path, name):
+    # the trap and phase paths first touched numpy.fft inside each process's
+    # pass, so every forked writer imported it again
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", FORK_CHILD, str(ROOT / "configs" / f"{name}.cfg"),
+         str(tmp_path / "out")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["rc"] == 0
+    assert report["loaded"] and all(report["loaded"]), report
