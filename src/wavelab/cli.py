@@ -12,8 +12,8 @@ reproduces the run byte for byte (floats in shortest-roundtrip decimal form).
 Exit codes: 0 ok, 2 config error (an ``--out`` that cannot be written
 included), 3 numerical failure (out of memory included), 4 resolution
 precondition failure.  Files are staged on ``--out``'s filesystem and move into
-it once the run has succeeded: a failed run leaves ``--out`` as it was, unless
-a move itself fails.
+it once the run has succeeded (a new ``--out`` in one rename, an existing one
+file by file): a failed run leaves ``--out`` as it was, unless a move fails.
 """
 
 from __future__ import annotations
@@ -280,16 +280,21 @@ def echo_config(cfg: dict) -> str:
     return "".join(f"{key} = {_fmt(v)}\n" for key, v in cfg.items())
 
 
-def _write_csv(path: Path, header: str, rows):
+def _write_text(path: str, text: str):
+    with open(path, "w") as f:
+        f.write(text)
+
+
+def _write_csv(path: str, header: str, rows):
     lines = [header]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
-def _write_report(out: Path, cfg: dict, **sections):
+def _write_report(out: str, cfg: dict, **sections):
     """report.json: {"config": cfg, **sections}, keys sorted (a tuple is a JSON list)."""
-    tree = {"config": cfg, **sections}
-    (out / "report.json").write_text(json.dumps(tree, indent=2, sort_keys=True) + "\n")
+    text = json.dumps({"config": cfg, **sections}, indent=2, sort_keys=True) + "\n"
+    _write_text(os.path.join(out, "report.json"), text)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +347,7 @@ def _loglog_slope(xs, ys):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_dispersion(cfg: dict, out: Path):
+def cmd_dispersion(cfg: dict, out: str):
     consts = PhysicalConstants(hbar=cfg["hbar"], c=cfg["c"])
     eq = _equation(cfg)
     header = "family,k,omega,group_velocity,p,E,nr_gap,nr_bound"
@@ -360,10 +365,10 @@ def cmd_dispersion(cfg: dict, out: Path):
                 if not math.isfinite(v):
                     raise NumericalFailure(f"dispersion row at k = {k!r} has {name} = {v!r}")
             rows.append((cfg["family"], *row))
-    _write_csv(out / "dispersion.csv", header, rows)
+    _write_csv(os.path.join(out, "dispersion.csv"), header, rows)
 
 
-def cmd_evolve(cfg: dict, out: Path):
+def cmd_evolve(cfg: dict, out: str):
     consts = PhysicalConstants(hbar=cfg["hbar"], c=cfg["c"])
     grid = Grid1D(cfg["n_points"], cfg["length"])
     psi0 = _build_packet(cfg, grid)
@@ -383,7 +388,7 @@ def _propagate(eq, psi0: WaveField, consts: PhysicalConstants, times, trap=None)
             _phase_snapshots(psi0, omega_of_k(eq, psi0.grid.wavenumbers, consts), times))
 
 
-def _write_snapshots(out: Path, passes, count: int, positions):
+def _write_snapshots(out: str, passes, count: int, positions):
     """Write snapshot_NNNN.csv for each of the `count` (t, field) pairs that `passes()`
     yields into `out`, and their summary.csv rows (t, norm, centroid, width).
 
@@ -411,7 +416,7 @@ def _write_snapshots(out: Path, passes, count: int, positions):
                 lines.extend(f"{prefix}{xc}{z.real!r},{z.imag!r},{abs(z) ** 2!r}"
                              for xc, z in zip(x_cells, fld.samples.tolist()))
                 lines.append("")  # one join, so the file's text exists once
-                (out / f"snapshot_{idx:04d}.csv").write_text("\n".join(lines))
+                _write_text(os.path.join(out, f"snapshot_{idx:04d}.csv"), "\n".join(lines))
 
     children = {}
     for r in range(1, n_procs):
@@ -431,8 +436,10 @@ def _write_snapshots(out: Path, passes, count: int, positions):
                 os._exit(1)
         children[r] = pid
     try:
-        with (out / "summary.csv").open("w") as summary:  # opened after the forks: no child
-            summary.write("t,norm,centroid,width\n")    # inherits its buffer
+        # after the forks, so no child inherits its buffer; written through, so no row pends
+        with open(os.path.join(out, "summary.csv"), "w") as summary:
+            summary.reconfigure(write_through=True)
+            summary.write("t,norm,centroid,width\n")
             write_share(0, summary)
     finally:
         failed = [r for r, pid in children.items() if pid is None or os.waitpid(pid, 0)[1]]
@@ -440,21 +447,20 @@ def _write_snapshots(out: Path, passes, count: int, positions):
         write_share(r)
 
 
-def cmd_nrlimit(cfg: dict, out: Path):
+def cmd_nrlimit(cfg: dict, out: str):
     ladder = cfg["c_ladder"]
     grid = Grid1D(cfg["n_points"], cfg["length"])
     psi0 = _build_packet(cfg, grid)
     time = TimeSpec(cfg["dt"], cfg["n_steps"])
 
-    runs = []
+    runs = [nr_limit_report(psi0, cfg["mass"], PhysicalConstants(hbar=cfg["hbar"], c=c), time,
+                            cfg["snapshot_every"]) for c in ladder]
+    # one TimeSpec gives every run the same t cells; a run's dominance ratio is one value
+    t_cells = [f"{t!r}," for t in runs[0].times]
     lines = ["c,t,deviation,dominance_ratio"]
-    for c in ladder:
-        consts = PhysicalConstants(hbar=cfg["hbar"], c=c)
-        report = nr_limit_report(psi0, cfg["mass"], consts, time, cfg["snapshot_every"])
-        runs.append(report)
-        prefix = f"{float(c)!r},"  # the c column is one value per run: format it once
-        lines.extend(f"{prefix}{t!r},{dev!r},{ratio!r}" for t, dev, ratio
-                     in zip(report.times, report.deviation, report.dominance_ratio))
+    for c, r in zip(ladder, runs):
+        prefix, suffix = f"{float(c)!r},", f",{r.dominance_ratio[0]!r}"
+        lines.extend(f"{prefix}{tc}{dev!r}{suffix}" for tc, dev in zip(t_cells, r.deviation))
 
     k_carrier = _carrier_k(cfg, grid)
     dev_exponent = _loglog_slope(ladder, [r.deviation[-1] for r in runs])
@@ -464,7 +470,7 @@ def cmd_nrlimit(cfg: dict, out: Path):
     ]
     ratio_exponent = _loglog_slope(ladder, mode_ratio)
 
-    (out / "nrlimit.csv").write_text("\n".join(lines) + "\n")
+    _write_text(os.path.join(out, "nrlimit.csv"), "\n".join(lines) + "\n")
     _write_report(
         out, cfg,
         ladder=[
@@ -483,7 +489,7 @@ def cmd_nrlimit(cfg: dict, out: Path):
     )
 
 
-def cmd_oscillator(cfg: dict, out: Path):
+def cmd_oscillator(cfg: dict, out: str):
     problem = OscillatorProblem(cfg["mass"], cfg["omega_c"],
                                 PhysicalConstants(hbar=cfg["hbar"]))
     grid = Grid1D(cfg["n_points"], cfg["length"])
@@ -499,7 +505,7 @@ def cmd_oscillator(cfg: dict, out: Path):
         ("golden_section", numeric.delta_x, numeric.energy),
         ("imaginary_time", ground_width, ground.energy),
     ]
-    _write_csv(out / "oscillator.csv", "method,delta_x,energy", rows)
+    _write_csv(os.path.join(out, "oscillator.csv"), "method,delta_x,energy", rows)
     _write_report(
         out, cfg,
         analytic={"delta_x": analytic.delta_x, "energy": analytic.energy},
@@ -636,23 +642,21 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="wavelab",
         description="1-D spectral wave-equation laboratory",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _DISPATCH:
-        p = sub.add_parser(name, help=f"run the {name} scenario")
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--out", help="output directory (default out/<scenario>)")
-        p.add_argument("--seed", type=int, help="random seed override (u64)")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override one config key (repeatable)")
+    parser.add_argument("command", choices=_DISPATCH, help="the scenario to run")
+    parser.add_argument("--config", help="flat key=value config file")
+    parser.add_argument("--out", help="output directory (default out/<scenario>)")
+    parser.add_argument("--seed", type=int, help="random seed override (u64)")
+    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
+                        help="override one config key (repeatable)")
     return parser
 
 
-def _stage(out: Path) -> Path:
+def _stage(out: Path) -> str:
     """A new `.wavelab-<pid>` in `out` or its nearest existing ancestor, on `out`'s filesystem."""
     while not out.exists():
         out = out.parent
-    stage = out / f".wavelab-{os.getpid()}"
-    stage.mkdir()
+    stage = os.path.join(out, f".wavelab-{os.getpid()}")
+    os.mkdir(stage)
     return stage
 
 
@@ -664,17 +668,22 @@ def main(argv=None) -> int:
         if args.command == "verify":  # writes no file
             return cmd_verify(cfg, None)
         out = Path(args.out) if args.out else Path("out") / args.command
+        fresh = not os.path.lexists(out)
         stage = _stage(out)  # an --out that cannot be written is refused before the work
         try:
             _DISPATCH[args.command](cfg, stage)
-            (stage / "config_echo.cfg").write_text(echo_config(cfg))
-            out.mkdir(parents=True, exist_ok=True)
-            for name in os.listdir(stage):  # only a run that succeeded gets here
-                os.replace(stage / name, out / name)
+            _write_text(os.path.join(stage, "config_echo.cfg"), echo_config(cfg))
+            if fresh:  # only a run that succeeded gets here: the stage becomes --out
+                out.parent.mkdir(parents=True, exist_ok=True)
+                os.rename(stage, out)
+            else:
+                for name in os.listdir(stage):
+                    os.replace(os.path.join(stage, name), os.path.join(out, name))
         finally:
-            for name in os.listdir(stage):
-                os.unlink(stage / name)
-            stage.rmdir()
+            if os.path.isdir(stage):  # not renamed onto a new --out
+                for name in os.listdir(stage):
+                    os.unlink(os.path.join(stage, name))
+                os.rmdir(stage)
         return EXIT_OK
     except (ConfigError, ValueError, InvalidBracket) as exc:  # incl. a rejected parameter
         print(f"config error: {exc}", file=sys.stderr)

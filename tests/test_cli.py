@@ -230,19 +230,63 @@ def test_failed_run_leaves_an_existing_out_as_it_was(tmp_path, capsys, monkeypat
     assert "non-finite mode amplitudes at t = 8e+305" in capsys.readouterr().err
     assert state() == before
 
-    write_text = Path.write_text
+    write_text = cli._write_text  # writes each file but summary.csv in one call
 
-    def full_at_snapshot_2(path, *args, **kwargs):
-        if path.name == "snapshot_0002.csv":
-            raise OSError(f"no space left on device: {path.name}")
-        return write_text(path, *args, **kwargs)
+    def full_at_snapshot_2(path, text):
+        if os.path.basename(path) == "snapshot_0002.csv":
+            raise OSError(f"no space left on device: {os.path.basename(path)}")
+        return write_text(path, text)
 
     usable_cpus(monkeypatch, 1)
-    monkeypatch.setattr(Path, "write_text", full_at_snapshot_2)
+    monkeypatch.setattr(cli, "_write_text", full_at_snapshot_2)
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot write output:") and "snapshot_0002.csv" in err
     assert state() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["nrlimit", "--config", str(CONFIGS / "nrlimit_ladder.cfg")],
+    ["evolve", "--config", str(CONFIGS / "free_gaussian.cfg")],
+], ids=["nrlimit", "evolve"])
+def test_new_out_is_the_stage_renamed(tmp_path, monkeypatch, argv):
+    # a new --out, its parents missing too, arrives in one rename of the stage: the
+    # same bytes and directory modes as an existing --out filled one file at a time
+    old_umask = os.umask(0o027)  # modes that differ from the usual umask's
+    try:
+        existing = tmp_path / "existing"
+        existing.mkdir()  # as the per-file path made a missing --out
+        assert cli.main([*argv, "--out", str(existing)]) == 0
+        monkeypatch.setattr(os, "replace", lambda *a: pytest.fail("a new --out moved file by file"))
+        new = tmp_path / "new" / "a" / "b"
+        assert cli.main([*argv, "--out", str(new)]) == 0
+    finally:
+        os.umask(old_umask)
+    assert tree_bytes(new) == tree_bytes(existing)
+    mode = existing.stat().st_mode
+    assert [p.stat().st_mode for p in (new, new.parent, new.parent.parent)] == [mode] * 3
+    assert not list(tmp_path.rglob(".wavelab-*"))
+
+
+def test_run_into_an_existing_out_keeps_its_other_files(tmp_path):
+    out = tmp_path / "keep"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    assert cli.main(["nrlimit", "--config", str(CONFIGS / "nrlimit_ladder.cfg"),
+                     "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "config_echo.cfg", "notes.txt", "nrlimit.csv", "report.json"]
+    assert (out / "notes.txt").read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep"]  # no staging directory
+
+
+def test_failed_run_into_a_new_out_leaves_nothing(tmp_path, capsys):
+    # the stage sits in the nearest existing ancestor; --out and its parents are made
+    # only once the run has succeeded
+    argv = ["evolve", "--set", "dt=4e305", "--set", "n_steps=3", "--set", "snapshot_every=1"]
+    assert cli.main([*argv, "--out", str(tmp_path / "new" / "a" / "b")]) == 3
+    assert "non-finite mode amplitudes at t = 8e+305" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 # caps the child's address space at 2 GiB, so an absurd size fails fast and
@@ -717,20 +761,24 @@ def test_failed_writer_child_share_is_rewritten(tmp_path, monkeypatch):
     # writes their shares
     args = ["evolve", "--config", str(CONFIGS / "free_gaussian.cfg")]
     assert cli.main([*args, "--out", str(tmp_path / "a")]) == 0
-    parent, write_text = os.getpid(), Path.write_text
+    parent, write_text = os.getpid(), cli._write_text
+    faults = tmp_path / "faults"
+    faults.mkdir()
 
-    def parent_only(path, *a, **kw):
+    def parent_only(path, text):
         if os.getpid() != parent:
+            write_text(str(faults / str(os.getpid())), "")  # the fault fired in this child
             raise OSError("no space left on device")
-        return write_text(path, *a, **kw)
+        return write_text(path, text)
 
     def no_fork():
         raise BlockingIOError("fork: resource temporarily unavailable")
 
     usable_cpus(monkeypatch, 4)
     with monkeypatch.context() as m:
-        m.setattr(Path, "write_text", parent_only)
+        m.setattr(cli, "_write_text", parent_only)
         assert cli.main([*args, "--out", str(tmp_path / "b")]) == 0
+    assert len(list(faults.iterdir())) == min(4, len(list((tmp_path / "a").glob("snapshot_*")))) - 1
     monkeypatch.setattr(os, "fork", no_fork)
     assert cli.main([*args, "--out", str(tmp_path / "c")]) == 0
     assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b") == tree_bytes(tmp_path / "c")
@@ -1061,6 +1109,25 @@ def test_python_m_wavelab(tmp_path):
     assert refused.returncode == 2
     assert refused.stderr == "config error: --set #1: k_count must be >= 1, got 0\n"
     assert not (tmp_path / "out").exists()
+    unknown = run("nosuch")
+    assert unknown.returncode == 2 and "Traceback" not in unknown.stderr
+    assert unknown.stderr.startswith("usage: wavelab ")
+    assert "invalid choice: 'nosuch'" in unknown.stderr
+
+
+@pytest.mark.parametrize("command", list(cli._DISPATCH))
+def test_every_command_takes_the_four_options(command):
+    args = cli._build_parser().parse_args(
+        [command, "--config", "c.cfg", "--out", "o", "--seed", "7", "--set", "a=1", "--set", "b=2"])
+    assert (args.command, args.config, args.out, args.seed, args.set) == (
+        command, "c.cfg", "o", 7, ["a=1", "b=2"])
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "{dispersion,evolve,nrlimit,oscillator,verify}" in capsys.readouterr().out
 
 
 def test_verify_names_injected_failure(monkeypatch, capsys):
