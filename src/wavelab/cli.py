@@ -9,11 +9,12 @@ enforces (``k_count >= 1``, ...) before any file is written.  The effective
 configuration is echoed next to every report; re-running from the echo
 reproduces the run byte for byte (floats in shortest-roundtrip decimal form).
 
-Exit codes: 0 ok, 2 config error (an ``--out`` that cannot be written
-included), 3 numerical failure (out of memory included), 4 resolution
-precondition failure.  Files are staged on ``--out``'s filesystem and move into
-it once the run has succeeded (a new ``--out`` in one rename, an existing one
-file by file): a failed run leaves ``--out`` as it was, unless a move fails.
+Exit codes: 0 ok, 2 config error (a parser's or the library's ConfigError, or an
+``--out`` that cannot be written), 3 numerical failure (out of memory included),
+4 resolution precondition failure; any other exception is a fault, not a refusal.
+Files are staged on ``--out``'s filesystem and move into it once the run has
+succeeded (a new ``--out`` in one rename, an existing one file by file): a
+failed run leaves ``--out`` as it was, unless a move fails.
 """
 
 from __future__ import annotations
@@ -43,14 +44,7 @@ from .dispersion import (
     planewave_residual,
     planewave_sample,
 )
-from .exceptions import (
-    ConfigError,
-    GridTooCoarse,
-    InvalidBracket,
-    LinearSolveFailure,
-    NoConvergence,
-    NumericalFailure,
-)
+from .exceptions import ConfigError, GridTooCoarse, NoConvergence, NumericalFailure
 from .nrlimit import dominance_terms_mode, nr_limit_report
 from .oscillator import (
     OscillatorProblem,
@@ -98,7 +92,7 @@ def _parse_float(s: str) -> float:
     return v
 
 
-def _parse_int(minimum=None):
+def _parse_int(minimum=None, maximum=None):
     def parse(s: str) -> int:
         try:
             v = int(s, 10)
@@ -106,6 +100,8 @@ def _parse_int(minimum=None):
             raise ValueError(f"must be an integer, got {s!r}") from None
         if minimum is not None and v < minimum:
             raise ValueError(f"must be >= {minimum}, got {v}")
+        if maximum is not None and v > maximum:
+            raise ValueError(f"must be <= {maximum}, got {v}")
         return v
     return parse
 
@@ -157,7 +153,7 @@ SCHEMAS = {
         "v0": (_parse_float, 0.0),
         "k_min": (_parse_float, 0.0),
         "k_max": (_parse_float, 8.0),
-        "k_count": (_parse_int(1), 9),
+        "k_count": (_parse_int(1, 2 ** 58), 9),  # as n_points: numpy allocates no longer scan
     },
     "evolve": {
         **_COMMON,
@@ -685,13 +681,13 @@ def main(argv=None) -> int:
                     os.unlink(os.path.join(stage, name))
                 os.rmdir(stage)
         return EXIT_OK
-    except (ConfigError, ValueError, InvalidBracket) as exc:  # incl. a rejected parameter
+    except ConfigError as exc:  # a parser's refusal, or a library's
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalFailure, LinearSolveFailure, NoConvergence) as exc:
+    except (NumericalFailure, NoConvergence) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError as exc:  # a size no parser bounds, e.g. k_count = 10**12

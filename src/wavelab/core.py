@@ -13,9 +13,18 @@ Conventions fixed project-wide:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .exceptions import ConfigError
+
+
+def _positive(name: str, value):
+    """Refuse (ConfigError) any value but 0 < value < inf: the one positivity rule."""
+    if not 0 < value < np.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -26,10 +35,8 @@ class PhysicalConstants:
     c: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.hbar < np.inf:
-            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
-        if not 0 < self.c < np.inf:
-            raise ValueError(f"c must be positive and finite, got {self.c}")
+        _positive("hbar", self.hbar)
+        _positive("c", self.c)
 
 
 NATURAL_UNITS = PhysicalConstants()
@@ -39,7 +46,7 @@ NATURAL_UNITS = PhysicalConstants()
 class Grid1D:
     """Uniform periodic grid: x_j = j*dx on [0, L), with x_N identified with x_0.
 
-    n_points must be a power of two and at least 8.
+    n_points is a power of two from 8 to 2**58 and L/N a normal float64, so 1/dx is finite.
     """
 
     n_points: int
@@ -48,9 +55,12 @@ class Grid1D:
     def __post_init__(self):
         n = self.n_points
         if n < 8 or (n & (n - 1)) != 0:
-            raise ValueError(f"n_points must be a power of two >= 8, got {n}")
-        if not 0 < self.length < np.inf:
-            raise ValueError(f"length must be positive and finite, got {self.length}")
+            raise ConfigError(f"n_points must be a power of two >= 8, got {n}")
+        if n > 2 ** 58:  # numpy allocates no complex128 array of 2**59 points (2**63 bytes)
+            raise ConfigError(f"n_points must be at most 2**58, got {n}")
+        _positive("length", self.length)
+        if self.length / n < sys.float_info.min:
+            raise ConfigError(f"grid spacing length / n_points = {self.length} / {n} is subnormal")
 
     @property
     def spacing(self) -> float:
@@ -74,24 +84,23 @@ class TimeSpec:
     n_steps: int
 
     def __post_init__(self):
-        if not 0 < self.dt < np.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        _positive("dt", self.dt)
         if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+            raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
 
     @property
     def total_time(self) -> float:
         return self.dt * self.n_steps
 
 
-def _on_grid(values, grid: Grid1D, name: str, what: str) -> np.ndarray:
-    """`values` as complex128, refused (ValueError) unless finite and of shape (N,)."""
-    values = np.asarray(values, dtype=np.complex128)
+def _on_grid(values, grid: Grid1D, name: str, what: str, dtype=np.complex128) -> np.ndarray:
+    """`values` as `dtype`, refused (ConfigError) unless finite and of shape (N,)."""
+    values = np.asarray(values, dtype=dtype)
     if values.shape != (grid.n_points,):
-        raise ValueError(f"{name} shape {values.shape} does not match grid "
-                         f"({grid.n_points} points)")
+        raise ConfigError(f"{name} shape {values.shape} does not match grid "
+                          f"({grid.n_points} points)")
     if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} must all be finite")
+        raise ConfigError(f"{what} must all be finite")
     return values
 
 
@@ -147,8 +156,7 @@ class GaussianPacketSpec:
     sigma: float
 
     def __post_init__(self):
-        if not 0 < self.sigma < np.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        _positive("sigma", self.sigma)
 
 
 def dft(field: WaveField) -> SpectralField:
@@ -180,5 +188,5 @@ def l2_norm(field: WaveField) -> float:
 def inner_product(bra: WaveField, ket: WaveField) -> complex:
     """Discrete inner product sum conj(bra_j) ket_j dx."""
     if bra.grid != ket.grid:
-        raise ValueError("fields must share one grid")
+        raise ConfigError("fields must share one grid")
     return complex(np.vdot(bra.samples, ket.samples) * bra.grid.spacing)

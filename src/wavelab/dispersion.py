@@ -24,8 +24,8 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .core import NATURAL_UNITS, Grid1D, PhysicalConstants, WaveField
-from .exceptions import DispersionUndefined, NonCommensurateWavenumber
+from .core import NATURAL_UNITS, Grid1D, PhysicalConstants, WaveField, _positive
+from .exceptions import ConfigError, DispersionUndefined, NonCommensurateWavenumber
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,7 @@ class ClassicalWave:
     v: float
 
     def __post_init__(self):
-        if not self.v > 0:
-            raise ValueError(f"wave speed must be positive, got {self.v}")
+        _positive("wave speed", self.v)
 
 
 @dataclass(frozen=True)
@@ -47,8 +46,7 @@ class KleinGordon:
     m: float
 
     def __post_init__(self):
-        if not self.m > 0:
-            raise ValueError(f"mass must be positive, got {self.m}")
+        _positive("mass", self.m)
 
 
 @dataclass(frozen=True)
@@ -56,8 +54,7 @@ class SchrodingerFree:
     m: float
 
     def __post_init__(self):
-        if not self.m > 0:
-            raise ValueError(f"mass must be positive, got {self.m}")
+        _positive("mass", self.m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,11 +63,10 @@ class SchrodingerPotential:
     potential: np.ndarray  # V(x_j), energy units, real
 
     def __post_init__(self):
-        if not self.m > 0:
-            raise ValueError(f"mass must be positive, got {self.m}")
+        _positive("mass", self.m)
         v = np.asarray(self.potential, dtype=float)
         if not np.all(np.isfinite(v)):
-            raise ValueError("potential samples must be finite")
+            raise ConfigError("potential samples must be finite")
         object.__setattr__(self, "potential", v)
 
 
@@ -117,7 +113,7 @@ class PlaneWaveMode:
 
     def __post_init__(self):
         if self.omega < 0:
-            raise ValueError(f"omega must be >= 0 (positive-frequency branch), got {self.omega}")
+            raise ConfigError(f"omega must be >= 0 (positive-frequency branch), got {self.omega}")
 
     @property
     def wavelength(self) -> float:
@@ -217,8 +213,6 @@ def nr_expansion_error(m: float, k: float,
     expansion; the gap is below the bound throughout hbar|k| < m c.  Both are
     taken in float64, so an overflow gives inf (or nan), not an exception.
     """
-    if not m > 0:
-        raise ValueError(f"mass must be positive, got {m}")
     hbar, c, m, k = (np.float64(v) for v in (consts.hbar, consts.c, m, k))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w = omega_of_k(KleinGordon(m), k, consts)

@@ -1,4 +1,4 @@
-"""Exception types raised by the wavelab modules."""
+"""Exception types raised by the wavelab modules; every refused input is a ConfigError."""
 
 
 class WaveLabError(Exception):
@@ -33,14 +33,6 @@ class NonUniformTimes(WaveLabError):
     """Snapshot times are not uniformly spaced."""
 
 
-class NonPositiveDeltaX(WaveLabError):
-    """Position uncertainty must be strictly positive."""
-
-
-class InvalidBracket(WaveLabError):
-    """Search bracket shows evidence the objective is not unimodal inside it."""
-
-
 class NoConvergence(WaveLabError):
     """Iteration hit its step limit before reaching the requested tolerance."""
 
@@ -57,5 +49,13 @@ class NumericalFailure(WaveLabError):
         self.step = step
 
 
-class ConfigError(WaveLabError):
-    """Run configuration is malformed or contains unknown/invalid keys."""
+class ConfigError(WaveLabError, ValueError):
+    """A refused parameter, input or run configuration; a ValueError too (the CLI's exit 2)."""
+
+
+class NonPositiveDeltaX(ConfigError):
+    """Position uncertainty must be strictly positive."""
+
+
+class InvalidBracket(ConfigError):
+    """Search bracket shows evidence the objective is not unimodal inside it."""

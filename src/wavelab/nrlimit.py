@@ -41,7 +41,7 @@ from .core import (
     dft,
 )
 from .dispersion import KleinGordon, omega_of_k
-from .exceptions import InsufficientSnapshots, NonUniformTimes, NumericalFailure
+from .exceptions import ConfigError, InsufficientSnapshots, NonUniformTimes, NumericalFailure
 from .propagate import _snapshot_steps, gaussian_packet
 
 
@@ -90,7 +90,7 @@ def _envelope_frequency(k, m: float, consts: PhysicalConstants):
     """
     c = consts.c
     omega_rest = m * c * c / consts.hbar
-    omega = omega_of_k(KleinGordon(m), k, consts)  # validates m > 0
+    omega = omega_of_k(KleinGordon(m), k, consts)  # refuses m outside (0, inf)
     return c * c * k * k / (omega + omega_rest), omega_rest
 
 
@@ -165,7 +165,7 @@ class NrLimitReport:
 
     def __post_init__(self):
         if not (len(self.times) == len(self.deviation) == len(self.dominance_ratio)):
-            raise ValueError("report series must share one length")
+            raise ConfigError("report series must share one length")
 
 
 def nr_limit_report(psi0: WaveField, m: float,
@@ -195,8 +195,8 @@ def nr_limit_report(psi0: WaveField, m: float,
     rest.  The sum still runs over all N modes in FFT order, so it equals the
     full N-sine sum bit for bit.
 
-    Raises NumericalFailure when the envelope frequencies or the dominance
-    ratio are not finite (m c^2/hbar underflowing to 0 or overflowing).
+    Raises NumericalFailure when the envelope phases or the dominance ratio
+    are not finite (m c^2/hbar underflowing to 0 or overflowing, or t too long).
     """
     times = [step * time.dt for step in _snapshot_steps(time.n_steps, snapshot_every)]
     spec = dft(psi0)
@@ -208,10 +208,11 @@ def nr_limit_report(psi0: WaveField, m: float,
         power /= np.sum(power)
         # both norms divided by omega_r^2, which cancels in the ratio
         ratio = float(np.sqrt(np.dot(power, x ** 4) / np.dot(power, (1.0 + 2.0 * x) ** 2)))
-    if not (np.all(np.isfinite(half_gap)) and np.isfinite(ratio)):
+        last_phase = np.max(np.abs(half_gap)) * times[-1]  # bounds every snapshot's phase
+    if not (np.isfinite(last_phase) and np.isfinite(ratio)):
         raise NumericalFailure(
-            f"non-finite envelope frequencies or dominance ratio at c = {consts.c!r} "
-            f"(m c^2/hbar = {omega_rest!r})"
+            f"non-finite envelope phase (t = {times[-1]!r}) or dominance ratio at c = "
+            f"{consts.c!r} (m c^2/hbar = {omega_rest!r})"
         )
 
     # one snapshot at a time: memory stays O(N) however many snapshots there are

@@ -19,8 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import NATURAL_UNITS, Grid1D, PhysicalConstants, WaveField, _l2, l2_norm
+from .core import NATURAL_UNITS, Grid1D, PhysicalConstants, WaveField, _l2, _positive, l2_norm
 from .exceptions import (
+    ConfigError,
     GridTooCoarse,
     InvalidBracket,
     NoConvergence,
@@ -54,10 +55,8 @@ class OscillatorProblem:
     consts: PhysicalConstants = NATURAL_UNITS
 
     def __post_init__(self):
-        if not 0 < self.m < math.inf:
-            raise ValueError(f"mass must be positive and finite, got {self.m}")
-        if not 0 < self.omega_c < math.inf:
-            raise ValueError(f"omega_c must be positive and finite, got {self.omega_c}")
+        _positive("mass", self.m)
+        _positive("omega_c", self.omega_c)
 
 
 @dataclass(frozen=True)
@@ -94,9 +93,11 @@ def energy_bound(problem: OscillatorProblem, delta_x: float) -> UncertaintyPoint
 
 
 def minimize_bound_analytic(problem: OscillatorProblem) -> BoundMinimum:
-    """Closed-form minimum: dx* = sqrt(hbar/2 m omega_c), E0 = hbar omega_c / 2."""
+    """Closed-form minimum dx* = sqrt(hbar/2 m omega_c), E0 = hbar omega_c / 2, with dx*
+    taken in float64: a 2 m omega_c that under- or overflows gives inf or 0, not an error."""
     hbar = problem.consts.hbar
-    dx_star = math.sqrt(hbar / (2.0 * problem.m * problem.omega_c))
+    with np.errstate(divide="ignore", over="ignore"):
+        dx_star = float(np.sqrt(hbar / (2.0 * np.float64(problem.m) * problem.omega_c)))
     return BoundMinimum(delta_x=dx_star, energy=0.5 * hbar * problem.omega_c)
 
 
@@ -113,8 +114,7 @@ def minimize_bound_numeric(problem: OscillatorProblem,
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < lo < hi):
         raise InvalidBracket(f"need 0 < lo < hi, got ({lo}, {hi})")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _positive("tol", tol)
 
     def f(d):
         return energy_bound(problem, d).energy
@@ -177,23 +177,23 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
     tau_step freezes a wrong one), so the stopped state's energy spread
     sigma = sqrt(<H^2> - <H>^2) is computed once.  By Weinstein's bound, some
     eigenvalue lies within sigma of E.  NoConvergence is raised if sigma / E
-    exceeds 1e-2.  A step that loses the state altogether (its norm underflows
-    to 0 or overflows) raises NumericalFailure.
+    exceeds 1e-2.  NumericalFailure is raised for a zero or non-finite ground width
+    dx*, trap potential or start state, and for a step that loses the state
+    altogether (its norm underflows to 0 or overflows).
 
     Any generic start (the default even Gaussian, or random noise) converges
     to the ground state.  An exactly odd-parity start is an edge case: parity
     is preserved until rounding breaks it, so the iteration first settles on
     the lowest odd state and may stop there or run out of iterations.
     """
-    if not tau_step > 0:
-        raise ValueError(f"tau_step must be positive, got {tau_step}")
+    _positive("tau_step", tau_step)
     if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    if not energy_tol > 0:
-        raise ValueError(f"energy_tol must be positive, got {energy_tol}")
-    hbar = problem.consts.hbar
+        raise ConfigError(f"max_iters must be >= 1, got {max_iters}")
+    _positive("energy_tol", energy_tol)
     dx = grid.spacing
-    ground_width = math.sqrt(hbar / (2.0 * problem.m * problem.omega_c))
+    ground_width = minimize_bound_analytic(problem).delta_x
+    if not 0.0 < ground_width < math.inf:
+        raise NumericalFailure(f"ground width sqrt(hbar / 2 m omega_c) = {ground_width!r}", step=0)
     if ground_width < 4.0 * dx:
         raise GridTooCoarse(
             f"ground width {ground_width:.4g} is below 4 dx = {4.0 * dx:.4g}; "
@@ -207,18 +207,20 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
 
     # the state: a real (R, N) stack, R = 1 for a real start, R = 2 (Re, Im) otherwise
     if initial is None:
-        x = grid.positions
-        psi = np.exp(-((x - grid.length / 2.0) ** 2) / (4.0 * (2.0 * ground_width) ** 2))
-        psi = psi[np.newaxis]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            four_var = 4.0 * np.float64(2.0 * ground_width) ** 2
+            psi = np.exp(-((grid.positions - grid.length / 2.0) ** 2) / four_var)[np.newaxis]
     else:
         start = initial.samples
         psi = np.stack([start.real, start.imag] if np.any(start.imag) else [start.real])
     nrm = _l2(psi.reshape(-1), dx)
-    if nrm == 0.0:
-        raise ValueError("initial state must be nonzero")
+    if initial is not None and nrm == 0.0:
+        raise ConfigError("initial state must be nonzero")
+    if not 0.0 < nrm < math.inf:
+        raise NumericalFailure(f"start state has norm {nrm}", step=0)
     psi *= 1.0 / nrm
     v = harmonic_potential(grid, problem.m, problem.omega_c)
-    step = _strang(v, grid, problem.m, hbar, tau_step, 1, rows=psi.shape[:-1])
+    step = _strang(v, grid, problem.m, problem.consts.hbar, tau_step, 1, rows=psi.shape[:-1])
 
     symbol = _kinetic_symbol(grid, problem.m, problem.consts)
     half = symbol[:grid.n_points // 2 + 1].copy()  # real rows' Hermitian half spectrum:

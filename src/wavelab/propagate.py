@@ -24,12 +24,20 @@ from .core import (
     TimeSpec,
     WaveField,
     _l2,
+    _on_grid,
+    _positive,
     dft,
     idft,
     l2_norm,
 )
 from .dispersion import EquationKind, SchrodingerFree, is_second_order, omega_of_k
-from .exceptions import LinearSolveFailure, NumericalFailure, WrongEquationFamily, ZeroField
+from .exceptions import (
+    ConfigError,
+    LinearSolveFailure,
+    NumericalFailure,
+    WrongEquationFamily,
+    ZeroField,
+)
 
 
 @dataclass
@@ -41,7 +49,7 @@ class SecondOrderState:
 
     def __post_init__(self):
         if self.psi.grid != self.psi_dot.grid:
-            raise ValueError("psi and psi_dot must share one grid")
+            raise ConfigError("psi and psi_dot must share one grid")
 
     @property
     def grid(self) -> Grid1D:
@@ -78,23 +86,19 @@ def constant_potential(grid: Grid1D, v0: float) -> np.ndarray:
 
 def harmonic_potential(grid: Grid1D, m: float, omega_c: float,
                        center: float | None = None) -> np.ndarray:
-    """V(x) = (1/2) m omega_c^2 (x - x_c)^2, centered at L/2 by default."""
+    """V(x) = (1/2) m omega_c^2 (x - x_c)^2, centered at L/2; NumericalFailure unless finite."""
     xc = grid.length / 2.0 if center is None else center
-    x = grid.positions
-    # plain multiplication so an overflowing omega_c yields inf, not OverflowError;
-    # callers treat a non-finite potential as a numerical failure
-    coef = 0.5 * m * omega_c * omega_c
+    coef = 0.5 * m * omega_c * omega_c  # plain multiplication: an overflow gives inf
     with np.errstate(invalid="ignore", over="ignore"):
-        return coef * (x - xc) ** 2
+        v = coef * (grid.positions - xc) ** 2
+    if not np.all(np.isfinite(v)):
+        raise NumericalFailure(f"non-finite trap potential at m = {m!r}, omega_c = {omega_c!r}, "
+                               f"center = {center!r}", step=0)
+    return v
 
 
 def _check_potential(potential, grid: Grid1D) -> np.ndarray:
-    v = np.asarray(potential, dtype=float)
-    if v.shape != (grid.n_points,):
-        raise ValueError(f"potential shape {v.shape} does not match grid")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("potential samples must be finite")
-    return v
+    return _on_grid(potential, grid, "potential", "potential samples", float)
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +151,6 @@ def _harmonic_snapshots(psi0: WaveField, m: float, omega_c: float, center, hbar:
     trap factor one naming the snapshot time t.
     """
     v = harmonic_potential(psi0.grid, m, omega_c, center)
-    if not np.all(np.isfinite(v)):
-        raise NumericalFailure(f"non-finite trap potential at m = {m!r}, omega_c = {omega_c!r}, "
-                               f"center = {center!r}", step=0)
     built, psi, t_prev = {0.0: (0, None, 0)}, psi0.samples.copy(), 0.0
     for t in times:
         dt, t_prev = t - t_prev, t
@@ -232,7 +233,7 @@ def positive_branch_init(psi0: WaveField, eq: EquationKind,
 def _snapshot_steps(n_steps: int, every: int) -> list:
     """Steps that get a snapshot: 0, each multiple of `every` (if > 0), and n_steps."""
     if every < 0:
-        raise ValueError(f"snapshot_every must be >= 0, got {every}")
+        raise ConfigError(f"snapshot_every must be >= 0, got {every}")
     steps = list(range(0, n_steps + 1, every)) if every > 0 else [0]
     if steps[-1] != n_steps:
         steps.append(n_steps)
@@ -312,10 +313,9 @@ def split_step_evolve(psi0: WaveField, m: float, potential,
     Both factors are unitary, so the norm is conserved to rounding per step;
     the global error against the exact solution is O(dt^2).  Snapshots are
     recorded at step 0, every `snapshot_every` steps (if > 0), and at the
-    final step; a negative `snapshot_every` raises ValueError.
+    final step; a negative `snapshot_every` raises ConfigError.
     """
-    if not m > 0:
-        raise ValueError(f"mass must be positive, got {m}")
+    _positive("mass", m)
     step = _strang(_check_potential(potential, psi0.grid), psi0.grid, m, consts.hbar,
                    time.dt, 1j)
     return _stepped_evolution(psi0, lambda psi: step(psi, psi), time, snapshot_every)
@@ -336,8 +336,7 @@ def crank_nicolson_evolve(psi0: WaveField, m: float, potential,
     from scipy import sparse
     from scipy.sparse.linalg import splu
 
-    if not m > 0:
-        raise ValueError(f"mass must be positive, got {m}")
+    _positive("mass", m)
     grid = psi0.grid
     v = _check_potential(potential, grid)
     n = grid.n_points
@@ -393,8 +392,8 @@ def gaussian_packet(spec: GaussianPacketSpec, grid: Grid1D,
         psi = np.exp(-((x - spec.x0) ** 2) / four_var + 1j * spec.k0 * x)
         nrm = float(_l2(psi, grid.spacing))
     if not 0.0 < nrm < np.inf:  # a non-finite sample, or no sample above underflow
-        raise ValueError(f"packet with sigma = {spec.sigma!r}, x0 = {spec.x0!r} has no "
-                         "finite, nonzero samples on the grid")
+        raise ConfigError(f"packet with sigma = {spec.sigma!r}, x0 = {spec.x0!r} has no "
+                          "finite, nonzero samples on the grid")
     return WaveField(grid, psi / nrm if normalize else psi)
 
 
@@ -412,8 +411,7 @@ def analytic_free_gaussian(spec: GaussianPacketSpec, grid: Grid1D, m: float,
     This is the exact continuum solution and serves as the oracle for the
     spectral propagator.
     """
-    if not m > 0:
-        raise ValueError(f"mass must be positive, got {m}")
+    _positive("mass", m)
     hbar = consts.hbar
     x = grid.positions
     alpha = spec.sigma ** 2 + 0.5j * hbar * t / m

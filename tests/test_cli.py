@@ -1,14 +1,19 @@
 import json
+import math
 import os
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from wavelab import cli
 from wavelab import (
@@ -166,12 +171,27 @@ def test_malformed_line_reports_line_number(tmp_path, capsys):
     # the scan exited 0 and echoed a potential it never used
     (["dispersion", "--set", "family=klein_gordon", "--set", "potential=constant",
       "--set", "v0=3"], "family 'klein_gordon' does not take a potential"),
+    # 1/dx overflowed: |psi|^2 raised OverflowError in the writer (exit 1)
+    (["evolve", "--set", "length=1e-310", "--set", "x0=0"],
+     "grid spacing length / n_points = 1e-310 / 512 is subnormal"),
+    # dx = 0: Grid1D.wavenumbers raised ZeroDivisionError (exit 1)
+    (["oscillator", "--set", "length=5e-324", "--set", "hbar=5e-324"],
+     "grid spacing length / n_points = 5e-324 / 256 is subnormal"),
+    # named "packet ... has no finite, nonzero samples on the grid"
+    (["evolve", "--set", "length=5e-324"], "grid spacing length / n_points = 5e-324 / 512"),
+    # numpy's "array is too big" ValueError, which main reported as a config error
+    (["evolve", "--set", "n_points=4611686018427387904"],
+     "n_points must be at most 2**58, got 4611686018427387904"),
+    (["dispersion", "--set", "k_count=4611686018427387904"],
+     "--set #1: k_count must be <= 288230376151711744, got 4611686018427387904"),
 ], ids=["k_count", "n_steps", "snapshot_every", "nrlimit_snapshot_every", "ladder_of_one",
         "ladder_negative", "ladder_empty", "set_without_equals", "empty_key", "missing_config",
         "unknown_family", "negative_seed", "n_steps_not_integer", "seed_past_u64",
         "seed_named_as_itself", "n_points_library_bound", "max_iters_library_bound",
         "ladder_one_speed_twice", "ladder_one_speed_thrice", "plane_wave_k0_overflow",
-        "plane_wave_k0_overflow_negative", "dispersion_potential_without_family"])
+        "plane_wave_k0_overflow_negative", "dispersion_potential_without_family",
+        "subnormal_spacing_evolve", "zero_spacing_oscillator", "zero_spacing_evolve",
+        "n_points_past_numpy", "k_count_past_numpy"])
 def test_refused_config_is_one_line_and_writes_nothing(tmp_path, capsys, argv, named):
     # the single-key bounds were checked in the command bodies, after
     # config_echo.cfg had been written to --out; a library's refusal left that
@@ -200,8 +220,18 @@ def test_refused_config_is_one_line_and_writes_nothing(tmp_path, capsys, argv, n
     # the trap builds its potential even where no step is built
     (["evolve", "--set", "family=schrodinger_potential", "--set", "potential=harmonic",
       "--set", "omega_c=1e200", "--set", "n_steps=0"], 3, "non-finite trap potential"),
+    # 2 m omega_c underflowed to 0: ZeroDivisionError (exit 1)
+    (["oscillator", "--set", "mass=1e-200", "--set", "omega_c=1e-200"], 3,
+     "ground width sqrt(hbar / 2 m omega_c) = inf"),
+    # (2 dx*)^2 overflowed in Python floats: OverflowError (exit 1)
+    (["oscillator", "--set", "mass=0.5", "--set", "omega_c=1e-308", "--set", "length=2e155"], 3,
+     "start state has norm nan"),
+    # t = 20 dt is inf: exit 0 with inf times and nan deviations
+    (["nrlimit", "--set", "dt=1.7e308", "--set", "n_steps=20"], 3,
+     "non-finite envelope phase (t = inf)"),
 ], ids=["bound_overflow", "grid_too_coarse", "strang_factor_overflow", "phase_overflow_at_2",
-        "trap_factor_overflow", "trap_potential_overflow_at_0_steps"])
+        "trap_factor_overflow", "trap_potential_overflow_at_0_steps", "ground_width_inf",
+        "start_state_overflow", "nrlimit_time_overflow"])
 def test_failed_run_writes_nothing(tmp_path, capsys, argv, code, named):
     # config_echo.cfg was written before the command ran, so every exit 3 or 4
     # left it in --out
@@ -317,6 +347,110 @@ def test_out_of_memory_exits_3_in_one_line(tmp_path, argv):
     assert proc.stderr.startswith("numerical failure: out of memory (")
     assert proc.stderr.count("\n") == 1 and "()" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["evolve", "--set", "n_points=100"], "n_points must be a power of two >= 8, got 100"),
+    (["oscillator", "--set", "bracket_lo=5", "--set", "bracket_hi=1"],
+     "need 0 < lo < hi, got (5.0, 1.0)"),
+], ids=["grid", "bracket"])
+def test_library_refusal_is_exit_2_in_one_line(tmp_path, capsys, argv, line):
+    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {line}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_stray_value_error_is_not_a_config_error(tmp_path, capsys, monkeypatch):
+    # main mapped every ValueError to exit 2, so a numpy fault read "config error: ..."
+    def fault(cfg, out):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setitem(cli._DISPATCH, "nrlimit", fault)
+    with pytest.raises(ValueError, match="broadcast"):
+        cli.main(["nrlimit", "--out", str(tmp_path / "o")])
+    assert "config error" not in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # no --out, no stage
+
+
+# ---------------------------------------------------------------------------
+# extreme-value gate: two or three float keys of one scenario at once
+# ---------------------------------------------------------------------------
+
+EXTREMES = (1e300, -1e300, 1.7e308, 1e154, 1e200, 1e-160, 1e-200, 1e-310, 5e-324, 0.0, -1.0)
+# sizes capped so a case takes milliseconds; an example may raise them
+GATE_SIZES = {
+    "dispersion": {"k_count": 5},
+    "evolve": {"n_points": 64, "n_steps": 20},
+    "nrlimit": {"n_points": 64, "n_steps": 20},
+    "oscillator": {"n_points": 64, "max_iters": 300},
+}
+LABEL_COLUMNS = {"family", "method"}
+# documented nan: the NR pair of a massless family's dispersion row
+NAN_COLUMNS = {("dispersion.csv", "nr_gap"), ("dispersion.csv", "nr_bound")}
+
+
+@st.composite
+def extreme_case(draw):
+    """(scenario, ((key, value), ...)): 2-3 of its float keys, each at an extreme value."""
+    scenario = draw(st.sampled_from(sorted(GATE_SIZES)))
+    floats = [key for key, (parse, _) in cli.SCHEMAS[scenario].items() if parse is cli._parse_float]
+    keys = draw(st.lists(st.sampled_from(floats), min_size=2, max_size=3, unique=True))
+    return scenario, tuple((key, draw(st.sampled_from(EXTREMES))) for key in keys)
+
+
+def assert_finite_artifacts(out: Path):
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=_refuse_constant)
+        elif path.suffix == ".csv":
+            header, rows = read_csv(path)
+            for row in rows:
+                for name, cell in zip(header, row):
+                    if name not in LABEL_COLUMNS and (path.name, name) not in NAN_COLUMNS:
+                        assert math.isfinite(float(cell)), f"{path.name}: {name} = {cell}"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=extreme_case())
+# each of these ended in a traceback (exit 1): OverflowError in the writer's |psi|^2,
+# ZeroDivisionError at dx = 0, ZeroDivisionError at 2 m omega_c = 0, OverflowError in
+# the relaxation's start state
+@example(case=("evolve", (("length", 1e-310), ("x0", 0.0))))
+@example(case=("oscillator", (("length", 5e-324), ("hbar", 5e-324))))
+@example(case=("oscillator", (("mass", 1e-200), ("omega_c", 1e-200))))
+@example(case=("oscillator", (("mass", 0.5), ("omega_c", 1e-308), ("length", 2e155),
+                              ("n_points", 256))))
+def test_extreme_values_exit_0_2_3_or_4_cleanly(tmp_path, capsys, case):
+    scenario, pairs = case
+    run = Path(tempfile.mkdtemp(dir=tmp_path))
+    out = run / "o"
+    sets = {**GATE_SIZES[scenario], **dict(pairs)}
+    argv = [scenario, "--out", str(out)]
+    argv += [arg for key, value in sets.items() for arg in ("--set", f"{key}={value!r}")]
+
+    def hang(signum, frame):  # not a timing bound: a case takes milliseconds
+        raise TimeoutError(f"wavelab {' '.join(argv)} did not finish within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(60)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = cli.main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    err = capsys.readouterr().err
+    if rc == 0:
+        assert_finite_artifacts(out)
+    else:
+        assert rc in (2, 3, 4), err
+        prefix = {2: "config error: ", 3: "numerical failure: ", 4: "resolution error: "}[rc]
+        assert err.startswith(prefix) and err.count("\n") == (2 if rc == 4 else 1), err
+        assert not out.exists()
+    assert not list(run.glob(".wavelab-*"))
+    shutil.rmtree(run)
 
 
 def test_config_echo_roundtrips(tmp_path):

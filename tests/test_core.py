@@ -1,20 +1,34 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavelab import (
+    ClassicalWave,
     GaussianPacketSpec,
     Grid1D,
+    KleinGordon,
+    OscillatorProblem,
     PhysicalConstants,
+    SchrodingerFree,
+    SchrodingerPotential,
     SpectralField,
     TimeSpec,
     WaveField,
+    analytic_free_gaussian,
+    crank_nicolson_evolve,
     dft,
     gaussian_packet,
     idft,
+    imaginary_time_ground_state,
     l2_norm,
+    minimize_bound_numeric,
+    nr_expansion_error,
+    split_step_evolve,
 )
+from wavelab.exceptions import ConfigError, InvalidBracket, NonPositiveDeltaX, WaveLabError
 
 from oracles import dft_bruteforce, idft_bruteforce
 
@@ -90,6 +104,66 @@ def test_packet_spec_rejects_non_positive_sigma():
         GaussianPacketSpec(0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         GaussianPacketSpec(0.0, 1.0, np.inf)
+
+
+def test_grid_refuses_a_spacing_below_the_normal_range():
+    # 1/dx overflowed: |psi|^2 of a unit-norm packet raised OverflowError in the
+    # evolve writer, and dx = 0 ZeroDivisionError in Grid1D.wavenumbers
+    tiny = np.finfo(np.float64).tiny
+    assert Grid1D(8, 8 * tiny).spacing == tiny
+    for n, length in [(16, 8 * tiny), (512, 1e-310), (8, 5e-324)]:
+        with pytest.raises(ConfigError, match=f"grid spacing length / n_points = {length} / {n} "):
+            Grid1D(n, length)
+
+
+def test_grid_refuses_more_points_than_numpy_can_hold():
+    # numpy's "array is too big" ValueError came from the first array of the grid
+    assert Grid1D(2 ** 58, 1.0).n_points == 2 ** 58  # nothing is allocated here
+    with pytest.raises(ConfigError, match=r"n_points must be at most 2\*\*58, got 2305843009213693952"):
+        Grid1D(2 ** 61, 1.0)
+
+
+def test_refusals_are_config_errors_and_value_errors():
+    assert issubclass(ConfigError, ValueError) and issubclass(ConfigError, WaveLabError)
+    assert issubclass(InvalidBracket, ConfigError) and issubclass(NonPositiveDeltaX, ConfigError)
+
+
+_GRID8 = Grid1D(8, 1.0)
+_PSI8 = WaveField(_GRID8, np.ones(8))
+_UNIT_TRAP = OscillatorProblem(1.0, 1.0)
+# the one positivity rule, at every parameter it guards: (name in the message, call)
+POSITIVE_SITES = {
+    "hbar": ("hbar", lambda v: PhysicalConstants(hbar=v)),
+    "c": ("c", lambda v: PhysicalConstants(c=v)),
+    "length": ("length", lambda v: Grid1D(8, v)),
+    "dt": ("dt", lambda v: TimeSpec(v, 1)),
+    "sigma": ("sigma", lambda v: GaussianPacketSpec(0.0, 0.0, v)),
+    "wave_speed": ("wave speed", ClassicalWave),
+    "klein_gordon": ("mass", KleinGordon),
+    "schrodinger_free": ("mass", SchrodingerFree),
+    "schrodinger_potential": ("mass", lambda v: SchrodingerPotential(v, np.zeros(8))),
+    "oscillator_mass": ("mass", lambda v: OscillatorProblem(v, 1.0)),
+    "omega_c": ("omega_c", lambda v: OscillatorProblem(1.0, v)),
+    "tol": ("tol", lambda v: minimize_bound_numeric(_UNIT_TRAP, tol=v)),
+    "tau_step": ("tau_step", lambda v: imaginary_time_ground_state(_UNIT_TRAP, _GRID8,
+                                                                   tau_step=v)),
+    "energy_tol": ("energy_tol", lambda v: imaginary_time_ground_state(_UNIT_TRAP, _GRID8,
+                                                                       energy_tol=v)),
+    "split_step": ("mass", lambda v: split_step_evolve(_PSI8, v, np.zeros(8))),
+    "crank_nicolson": ("mass", lambda v: crank_nicolson_evolve(_PSI8, v, np.zeros(8))),
+    "analytic_gaussian": ("mass", lambda v: analytic_free_gaussian(
+        GaussianPacketSpec(0.5, 0.0, 0.1), _GRID8, v)),
+    "nr_expansion": ("mass", lambda v: nr_expansion_error(v, 1.0)),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -1.0], ids=["inf", "negative"])
+@pytest.mark.parametrize("site", POSITIVE_SITES)
+def test_every_positive_parameter_refuses_the_same_values(site, value):
+    # seven of the eight mass checks took m = inf, and the messages disagreed
+    name, call = POSITIVE_SITES[site]
+    with pytest.raises(ConfigError, match=f"^{name} must be positive and finite, got {value}$"):
+        call(value)
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,16 @@ def test_report_deviation_equals_full_mode_sum():
             assert rep.deviation == want, (n, c)
 
 
+def test_report_refuses_a_time_past_the_float_range():
+    # t = 20 * 1.7e308 is inf: the report came back with inf times and nan deviations
+    grid = Grid1D(64, 16.0)
+    _, psi0 = normalized_mode(grid, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning either
+        with pytest.raises(NumericalFailure, match=r"non-finite envelope phase \(t = inf\)"):
+            nr_limit_report(psi0, 1.0, C10, TimeSpec(1.7e308, 20))
+
+
 @pytest.mark.parametrize("c", [1e-200, 1e200])
 def test_report_refuses_non_finite_envelope(c):
     # m c^2/hbar underflows to 0 (or overflows): no NaN series may come back

@@ -250,6 +250,22 @@ def test_grid_too_coarse_raises():
         imaginary_time_ground_state(UNIT, Grid1D(256, 5.0))  # box too small
 
 
+@pytest.mark.parametrize("m, omega_c, width", [(1e-200, 1e-200, math.inf), (1e200, 1e200, 0.0)])
+def test_trap_length_scale_never_raises(m, omega_c, width):
+    # 2 m omega_c underflowing to 0 raised ZeroDivisionError; the relaxation takes
+    # its ground width from the same dx* and refuses one of 0 or inf
+    problem = OscillatorProblem(m, omega_c)
+    assert minimize_bound_analytic(problem).delta_x == width
+    with pytest.raises(NumericalFailure, match="ground width sqrt"):
+        imaginary_time_ground_state(problem, Grid1D(64, 20.0))
+
+
+def test_overflowing_start_state_is_a_numerical_failure():
+    # (2 dx*)^2 = 4e308 raised OverflowError in Python floats
+    with pytest.raises(NumericalFailure, match="start state has norm nan"):
+        imaginary_time_ground_state(OscillatorProblem(0.5, 1e-308), Grid1D(256, 2e155))
+
+
 def test_no_convergence_when_iteration_budget_tiny():
     with pytest.raises(NoConvergence):
         imaginary_time_ground_state(UNIT, Grid1D(256, 20.0), max_iters=3)
