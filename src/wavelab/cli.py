@@ -10,8 +10,9 @@ configuration is echoed next to every report; re-running from the echo
 reproduces the run byte for byte (floats in shortest-roundtrip decimal form).
 
 Exit codes: 0 ok, 2 config error (a parser's or the library's ConfigError, or an
-``--out`` that cannot be written), 3 numerical failure (out of memory included),
-4 resolution precondition failure; any other exception is a fault, not a refusal.
+``--out`` that cannot be written), 3 numerical failure (a NumericalFailure, or out
+of memory), 4 resolution precondition failure (GridTooCoarse); any other
+exception is a fault, not a refusal.
 Files are staged on ``--out``'s filesystem and move into it once the run has
 succeeded (a new ``--out`` in one rename, an existing one file by file): a
 failed run leaves ``--out`` as it was, unless a move fails.
@@ -29,7 +30,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GaussianPacketSpec, Grid1D, PhysicalConstants, TimeSpec, WaveField, dft, l2_norm
+from .core import (
+    GaussianPacketSpec,
+    Grid1D,
+    PhysicalConstants,
+    TimeSpec,
+    WaveField,
+    _finite,
+    _positive,
+    dft,
+    l2_norm,
+)
 from .dispersion import (
     ClassicalWave,
     Electromagnetic,
@@ -37,6 +48,7 @@ from .dispersion import (
     PlaneWaveMode,
     SchrodingerFree,
     SchrodingerPotential,
+    _wavenumber_scan,
     group_velocity,
     kinematic_map,
     nr_expansion_error,
@@ -44,7 +56,7 @@ from .dispersion import (
     planewave_residual,
     planewave_sample,
 )
-from .exceptions import ConfigError, GridTooCoarse, NoConvergence, NumericalFailure
+from .exceptions import ConfigError, GridTooCoarse, NumericalFailure
 from .nrlimit import dominance_terms_mode, nr_limit_report
 from .oscillator import (
     OscillatorProblem,
@@ -351,16 +363,15 @@ def cmd_dispersion(cfg: dict, out: str):
     # every column must be finite but the NR pair, which is nan for the massless families
     checked = header.split(",")[1:6 if m is None else 8]
     rows = []
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for k in np.linspace(cfg["k_min"], cfg["k_max"], cfg["k_count"]).tolist():
-            w = omega_of_k(eq, k, consts)
-            pair = kinematic_map(k, w, consts)
-            nr = (math.nan, math.nan) if m is None else nr_expansion_error(m, k, consts)
-            row = (k, w, group_velocity(eq, k, consts), pair.p, pair.E, *nr)
-            for name, v in zip(checked, row):
-                if not math.isfinite(v):
-                    raise NumericalFailure(f"dispersion row at k = {k!r} has {name} = {v!r}")
-            rows.append((cfg["family"], *row))
+    for k in _wavenumber_scan(cfg["k_min"], cfg["k_max"], cfg["k_count"]):
+        w = omega_of_k(eq, k, consts)
+        pair = kinematic_map(k, w, consts)
+        nr = (math.nan, math.nan) if m is None else nr_expansion_error(m, k, consts)
+        row = (k, w, group_velocity(eq, k, consts), pair.p, pair.E, *nr)
+        _finite(lambda: next(f"dispersion row at k = {k!r} has {name} = {v!r}"
+                             for name, v in zip(checked, row) if not math.isfinite(v)),
+                row[:len(checked)])
+        rows.append((cfg["family"], *row))
     _write_csv(os.path.join(out, "dispersion.csv"), header, rows)
 
 
@@ -369,9 +380,9 @@ def cmd_evolve(cfg: dict, out: str):
     grid = Grid1D(cfg["n_points"], cfg["length"])
     psi0 = _build_packet(cfg, grid)
     eq = _equation(cfg)
-    dt = TimeSpec(cfg["dt"], max(cfg["n_steps"], 1)).dt  # refuses dt <= 0, even at 0 steps
+    _positive("dt", cfg["dt"])  # refused even at 0 steps
     steps = _snapshot_steps(cfg["n_steps"], cfg["snapshot_every"])
-    _write_snapshots(out, lambda: _propagate(eq, psi0, consts, (s * dt for s in steps),
+    _write_snapshots(out, lambda: _propagate(eq, psi0, consts, (s * cfg["dt"] for s in steps),
                                              _trap(cfg)), len(steps), grid.positions)
 
 
@@ -657,6 +668,9 @@ def _stage(out: Path) -> str:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code: 2 for a ConfigError (or an OSError), 3 for a
+    NumericalFailure (or a MemoryError), 4 for GridTooCoarse, each with one stderr line and no
+    numpy warning (the library refuses non-finite results itself); any other error is a fault."""
     args = _build_parser().parse_args(argv)
     try:
         pairs = parse_config_file(Path(args.config)) if args.config else []
@@ -687,7 +701,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalFailure, NoConvergence) as exc:
+    except NumericalFailure as exc:  # non-finite values, no convergence, a failed solve
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError as exc:  # a size no parser bounds, e.g. k_count = 10**12

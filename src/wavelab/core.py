@@ -18,13 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, NumericalFailure
 
 
 def _positive(name: str, value):
     """Refuse (ConfigError) any value but 0 < value < inf: the one positivity rule."""
     if not 0 < value < np.inf:
         raise ConfigError(f"{name} must be positive and finite, got {value}")
+
+
+def _finite(message, *values, step=None):
+    """Raise NumericalFailure(message, step) unless every value (scalar or array) is finite: the
+    one rule for computed values, whose arithmetic runs under `np.errstate(all="ignore")`, so an
+    overflow or nan ends here (exit 3), not in a numpy warning; a callable message is lazy."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise NumericalFailure(message() if callable(message) else message, step=step)
 
 
 @dataclass(frozen=True)
@@ -136,7 +144,7 @@ class SpectralField:
     @property
     def wavelengths(self) -> np.ndarray:
         """Per-mode wavelength 2*pi/|k| (inf for the k = 0 mode)."""
-        with np.errstate(divide="ignore"):
+        with np.errstate(all="ignore"):
             return 2.0 * np.pi / np.abs(self.wavenumbers)
 
     def copy(self) -> "SpectralField":

@@ -137,29 +137,37 @@ class NrExpansionError(NamedTuple):
 
 
 def omega_of_k(eq: EquationKind, k, consts: PhysicalConstants = NATURAL_UNITS):
-    """Angular frequency of the positive branch at wavenumber k (scalar or array)."""
+    """Positive-branch angular frequency at wavenumber k (scalar or array); inf on overflow."""
     karr = np.asarray(k, dtype=float)
     hbar = consts.hbar
-    if is_second_order(eq):
-        s, m = _closed_form(eq, consts)
-        # hypot keeps the rest-energy / kinetic split accurate for small k*c
-        w = np.abs(karr * s) if m is None else np.hypot(karr * s, m * s * s / hbar)
-    else:
-        m, v0 = _closed_form(eq, consts)
-        w = hbar * karr * karr / (2.0 * m) + v0 / hbar
+    with np.errstate(all="ignore"):
+        if is_second_order(eq):
+            s, m = _closed_form(eq, consts)
+            # hypot keeps the rest-energy / kinetic split accurate for small k*c
+            w = np.abs(karr * s) if m is None else np.hypot(karr * s, m * s * s / hbar)
+        else:
+            m, v0 = _closed_form(eq, consts)
+            w = hbar * karr * karr / (2.0 * m) + v0 / hbar
     return w if w.ndim else float(w)
 
 
 def group_velocity(eq: EquationKind, k, consts: PhysicalConstants = NATURAL_UNITS):
     """Analytic d(omega)/dk of the closed form (0 at the k = 0 kink of |k| laws)."""
     karr = np.asarray(k, dtype=float)
-    if is_second_order(eq):
-        s, m = _closed_form(eq, consts)
-        g = s * np.sign(karr) if m is None else karr * s * s / omega_of_k(eq, karr, consts)
-    else:
-        m, _ = _closed_form(eq, consts)  # raises unless the potential is constant
-        g = consts.hbar * karr / m
+    with np.errstate(all="ignore"):  # an overflow gives inf (or nan), as in omega_of_k
+        if is_second_order(eq):
+            s, m = _closed_form(eq, consts)
+            g = s * np.sign(karr) if m is None else karr * s * s / omega_of_k(eq, karr, consts)
+        else:
+            m, _ = _closed_form(eq, consts)  # raises unless the potential is constant
+            g = consts.hbar * karr / m
     return g if g.ndim else float(g)
+
+
+def _wavenumber_scan(k_min: float, k_max: float, count: int) -> list:
+    """`count` evenly spaced k from k_min to k_max; nan where the span k_max - k_min overflows."""
+    with np.errstate(all="ignore"):
+        return np.linspace(k_min, k_max, count).tolist()
 
 
 def kinematic_map(k: float, omega: float, consts: PhysicalConstants = NATURAL_UNITS) -> KinematicPair:
@@ -197,7 +205,7 @@ def planewave_residual(eq: EquationKind, mode: PlaneWaveMode,
         s, m = _closed_form(eq, consts)
         # in float64, so an s^2 or hbar^2 that underflows gives inf, not ZeroDivisionError
         s, hbar = np.float64(s), np.float64(hbar)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             mass_term = 0.0 if m is None else m * m * s * s / (hbar * hbar)
             return float(abs(-k * k + w * w / (s * s) - mass_term))
     m, v0 = _closed_form(eq, consts)
@@ -214,7 +222,7 @@ def nr_expansion_error(m: float, k: float,
     taken in float64, so an overflow gives inf (or nan), not an exception.
     """
     hbar, c, m, k = (np.float64(v) for v in (consts.hbar, consts.c, m, k))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         w = omega_of_k(KleinGordon(m), k, consts)
         gap = abs(w - m * c * c / hbar - hbar * k * k / (2.0 * m))
         bound = hbar ** 3 * k ** 4 / (8.0 * m ** 3 * c * c)

@@ -1,56 +1,49 @@
-"""Exception types raised by the wavelab modules; every refused input is a ConfigError."""
+"""Exception types of wavelab in three families, one per CLI exit code: ConfigError (2, a refused
+input; also a ValueError), NumericalFailure (3, a failed computation), GridTooCoarse (4)."""
 
 
 class WaveLabError(Exception):
     """Base class for all wavelab-specific errors."""
 
 
-class DispersionUndefined(WaveLabError):
-    """No single dispersion relation exists (e.g. non-constant potential)."""
-
-
-class NonCommensurateWavenumber(WaveLabError):
-    """Wavenumber is not of the form 2*pi*n/L and cannot be sampled exactly."""
-
-
-class WrongEquationFamily(WaveLabError):
-    """Operation requires a different equation family than the one supplied."""
-
-
-class LinearSolveFailure(WaveLabError):
-    """The implicit linear system could not be solved."""
-
-
-class ZeroField(WaveLabError):
-    """Operation undefined on an identically-zero field."""
-
-
-class InsufficientSnapshots(WaveLabError):
-    """Too few snapshots for the requested finite-difference stencil."""
-
-
-class NonUniformTimes(WaveLabError):
-    """Snapshot times are not uniformly spaced."""
-
-
-class NoConvergence(WaveLabError):
-    """Iteration hit its step limit before reaching the requested tolerance."""
-
-
-class GridTooCoarse(WaveLabError):
-    """Grid cannot resolve (or contain) the state the computation needs."""
+class ConfigError(WaveLabError, ValueError):
+    """A refused parameter, input or run configuration; a ValueError too (the CLI's exit 2)."""
 
 
 class NumericalFailure(WaveLabError):
-    """Non-finite values appeared during evolution."""
+    """A computation that failed: non-finite values, no convergence (the CLI's exit 3)."""
 
     def __init__(self, message, step=None):
         super().__init__(message)
         self.step = step
 
 
-class ConfigError(WaveLabError, ValueError):
-    """A refused parameter, input or run configuration; a ValueError too (the CLI's exit 2)."""
+class GridTooCoarse(WaveLabError):
+    """Grid cannot resolve (or contain) the state the computation needs (the CLI's exit 4)."""
+
+
+class DispersionUndefined(ConfigError):
+    """No single dispersion relation exists (e.g. non-constant potential)."""
+
+
+class NonCommensurateWavenumber(ConfigError):
+    """Wavenumber is not of the form 2*pi*n/L and cannot be sampled exactly."""
+
+
+class WrongEquationFamily(ConfigError):
+    """Operation requires a different equation family than the one supplied."""
+
+
+class ZeroField(ConfigError):
+    """Operation undefined on an identically-zero field."""
+
+
+class InsufficientSnapshots(ConfigError):
+    """Too few snapshots for the requested finite-difference stencil."""
+
+
+class NonUniformTimes(ConfigError):
+    """Snapshot times are not uniformly spaced."""
 
 
 class NonPositiveDeltaX(ConfigError):
@@ -59,3 +52,11 @@ class NonPositiveDeltaX(ConfigError):
 
 class InvalidBracket(ConfigError):
     """Search bracket shows evidence the objective is not unimodal inside it."""
+
+
+class NoConvergence(NumericalFailure):
+    """Iteration hit its step limit before reaching the requested tolerance."""
+
+
+class LinearSolveFailure(NumericalFailure):
+    """The implicit linear system could not be solved."""

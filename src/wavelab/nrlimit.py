@@ -37,11 +37,12 @@ from .core import (
     PhysicalConstants,
     TimeSpec,
     WaveField,
+    _finite,
     _l2,
     dft,
 )
 from .dispersion import KleinGordon, omega_of_k
-from .exceptions import ConfigError, InsufficientSnapshots, NonUniformTimes, NumericalFailure
+from .exceptions import ConfigError, InsufficientSnapshots, NonUniformTimes
 from .propagate import _snapshot_steps, gaussian_packet
 
 
@@ -105,18 +106,17 @@ def dominance_terms_mode(k: float, m: float,
         big   = m^2 c^4 / hbar^2 + (2 m c^2 / hbar) Omega
 
     (the bracket's modulus; both contributions add for the particle branch).
-    The ratio vanishes at k = 0 and falls off as c^-4 at fixed k.  Both terms
-    are taken in float64; NumericalFailure is raised when either is not finite.
+    The ratio vanishes at k = 0 and falls off as c^-4 at fixed k.  Both terms are
+    taken in float64; NumericalFailure is raised when either is not finite (the ratio may be inf).
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         big_omega, omega_rest = _envelope_frequency(np.float64(k), m, consts)
         small = big_omega ** 2
         big = np.float64(omega_rest) ** 2 + 2.0 * omega_rest * big_omega
-    if not (np.isfinite(small) and np.isfinite(big)):
-        raise NumericalFailure(f"non-finite dominance terms at c = {consts.c!r} "
-                               f"(m c^2/hbar = {omega_rest!r})")
-    return DominanceTerms(small_term=float(small), big_term=float(big),
-                          ratio=float(small / big) if big > 0 else float("inf"))
+        ratio = small / big if big > 0 else np.inf
+    _finite(f"non-finite dominance terms at c = {consts.c!r} (m c^2/hbar = {omega_rest!r})",
+            small, big)
+    return DominanceTerms(small_term=float(small), big_term=float(big), ratio=float(ratio))
 
 
 def _uniform_dt(snapshots) -> float:
@@ -200,7 +200,7 @@ def nr_limit_report(psi0: WaveField, m: float,
     """
     times = [step * time.dt for step in _snapshot_steps(time.n_steps, snapshot_every)]
     spec = dft(psi0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(all="ignore"):
         big_omega, omega_rest = _envelope_frequency(spec.wavenumbers, m, consts)
         x = big_omega / omega_rest
         half_gap = -0.25 * big_omega * x  # delta / 2
@@ -209,11 +209,8 @@ def nr_limit_report(psi0: WaveField, m: float,
         # both norms divided by omega_r^2, which cancels in the ratio
         ratio = float(np.sqrt(np.dot(power, x ** 4) / np.dot(power, (1.0 + 2.0 * x) ** 2)))
         last_phase = np.max(np.abs(half_gap)) * times[-1]  # bounds every snapshot's phase
-    if not (np.isfinite(last_phase) and np.isfinite(ratio)):
-        raise NumericalFailure(
-            f"non-finite envelope phase (t = {times[-1]!r}) or dominance ratio at c = "
-            f"{consts.c!r} (m c^2/hbar = {omega_rest!r})"
-        )
+    _finite(f"non-finite envelope phase (t = {times[-1]!r}) or dominance ratio at c = "
+            f"{consts.c!r} (m c^2/hbar = {omega_rest!r})", last_phase, ratio)
 
     # one snapshot at a time: memory stays O(N) however many snapshots there are
     h = psi0.grid.n_points // 2

@@ -19,7 +19,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import NATURAL_UNITS, Grid1D, PhysicalConstants, WaveField, _l2, _positive, l2_norm
+from .core import (
+    NATURAL_UNITS,
+    Grid1D,
+    PhysicalConstants,
+    WaveField,
+    _finite,
+    _l2,
+    _positive,
+    l2_norm,
+)
 from .exceptions import (
     ConfigError,
     GridTooCoarse,
@@ -85,10 +94,9 @@ def energy_bound(problem: OscillatorProblem, delta_x: float) -> UncertaintyPoint
         raise NonPositiveDeltaX(f"delta_x must be positive, got {delta_x}")
     hbar, m, omega_c, dx = (np.float64(v) for v in
                             (problem.consts.hbar, problem.m, problem.omega_c, delta_x))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         e = hbar ** 2 / (8.0 * m * dx ** 2) + 0.5 * m * omega_c ** 2 * dx ** 2
-    if not np.isfinite(e):
-        raise NumericalFailure(f"bound curve E(dx) = {float(e)!r} at dx = {delta_x!r}")
+    _finite(f"bound curve E(dx) = {float(e)!r} at dx = {delta_x!r}", e)
     return UncertaintyPoint(delta_x=delta_x, energy=float(e))
 
 
@@ -96,7 +104,7 @@ def minimize_bound_analytic(problem: OscillatorProblem) -> BoundMinimum:
     """Closed-form minimum dx* = sqrt(hbar/2 m omega_c), E0 = hbar omega_c / 2, with dx*
     taken in float64: a 2 m omega_c that under- or overflows gives inf or 0, not an error."""
     hbar = problem.consts.hbar
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(all="ignore"):
         dx_star = float(np.sqrt(hbar / (2.0 * np.float64(problem.m) * problem.omega_c)))
     return BoundMinimum(delta_x=dx_star, energy=0.5 * hbar * problem.omega_c)
 
@@ -207,7 +215,7 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
 
     # the state: a real (R, N) stack, R = 1 for a real start, R = 2 (Re, Im) otherwise
     if initial is None:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        with np.errstate(all="ignore"):  # an overflow is refused below
             four_var = 4.0 * np.float64(2.0 * ground_width) ** 2
             psi = np.exp(-((grid.positions - grid.length / 2.0) ** 2) / four_var)[np.newaxis]
     else:

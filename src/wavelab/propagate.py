@@ -23,6 +23,7 @@ from .core import (
     SpectralField,
     TimeSpec,
     WaveField,
+    _finite,
     _l2,
     _on_grid,
     _positive,
@@ -31,13 +32,7 @@ from .core import (
     l2_norm,
 )
 from .dispersion import EquationKind, SchrodingerFree, is_second_order, omega_of_k
-from .exceptions import (
-    ConfigError,
-    LinearSolveFailure,
-    NumericalFailure,
-    WrongEquationFamily,
-    ZeroField,
-)
+from .exceptions import ConfigError, LinearSolveFailure, WrongEquationFamily, ZeroField
 
 
 @dataclass
@@ -89,16 +84,11 @@ def harmonic_potential(grid: Grid1D, m: float, omega_c: float,
     """V(x) = (1/2) m omega_c^2 (x - x_c)^2, centered at L/2; NumericalFailure unless finite."""
     xc = grid.length / 2.0 if center is None else center
     coef = 0.5 * m * omega_c * omega_c  # plain multiplication: an overflow gives inf
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(all="ignore"):
         v = coef * (grid.positions - xc) ** 2
-    if not np.all(np.isfinite(v)):
-        raise NumericalFailure(f"non-finite trap potential at m = {m!r}, omega_c = {omega_c!r}, "
-                               f"center = {center!r}", step=0)
+    _finite(f"non-finite trap potential at m = {m!r}, omega_c = {omega_c!r}, center = {center!r}",
+            v, step=0)
     return v
-
-
-def _check_potential(potential, grid: Grid1D) -> np.ndarray:
-    return _on_grid(potential, grid, "potential", "potential samples", float)
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +118,9 @@ def _phase_snapshots(psi0: WaveField, omega, times):
         if t == 0.0:
             yield t, psi0.copy()
             continue
-        with np.errstate(invalid="ignore", over="ignore"):
+        with np.errstate(all="ignore"):
             a = amps * np.exp(-1j * omega * t)
-        if not np.all(np.isfinite(a)):
-            raise NumericalFailure(f"non-finite mode amplitudes at t = {t}")
+        _finite(f"non-finite mode amplitudes at t = {t}", a)
         yield t, idft(SpectralField(psi0.grid, a))
 
 
@@ -156,16 +145,14 @@ def _harmonic_snapshots(psi0: WaveField, m: float, omega_c: float, center, hbar:
         dt, t_prev = t - t_prev, t
         if dt not in built:
             theta = omega_c * dt
-            if not math.isfinite(theta):
-                raise NumericalFailure(f"non-finite trap angle omega_c * t at t = {t}")
+            _finite(f"non-finite trap angle omega_c * t at t = {t}", theta)
             turn = math.remainder(theta, 2.0 * math.pi)
             parts = max(1, math.ceil(abs(turn) / (0.5 * math.pi)))
             size = math.sin(turn / parts) / omega_c if theta else dt
-            try:
-                step = _strang(v / math.cos(0.5 * turn / parts) ** 2, psi0.grid, m, hbar, size, 1j)
-            except NumericalFailure:  # its dt is the inner step size, which no config names
-                raise NumericalFailure(f"non-finite trap factors at t = {t} (interval {dt})",
-                                       step=0) from None
+            with np.errstate(all="ignore"):  # V near overflow gives inf: a non-finite factor
+                v_turn = v / math.cos(0.5 * turn / parts) ** 2
+            step = _strang(v_turn, psi0.grid, m, hbar, size, 1j,  # no config names `size`
+                           failure=f"non-finite trap factors at t = {t} (interval {dt})")
             built = {0.0: built[0.0], dt: (parts, step, round((theta - turn) / (2 * math.pi)) % 2)}
         parts, step, odd = built[dt]
         for _ in range(parts):
@@ -199,7 +186,7 @@ def evolve_second_order_spectral(state0: SecondOrderState, eq: EquationKind,
     w = omega_of_k(eq, grid.wavenumbers, consts)
     a0 = dft(state0.psi).mode_amplitudes
     b0 = dft(state0.psi_dot).mode_amplitudes
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(all="ignore"):
         wt = w * t
         cos_wt = np.cos(wt)
         sin_wt = np.sin(wt)
@@ -208,8 +195,7 @@ def evolve_second_order_spectral(state0: SecondOrderState, eq: EquationKind,
         sin_over_w = np.divide(sin_wt, w, out=np.full(w.shape, float(t)), where=w != 0.0)
         a = a0 * cos_wt + b0 * sin_over_w
         b = -w * sin_wt * a0 + b0 * cos_wt
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise NumericalFailure(f"non-finite mode amplitudes at t = {t}")
+    _finite(f"non-finite mode amplitudes at t = {t}", a, b)
     return SecondOrderState(
         idft(SpectralField(grid, a)),
         idft(SpectralField(grid, b)),
@@ -262,7 +248,8 @@ def _real_kernels():
     return rfft_n_even, irfft
 
 
-def _strang(v: np.ndarray, grid: Grid1D, m: float, hbar: float, dt: float, unit, rows=()):
+def _strang(v: np.ndarray, grid: Grid1D, m: float, hbar: float, dt: float, unit, rows=(),
+            failure=None):
     """`step(psi, out)`: one Strang step, half kick, spectral drift, half kick.
 
     `step` writes the new samples into `out` (which may be `psi`) and returns
@@ -278,7 +265,7 @@ def _strang(v: np.ndarray, grid: Grid1D, m: float, hbar: float, dt: float, unit,
     the plain product bit for bit (barring subnormals).  Each product keeps
     the factor first: complex multiplication is not bitwise commutative.
 
-    Raises NumericalFailure (step 0) when a factor is not finite.
+    Raises NumericalFailure (step 0; message `failure` if given) when a factor is not finite.
     """
     k = grid.wavenumbers
     forward, inverse = np.fft.fft, np.fft.ifft
@@ -286,12 +273,11 @@ def _strang(v: np.ndarray, grid: Grid1D, m: float, hbar: float, dt: float, unit,
     if np.isrealobj(unit):
         k = k[:grid.n_points // 2 + 1]
         (forward, inverse), fwd_args, inv_args = _real_kernels(), (1.0,), (1.0,)
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(all="ignore"):
         half_kick = np.exp(-0.5 * unit * v * dt / hbar)
         drift = np.exp(-unit * hbar * k ** 2 * dt / (2.0 * m))
-    drift = (drift / grid.n_points).astype(np.complex128)
-    if not (np.all(np.isfinite(half_kick)) and np.all(np.isfinite(drift))):
-        raise NumericalFailure(f"non-finite Strang factors at dt = {dt}", step=0)
+        drift = (drift / grid.n_points).astype(np.complex128)
+    _finite(failure or f"non-finite Strang factors at dt = {dt}", half_kick, drift, step=0)
     spec = np.empty(rows + (len(k),), dtype=np.complex128)
 
     def step(psi, out):
@@ -316,8 +302,8 @@ def split_step_evolve(psi0: WaveField, m: float, potential,
     final step; a negative `snapshot_every` raises ConfigError.
     """
     _positive("mass", m)
-    step = _strang(_check_potential(potential, psi0.grid), psi0.grid, m, consts.hbar,
-                   time.dt, 1j)
+    v = _on_grid(potential, psi0.grid, "potential", "potential samples", float)
+    step = _strang(v, psi0.grid, m, consts.hbar, time.dt, 1j)
     return _stepped_evolution(psi0, lambda psi: step(psi, psi), time, snapshot_every)
 
 
@@ -338,7 +324,7 @@ def crank_nicolson_evolve(psi0: WaveField, m: float, potential,
 
     _positive("mass", m)
     grid = psi0.grid
-    v = _check_potential(potential, grid)
+    v = _on_grid(potential, grid, "potential", "potential samples", float)
     n = grid.n_points
     dx = grid.spacing
     hbar = consts.hbar
@@ -428,18 +414,20 @@ def packet_moments(field: WaveField) -> tuple:
     """(centroid, RMS width) of |psi|^2 from one pass over the samples.
 
     Offsets are unwrapped around the density maximum, so both are
-    periodic-aware; the centroid lies in [0, L).
+    periodic-aware; the centroid lies in [0, L).  NumericalFailure if a sum overflows.
     """
-    w = np.abs(field.samples) ** 2
-    total = float(w.sum())
-    if total == 0.0:
-        raise ZeroField("centroid/width undefined for a zero field")
     grid = field.grid
     n = grid.n_points
-    j_peak = int(np.argmax(w))
-    offsets = (np.arange(n) - j_peak + n // 2) % n - n // 2
-    mean_off = float(w @ offsets) / total
-    var = float(w @ (offsets - mean_off) ** 2) / total
+    with np.errstate(all="ignore"):
+        w = np.abs(field.samples) ** 2
+        total = float(w.sum())
+        if total == 0.0:
+            raise ZeroField("centroid/width undefined for a zero field")
+        j_peak = int(np.argmax(w))
+        offsets = (np.arange(n) - j_peak + n // 2) % n - n // 2
+        mean_off = float(w @ offsets) / total
+        var = float(w @ (offsets - mean_off) ** 2) / total
+    _finite(f"non-finite packet moments at dx = {grid.spacing!r}", total, mean_off, var)
     return (float((j_peak + mean_off) * grid.spacing % grid.length),
             float(np.sqrt(var) * grid.spacing))
 
@@ -492,9 +480,9 @@ def energy_expectation(field: WaveField, potential, m: float,
                        consts: PhysicalConstants = NATURAL_UNITS) -> float:
     """<psi|H|psi> / <psi|psi> with the kinetic term evaluated spectrally."""
     grid = field.grid
-    v = _check_potential(potential, grid)
+    v = _on_grid(potential, grid, "potential", "potential samples", float)
     h, norm_sq = _energies(field.samples, v, _kinetic_symbol(grid, m, consts), grid.spacing)
     if norm_sq == 0.0:
         raise ZeroField("energy expectation undefined for a zero field")
-    with np.errstate(invalid="ignore"):
+    with np.errstate(all="ignore"):
         return float(h / norm_sq)

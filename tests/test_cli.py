@@ -34,7 +34,8 @@ from wavelab import (
     omega_of_k,
     positive_branch_init,
 )
-from wavelab import propagate
+from wavelab import exceptions, propagate
+from wavelab.exceptions import ConfigError, NumericalFailure, WaveLabError
 from wavelab.propagate import _phase_snapshots
 
 from oracles import coherent_state_oracle
@@ -229,14 +230,25 @@ def test_refused_config_is_one_line_and_writes_nothing(tmp_path, capsys, argv, n
     # t = 20 dt is inf: exit 0 with inf times and nan deviations
     (["nrlimit", "--set", "dt=1.7e308", "--set", "n_steps=20"], 3,
      "non-finite envelope phase (t = inf)"),
+    # each printed a numpy RuntimeWarning before its line: V / cos^2(theta/2) overflowed in
+    # the trap, and the moment sums of a density near 1/dx (exit 0 with width = inf)
+    (["evolve", "--set", "family=schrodinger_potential", "--set", "potential=harmonic",
+      "--set", "omega_c=5.4e152", "--set", "dt=0.3", "--set", "n_steps=3"], 3,
+     "non-finite trap factors at t = 0.8999999999999999 (interval 0.8999999999999999)"),
+    (["evolve", "--set", "n_points=64", "--set", "length=6.334430136296258e-306",
+      "--set", "n_steps=0"], 3, "non-finite packet moments at dx = 9.897547087962903e-308"),
 ], ids=["bound_overflow", "grid_too_coarse", "strang_factor_overflow", "phase_overflow_at_2",
         "trap_factor_overflow", "trap_potential_overflow_at_0_steps", "ground_width_inf",
-        "start_state_overflow", "nrlimit_time_overflow"])
+        "start_state_overflow", "nrlimit_time_overflow", "trap_potential_over_cos2_overflow",
+        "packet_moments_overflow"])
 def test_failed_run_writes_nothing(tmp_path, capsys, argv, code, named):
     # config_echo.cfg was written before the command ran, so every exit 3 or 4
     # left it in --out
     out = tmp_path / "o"
-    assert cli.main(argv + ["--out", str(out)]) == code
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no numpy warning before the line
+        warnings.simplefilter("ignore", UserWarning)  # the packet's resolution notices
+        assert cli.main(argv + ["--out", str(out)]) == code
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
     assert "0.0299955" not in err
@@ -372,6 +384,39 @@ def test_stray_value_error_is_not_a_config_error(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.iterdir())  # no --out, no stage
 
 
+_FAMILY_LINES = {2: "config error: boom\n", 3: "numerical failure: boom\n",
+                 4: "resolution error: boom\n"
+                    "hint: raise n_points, shrink length, or lower omega_c\n"}
+
+
+@pytest.mark.parametrize("error", [cls for cls in vars(exceptions).values()
+                                   if isinstance(cls, type) and issubclass(cls, WaveLabError)
+                                   and cls is not WaveLabError], ids=lambda cls: cls.__name__)
+def test_every_library_error_exits_with_its_family_code(tmp_path, capsys, monkeypatch, error):
+    # DispersionUndefined, ZeroField, WrongEquationFamily, ... mapped to no exit code: a traceback
+    def fault(cfg, out):
+        raise error("boom")
+
+    monkeypatch.setitem(cli._DISPATCH, "nrlimit", fault)
+    rc = cli.main(["nrlimit", "--out", str(tmp_path / "o")])
+    code = 2 if issubclass(error, ConfigError) else 3 if issubclass(error, NumericalFailure) else 4
+    assert rc == code
+    assert capsys.readouterr().err == _FAMILY_LINES[code]
+    assert not list(tmp_path.iterdir())
+
+
+def test_nrlimit_infinite_carrier_ratio_has_no_exponent(tmp_path, capsys):
+    # the carrier's small / big overflowed outside any errstate: a RuntimeWarning (a
+    # traceback, exit 1, with warnings as errors) before an exit 0 with a null fit
+    out = tmp_path / "o"
+    rc, _ = main_strict(["nrlimit", "--set", "mass=5e-324", "--set", "length=1.7e308",
+                         "--set", "n_points=64", "--set", "n_steps=20", "--out", str(out)],
+                        allowed="sigma = ")  # the underresolved-packet notice
+    assert rc == 0, capsys.readouterr().err
+    fits = json.loads((out / "report.json").read_text(), parse_constant=_refuse_constant)["fits"]
+    assert fits["carrier_dominance_c_exponent"] is None
+
+
 # ---------------------------------------------------------------------------
 # extreme-value gate: two or three float keys of one scenario at once
 # ---------------------------------------------------------------------------
@@ -383,6 +428,12 @@ GATE_SIZES = {
     "evolve": {"n_points": 64, "n_steps": 20},
     "nrlimit": {"n_points": 64, "n_steps": 20},
     "oscillator": {"n_points": 64, "max_iters": 300},
+}
+# the exit code some cases must give, beyond exiting cleanly
+GATE_CODES = {
+    ("evolve", (("mass", 5e-324), ("x_c", 1e-160))): 3,   # omega(k) overflows in a divide
+    ("evolve", (("hbar", 1.7e308), ("x_c", 1e300))): 3,   # omega(k) overflows in a multiply
+    ("nrlimit", (("mass", 5e-324), ("length", 1.7e308))): 0,  # the carrier's ratio is inf
 }
 LABEL_COLUMNS = {"family", "method"}
 # documented nan: the NR pair of a massless family's dispersion row
@@ -421,6 +472,10 @@ def assert_finite_artifacts(out: Path):
 @example(case=("oscillator", (("mass", 1e-200), ("omega_c", 1e-200))))
 @example(case=("oscillator", (("mass", 0.5), ("omega_c", 1e-308), ("length", 2e155),
                               ("n_points", 256))))
+# each printed a numpy RuntimeWarning (a traceback, exit 1, with warnings as errors)
+@example(case=("evolve", (("mass", 5e-324), ("x_c", 1e-160))))
+@example(case=("evolve", (("hbar", 1.7e308), ("x_c", 1e300))))
+@example(case=("nrlimit", (("mass", 5e-324), ("length", 1.7e308))))
 def test_extreme_values_exit_0_2_3_or_4_cleanly(tmp_path, capsys, case):
     scenario, pairs = case
     run = Path(tempfile.mkdtemp(dir=tmp_path))
@@ -436,12 +491,14 @@ def test_extreme_values_exit_0_2_3_or_4_cleanly(tmp_path, capsys, case):
     signal.alarm(60)
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("ignore")  # the packet's resolution notices (UserWarning)
+            warnings.simplefilter("error", RuntimeWarning)  # but never a numpy warning
             rc = cli.main(argv)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     err = capsys.readouterr().err
+    assert rc == GATE_CODES.get(case, rc), err
     if rc == 0:
         assert_finite_artifacts(out)
     else:
@@ -526,7 +583,8 @@ def test_dispersion_potential_family_applies_v0_only_for_constant(tmp_path, pote
     ["k_max=1e100"],                                           # k ** 4 overflows
     ["family=klein_gordon", "c=5e-324", "k_min=1e-300"],       # omega = 0: 0/0
     ["family=klein_gordon", "c=1e200"],                        # m c^2/hbar = inf
-], ids=["k4_overflow", "zero_omega", "rest_frequency_overflow"])
+    ["k_min=-1e308", "k_max=1e308"],                           # k_max - k_min overflows
+], ids=["k4_overflow", "zero_omega", "rest_frequency_overflow", "k_span_overflow"])
 def test_dispersion_non_finite_row_is_exit_3(tmp_path, capsys, overrides):
     # these used to end in a traceback (exit 1) or write inf/nan rows with exit 0
     sets = [arg for item in overrides for arg in ("--set", item)]

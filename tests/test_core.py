@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,15 +22,29 @@ from wavelab import (
     analytic_free_gaussian,
     crank_nicolson_evolve,
     dft,
+    dominance_terms_mode,
+    energy_bound,
+    evolve_second_order_spectral,
     gaussian_packet,
+    harmonic_potential,
     idft,
     imaginary_time_ground_state,
     l2_norm,
     minimize_bound_numeric,
     nr_expansion_error,
+    nr_limit_report,
+    positive_branch_init,
     split_step_evolve,
 )
-from wavelab.exceptions import ConfigError, InvalidBracket, NonPositiveDeltaX, WaveLabError
+from wavelab import cli, exceptions, propagate
+from wavelab.exceptions import (
+    ConfigError,
+    GridTooCoarse,
+    InvalidBracket,
+    NonPositiveDeltaX,
+    NumericalFailure,
+    WaveLabError,
+)
 
 from oracles import dft_bruteforce, idft_bruteforce
 
@@ -126,6 +142,14 @@ def test_grid_refuses_more_points_than_numpy_can_hold():
 def test_refusals_are_config_errors_and_value_errors():
     assert issubclass(ConfigError, ValueError) and issubclass(ConfigError, WaveLabError)
     assert issubclass(InvalidBracket, ConfigError) and issubclass(NonPositiveDeltaX, ConfigError)
+    # every error is in exactly one of the three families the CLI maps to exits 2, 3 and 4
+    families = (ConfigError, NumericalFailure, GridTooCoarse)
+    errors = [cls for cls in vars(exceptions).values()
+              if isinstance(cls, type) and issubclass(cls, WaveLabError) and cls is not WaveLabError]
+    assert {"DispersionUndefined", "ZeroField", "NoConvergence", "LinearSolveFailure"} <= {
+        cls.__name__ for cls in errors}
+    for cls in errors:
+        assert sum(issubclass(cls, family) for family in families) == 1, cls.__name__
 
 
 _GRID8 = Grid1D(8, 1.0)
@@ -155,6 +179,52 @@ POSITIVE_SITES = {
         GaussianPacketSpec(0.5, 0.0, 0.1), _GRID8, v)),
     "nr_expansion": ("mass", lambda v: nr_expansion_error(v, 1.0)),
 }
+
+
+_KG = KleinGordon(1.0)
+_DISPERSION_K = cli.build_config("dispersion", [], [("--set #1", "k_max", "1e100")])
+# the one finiteness rule, at every site that refuses a computed value: (message, call
+# that drives the value to inf or nan)
+FINITE_SITES = {
+    "trap_potential": (
+        "non-finite trap potential at m = 1e+300, omega_c = 1e+300, center = None",
+        lambda: harmonic_potential(_GRID8, 1e300, 1e300)),
+    "phase_amplitudes": (
+        "non-finite mode amplitudes at t = 1e+300",
+        lambda: list(propagate._phase_snapshots(_PSI8, np.full(8, 1e300), [1e300]))),
+    "trap_angle": (
+        "non-finite trap angle omega_c * t at t = inf",
+        lambda: list(propagate._harmonic_snapshots(_PSI8, 1.0, 1.0, None, 1.0, [math.inf]))),
+    "rotation_amplitudes": (
+        "non-finite mode amplitudes at t = 1e+308",
+        lambda: evolve_second_order_spectral(positive_branch_init(_PSI8, _KG), _KG, t=1e308)),
+    "strang_factors": (
+        "non-finite Strang factors at dt = 1e+300",
+        lambda: split_step_evolve(_PSI8, 1.0, np.full(8, 1e300), time=TimeSpec(1e300, 1))),
+    "dominance_terms": (
+        "non-finite dominance terms at c = 1e+200 (m c^2/hbar = inf)",
+        lambda: dominance_terms_mode(1.0, 1.0, PhysicalConstants(c=1e200))),
+    "envelope_phase": (
+        "non-finite envelope phase (t = inf) or dominance ratio at c = 1.0 (m c^2/hbar = 1.0)",
+        lambda: nr_limit_report(_PSI8, 1.0, time=TimeSpec(1.7e308, 20))),
+    "bound_curve": (
+        "bound curve E(dx) = inf at dx = 1e+300",
+        lambda: energy_bound(_UNIT_TRAP, 1e300)),
+    "dispersion_row": (
+        "dispersion row at k = 1.25e+99 has nr_bound = inf",
+        lambda: cli.cmd_dispersion(_DISPERSION_K, "never-written")),
+}
+
+
+@pytest.mark.parametrize("site", FINITE_SITES)
+def test_every_non_finite_result_is_a_numerical_failure(site):
+    # nine sites each tested finiteness their own way; now `core._finite` decides, and the
+    # arithmetic before it is quiet: no numpy warning on the way
+    message, call = FINITE_SITES[site]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
+            call()
 
 
 @pytest.mark.parametrize("value", [math.inf, -1.0], ids=["inf", "negative"])
