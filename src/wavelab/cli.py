@@ -360,18 +360,16 @@ def cmd_dispersion(cfg: dict, out: str):
     eq = _equation(cfg)
     header = "family,k,omega,group_velocity,p,E,nr_gap,nr_bound"
     m = getattr(eq, "m", None)
-    # every column must be finite but the NR pair, which is nan for the massless families
-    checked = header.split(",")[1:6 if m is None else 8]
-    rows = []
-    for k in _wavenumber_scan(cfg["k_min"], cfg["k_max"], cfg["k_count"]):
-        w = omega_of_k(eq, k, consts)
-        pair = kinematic_map(k, w, consts)
-        nr = (math.nan, math.nan) if m is None else nr_expansion_error(m, k, consts)
-        row = (k, w, group_velocity(eq, k, consts), pair.p, pair.E, *nr)
-        _finite(lambda: next(f"dispersion row at k = {k!r} has {name} = {v!r}"
-                             for name, v in zip(checked, row) if not math.isfinite(v)),
-                row[:len(checked)])
-        rows.append((cfg["family"], *row))
+    checked = header.split(",")[1:6 if m is None else 8]  # all finite but a massless NR pair
+    # one library call per column over the whole scan, the bits of the scalar calls
+    k = _wavenumber_scan(cfg["k_min"], cfg["k_max"], cfg["k_count"])
+    w = omega_of_k(eq, k, consts)
+    nr = (np.full_like(k, np.nan),) * 2 if m is None else nr_expansion_error(m, k, consts)
+    cols = [k, w, group_velocity(eq, k, consts), *kinematic_map(k, w, consts), *nr]
+    rows = list(zip([cfg["family"]] * len(k), *(col.tolist() for col in cols)))
+    _finite(lambda: next(f"dispersion row at k = {row[1]!r} has {name} = {v!r}" for row in rows
+                         for name, v in zip(checked, row[1:]) if not math.isfinite(v)),
+            *cols[:len(checked)])
     _write_csv(os.path.join(out, "dispersion.csv"), header, rows)
 
 

@@ -11,9 +11,13 @@ the propagation sign carried by the phase e^{i(kx - omega t)}):
 
 A non-constant potential has no single dispersion relation and raises
 DispersionUndefined.  The module also provides the kinematic map
-(p, E) = (hbar k, hbar omega), exact plane-wave sampling on a grid, and the
+(p, E) = (hbar k, hbar omega), exact plane-wave sampling on a grid, the
 analytic residual of a plane wave under each family's characteristic
-polynomial (zero exactly when (k, omega) satisfies the dispersion relation).
+polynomial (zero exactly when (k, omega) satisfies the dispersion relation),
+and the closed-form error of the non-relativistic truncation
+omega_KG ~ m c^2/hbar + hbar k^2/2m.  The massive family's rest frequency
+m c^2/hbar and envelope frequency omega_KG - m c^2/hbar are formed in one
+place, `_envelope_frequency`, for this module and `nrlimit` alike.
 """
 
 from __future__ import annotations
@@ -139,16 +143,26 @@ class NrExpansionError(NamedTuple):
 def omega_of_k(eq: EquationKind, k, consts: PhysicalConstants = NATURAL_UNITS):
     """Positive-branch angular frequency at wavenumber k (scalar or array); inf on overflow."""
     karr = np.asarray(k, dtype=float)
-    hbar = consts.hbar
     with np.errstate(all="ignore"):
         if is_second_order(eq):
             s, m = _closed_form(eq, consts)
-            # hypot keeps the rest-energy / kinetic split accurate for small k*c
-            w = np.abs(karr * s) if m is None else np.hypot(karr * s, m * s * s / hbar)
+            w = np.abs(karr * s) if m is None else _envelope_frequency(m, consts, karr)[0]
         else:
             m, v0 = _closed_form(eq, consts)
-            w = hbar * karr * karr / (2.0 * m) + v0 / hbar
+            w = consts.hbar * karr * karr / (2.0 * m) + v0 / consts.hbar
     return w if w.ndim else float(w)
+
+
+def _envelope_frequency(m: float, consts: PhysicalConstants, k=0.0):
+    """(omega_KG(k), Omega(k), omega_r) of mass m, refused outside (0, inf): the one place the
+    rest frequency omega_r = m c^2/hbar and the envelope frequency Omega = omega_KG - omega_r
+    are formed, Omega as c^2 k^2 / (omega_KG + omega_r), with no cancellation; inf on overflow."""
+    _positive("mass", m)
+    c = consts.c
+    with np.errstate(all="ignore"):
+        omega_rest = m * c * c / consts.hbar
+        omega = np.hypot(k * c, omega_rest)
+        return omega, c * c * k * k / (omega + omega_rest), omega_rest
 
 
 def group_velocity(eq: EquationKind, k, consts: PhysicalConstants = NATURAL_UNITS):
@@ -164,15 +178,16 @@ def group_velocity(eq: EquationKind, k, consts: PhysicalConstants = NATURAL_UNIT
     return g if g.ndim else float(g)
 
 
-def _wavenumber_scan(k_min: float, k_max: float, count: int) -> list:
+def _wavenumber_scan(k_min: float, k_max: float, count: int) -> np.ndarray:
     """`count` evenly spaced k from k_min to k_max; nan where the span k_max - k_min overflows."""
     with np.errstate(all="ignore"):
-        return np.linspace(k_min, k_max, count).tolist()
+        return np.linspace(k_min, k_max, count)
 
 
-def kinematic_map(k: float, omega: float, consts: PhysicalConstants = NATURAL_UNITS) -> KinematicPair:
-    """Map (k, omega) to (p, E) = (hbar k, hbar omega)."""
-    return KinematicPair(p=consts.hbar * k, E=consts.hbar * omega)
+def kinematic_map(k, omega, consts: PhysicalConstants = NATURAL_UNITS) -> KinematicPair:
+    """Map (k, omega) to (p, E) = (hbar k, hbar omega); scalars or arrays, inf on overflow."""
+    with np.errstate(all="ignore"):
+        return KinematicPair(p=consts.hbar * k, E=consts.hbar * omega)
 
 
 def planewave_sample(mode: PlaneWaveMode, grid: Grid1D, t: float) -> WaveField:
@@ -212,18 +227,17 @@ def planewave_residual(eq: EquationKind, mode: PlaneWaveMode,
     return abs(w - hbar * k * k / (2.0 * m) - v0 / hbar)
 
 
-def nr_expansion_error(m: float, k: float,
+def nr_expansion_error(m: float, k,
                        consts: PhysicalConstants = NATURAL_UNITS) -> NrExpansionError:
-    """Error of truncating the massive dispersion after the kinetic term.
+    """Error of truncating the massive dispersion after the kinetic term, at k (scalar or array).
 
-    Returns the exact gap |omega_KG(k) - m c^2/hbar - hbar k^2/2m| together
-    with the leading correction bound hbar^3 k^4 / (8 m^3 c^2) of the binomial
-    expansion; the gap is below the bound throughout hbar|k| < m c.  Both are
-    taken in float64, so an overflow gives inf (or nan), not an exception.
-    """
-    hbar, c, m, k = (np.float64(v) for v in (consts.hbar, consts.c, m, k))
+    The exact gap |omega_KG - m c^2/hbar - hbar k^2/2m| = Omega^2 / 2 omega_r (of
+    `_envelope_frequency`), accurate to a few ulp at any c, and the leading correction bound
+    hbar^3 k^4 / (8 m^3 c^2) = (hbar k^2/2m)^2 / 2 omega_r, above the gap where hbar|k| < m c.
+    Each x^2 / 2 omega_r is x (x / 2 omega_r): inf only if the result overflows, never raised."""
+    karr = np.asarray(k, dtype=float)
+    _, big_omega, omega_rest = _envelope_frequency(m, consts, karr)
     with np.errstate(all="ignore"):
-        w = omega_of_k(KleinGordon(m), k, consts)
-        gap = abs(w - m * c * c / hbar - hbar * k * k / (2.0 * m))
-        bound = hbar ** 3 * k ** 4 / (8.0 * m ** 3 * c * c)
-    return NrExpansionError(exact_gap=float(gap), next_term_bound=float(bound))
+        kinetic = consts.hbar * karr * karr / (2.0 * m)
+        pair = [x * (x / (2.0 * omega_rest)) for x in (big_omega, kinetic)]  # gap, bound
+    return NrExpansionError(*(x if x.ndim else float(x) for x in pair))

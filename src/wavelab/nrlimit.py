@@ -14,10 +14,10 @@ argument numerically:
   factored envelope and genuine Schrodinger evolution from the same initial
   data, which shrinks as c grows.
 
-The report evaluates both in the envelope frame, mode by mode, from the
-envelope frequency Omega(k) = c^2 k^2 / (omega_KG(k) + m c^2/hbar).  That form
-has no cancellation, so the c^-2 law survives to c far beyond the point where
-a lab-frame phase m c^2 t / hbar would swamp the envelope in rounding.
+Every frequency comes from `dispersion._envelope_frequency`: the rest frequency
+omega_r = m c^2/hbar and the envelope frequency Omega(k) = omega_KG(k) - omega_r
+in its cancellation-free form, so the c^-2 law survives to c far beyond the point
+where a lab-frame phase omega_r t would swamp the envelope in rounding.
 
 Sign convention: the factored phase is e^{-i m c^2 t / hbar} (particle
 branch), so factoring multiplies by e^{+i m c^2 t / hbar}.
@@ -41,7 +41,7 @@ from .core import (
     _l2,
     dft,
 )
-from .dispersion import KleinGordon, omega_of_k
+from .dispersion import _envelope_frequency
 from .exceptions import ConfigError, InsufficientSnapshots, NonUniformTimes
 from .propagate import _snapshot_steps, gaussian_packet
 
@@ -72,27 +72,17 @@ def factor_rest_phase(psi: WaveField, m: float,
     The factor is unimodular, so |psi_c| equals |psi| pointwise and
     restore_rest_phase inverts exactly (one rounding per sample).
     """
-    phase = np.exp(1j * m * consts.c ** 2 * t / consts.hbar)
+    omega_rest = _envelope_frequency(m, consts)[2]
+    with np.errstate(all="ignore"):
+        phase = np.exp(1j * (omega_rest * t))
+    _finite(lambda: f"non-finite rest phase at t = {t!r} (m c^2/hbar = {omega_rest!r})", phase)
     return FactoredField(WaveField(psi.grid, phase * psi.samples), t=t, m=m)
 
 
 def restore_rest_phase(factored: FactoredField,
                        consts: PhysicalConstants = NATURAL_UNITS) -> WaveField:
-    """Inverse of factor_rest_phase: psi = e^{-i m c^2 t / hbar} psi_c."""
-    phase = np.exp(-1j * factored.m * consts.c ** 2 * factored.t / consts.hbar)
-    return WaveField(factored.psi_c.grid, phase * factored.psi_c.samples)
-
-
-def _envelope_frequency(k, m: float, consts: PhysicalConstants):
-    """(Omega(k), omega_r): envelope frequency and rest frequency m c^2/hbar.
-
-    Omega = omega_KG(k) - omega_r, written as c^2 k^2 / (omega_KG(k) + omega_r)
-    so that it keeps full relative precision when omega_r dwarfs it.
-    """
-    c = consts.c
-    omega_rest = m * c * c / consts.hbar
-    omega = omega_of_k(KleinGordon(m), k, consts)  # refuses m outside (0, inf)
-    return c * c * k * k / (omega + omega_rest), omega_rest
+    """Inverse of factor_rest_phase: psi = e^{-i m c^2 t / hbar} psi_c, the factoring at -t."""
+    return factor_rest_phase(factored.psi_c, factored.m, consts, -factored.t).psi_c
 
 
 def dominance_terms_mode(k: float, m: float,
@@ -110,7 +100,7 @@ def dominance_terms_mode(k: float, m: float,
     taken in float64; NumericalFailure is raised when either is not finite (the ratio may be inf).
     """
     with np.errstate(all="ignore"):
-        big_omega, omega_rest = _envelope_frequency(np.float64(k), m, consts)
+        _, big_omega, omega_rest = _envelope_frequency(m, consts, np.float64(k))
         small = big_omega ** 2
         big = np.float64(omega_rest) ** 2 + 2.0 * omega_rest * big_omega
         ratio = small / big if big > 0 else np.inf
@@ -144,13 +134,15 @@ def dominance_ratio_field(snapshots, consts: PhysicalConstants = NATURAL_UNITS) 
         )
     dt = _uniform_dt(snapshots)
     dx = snapshots[0].psi_c.grid.spacing
-    omega_rest = snapshots[0].m * consts.c ** 2 / consts.hbar
+    omega_rest = _envelope_frequency(snapshots[0].m, consts)[2]
     stack = np.stack([s.psi_c.samples for s in snapshots])
     prev, mid, nxt = stack[:-2], stack[1:-1], stack[2:]  # rows are the interior times
-    d1 = (nxt - prev) / (2.0 * dt)
-    d2 = (nxt - 2.0 * mid + prev) / (dt * dt)
-    small = float(np.mean(_l2(d2, dx)))
-    big = float(np.mean(_l2(omega_rest ** 2 * mid + 2j * omega_rest * d1, dx)))
+    with np.errstate(all="ignore"):
+        d1 = (nxt - prev) / (2.0 * dt)
+        d2 = (nxt - 2.0 * mid + prev) / (dt * dt)
+        small = float(np.mean(_l2(d2, dx)))
+        big = float(np.mean(_l2(omega_rest * omega_rest * mid + 2j * omega_rest * d1, dx)))
+    _finite(f"non-finite field dominance terms (m c^2/hbar = {omega_rest!r})", small, big)
     return DominanceTerms(small_term=small, big_term=big,
                           ratio=small / big if big > 0 else float("inf"))
 
@@ -201,7 +193,7 @@ def nr_limit_report(psi0: WaveField, m: float,
     times = [step * time.dt for step in _snapshot_steps(time.n_steps, snapshot_every)]
     spec = dft(psi0)
     with np.errstate(all="ignore"):
-        big_omega, omega_rest = _envelope_frequency(spec.wavenumbers, m, consts)
+        _, big_omega, omega_rest = _envelope_frequency(m, consts, spec.wavenumbers)
         x = big_omega / omega_rest
         half_gap = -0.25 * big_omega * x  # delta / 2
         power = np.abs(spec.mode_amplitudes) ** 2

@@ -154,10 +154,13 @@ def harmonic_ground_exact(problem: OscillatorProblem, grid: Grid1D,
     """Analytic ground state exp(-m omega_c (x-xc)^2 / 2 hbar), grid-normalized."""
     xc = grid.length / 2.0 if center is None else center
     x = grid.positions
-    psi = np.exp(-problem.m * problem.omega_c * (x - xc) ** 2
-                 / (2.0 * problem.consts.hbar))
-    fld = WaveField(grid, psi)
-    return WaveField(grid, fld.samples / l2_norm(fld))
+    with np.errstate(all="ignore"):  # a square past the float range gives inf, so psi 0 there
+        psi = np.exp(-problem.m * problem.omega_c * (x - xc) ** 2
+                     / (2.0 * problem.consts.hbar))
+        fld = WaveField(grid, psi)
+        psi = fld.samples / l2_norm(fld)
+    _finite(lambda: f"ground state underflows to 0 at every grid point (center = {xc!r})", psi)
+    return WaveField(grid, psi)
 
 
 def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,

@@ -481,8 +481,10 @@ def energy_expectation(field: WaveField, potential, m: float,
     """<psi|H|psi> / <psi|psi> with the kinetic term evaluated spectrally."""
     grid = field.grid
     v = _on_grid(potential, grid, "potential", "potential samples", float)
-    h, norm_sq = _energies(field.samples, v, _kinetic_symbol(grid, m, consts), grid.spacing)
+    with np.errstate(all="ignore"):
+        h, norm_sq = _energies(field.samples, v, _kinetic_symbol(grid, m, consts), grid.spacing)
+        energy = float(h / norm_sq)
     if norm_sq == 0.0:
         raise ZeroField("energy expectation undefined for a zero field")
-    with np.errstate(all="ignore"):
-        return float(h / norm_sq)
+    _finite(lambda: f"non-finite energy expectation {float(h)!r} / {float(norm_sq)!r}", energy)
+    return energy

@@ -30,6 +30,8 @@ from wavelab import (
     constant_potential,
     evolve_second_order_spectral,
     gaussian_packet,
+    group_velocity,
+    kinematic_map,
     nr_expansion_error,
     omega_of_k,
     positive_branch_init,
@@ -577,6 +579,46 @@ def test_dispersion_potential_family_applies_v0_only_for_constant(tmp_path, pote
     header, rows = read_csv(out / "dispersion.csv")
     assert column(rows, header, "omega") == [omega]
     assert column(rows, header, "E") == [omega]
+
+
+@pytest.mark.parametrize("c", ["1000", "10000"])
+def test_dispersion_gap_within_its_bound_at_large_c(tmp_path, c):
+    # the gap subtracted two numbers of size m c^2/hbar: at c = 1e4 it read 0.0 at k = 1 and
+    # exceeded its own bound at k = 3, 6 and 8
+    out = tmp_path / "disp"
+    assert cli.main(["dispersion", "--config", str(CONFIGS / "dispersion_kg.cfg"),
+                     "--set", f"c={c}", "--out", str(out)]) == 0
+    header, rows = read_csv(out / "dispersion.csv")
+    rows = [r for r in rows if float(r[header.index("k")]) > 0]
+    assert len(rows) == 8
+    for gap, bound in zip(column(rows, header, "nr_gap"), column(rows, header, "nr_bound")):
+        assert 0.0 < gap <= bound
+
+
+@pytest.mark.parametrize("family", sorted(cli._FAMILIES))
+def test_dispersion_columns_equal_the_scalar_calls(tmp_path, family):
+    # the scan is evaluated column by column over the whole k array; each cell must be the
+    # bits of the library's scalar call at that k
+    rng = np.random.default_rng(sorted(cli._FAMILIES).index(family))
+    k_min, k_max = np.sort(rng.uniform(-50.0, 50.0, 2)).tolist()
+    sets = {"family": family, "k_min": k_min, "k_max": k_max, "k_count": 37, "c": 3.7,
+            "hbar": 0.61, "mass": 1.9, "wave_speed": 2.3, "potential": "none", "v0": 0.4}
+    if family == "schrodinger_potential":
+        sets["potential"] = "constant"
+    cfg = cli.build_config("dispersion", [], [("--set", key, str(v)) for key, v in sets.items()])
+    cli.cmd_dispersion(cfg, str(tmp_path))
+    header, rows = read_csv(tmp_path / "dispersion.csv")
+    consts = PhysicalConstants(hbar=cfg["hbar"], c=cfg["c"])
+    eq = cli._equation(cfg)
+    m = getattr(eq, "m", None)
+    ks = column(rows, header, "k")
+    assert ks == np.linspace(k_min, k_max, 37).tolist()
+    for row, k in zip(rows, ks):
+        w = omega_of_k(eq, k, consts)
+        pair = kinematic_map(k, w, consts)
+        nr = (math.nan, math.nan) if m is None else nr_expansion_error(m, k, consts)
+        want = [k, w, group_velocity(eq, k, consts), pair.p, pair.E, *nr]
+        assert row == [family, *(repr(float(v)) for v in want)]
 
 
 @pytest.mark.parametrize("overrides", [

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from wavelab import (
     ClassicalWave,
+    FactoredField,
     GaussianPacketSpec,
     Grid1D,
     KleinGordon,
@@ -22,10 +23,14 @@ from wavelab import (
     analytic_free_gaussian,
     crank_nicolson_evolve,
     dft,
+    dominance_ratio_field,
     dominance_terms_mode,
     energy_bound,
+    energy_expectation,
     evolve_second_order_spectral,
+    factor_rest_phase,
     gaussian_packet,
+    harmonic_ground_exact,
     harmonic_potential,
     idft,
     imaginary_time_ground_state,
@@ -34,6 +39,7 @@ from wavelab import (
     nr_expansion_error,
     nr_limit_report,
     positive_branch_init,
+    restore_rest_phase,
     split_step_evolve,
 )
 from wavelab import cli, exceptions, propagate
@@ -183,8 +189,10 @@ POSITIVE_SITES = {
 
 _KG = KleinGordon(1.0)
 _DISPERSION_K = cli.build_config("dispersion", [], [("--set #1", "k_max", "1e100")])
+_C1E200 = PhysicalConstants(c=1e200)  # m c^2/hbar = inf
 # the one finiteness rule, at every site that refuses a computed value: (message, call
-# that drives the value to inf or nan)
+# that drives the value to inf or nan); a message of None marks a call that must return a
+# finite value, its overflow harmless
 FINITE_SITES = {
     "trap_potential": (
         "non-finite trap potential at m = 1e+300, omega_c = 1e+300, center = None",
@@ -213,6 +221,25 @@ FINITE_SITES = {
     "dispersion_row": (
         "dispersion row at k = 1.25e+99 has nr_bound = inf",
         lambda: cli.cmd_dispersion(_DISPERSION_K, "never-written")),
+    "factor_rest_phase": (
+        "non-finite rest phase at t = 1.0 (m c^2/hbar = inf)",
+        lambda: factor_rest_phase(_PSI8, 1.0, _C1E200, t=1.0)),
+    "restore_rest_phase": (
+        "non-finite rest phase at t = -1.0 (m c^2/hbar = inf)",
+        lambda: restore_rest_phase(FactoredField(_PSI8, 1.0, 1.0), _C1E200)),
+    "field_dominance_terms": (
+        "non-finite field dominance terms (m c^2/hbar = inf)",
+        lambda: dominance_ratio_field([FactoredField(_PSI8, 0.1 * i, 1.0) for i in range(3)],
+                                      _C1E200)),
+    "energy_expectation": (
+        "non-finite energy expectation inf / 1.0",
+        lambda: energy_expectation(_PSI8, np.full(8, 1e308), 1.0)),
+    "ground_state_square": (  # (x - xc)^2 overflows: psi is 0 there, nonzero only at xc
+        None,
+        lambda: harmonic_ground_exact(_UNIT_TRAP, Grid1D(8, 1.7e308)).samples),
+    "ground_state_underflow": (
+        "ground state underflows to 0 at every grid point (center = 0.1)",
+        lambda: harmonic_ground_exact(OscillatorProblem(1e300, 1e300), _GRID8, 0.1)),
 }
 
 
@@ -223,6 +250,9 @@ def test_every_non_finite_result_is_a_numerical_failure(site):
     message, call = FINITE_SITES[site]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        if message is None:
+            assert np.all(np.isfinite(call()))
+            return
         with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
             call()
 

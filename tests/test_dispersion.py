@@ -1,5 +1,7 @@
 import math
+import sys
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -25,9 +27,12 @@ from wavelab.exceptions import DispersionUndefined, NonCommensurateWavenumber
 
 NATURAL = PhysicalConstants()
 
-# frozen from the direct evaluation of sqrt(k^2 c^2 + m^2 c^4)/hbar - m c^2/hbar - hbar k^2/2m
-GAP_M1_C10_K1 = 1.2437887911005419e-3
-GAP_RATIO_C10_OVER_C20 = 3.9850977337956905
+# the gap m c^2/hbar + hbar k^2/2m - sqrt(k^2 c^2 + m^2 c^4/hbar^2) at m = hbar = k = 1,
+# correctly rounded from 60 digits: with decimal.getcontext().prec = 60 and
+# gap = lambda c: c * c + Decimal("0.5") - (c * c + c ** 4).sqrt(),
+# float(gap(Decimal(10))) and float(gap(Decimal(10)) / gap(Decimal(20)))
+GAP_M1_C10_K1 = 1.2437887910972977e-3
+GAP_RATIO_C10_OVER_C20 = 3.985097733880142
 
 
 def all_families(grid=None):
@@ -246,7 +251,7 @@ def test_nr_expansion_exact_at_rest():
 def test_nr_expansion_frozen_example():
     consts = PhysicalConstants(1.0, 10.0)
     gap, bound = nr_expansion_error(1.0, 1.0, consts)
-    assert gap == pytest.approx(GAP_M1_C10_K1, rel=1e-12)
+    assert gap == pytest.approx(GAP_M1_C10_K1, rel=1e-12, abs=0)
     assert bound == pytest.approx(1.25e-3, rel=1e-15)
     assert gap <= bound
 
@@ -256,7 +261,7 @@ def test_nr_expansion_shrinks_with_c():
     gap20, _ = nr_expansion_error(1.0, 1.0, PhysicalConstants(1.0, 20.0))
     ratio = gap10 / gap20
     assert 3.8 < ratio < 4.2
-    assert ratio == pytest.approx(GAP_RATIO_C10_OVER_C20, rel=1e-12)
+    assert ratio == pytest.approx(GAP_RATIO_C10_OVER_C20, rel=1e-12, abs=0)
 
 
 def test_nr_expansion_overflow_gives_inf_not_exception():
@@ -266,6 +271,41 @@ def test_nr_expansion_overflow_gives_inf_not_exception():
         assert nr_expansion_error(1.0, 1e100).next_term_bound == np.inf
         assert nr_expansion_error(1.0, 1.0, PhysicalConstants(1.0, 5e-324)).next_term_bound \
             == np.inf
+
+
+def _nr_reference(m, k, c, hbar):
+    """(gap, bound) in Decimal from the definitions, hbar^3 k^4 / 8 m^3 c^2 for the bound, at
+    60 digits past the cancellation of omega_r + hbar k^2/2m - omega_KG (about the digits of
+    (omega_r / (hbar k^2/2m))^2)."""
+    m, k, c, hbar = (Decimal(float(v)) for v in (m, k, c, hbar))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ctx.prec += 2 * max(0, (m * c * c / hbar / (hbar * k * k / (2 * m))).adjusted()) + 10
+        rest, kinetic = m * c * c / hbar, hbar * k * k / (2 * m)
+        gap = rest + kinetic - (k * k * c * c + rest * rest).sqrt()
+        ctx.prec = 60
+        return +gap, hbar ** 3 * k ** 4 / (8 * m ** 3 * c * c)
+
+
+def test_nr_expansion_accurate_to_a_few_ulp_at_any_c():
+    # the gap was omega_KG - m c^2/hbar - hbar k^2/2m, a difference of two numbers of size
+    # m c^2/hbar, off by up to 1.5e24 (relative) already at c <= 1e3
+    rng = np.random.default_rng(20261019)
+    worst = [0.0, 0.0]
+    for c in (1.0, 3.0, 10.0, 1e3, 1e4, 1e6, 1e8, 1e20, 1e50, 1e100, 1e150):
+        for m in (0.3, 1.0, 2.7):
+            for hbar in (1.0, 0.37):
+                consts = PhysicalConstants(hbar, c)
+                ks = np.exp(rng.uniform(math.log(1e-8), math.log(m * c / hbar), 12))
+                for k in ks.tolist():
+                    got = nr_expansion_error(m, k, consts)
+                    for j, want in enumerate(_nr_reference(m, k, c, hbar)):
+                        value = got[j]
+                        if sys.float_info.min <= value < math.inf:  # a normal float
+                            err = float(abs(Decimal(value) - want) / want)
+                            worst[j] = max(worst[j], err)
+                            assert err <= 2e-15, (c, m, hbar, k, j, err)
+    assert 0.0 < worst[0] and 0.0 < worst[1]
 
 
 def test_nr_expansion_bounded_in_validity_region():

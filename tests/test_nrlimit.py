@@ -27,8 +27,8 @@ from wavelab import (
     positive_branch_init,
     restore_rest_phase,
 )
+from wavelab.dispersion import _envelope_frequency
 from wavelab.exceptions import InsufficientSnapshots, NonUniformTimes, NumericalFailure
-from wavelab.nrlimit import _envelope_frequency
 
 C10 = PhysicalConstants(1.0, 10.0)
 
@@ -272,7 +272,7 @@ def test_report_deviation_equals_full_mode_sum():
         assert power[0] > 0 and power[n // 2] > 0  # k = 0 and Nyquist both count
         for c in (10.0, 1e3, 1e6):
             consts = PhysicalConstants(1.0, c)
-            big_omega, omega_rest = _envelope_frequency(grid.wavenumbers, 1.0, consts)
+            _, big_omega, omega_rest = _envelope_frequency(1.0, consts, grid.wavenumbers)
             half_gap = -0.25 * big_omega * (big_omega / omega_rest)
             rep = nr_limit_report(psi0, 1.0, consts, time, snapshot_every=5)
             assert rep.times[-1] == 23 * 0.37 and len(rep.times) == 6
