@@ -38,9 +38,9 @@ from .exceptions import (
     NumericalFailure,
 )
 from .propagate import (
-    _energies,
     _energy_spread,
     _kinetic_symbol,
+    _real_kernels,
     _strang,
     energy_expectation,
     harmonic_potential,
@@ -180,8 +180,11 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
     iteration whose energy <psi|H|psi> differs from the previous iteration's by
     less than energy_tol.  The energies are taken for a batch of consecutive
     iterates at once, which stops at the same iteration as checking after
-    every step, at the cost of at most one batch of extra steps.  The returned
-    energy is `energy_expectation` of the returned state (the true-Hamiltonian
+    every step, at the cost of at most one batch of extra steps.  These
+    stopping energies (`_stopping_energies`) take each mode's power as
+    Re^2 + Im^2 and sum with numpy's own reductions, so they can differ from
+    `energy_expectation` in the last bits.  The returned energy is
+    `energy_expectation` of the returned state (the true-Hamiltonian
     expectation), so the splitting bias enters only at second order.
 
     A state that stops changing is not necessarily an eigenstate (a huge
@@ -234,23 +237,22 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
     step = _strang(v, grid, problem.m, problem.consts.hbar, tau_step, 1, rows=psi.shape[:-1])
 
     symbol = _kinetic_symbol(grid, problem.m, problem.consts)
-    half = symbol[:grid.n_points // 2 + 1].copy()  # real rows' Hermitian half spectrum:
-    half[1:grid.n_points // 2] *= 2.0  # each mode 0 < k < N/2 counts twice
     stack = np.empty((max(1, min(_MAX_BATCH, _STACK_POINTS // grid.n_points)),) + psi.shape)
-    amps = np.empty(stack.shape[:-1] + half.shape, dtype=np.complex128)
+    energies = _stopping_energies(v, symbol, stack.shape)
     squares = np.empty(psi.shape)  # _l2's bits: |x|^2 of a real x is x * x
+    flat = squares.reshape(-1)
     energy_prev = math.inf
     for done in range(0, max_iters, len(stack)):
         rows = stack[:min(len(stack), max_iters - done)]
         for row in range(len(rows)):
             psi = step(psi, rows[row])  # stepped into its row
-            nrm = math.sqrt(np.add.reduce(np.multiply(psi, psi, out=squares).reshape(-1)) * dx)
+            np.multiply(psi, psi, out=squares)
+            nrm = math.sqrt(np.add.reduce(flat) * dx)
             if not 0.0 < nrm < math.inf:
                 raise NumericalFailure(f"state lost at iteration {done + row + 1} "
                                        f"(norm {nrm})", step=done + row + 1)
             psi *= 1.0 / nrm
-        h, norm_sq = _energies(rows, v, half, dx, amps[:len(rows)])
-        for row, energy in enumerate((h.sum(axis=-1) / norm_sq.sum(axis=-1)).tolist()):
+        for row, energy in enumerate(energies(rows)):
             if abs(energy - energy_prev) < energy_tol:
                 parts = rows[row]
                 samples = parts[0] + 1j * parts[1] if len(parts) == 2 else parts[0]
@@ -259,6 +261,38 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
     raise NoConvergence(
         f"energy change still above {energy_tol} after {max_iters} iterations"
     )
+
+
+def _stopping_energies(v: np.ndarray, symbol: np.ndarray, shape: tuple):
+    """`energies(rows)`: the stopping energy of each state in `rows`, a prefix of a
+    C-contiguous stack of shape `shape` = (batch, R, N), as a list.
+
+    A state's energy is sum_r <row_r|H|row_r> / sum_r <row_r|row_r> (dx cancels), its
+    kinetic term Re^2 + Im^2 of the ortho rfft's modes under `symbol`'s half spectrum,
+    each mode 0 < k < N/2 doubled.  Every sum is an `np.add.reduce` over one state (no
+    BLAS, and no `einsum`, whose iterator buffers would raise the run's peak memory),
+    so a state's energy has the same bits in any batch.
+    """
+    n_points = shape[-1]
+    half = symbol[:n_points // 2 + 1].copy()
+    half[1:n_points // 2] *= 2.0
+    weights = np.repeat(half, 2)  # one weight for each float of a (Re, Im) pair
+    forward, fct = _real_kernels()[0], np.reciprocal(np.sqrt(n_points))
+    amps = np.empty(shape[:-1] + half.shape, dtype=np.complex128)
+    power, dens = amps.view(np.float64), np.empty(shape)
+
+    def energies(rows):
+        b = len(rows)
+        spec, sq = power[:b], dens[:b]
+        forward(rows, fct, out=amps[:b])
+        np.multiply(spec, spec, out=spec)
+        np.multiply(spec, weights, out=spec)
+        np.multiply(rows, rows, out=sq)
+        norm = np.add.reduce(sq, axis=(1, 2))
+        np.multiply(sq, v, out=sq)
+        return ((np.add.reduce(spec, axis=(1, 2)) + np.add.reduce(sq, axis=(1, 2)))
+                / norm).tolist()
+    return energies
 
 
 def _accept(problem: OscillatorProblem, grid: Grid1D, v: np.ndarray, symbol: np.ndarray,

@@ -443,29 +443,20 @@ def packet_width(field: WaveField) -> float:
 
 
 def _kinetic_symbol(grid: Grid1D, m: float, consts: PhysicalConstants) -> np.ndarray:
-    """hbar^2 k^2 / 2m on the grid's modes."""
-    return consts.hbar ** 2 * grid.wavenumbers ** 2 / (2.0 * m)
+    """hbar^2 k^2 / 2m on the grid's modes, in float64; NumericalFailure if not finite."""
+    with np.errstate(all="ignore"):
+        symbol = np.float64(consts.hbar) ** 2 * grid.wavenumbers ** 2 / (2.0 * m)
+    _finite(lambda: f"kinetic symbol hbar^2 k^2 / 2m is not finite at hbar = {consts.hbar!r}, "
+            f"m = {m!r}", symbol)
+    return symbol
 
 
-def _energies(samples: np.ndarray, v: np.ndarray, symbol: np.ndarray, dx: float, amps=None):
-    """(<psi|H|psi>, <psi|psi>) of each row of `samples`, shape (..., N).
-
-    `symbol` is the kinetic symbol of `_kinetic_symbol`.  Real rows (the
-    relaxation's) go through the rfft of `_real_kernels`, at the fct 1/sqrt(N)
-    of `norm="ortho"`, into `amps`; their spectrum is Hermitian, so `symbol`
-    is then the half-spectrum one, each mode 0 < k < N/2 doubled.  Row-wise
-    transforms and sums of a C-contiguous stack equal the 1-D calls bit for
-    bit, so a batch of states gets the values of one at a time.
-    """
-    if np.iscomplexobj(samples):
-        amps = np.fft.fft(samples, norm="ortho", axis=-1)
-        dens = np.abs(samples) ** 2
-    else:
-        _real_kernels()[0](samples, np.reciprocal(np.sqrt(samples.shape[-1])), out=amps)
-        dens = samples * samples
-    kinetic = np.sum(symbol * np.abs(amps) ** 2, axis=-1) * dx
-    pot = np.sum(v * dens, axis=-1) * dx
-    return kinetic + pot, np.sum(dens, axis=-1) * dx
+def _energies(samples: np.ndarray, v: np.ndarray, symbol: np.ndarray, dx: float):
+    """(<psi|H|psi>, <psi|psi>) of complex samples; `symbol` is `_kinetic_symbol`'s."""
+    amps = np.fft.fft(samples, norm="ortho")
+    dens = np.abs(samples) ** 2
+    kinetic = np.sum(symbol * np.abs(amps) ** 2) * dx
+    return kinetic + np.sum(v * dens) * dx, np.sum(dens) * dx
 
 
 def _energy_spread(psi: np.ndarray, v: np.ndarray, symbol: np.ndarray, dx: float,

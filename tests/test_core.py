@@ -234,6 +234,9 @@ FINITE_SITES = {
     "energy_expectation": (
         "non-finite energy expectation inf / 1.0",
         lambda: energy_expectation(_PSI8, np.full(8, 1e308), 1.0)),
+    "kinetic_symbol": (  # hbar^2 in Python floats raised a bare OverflowError
+        "kinetic symbol hbar^2 k^2 / 2m is not finite at hbar = 1e+200, m = 1.0",
+        lambda: energy_expectation(_PSI8, np.zeros(8), 1.0, PhysicalConstants(hbar=1e200))),
     "ground_state_square": (  # (x - xc)^2 overflows: psi is 0 there, nonzero only at xc
         None,
         lambda: harmonic_ground_exact(_UNIT_TRAP, Grid1D(8, 1.7e308)).samples),

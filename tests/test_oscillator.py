@@ -21,6 +21,7 @@ from wavelab import (
     minimize_bound_analytic,
     minimize_bound_numeric,
 )
+from wavelab import oscillator, propagate
 from wavelab.exceptions import (
     GridTooCoarse,
     InvalidBracket,
@@ -28,6 +29,8 @@ from wavelab.exceptions import (
     NonPositiveDeltaX,
     NumericalFailure,
 )
+from wavelab.oscillator import _stopping_energies
+from wavelab.propagate import _kinetic_symbol, energy_expectation
 
 from oracles import grid_hamiltonian, imaginary_time_oracle, real_imaginary_time_oracle
 
@@ -342,6 +345,70 @@ def test_real_relaxation_tracks_the_complex_one(case):
     assert np.max(np.abs(got.psi.samples - psi)) <= 1e-13
     with pytest.raises(NoConvergence):
         relax(iterations - 1)
+
+
+# ground width 1: a 64-point grid of length 16 is the coarsest the relaxation accepts
+_CHECK_TRAP = OscillatorProblem(1.0, 0.5)
+
+
+def _trap_check(n, shape):
+    grid = Grid1D(n, 16.0)
+    v = harmonic_potential(grid, 1.0, 0.5)
+    return grid, v, _stopping_energies(v, _kinetic_symbol(grid, 1.0, PhysicalConstants()), shape)
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("b", [1, 3, 8])
+def test_stopping_energy_of_a_state_is_the_same_in_any_batch(b, r, n):
+    # relax(iterations) == relax(50000) needs this: the stop's batch is cut short
+    # there, so the stopping state's energy must not depend on its neighbours
+    _, _, energies = _trap_check(n, (b, r, n))
+    stack = np.random.default_rng(b * r * n).standard_normal((b, r, n))
+    got = energies(stack)
+    _, _, alone = _trap_check(n, (1, r, n))
+    assert got == [alone(stack[i:i + 1])[0] for i in range(b)]
+    assert got == [energies(stack[i:i + 1])[0] for i in range(b)]
+    assert got[:2] == energies(stack[:2])
+
+
+def _as_field(grid, rows):
+    return WaveField(grid, rows[0] + 1j * rows[1] if len(rows) == 2 else rows[0])
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("r", [1, 2])
+def test_stopping_energies_within_64_ulps_of_the_energy_expectation(r, n):
+    # Re^2 + Im^2 and numpy's reductions in place of |a|^2 and np.sum: the
+    # stopping energies may move in the last bits only
+    grid, v, energies = _trap_check(n, (3, r, n))
+    states = np.random.default_rng(r * n).standard_normal((3, r, n))
+    relaxed = imaginary_time_ground_state(_CHECK_TRAP, grid, initial=_as_field(grid, states[0]))
+    states[2] = np.stack([relaxed.psi.samples.real, relaxed.psi.samples.imag][:r])
+    for rows, energy in zip(states, energies(states)):
+        want = energy_expectation(_as_field(grid, rows), v, 1.0)
+        assert abs(energy - want) <= 64 * np.finfo(float).eps * abs(want)
+
+
+def test_relaxation_transform_count(monkeypatch):
+    # the shipped config stops at iteration 253, so 32 batches of 8 steps run:
+    # each step transforms forward and back, and each batch forward once more
+    calls = {"forward": 0, "inverse": 0}
+    forward, inverse = propagate._real_kernels()
+
+    def counted(kernel, name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+        return call
+
+    def kernels():
+        return counted(forward, "forward"), counted(inverse, "inverse")
+
+    monkeypatch.setattr(propagate, "_real_kernels", kernels)
+    monkeypatch.setattr(oscillator, "_real_kernels", kernels)
+    imaginary_time_ground_state(UNIT, Grid1D(256, 20.0))
+    assert calls == {"forward": 288, "inverse": 256}
 
 
 def test_real_start_relaxes_to_a_real_state():

@@ -34,8 +34,8 @@ from wavelab import (
     zero_potential,
 )
 from wavelab.exceptions import WrongEquationFamily, ZeroField
-from wavelab.oscillator import OscillatorProblem
-from wavelab.propagate import _energies, _harmonic_snapshots, _real_kernels
+from wavelab.oscillator import OscillatorProblem, _stopping_energies
+from wavelab.propagate import _harmonic_snapshots, _real_kernels
 
 from oracles import (
     coherent_state_oracle,
@@ -311,19 +311,23 @@ def test_real_kernels_equal_the_public_transforms(n, rows):
 
 @pytest.mark.parametrize("rows", [(), (1,), (2,), (8, 1), (4, 2)], ids=str)
 def test_real_batch_energies_equal_the_public_formula(rows):
-    # the relaxation's batch energies, through the rfft kernel into its buffer
-    # with the doubled half-spectrum symbol, against np.fft.rfft(norm="ortho")
+    # the relaxation's stopping energies, through the rfft kernel into its
+    # buffer, against the same arithmetic on np.fft.rfft(norm="ortho"): Re^2 + Im^2
+    # of each mode under the doubled half-spectrum symbol; `rows` is a stack's
+    # (batch, R), padded with ones
+    shape = (rows + (1, 1))[:2]
     grid = Grid1D(256, 20.0)
-    dx = grid.spacing
     v = harmonic_potential(grid, 1.0, 1.3)
-    half = grid.wavenumbers[:129] ** 2 / 2.0
+    symbol = grid.wavenumbers ** 2 / 2.0
+    half = symbol[:129].copy()
     half[1:128] *= 2.0
-    x = np.random.default_rng(7).standard_normal(rows + (256,))
-    h, norm_sq = _energies(x, v, half, dx, np.empty(rows + (129,), dtype=np.complex128))
-    dens = np.abs(x) ** 2
-    kinetic = np.sum(half * np.abs(np.fft.rfft(x, norm="ortho")) ** 2, axis=-1) * dx
-    assert np.array_equal(h, kinetic + np.sum(v * dens, axis=-1) * dx)
-    assert np.array_equal(norm_sq, np.sum(dens, axis=-1) * dx)
+    x = np.random.default_rng(7).standard_normal(shape + (256,))
+    got = _stopping_energies(v, symbol, x.shape)(x)
+    spec = np.fft.rfft(x, norm="ortho").view(np.float64)
+    kinetic = np.add.reduce(spec * spec * np.repeat(half, 2), axis=(1, 2))
+    dens = x * x
+    potential = np.add.reduce(dens * v, axis=(1, 2))
+    assert got == ((kinetic + potential) / np.add.reduce(dens, axis=(1, 2))).tolist()
 
 
 def test_split_step_ground_state_is_stationary():
