@@ -594,12 +594,22 @@ def _check_dominance_scaling():
     return abs(math.nan if slope is None else slope + 4.0), 0.2, f"dominance c-exponent {slope}"
 
 
+def _check_oscillator_bound():
+    problem = OscillatorProblem(1.0, 1.0)  # oscillator.cfg's problem, grid and search
+    e0 = minimize_bound_analytic(problem).energy
+    golden = minimize_bound_numeric(problem, (0.05, 20.0), 1e-12).energy
+    relaxed = imaginary_time_ground_state(problem, Grid1D(256, 20.0)).energy
+    return _worst([(abs(golden - e0), _ROUNDING * e0, "golden-section gap to hbar omega_c / 2"),
+                   (abs(relaxed - e0), _ROUNDING * e0, "relaxation gap to hbar omega_c / 2")])
+
+
 DEFAULT_CHECKS = [
     ("plane_wave_exactness", _check_plane_wave_exactness),
     ("transform_parseval", _check_parseval),
     ("norm_conservation", _check_norm_conservation),
     ("massless_limit", _check_massless_limit),
     ("dominance_scaling", _check_dominance_scaling),
+    ("oscillator_bound", _check_oscillator_bound),
 ]
 
 

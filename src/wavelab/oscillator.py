@@ -8,7 +8,9 @@ into H = p^2/2m + (1/2) m omega_c^2 x^2 gives the bound curve
 minimized at dx* = sqrt(hbar / 2 m omega_c).  The bound is checked three ways:
 the closed form, a golden-section search on the curve, and an independent
 imaginary-time relaxation of the full Schrodinger problem showing the bound is
-attained for the harmonic potential.
+attained for the harmonic potential.  The relaxation steps with the trap's exact
+imaginary-time propagator (Mehler's kernel), doubling the step up to a cap set
+by the periodic box, so it reaches hbar omega_c / 2 to rounding in a few steps.
 """
 
 from __future__ import annotations
@@ -38,20 +40,15 @@ from .exceptions import (
     NumericalFailure,
 )
 from .propagate import (
+    _energies,
     _energy_spread,
     _kinetic_symbol,
-    _real_kernels,
     _strang,
     energy_expectation,
     harmonic_potential,
 )
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/golden ratio
-
-# The relaxation stacks up to this many samples of consecutive iterates and
-# takes their energies in one call: a batch of max(1, min(8, 8192 // N)) states.
-_STACK_POINTS = 8192
-_MAX_BATCH = 8
 
 # A relaxed state is refused if its energy spread exceeds this fraction of its energy.
 _SPREAD_TOL = 1e-2
@@ -168,37 +165,41 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
                                 max_iters: int = 50000,
                                 energy_tol: float = 1e-12,
                                 initial: WaveField | None = None) -> GroundState:
-    """Relax to the harmonic ground state by imaginary-time split stepping.
+    """Relax to the harmonic ground state by exact imaginary-time trap steps.
 
-    The real-time split-step kernel with dt -> -i tau damps every excited
-    component.  Its factors are real, so the state is stepped in real
-    arithmetic: a real start (the default) as one real row, a start with a
-    nonzero imaginary part as two, Re and Im.  The operator is real and linear,
-    so the rows relax independently and share one norm, and a batch energy is
-    sum_r <row_r|H|row_r> / sum_r <row_r|row_r>.  Each step renormalizes and
-    the loop stops at the first
-    iteration whose energy <psi|H|psi> differs from the previous iteration's by
-    less than energy_tol.  The energies are taken for a batch of consecutive
-    iterates at once, which stops at the same iteration as checking after
-    every step, at the cost of at most one batch of extra steps.  These
-    stopping energies (`_stopping_energies`) take each mode's power as
-    Re^2 + Im^2 and sum with numpy's own reductions, so they can differ from
-    `energy_expectation` in the last bits.  The returned energy is
-    `energy_expectation` of the returned state (the true-Hamiltonian
-    expectation), so the splitting bias enters only at second order.
+    The trap's e^{-tau H / hbar} factorises exactly (Mehler's kernel), as the
+    real-time trap step does with theta = -i phi: for phi = omega_c tau it is one
+    imaginary-time `_strang` step of size sinh(phi)/omega_c in V / cosh^2(phi/2),
+    the half kick exp(-(m omega_c / 2 hbar) tanh(phi/2) (x - x_c)^2) around the
+    drift exp(-hbar k^2 sinh(phi) / 2 m omega_c).  A step adds no bias; its size
+    sets only how fast the excited components decay.  The first step has
+    phi = omega_c tau_step (the least subnormal if that underflows), and each
+    step doubles phi up to phi_max, so iterate j is the exact relaxation over
+    (2^j - 1) tau_step until then, and a run takes about
+    log2(phi_max / omega_c tau_step) steps plus a few at phi_max.  The drift
+    convolves with a Gaussian of width sqrt(hbar sinh(phi) / m omega_c), which
+    wraps round the periodic box past a fraction of L/2, so phi_max is where
+    that width reaches L/8: sinh(phi_max) = (L / dx*)^2 / 128, at least
+    asinh(2) ~ 1.44 on any grid accepted below.
 
-    A state that stops changing is not necessarily an eigenstate (a huge
-    tau_step freezes a wrong one), so the stopped state's energy spread
-    sigma = sqrt(<H^2> - <H>^2) is computed once.  By Weinstein's bound, some
-    eigenvalue lies within sigma of E.  NoConvergence is raised if sigma / E
-    exceeds 1e-2.  NumericalFailure is raised for a zero or non-finite ground width
+    The factors are real, so a real start (the default) is stepped as one real
+    row, and a start with a nonzero imaginary part as two, Re and Im, sharing
+    one norm.  Each step renormalizes.  The loop stops at the first step at
+    phi_max whose energy <psi|H|psi> differs by less than energy_tol from the
+    previous step's, also at phi_max: such a step shrinks E - E0 by
+    e^{-2 phi_max} or more, so that change bounds the energy error itself.  The
+    returned energy is `energy_expectation` of the returned state.
+
+    The stopped state's energy spread sigma = sqrt(<H^2> - <H>^2) is computed
+    once; by Weinstein's bound some eigenvalue lies within sigma of E.
+    NoConvergence is raised if sigma / E exceeds 1e-2, or after max_iters
+    steps.  NumericalFailure is raised for a zero or non-finite ground width
     dx*, trap potential or start state, and for a step that loses the state
     altogether (its norm underflows to 0 or overflows).
 
     Any generic start (the default even Gaussian, or random noise) converges
-    to the ground state.  An exactly odd-parity start is an edge case: parity
-    is preserved until rounding breaks it, so the iteration first settles on
-    the lowest odd state and may stop there or run out of iterations.
+    to the ground state.  An exactly odd-parity start keeps its parity until
+    rounding breaks it, so it may settle on the lowest odd state.
     """
     _positive("tau_step", tau_step)
     if max_iters < 1:
@@ -233,66 +234,33 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
     if not 0.0 < nrm < math.inf:
         raise NumericalFailure(f"start state has norm {nrm}", step=0)
     psi *= 1.0 / nrm
-    v = harmonic_potential(grid, problem.m, problem.omega_c)
-    step = _strang(v, grid, problem.m, problem.consts.hbar, tau_step, 1, rows=psi.shape[:-1])
+    m, hbar, omega_c = problem.m, problem.consts.hbar, problem.omega_c
+    v = harmonic_potential(grid, m, omega_c)
+    symbol = _kinetic_symbol(grid, m, problem.consts)
 
-    symbol = _kinetic_symbol(grid, problem.m, problem.consts)
-    stack = np.empty((max(1, min(_MAX_BATCH, _STACK_POINTS // grid.n_points)),) + psi.shape)
-    energies = _stopping_energies(v, symbol, stack.shape)
-    squares = np.empty(psi.shape)  # _l2's bits: |x|^2 of a real x is x * x
-    flat = squares.reshape(-1)
-    energy_prev = math.inf
-    for done in range(0, max_iters, len(stack)):
-        rows = stack[:min(len(stack), max_iters - done)]
-        for row in range(len(rows)):
-            psi = step(psi, rows[row])  # stepped into its row
-            np.multiply(psi, psi, out=squares)
-            nrm = math.sqrt(np.add.reduce(flat) * dx)
-            if not 0.0 < nrm < math.inf:
-                raise NumericalFailure(f"state lost at iteration {done + row + 1} "
-                                       f"(norm {nrm})", step=done + row + 1)
-            psi *= 1.0 / nrm
-        for row, energy in enumerate(energies(rows)):
+    phi_max = math.asinh((grid.length / ground_width) ** 2 / 128.0)
+    phi, energy_prev = min(max(omega_c * tau_step, math.ulp(0.0)), phi_max), math.inf
+    for iteration in range(1, max_iters + 1):
+        step = _strang(v / math.cosh(0.5 * phi) ** 2, grid, m, hbar, math.sinh(phi) / omega_c,
+                       1, rows=psi.shape[:-1])
+        step(psi, psi)
+        with np.errstate(all="ignore"):
+            h, norm_sq = _energies(psi, v, symbol, dx)
+        nrm = math.sqrt(norm_sq)
+        if not 0.0 < nrm < math.inf:
+            raise NumericalFailure(f"state lost at iteration {iteration} (norm {nrm})",
+                                   step=iteration)
+        psi *= 1.0 / nrm
+        if phi == phi_max:
+            energy = h / norm_sq
             if abs(energy - energy_prev) < energy_tol:
-                parts = rows[row]
-                samples = parts[0] + 1j * parts[1] if len(parts) == 2 else parts[0]
-                return _accept(problem, grid, v, symbol, samples)
+                return _accept(problem, grid, v, symbol,
+                               psi[0] + 1j * psi[1] if len(psi) == 2 else psi[0])
             energy_prev = energy
+        phi = min(2.0 * phi, phi_max)
     raise NoConvergence(
         f"energy change still above {energy_tol} after {max_iters} iterations"
     )
-
-
-def _stopping_energies(v: np.ndarray, symbol: np.ndarray, shape: tuple):
-    """`energies(rows)`: the stopping energy of each state in `rows`, a prefix of a
-    C-contiguous stack of shape `shape` = (batch, R, N), as a list.
-
-    A state's energy is sum_r <row_r|H|row_r> / sum_r <row_r|row_r> (dx cancels), its
-    kinetic term Re^2 + Im^2 of the ortho rfft's modes under `symbol`'s half spectrum,
-    each mode 0 < k < N/2 doubled.  Every sum is an `np.add.reduce` over one state (no
-    BLAS, and no `einsum`, whose iterator buffers would raise the run's peak memory),
-    so a state's energy has the same bits in any batch.
-    """
-    n_points = shape[-1]
-    half = symbol[:n_points // 2 + 1].copy()
-    half[1:n_points // 2] *= 2.0
-    weights = np.repeat(half, 2)  # one weight for each float of a (Re, Im) pair
-    forward, fct = _real_kernels()[0], np.reciprocal(np.sqrt(n_points))
-    amps = np.empty(shape[:-1] + half.shape, dtype=np.complex128)
-    power, dens = amps.view(np.float64), np.empty(shape)
-
-    def energies(rows):
-        b = len(rows)
-        spec, sq = power[:b], dens[:b]
-        forward(rows, fct, out=amps[:b])
-        np.multiply(spec, spec, out=spec)
-        np.multiply(spec, weights, out=spec)
-        np.multiply(rows, rows, out=sq)
-        norm = np.add.reduce(sq, axis=(1, 2))
-        np.multiply(sq, v, out=sq)
-        return ((np.add.reduce(spec, axis=(1, 2)) + np.add.reduce(sq, axis=(1, 2)))
-                / norm).tolist()
-    return energies
 
 
 def _accept(problem: OscillatorProblem, grid: Grid1D, v: np.ndarray, symbol: np.ndarray,
@@ -304,6 +272,6 @@ def _accept(problem: OscillatorProblem, grid: Grid1D, v: np.ndarray, symbol: np.
     if not spread <= _SPREAD_TOL * energy:
         raise NoConvergence(
             f"relaxed state has energy spread {spread:.3g} at energy {energy:.6g}; "
-            "not an eigenstate (tau_step too large?)"
+            "not an eigenstate"
         )
     return GroundState(energy=energy, psi=ground)

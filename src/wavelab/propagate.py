@@ -452,7 +452,8 @@ def _kinetic_symbol(grid: Grid1D, m: float, consts: PhysicalConstants) -> np.nda
 
 
 def _energies(samples: np.ndarray, v: np.ndarray, symbol: np.ndarray, dx: float):
-    """(<psi|H|psi>, <psi|psi>) of complex samples; `symbol` is `_kinetic_symbol`'s."""
+    """(<psi|H|psi>, <psi|psi>) of samples, shape (..., N), summed over the rows; `symbol`
+    is `_kinetic_symbol`'s.  H is real, so real rows Re and Im give the energy of Re + i Im."""
     amps = np.fft.fft(samples, norm="ortho")
     dens = np.abs(samples) ** 2
     kinetic = np.sum(symbol * np.abs(amps) ** 2) * dx

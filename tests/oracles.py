@@ -104,93 +104,18 @@ def grid_exact_evolution(length, m, v, hbar, psi0, times):
     return np.array([vectors @ (np.exp(-1j * energies * t / hbar) * coeffs) for t in times])
 
 
-def imaginary_time_oracle(n, length, m, omega_c, hbar, tau, energy_tol, max_iters,
-                          psi0=None):
-    """Imaginary-time Strang relaxation in a centred harmonic trap, checked every step.
+def grid_imaginary_time_evolution(length, m, v, hbar, psi0, tau):
+    """(energy, psi): U e^{-E tau/hbar} U^dagger psi0 for the dense `grid_hamiltonian`, normalised.
 
-    Returns (energy, samples, iterations) at the first iteration whose energy
-    differs from the previous one by less than energy_tol, or None if
-    max_iters pass without that.  The start defaults to the Gaussian twice as
-    wide as the ground state.
+    The exact imaginary-time relaxation of the grid problem over tau, diagonalised
+    by `numpy.linalg.eigh` and shifted by the lowest eigenvalue so that no factor
+    overflows.  `psi` has unit sum |psi_j|^2; at large tau it is the grid's ground
+    vector, in the phase of the start's ground component, and `energy` (its <H>)
+    is the grid's lowest eigenvalue.  O(N^3).
     """
-    dx = length / n
-    x = np.arange(n) * dx
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-    v = 0.5 * m * omega_c * omega_c * (x - length / 2.0) ** 2
-    half_kick = np.exp(-0.5 * v * tau / hbar)
-    drift = np.exp(-hbar * k ** 2 * tau / (2.0 * m))
-    if psi0 is None:
-        width = np.sqrt(hbar / (2.0 * m * omega_c))
-        psi0 = np.exp(-((x - length / 2.0) ** 2) / (4.0 * (2.0 * width) ** 2))
-    psi = np.array(psi0, dtype=np.complex128)
-    psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
-    previous = np.inf
-    for iteration in range(1, max_iters + 1):
-        psi = half_kick * psi
-        psi = np.fft.ifft(drift * np.fft.fft(psi))
-        psi = half_kick * psi
-        psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
-        amps = np.fft.fft(psi, norm="ortho")
-        kinetic = float(np.sum(hbar ** 2 * k ** 2 / (2.0 * m) * np.abs(amps) ** 2) * dx)
-        dens = np.abs(psi) ** 2
-        energy = ((kinetic + float(np.sum(v * dens) * dx))
-                  / float(np.sum(dens) * dx))
-        if abs(energy - previous) < energy_tol:
-            return energy, psi, iteration
-        previous = energy
-    return None
-
-
-def real_imaginary_time_oracle(n, length, m, omega_c, hbar, tau, energy_tol, max_iters,
-                               psi0=None):
-    """The relaxation of `imaginary_time_oracle` in real arithmetic, checked every step.
-
-    The imaginary-time factors are real, so a real start stays real: the state
-    is stepped through `rfft`/`irfft` and normalised by a real norm.  A complex
-    start is relaxed as two real rows, Re and Im, which share one norm.  The
-    stopping energy is taken from the half spectrum, where each mode
-    0 < k < N/2 stands for itself and its mirror.  Returns (energy, samples,
-    iterations) as `imaginary_time_oracle` does, with the energy of the
-    returned complex samples taken over the full spectrum, or None.
-    """
-    dx = length / n
-    x = np.arange(n) * dx
-    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
-    v = 0.5 * m * omega_c * omega_c * (x - length / 2.0) ** 2
-    half_kick = np.exp(-0.5 * v * tau / hbar)
-    drift = np.exp(-hbar * k ** 2 * tau / (2.0 * m))
-    weight = np.full(len(k), 2.0)
-    weight[0] = 1.0
-    if n % 2 == 0:
-        weight[-1] = 1.0  # the Nyquist mode has no mirror
-    kinetic_symbol = weight * (hbar ** 2 * k ** 2 / (2.0 * m))
-    if psi0 is None:
-        width = np.sqrt(hbar / (2.0 * m * omega_c))
-        psi0 = np.exp(-((x - length / 2.0) ** 2) / (4.0 * (2.0 * width) ** 2))
-    psi0 = np.asarray(psi0)
-    rows = [psi0.real, psi0.imag] if np.any(psi0.imag) else [psi0.real]
-    psi = np.array(rows, dtype=np.float64)
-    psi = psi * (1.0 / np.sqrt(np.sum(psi ** 2) * dx))
-    previous = np.inf
-    for iteration in range(1, max_iters + 1):
-        psi = half_kick * psi
-        psi = np.fft.irfft(drift * np.fft.rfft(psi), n=n)
-        psi = half_kick * psi
-        psi = psi * (1.0 / np.sqrt(np.sum(psi ** 2) * dx))
-        energy_sum = norm_sum = 0.0
-        for row in psi:
-            amps = np.fft.rfft(row, norm="ortho")
-            kinetic = np.sum(kinetic_symbol * np.abs(amps) ** 2) * dx
-            energy_sum = energy_sum + (kinetic + np.sum(v * row ** 2) * dx)
-            norm_sum = norm_sum + np.sum(row ** 2) * dx
-        energy = float(energy_sum / norm_sum)
-        if abs(energy - previous) < energy_tol:
-            samples = psi[0] + 1j * psi[1] if len(psi) == 2 else psi[0] + 0j
-            amps = np.fft.fft(samples, norm="ortho")
-            k_full = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-            kinetic = float(np.sum(hbar ** 2 * k_full ** 2 / (2.0 * m) * np.abs(amps) ** 2) * dx)
-            dens = np.abs(samples) ** 2
-            return ((kinetic + float(np.sum(v * dens) * dx)) / float(np.sum(dens) * dx),
-                    samples, iteration)
-        previous = energy
-    return None
+    energies, vectors = np.linalg.eigh(grid_hamiltonian(length, m, v, hbar))
+    coeffs = vectors.conj().T @ np.asarray(psi0, dtype=complex)
+    coeffs *= np.exp(-(energies - energies[0]) * tau / hbar)
+    weights = np.abs(coeffs) ** 2
+    return (float(np.sum(energies * weights) / np.sum(weights)),
+            vectors @ coeffs / np.sqrt(np.sum(weights)))

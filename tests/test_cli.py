@@ -436,6 +436,10 @@ GATE_CODES = {
     ("evolve", (("mass", 5e-324), ("x_c", 1e-160))): 3,   # omega(k) overflows in a divide
     ("evolve", (("hbar", 1.7e308), ("x_c", 1e300))): 3,   # omega(k) overflows in a multiply
     ("nrlimit", (("mass", 5e-324), ("length", 1.7e308))): 0,  # the carrier's ratio is inf
+    # the relaxation's first step, far too large or small for a Strang step
+    ("oscillator", (("tau_step", 1e300), ("n_points", 256))): 0,
+    ("oscillator", (("tau_step", 5e-324), ("n_points", 256), ("max_iters", 50000))): 0,
+    ("oscillator", (("tau_step", 1e-9), ("n_points", 256))): 0,
 }
 LABEL_COLUMNS = {"family", "method"}
 # documented nan: the NR pair of a massless family's dispersion row
@@ -478,6 +482,10 @@ def assert_finite_artifacts(out: Path):
 @example(case=("evolve", (("mass", 5e-324), ("x_c", 1e-160))))
 @example(case=("evolve", (("hbar", 1.7e308), ("x_c", 1e300))))
 @example(case=("nrlimit", (("mass", 5e-324), ("length", 1.7e308))))
+# each exited 3 with "energy spread ... tau_step too large?", or after 50,000 iterations
+@example(case=("oscillator", (("tau_step", 1e300), ("n_points", 256))))
+@example(case=("oscillator", (("tau_step", 5e-324), ("n_points", 256), ("max_iters", 50000))))
+@example(case=("oscillator", (("tau_step", 1e-9), ("n_points", 256))))
 def test_extreme_values_exit_0_2_3_or_4_cleanly(tmp_path, capsys, case):
     scenario, pairs = case
     run = Path(tempfile.mkdtemp(dir=tmp_path))
@@ -1283,12 +1291,16 @@ def test_oscillator_empty_budget_or_tolerance_is_exit_2(tmp_path, capsys, overri
     assert not (out / "oscillator.csv").exists()
 
 
-@pytest.mark.parametrize("tau_step", ["5", "1e300"])
-def test_oscillator_frozen_wrong_state_is_exit_3(tmp_path, capsys, tau_step):
+@pytest.mark.parametrize("tau_step", ["5", "1e300", "5e-324", "1e-9"])
+def test_oscillator_any_first_step_is_exit_0_at_the_bound(tmp_path, capsys, tau_step):
+    # each exited 3: 5 and 1e300 froze a wrong state, 5e-324 was refused with the same
+    # "tau_step too large?" hint, 1e-9 ran out its 50,000 iterations
+    out = tmp_path / "o"
     rc = cli.main(["oscillator", "--config", str(CONFIGS / "oscillator.cfg"),
-                   "--out", str(tmp_path / "o"), "--set", f"tau_step={tau_step}"])
-    assert rc == 3
-    assert "energy spread" in capsys.readouterr().err
+                   "--out", str(out), "--set", f"tau_step={tau_step}"])
+    assert rc == 0, capsys.readouterr().err
+    header, rows = read_csv(out / "oscillator.csv")
+    assert abs(column(rows, header, "energy")[-1] - 0.5) <= 64 * sys.float_info.epsilon * 0.5
 
 
 def test_oscillator_coarse_valid_step_is_exit_0(tmp_path):
@@ -1316,7 +1328,8 @@ def test_verify_passes_and_is_deterministic(capsys):
     assert cli.main(["verify"]) == 0
     first = capsys.readouterr().out
     assert "plane_wave_exactness: PASS" in first
-    assert "all checks passed" in first
+    assert "oscillator_bound: PASS" in first
+    assert first.splitlines()[-1] == "all checks passed"
     assert cli.main(["verify"]) == 0
     second = capsys.readouterr().out
     assert first == second
@@ -1407,6 +1420,22 @@ def test_verify_catches_a_trap_that_drifts_the_norm(monkeypatch, capsys):
     assert "norm_conservation: FAIL (per-interval norm drift: " in out
     assert "verification failed: norm_conservation" in out
     assert "plane_wave_exactness: PASS" in out  # the phase path is untouched
+
+
+def test_verify_catches_a_relaxation_off_the_bound(monkeypatch, capsys):
+    # the Strang relaxation read 7.0e-13 above hbar omega_c / 2 on this problem; the
+    # bound is 64 eps hbar omega_c / 2 = 7.1e-15
+    relax = cli.imaginary_time_ground_state
+
+    def off_by_1e_13(*args, **kwargs):
+        return relax(*args, **kwargs)._replace(energy=0.5 + 1e-13)
+
+    monkeypatch.setattr(cli, "imaginary_time_ground_state", off_by_1e_13)
+    assert cli.main(["verify"]) == 3
+    out = capsys.readouterr().out
+    assert "oscillator_bound: FAIL (relaxation gap to hbar omega_c / 2: 1.000" in out
+    assert "verification failed: oscillator_bound" in out
+    assert "dominance_scaling: PASS" in out
 
 
 def test_verify_nan_value_fails(monkeypatch, capsys):

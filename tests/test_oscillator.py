@@ -29,10 +29,9 @@ from wavelab.exceptions import (
     NonPositiveDeltaX,
     NumericalFailure,
 )
-from wavelab.oscillator import _stopping_energies
-from wavelab.propagate import _kinetic_symbol, energy_expectation
+from wavelab.propagate import _energies, _kinetic_symbol, energy_expectation
 
-from oracles import grid_hamiltonian, imaginary_time_oracle, real_imaginary_time_oracle
+from oracles import grid_hamiltonian, grid_imaginary_time_evolution
 
 UNIT = OscillatorProblem(1.0, 1.0)
 
@@ -216,7 +215,7 @@ def test_ground_state_energy_default_problem():
 
 def test_ground_state_energy_is_the_grid_ground_energy():
     # oscillator.cfg's grid and step: the relaxation lands on the lowest eigenvalue
-    # of the grid Hamiltonian (measured 7.7e-13 from it, itself 7.6e-14 from
+    # of the grid Hamiltonian (measured 7.6e-14 from it, itself 7.6e-14 below
     # hbar omega / 2), so it converges to the grid's own ground state
     grid = Grid1D(256, 20.0)
     got = imaginary_time_ground_state(UNIT, grid, tau_step=0.02, max_iters=50000,
@@ -284,116 +283,155 @@ def test_empty_budget_or_tolerance_is_refused(key, value):
         imaginary_time_ground_state(UNIT, Grid1D(256, 20.0), **{key: value})
 
 
-# (n_points, length, omega_c, tau_step, energy_tol, random start); the package
-# checks energies in batches of min(8, 8192 // n_points) iterates
-RELAX_CASES = {
-    # the shipped config: stops at iteration 253, the 5th of a batch of 8
-    "shipped": (256, 20.0, 1.0, 0.02, 1e-12, False),
-    # stops at iteration 145, the first of a batch: the previous energy comes
-    # from the batch before
-    "batch_start": (256, 20.0, 1.0, 0.05, 1e-11, False),
-    # stops at iteration 152, the last of a batch of 8
-    "batch_end": (256, 20.0, 1.0, 0.03, 1e-10, False),
-    # batches of 4, from noise
-    "noisy_start": (2048, 40.0, 2.0, 0.01, 1e-10, True),
-    # the oscillator_relax benchmark's size: stops at iteration 2721, the
-    # first of a batch of 8
-    "benchmark": (1024, 40.0, 1.0, 0.002, 1e-12, False),
+# (n_points, length, omega_c) of boxes small enough for the dense grid Hamiltonian
+DENSE_GRIDS = {
+    # the smallest box the relaxation accepts, L = 16 dx*: the ground state's amplitude
+    # at the box edge is e^-16 ~ 1e-7, so the grid's ground vector and the exact
+    # step's fixed point differ there by ~1e-7 (measured 8.6e-8); E by 6.4e-13
+    "minimal": (64, 16.0, 0.5),
+    "narrow": (128, 16.0, 2.0),
+    "slow": (128, 24.0, 0.7),
+    "shipped": (256, 20.0, 1.0),
+    "fast": (256, 20.0, 3.0),
+    "wide": (256, 40.0, 0.25),
 }
+# omega_c tau_step of the first step: doubling from well below phi_max, or capped at once
+FIRST_PHIS = (0.002, 0.5, 5.0, 1e300)
 
 
-def _relax_both(case, oracle, max_iters=50000):
-    n, length, omega_c, tau, tol, noisy = RELAX_CASES[case]
-    start = None
-    if noisy:
-        rng = np.random.default_rng(3)
-        start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    want = oracle(n, length, 1.0, omega_c, 1.0, tau, tol, max_iters, start)
+def _start(grid, omega_c, kind):
+    """The samples of a start: the default Gaussian, complex noise, or a displaced Gaussian."""
+    x, center = grid.positions, grid.length / 2.0
+    if kind == "default":  # what the relaxation builds when given no start
+        return np.exp(-((x - center) ** 2) / (4.0 * (2.0 * math.sqrt(0.5 / omega_c)) ** 2))
+    if kind == "noisy":
+        rng = np.random.default_rng(grid.n_points)
+        return rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
+    return np.exp(-((x - center - 1.0) ** 2))
+
+
+def _relax_against_dense(case, kind, energy_tol):
+    """[(relaxed, dense ground energy, dense ground vector)] for each of FIRST_PHIS."""
+    n, length, omega_c = DENSE_GRIDS[case]
     grid = Grid1D(n, length)
-    initial = None if start is None else WaveField(grid, start)
-    return want, lambda iters: imaginary_time_ground_state(
-        OscillatorProblem(1.0, omega_c), grid, tau_step=tau, max_iters=iters,
-        energy_tol=tol, initial=initial)
+    start = _start(grid, omega_c, kind)
+    # e^-80 of the first excited component is left: the grid's ground vector to rounding
+    e0, ground = grid_imaginary_time_evolution(
+        length, 1.0, harmonic_potential(grid, 1.0, omega_c), 1.0, start, 80.0 / omega_c)
+    initial = None if kind == "default" else WaveField(grid, start)
+    return [(imaginary_time_ground_state(OscillatorProblem(1.0, omega_c), grid,
+                                         tau_step=phi / omega_c, energy_tol=energy_tol,
+                                         initial=initial), e0, ground)
+            for phi in FIRST_PHIS]
 
 
-@pytest.mark.parametrize("case", sorted(RELAX_CASES))
-def test_batched_stopping_rule_equals_per_iteration_rule(case):
-    # the oracle steps in the kernel's real arithmetic, so the bits must agree
-    want, relax = _relax_both(case, real_imaginary_time_oracle)
-    energy, psi, iterations = want
-    got = relax(50000)
-    assert got.energy == energy
-    assert np.array_equal(got.psi.samples, psi)
-    # the same iteration count: a budget of exactly that many steps suffices,
-    # and one step fewer (not a multiple of the batch size) does not
-    last = relax(iterations)
-    assert last.energy == energy
-    assert np.array_equal(last.psi.samples, psi)
-    with pytest.raises(NoConvergence):
-        relax(iterations - 1)
+@pytest.mark.parametrize("kind", ["default", "noisy", "displaced"])
+@pytest.mark.parametrize("case", sorted(DENSE_GRIDS))
+def test_relaxed_energy_is_the_dense_grid_ground_energy(case, kind):
+    # each step is exact, so no step size biases the fixed point: E lands on the
+    # lowest eigenvalue of the grid Hamiltonian from any start and any first step
+    for got, e0, _ in _relax_against_dense(case, kind, 1e-12):
+        assert abs(got.energy - e0) <= 1e-12
 
 
-@pytest.mark.parametrize("case", sorted(RELAX_CASES))
-def test_real_relaxation_tracks_the_complex_one(case):
-    # against the complex per-step relaxation: the real stack drops only the
-    # imaginary rounding noise, so it stops at the same iteration, nearly
-    # bit for bit
-    want, relax = _relax_both(case, imaginary_time_oracle)
-    energy, psi, iterations = want
-    got = relax(iterations)
-    assert abs(got.energy - energy) <= 1e-12
-    assert np.max(np.abs(got.psi.samples - psi)) <= 1e-13
-    with pytest.raises(NoConvergence):
-        relax(iterations - 1)
+@pytest.mark.parametrize("kind", ["default", "noisy", "displaced"])
+@pytest.mark.parametrize("case", sorted(set(DENSE_GRIDS) - {"minimal"}))
+def test_relaxed_state_is_the_dense_grid_ground_vector(case, kind):
+    # the state's error is about sqrt(E - E0), so energy_tol = 1e-14 (measured at most
+    # 2.3e-9 here; 2.9e-8 at the default 1e-12)
+    for got, _, ground in _relax_against_dense(case, kind, 1e-14):
+        samples = got.psi.samples * math.sqrt(got.psi.grid.spacing)
+        overlap = np.vdot(ground, samples)
+        assert np.max(np.abs(samples - overlap / abs(overlap) * ground)) <= 1e-8
 
 
-# ground width 1: a 64-point grid of length 16 is the coarsest the relaxation accepts
-_CHECK_TRAP = OscillatorProblem(1.0, 0.5)
+@pytest.mark.parametrize("n, length, omega_c", [
+    (256, 20.0, 1.0), (256, 20.0, 2.0), (512, 40.0, 1.0), (1024, 40.0, 0.9),
+    (1024, 40.0, 1.1), (2048, 40.0, 2.0), (2048, 80.0, 0.5),
+])
+def test_relaxed_energy_is_the_bound_to_rounding(n, length, omega_c):
+    # on a box that holds the ground state, E reads hbar omega_c / 2 to rounding
+    # (the worst measured 13 eps hbar omega_c / 2, from noise on N = 256)
+    grid = Grid1D(n, length)
+    problem = OscillatorProblem(1.0, omega_c)
+    noisy = WaveField(grid, _start(grid, omega_c, "noisy"))
+    for phi in (0.002, 1.0, 5.0):
+        for initial in (None, noisy):
+            got = imaginary_time_ground_state(problem, grid, tau_step=phi / omega_c,
+                                              initial=initial)
+            assert abs(got.energy - 0.5 * omega_c) <= 64 * np.finfo(float).eps * 0.5 * omega_c
 
 
-def _trap_check(n, shape):
-    grid = Grid1D(n, 16.0)
-    v = harmonic_potential(grid, 1.0, 0.5)
-    return grid, v, _stopping_energies(v, _kinetic_symbol(grid, 1.0, PhysicalConstants()), shape)
+def _counted_steps(monkeypatch):
+    """A list that each relaxation step appends to: `oscillator._strang` wrapped."""
+    steps, build = [], oscillator._strang
+
+    def counted(*args, **kwargs):
+        step = build(*args, **kwargs)
+
+        def call(psi, out):
+            steps.append(args[4])  # the step size sinh(phi) / omega_c
+            return step(psi, out)
+        return call
+
+    monkeypatch.setattr(oscillator, "_strang", counted)
+    return steps
+
+
+def test_iteration_count_does_not_grow_with_n(monkeypatch):
+    # oscillator_relax's omega_c tau = 0.002 took 2,721 Strang steps at N = 1024; doubling,
+    # step 12 is the first at phi_max = asinh((L / dx*)^2 / 128), whatever N is
+    steps = _counted_steps(monkeypatch)
+    counts = []
+    for n in (256, 1024, 4096):
+        steps.clear()
+        imaginary_time_ground_state(UNIT, Grid1D(n, 40.0), tau_step=0.002)
+        counts.append(len(steps))
+    assert counts[0] <= 16 and counts == [counts[0]] * 3
+
+
+def test_steps_double_up_to_the_wrap_cap(monkeypatch):
+    # phi = omega_c tau doubles from omega_c tau_step; iterate j is the exact relaxation
+    # at (2^j - 1) tau_step until the drift's width reaches L/8; the energies of two
+    # steps at that cap are compared
+    steps = _counted_steps(monkeypatch)
+    omega_c, tau = 2.0, 0.01
+    grid = Grid1D(256, 20.0)
+    imaginary_time_ground_state(OscillatorProblem(1.0, omega_c), grid, tau_step=tau)
+    phi_max = math.asinh(grid.length ** 2 * 2.0 * omega_c / 128.0)  # dx*^2 = 1 / (2 omega_c)
+    phis = [min(omega_c * tau * 2.0 ** j, phi_max) for j in range(len(steps))]
+    assert steps == [math.sinh(phi) / omega_c for phi in phis]
+    assert phis[-2:] == [phi_max] * 2
 
 
 @pytest.mark.parametrize("n", [64, 1024])
 @pytest.mark.parametrize("r", [1, 2])
-@pytest.mark.parametrize("b", [1, 3, 8])
-def test_stopping_energy_of_a_state_is_the_same_in_any_batch(b, r, n):
-    # relax(iterations) == relax(50000) needs this: the stop's batch is cut short
-    # there, so the stopping state's energy must not depend on its neighbours
-    _, _, energies = _trap_check(n, (b, r, n))
-    stack = np.random.default_rng(b * r * n).standard_normal((b, r, n))
-    got = energies(stack)
-    _, _, alone = _trap_check(n, (1, r, n))
-    assert got == [alone(stack[i:i + 1])[0] for i in range(b)]
-    assert got == [energies(stack[i:i + 1])[0] for i in range(b)]
-    assert got[:2] == energies(stack[:2])
+def test_stopping_energies_within_64_ulps_of_the_energy_expectation(r, n):
+    # the stopping energy is `_energies` of the real (R, N) rows, the energy of
+    # Re + i Im since H is real: it may move from `energy_expectation`'s in the
+    # last bits only, on random and on relaxed states
+    problem = OscillatorProblem(1.0, 0.5)  # ground width 1: the coarsest box at N = 64
+    grid = Grid1D(n, 16.0)
+    v = harmonic_potential(grid, 1.0, 0.5)
+    symbol = _kinetic_symbol(grid, 1.0, PhysicalConstants())
+    states = np.random.default_rng(r * n).standard_normal((3, r, n))
+    relaxed = imaginary_time_ground_state(problem, grid, initial=_as_field(grid, states[0]))
+    states[2] = np.stack([relaxed.psi.samples.real, relaxed.psi.samples.imag][:r])
+    for rows in states:
+        h, norm_sq = _energies(rows, v, symbol, grid.spacing)
+        want = energy_expectation(_as_field(grid, rows), v, 1.0)
+        assert abs(h / norm_sq - want) <= 64 * np.finfo(float).eps * abs(want)
 
 
 def _as_field(grid, rows):
     return WaveField(grid, rows[0] + 1j * rows[1] if len(rows) == 2 else rows[0])
 
 
-@pytest.mark.parametrize("n", [64, 1024])
-@pytest.mark.parametrize("r", [1, 2])
-def test_stopping_energies_within_64_ulps_of_the_energy_expectation(r, n):
-    # Re^2 + Im^2 and numpy's reductions in place of |a|^2 and np.sum: the
-    # stopping energies may move in the last bits only
-    grid, v, energies = _trap_check(n, (3, r, n))
-    states = np.random.default_rng(r * n).standard_normal((3, r, n))
-    relaxed = imaginary_time_ground_state(_CHECK_TRAP, grid, initial=_as_field(grid, states[0]))
-    states[2] = np.stack([relaxed.psi.samples.real, relaxed.psi.samples.imag][:r])
-    for rows, energy in zip(states, energies(states)):
-        want = energy_expectation(_as_field(grid, rows), v, 1.0)
-        assert abs(energy - want) <= 64 * np.finfo(float).eps * abs(want)
-
-
 def test_relaxation_transform_count(monkeypatch):
-    # the shipped config stops at iteration 253, so 32 batches of 8 steps run:
-    # each step transforms forward and back, and each batch forward once more
-    calls = {"forward": 0, "inverse": 0}
+    # oscillator.cfg's problem stops after 10 steps (253 Strang steps before): each step
+    # transforms forward and back by the real kernels and takes its energy by one fft;
+    # the stopped state's energy and spread take 2 fft and 1 ifft
+    calls = {"forward": 0, "inverse": 0, "fft": 0, "ifft": 0}
     forward, inverse = propagate._real_kernels()
 
     def counted(kernel, name):
@@ -406,9 +444,12 @@ def test_relaxation_transform_count(monkeypatch):
         return counted(forward, "forward"), counted(inverse, "inverse")
 
     monkeypatch.setattr(propagate, "_real_kernels", kernels)
-    monkeypatch.setattr(oscillator, "_real_kernels", kernels)
+    # the oscillator binds no kernel of its own, so none is called past the count
+    assert not hasattr(oscillator, "_real_kernels")
+    monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft, "fft"))
+    monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft, "ifft"))
     imaginary_time_ground_state(UNIT, Grid1D(256, 20.0))
-    assert calls == {"forward": 288, "inverse": 256}
+    assert calls == {"forward": 10, "inverse": 10, "fft": 12, "ifft": 1}
 
 
 def test_real_start_relaxes_to_a_real_state():
@@ -429,24 +470,43 @@ def test_complex_start_relaxes_as_its_real_and_imaginary_parts(theta):
     assert abs(got.energy - base.energy) <= 1e-15
 
 
-@pytest.mark.parametrize("tau_step", [1.0, 5.0, 1e300])
-def test_frozen_wrong_state_is_refused(tau_step):
-    # a large step stops changing long before it is an eigenstate
+@pytest.mark.parametrize("tau_step", [1.0, 5.0, 1e300, 5e-324, 1e-9])
+def test_any_first_step_relaxes_to_the_bound(tau_step):
+    # a Strang step of 1, 5 or 1e300 froze a wrong state (NoConvergence "energy spread"),
+    # 5e-324 stopped at once with that refusal, and 1e-9 ran out its 50,000 iterations;
+    # an exact step is capped at phi_max and doubles up to it from any size
+    got = imaginary_time_ground_state(UNIT, Grid1D(256, 20.0), tau_step=tau_step)
+    assert abs(got.energy - 0.5) <= 64 * np.finfo(float).eps * 0.5
+
+
+def test_first_step_that_underflows_starts_at_the_least_subnormal():
+    # omega_c tau_step = 1e-330 rounds to 0, and a step of phi = 0 never moves
+    problem = OscillatorProblem(1e300, 1e-300)  # dx* = sqrt(1/2), hbar omega_c / 2 = 5e-301
+    got = imaginary_time_ground_state(problem, Grid1D(256, 20.0), tau_step=1e-30)
+    assert abs(got.energy - 5e-301) <= 64 * np.finfo(float).eps * 5e-301
+
+
+def test_a_state_that_is_no_eigenstate_is_refused():
+    # the spread guard: the default start, a Gaussian twice as wide as the ground state
+    grid = Grid1D(256, 20.0)
+    v = harmonic_potential(grid, 1.0, 1.0)
+    start = np.exp(-((grid.positions - 10.0) ** 2) / 8.0)
     with pytest.raises(NoConvergence, match="energy spread"):
-        imaginary_time_ground_state(UNIT, Grid1D(256, 20.0), tau_step=tau_step)
+        oscillator._accept(UNIT, grid, v, _kinetic_symbol(grid, 1.0, PhysicalConstants()),
+                           start / l2_norm(WaveField(grid, start)))
 
 
 def test_coarse_but_valid_step_is_accepted():
-    # sigma / E is 7e-3 here, under the 1e-2 acceptance bound
     got = imaginary_time_ground_state(UNIT, Grid1D(256, 20.0), tau_step=0.2)
     assert abs(got.energy - 0.5) <= 5e-5
 
 
 def test_state_wiped_out_by_the_kick_is_a_numerical_failure():
-    # a start on the box edge, where the half kick of a huge step underflows to 0
-    grid = Grid1D(256, 20.0)
-    start = np.zeros(256, dtype=complex)
+    # a start on the edge of a box of ~1,000 ground widths, where even the half kick
+    # at phi_max (tanh(phi_max / 2) ~ 1) underflows to 0
+    grid = Grid1D(4096, 707.0)
+    start = np.zeros(4096, dtype=complex)
     start[0] = 1.0
-    with pytest.raises(NumericalFailure):
+    with pytest.raises(NumericalFailure, match="state lost at iteration 1"):
         imaginary_time_ground_state(UNIT, grid, tau_step=1e300,
                                     initial=WaveField(grid, start))

@@ -34,7 +34,7 @@ from wavelab import (
     zero_potential,
 )
 from wavelab.exceptions import WrongEquationFamily, ZeroField
-from wavelab.oscillator import OscillatorProblem, _stopping_energies
+from wavelab.oscillator import OscillatorProblem
 from wavelab.propagate import _harmonic_snapshots, _real_kernels
 
 from oracles import (
@@ -307,27 +307,6 @@ def test_real_kernels_equal_the_public_transforms(n, rows):
     # the drift is stored complex: the product numpy forms from a real one
     drift = np.exp(-rng.random(n // 2 + 1))
     assert np.array_equal(drift.astype(np.complex128) * spec, drift * spec)
-
-
-@pytest.mark.parametrize("rows", [(), (1,), (2,), (8, 1), (4, 2)], ids=str)
-def test_real_batch_energies_equal_the_public_formula(rows):
-    # the relaxation's stopping energies, through the rfft kernel into its
-    # buffer, against the same arithmetic on np.fft.rfft(norm="ortho"): Re^2 + Im^2
-    # of each mode under the doubled half-spectrum symbol; `rows` is a stack's
-    # (batch, R), padded with ones
-    shape = (rows + (1, 1))[:2]
-    grid = Grid1D(256, 20.0)
-    v = harmonic_potential(grid, 1.0, 1.3)
-    symbol = grid.wavenumbers ** 2 / 2.0
-    half = symbol[:129].copy()
-    half[1:128] *= 2.0
-    x = np.random.default_rng(7).standard_normal(shape + (256,))
-    got = _stopping_energies(v, symbol, x.shape)(x)
-    spec = np.fft.rfft(x, norm="ortho").view(np.float64)
-    kinetic = np.add.reduce(spec * spec * np.repeat(half, 2), axis=(1, 2))
-    dens = x * x
-    potential = np.add.reduce(dens * v, axis=(1, 2))
-    assert got == ((kinetic + potential) / np.add.reduce(dens, axis=(1, 2))).tolist()
 
 
 def test_split_step_ground_state_is_stationary():
