@@ -119,3 +119,47 @@ def grid_imaginary_time_evolution(length, m, v, hbar, psi0, tau):
     weights = np.abs(coeffs) ** 2
     return (float(np.sum(energies * weights) / np.sum(weights)),
             vectors @ coeffs / np.sqrt(np.sum(weights)))
+
+
+def imaginary_time_oracle(n, length, m, omega_c, hbar, tau, energy_tol, max_iters,
+                          psi0=None):
+    """Exact-step imaginary-time relaxation in a centred harmonic trap, in complex arithmetic.
+
+    Each step is Mehler's e^{-phi H / hbar omega_c}: the half kick
+    exp(-(m omega_c / 2 hbar) tanh(phi/2) (x - L/2)^2) around the drift
+    exp(-hbar k^2 sinh(phi) / 2 m omega_c), through the full spectrum.  phi
+    starts at omega_c tau and doubles up to phi_max, where
+    sinh(phi_max) = (L / dx*)^2 / 128 and dx* = sqrt(hbar / 2 m omega_c).
+    Returns (energy, samples, iterations) at the first step at phi_max whose
+    energy differs by less than energy_tol from the previous step's, also at
+    phi_max, or None if max_iters pass without that.  The start defaults to
+    the Gaussian twice as wide as the ground state.
+    """
+    dx = length / n
+    x = np.arange(n) * dx
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
+    v = 0.5 * m * omega_c * omega_c * (x - length / 2.0) ** 2
+    width = np.sqrt(hbar / (2.0 * m * omega_c))
+    if psi0 is None:
+        psi0 = np.exp(-((x - length / 2.0) ** 2) / (4.0 * (2.0 * width) ** 2))
+    psi = np.array(psi0, dtype=np.complex128)
+    psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
+    phi_max = np.arcsinh((length / width) ** 2 / 128.0)
+    phi, previous = min(omega_c * tau, phi_max), np.inf
+    for iteration in range(1, max_iters + 1):
+        half_kick = np.exp(-(m * omega_c / (2.0 * hbar)) * np.tanh(phi / 2.0)
+                           * (x - length / 2.0) ** 2)
+        drift = np.exp(-hbar * k ** 2 * np.sinh(phi) / (2.0 * m * omega_c))
+        psi = half_kick * np.fft.ifft(drift * np.fft.fft(half_kick * psi))
+        psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
+        if phi == phi_max:
+            amps = np.fft.fft(psi, norm="ortho")
+            kinetic = float(np.sum(hbar ** 2 * k ** 2 / (2.0 * m) * np.abs(amps) ** 2) * dx)
+            dens = np.abs(psi) ** 2
+            energy = ((kinetic + float(np.sum(v * dens) * dx))
+                      / float(np.sum(dens) * dx))
+            if abs(energy - previous) < energy_tol:
+                return energy, psi, iteration
+            previous = energy
+        phi = min(2.0 * phi, phi_max)
+    return None

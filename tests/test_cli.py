@@ -36,7 +36,7 @@ from wavelab import (
     omega_of_k,
     positive_branch_init,
 )
-from wavelab import exceptions, propagate
+from wavelab import exceptions, oscillator, propagate
 from wavelab.exceptions import ConfigError, NumericalFailure, WaveLabError
 from wavelab.propagate import _phase_snapshots
 
@@ -1289,6 +1289,24 @@ def test_oscillator_empty_budget_or_tolerance_is_exit_2(tmp_path, capsys, overri
     assert err.startswith("config error:") and err.count("\n") == 1
     assert override.partition("=")[0] in err
     assert not (out / "oscillator.csv").exists()
+
+
+@pytest.mark.parametrize("tau_step", ["5", "1e300"])
+def test_oscillator_frozen_wrong_state_is_exit_3(monkeypatch, capsys, tmp_path, tau_step):
+    # relaxed by plain Strang steps of this size in place of the exact ones (the config's
+    # trap has omega_c = 1), the state freezes before it is an eigenstate; the spread
+    # guard's refusal is exit 3
+    build = oscillator._strang
+
+    def plain(v, grid, m, hbar, dt, unit, rows=()):
+        return build(propagate.harmonic_potential(grid, m, 1.0), grid, m, hbar,
+                     float(tau_step), unit, rows=rows)
+
+    monkeypatch.setattr(oscillator, "_strang", plain)
+    rc = cli.main(["oscillator", "--config", str(CONFIGS / "oscillator.cfg"),
+                   "--out", str(tmp_path / "o"), "--set", f"tau_step={tau_step}"])
+    assert rc == 3
+    assert "energy spread" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tau_step", ["5", "1e300", "5e-324", "1e-9"])

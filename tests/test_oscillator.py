@@ -29,9 +29,9 @@ from wavelab.exceptions import (
     NonPositiveDeltaX,
     NumericalFailure,
 )
-from wavelab.propagate import _energies, _kinetic_symbol, energy_expectation
+from wavelab.propagate import _energies, _kinetic_symbol, _strang, energy_expectation
 
-from oracles import grid_hamiltonian, grid_imaginary_time_evolution
+from oracles import grid_hamiltonian, grid_imaginary_time_evolution, imaginary_time_oracle
 
 UNIT = OscillatorProblem(1.0, 1.0)
 
@@ -362,6 +362,47 @@ def test_relaxed_energy_is_the_bound_to_rounding(n, length, omega_c):
             assert abs(got.energy - 0.5 * omega_c) <= 64 * np.finfo(float).eps * 0.5 * omega_c
 
 
+# (n_points, length, omega_c, tau_step, energy_tol, random start); the names are those
+# of the batches of 8 Strang steps that the relaxation once checked its energy in
+RELAX_CASES = {
+    # the shipped config: stops at iteration 10
+    "shipped": (256, 20.0, 1.0, 0.02, 1e-12, False),
+    # a larger first step and a looser tolerance: stops at iteration 9
+    "batch_start": (256, 20.0, 1.0, 0.05, 1e-11, False),
+    "batch_end": (256, 20.0, 1.0, 0.03, 1e-10, False),
+    # two rows, Re and Im, from noise: stops at iteration 11
+    "noisy_start": (2048, 40.0, 2.0, 0.01, 1e-10, True),
+    # the oscillator_relax benchmark's size: stops at iteration 13
+    "benchmark": (1024, 40.0, 1.0, 0.002, 1e-12, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RELAX_CASES))
+def test_real_relaxation_tracks_the_complex_one(case):
+    # against the same exact steps in complex arithmetic, checked every step: the
+    # real rows drop only the imaginary rounding noise, so the relaxation stops at
+    # the same iteration, nearly bit for bit (measured 2.2e-16 in E, 1.4e-15 in psi)
+    n, length, omega_c, tau, tol, noisy = RELAX_CASES[case]
+    start = None
+    if noisy:
+        rng = np.random.default_rng(3)
+        start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    energy, psi, iterations = imaginary_time_oracle(n, length, 1.0, omega_c, 1.0, tau, tol,
+                                                    50000, start)
+    grid = Grid1D(n, length)
+    initial = None if start is None else WaveField(grid, start)
+
+    def relax(iters):
+        return imaginary_time_ground_state(OscillatorProblem(1.0, omega_c), grid,
+                                           tau_step=tau, max_iters=iters, energy_tol=tol,
+                                           initial=initial)
+    got = relax(iterations)
+    assert abs(got.energy - energy) <= 1e-12
+    assert np.max(np.abs(got.psi.samples - psi)) <= 1e-13
+    with pytest.raises(NoConvergence):
+        relax(iterations - 1)
+
+
 def _counted_steps(monkeypatch):
     """A list that each relaxation step appends to: `oscillator._strang` wrapped."""
     steps, build = [], oscillator._strang
@@ -423,6 +464,33 @@ def test_stopping_energies_within_64_ulps_of_the_energy_expectation(r, n):
         assert abs(h / norm_sq - want) <= 64 * np.finfo(float).eps * abs(want)
 
 
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("b", [1, 3, 8])
+def test_stopping_energy_of_a_state_is_the_same_in_any_batch(b, r, n):
+    # the relaxation steps its R real rows as one batch of a `_strang` builder and
+    # takes the stopping energy of them together: a state of r rows stepped in a
+    # stack of b, or each of its rows stepped alone, must come out, with its
+    # energy, bit for bit the same, so no row leaks into another
+    grid = Grid1D(n, 16.0)
+    v = harmonic_potential(grid, 1.0, 0.5)
+    symbol = _kinetic_symbol(grid, 1.0, PhysicalConstants())
+
+    def stepped(states):  # one exact step at phi = 1
+        step = _strang(v / math.cosh(0.5) ** 2, grid, 1.0, 1.0, math.sinh(1.0) / 0.5, 1,
+                       rows=states.shape[:-1])
+        return step(states, np.empty_like(states))
+
+    stack = np.random.default_rng(b * r * n).standard_normal((b, r, n))
+    together = stepped(stack)
+    for i in range(b):
+        alone = stepped(stack[i])
+        assert np.array_equal(together[i], alone)
+        assert np.array_equal(alone, [stepped(row) for row in stack[i]])
+        assert _energies(together[i], v, symbol, grid.spacing) == _energies(
+            alone, v, symbol, grid.spacing)
+
+
 def _as_field(grid, rows):
     return WaveField(grid, rows[0] + 1j * rows[1] if len(rows) == 2 else rows[0])
 
@@ -477,6 +545,25 @@ def test_any_first_step_relaxes_to_the_bound(tau_step):
     # an exact step is capped at phi_max and doubles up to it from any size
     got = imaginary_time_ground_state(UNIT, Grid1D(256, 20.0), tau_step=tau_step)
     assert abs(got.energy - 0.5) <= 64 * np.finfo(float).eps * 0.5
+
+
+def _plain_strang(monkeypatch, tau_step):
+    """Relax UNIT's trap by plain imaginary-time Strang steps of size tau_step."""
+    build = oscillator._strang
+
+    def plain(v, grid, m, hbar, dt, unit, rows=()):
+        return build(harmonic_potential(grid, m, 1.0), grid, m, hbar, tau_step, unit, rows=rows)
+
+    monkeypatch.setattr(oscillator, "_strang", plain)
+
+
+@pytest.mark.parametrize("tau_step", [1.0, 5.0, 1e300])
+def test_frozen_wrong_state_is_refused(monkeypatch, tau_step):
+    # a plain Strang step this large stops changing long before it is an
+    # eigenstate; the spread guard refuses the state it freezes
+    _plain_strang(monkeypatch, tau_step)
+    with pytest.raises(NoConvergence, match="energy spread"):
+        imaginary_time_ground_state(UNIT, Grid1D(256, 20.0), tau_step=tau_step)
 
 
 def test_first_step_that_underflows_starts_at_the_least_subnormal():

@@ -35,7 +35,13 @@ from wavelab import (
 )
 from wavelab.exceptions import WrongEquationFamily, ZeroField
 from wavelab.oscillator import OscillatorProblem
-from wavelab.propagate import _harmonic_snapshots, _real_kernels
+from wavelab.propagate import (
+    _energies,
+    _harmonic_snapshots,
+    _kinetic_symbol,
+    _real_kernels,
+    energy_expectation,
+)
 
 from oracles import (
     coherent_state_oracle,
@@ -307,6 +313,24 @@ def test_real_kernels_equal_the_public_transforms(n, rows):
     # the drift is stored complex: the product numpy forms from a real one
     drift = np.exp(-rng.random(n // 2 + 1))
     assert np.array_equal(drift.astype(np.complex128) * spec, drift * spec)
+
+
+@pytest.mark.parametrize("rows", [(), (1,), (2,), (8, 1), (4, 2)], ids=str)
+def test_real_batch_energies_equal_the_public_formula(rows):
+    # the relaxation's stopping energy: `_energies` of a real stack, shape
+    # rows + (N,), is that of all its rows together, the public
+    # `energy_expectation` of each row weighted by its squared norm, to the last bits
+    grid = Grid1D(256, 20.0)
+    v = harmonic_potential(grid, 1.0, 1.3)
+    x = np.random.default_rng(7).standard_normal(rows + (256,))
+    h, norm_sq = _energies(x, v, _kinetic_symbol(grid, 1.0, NATURAL), grid.spacing)
+    fields = [WaveField(grid, row) for row in x.reshape(-1, 256)]
+    norms = np.array([l2_norm(fld) ** 2 for fld in fields])
+    energies = np.array([energy_expectation(fld, v, 1.0) for fld in fields])
+    want = np.sum(energies * norms) / np.sum(norms)
+    eps = np.finfo(float).eps
+    assert abs(h / norm_sq - want) <= 64 * eps * want
+    assert abs(norm_sq - np.sum(norms)) <= 64 * eps * norm_sq
 
 
 def test_split_step_ground_state_is_stationary():
