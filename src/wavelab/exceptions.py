@@ -38,14 +38,6 @@ class ZeroField(ConfigError):
     """Operation undefined on an identically-zero field."""
 
 
-class InsufficientSnapshots(ConfigError):
-    """Too few snapshots for the requested finite-difference stencil."""
-
-
-class NonUniformTimes(ConfigError):
-    """Snapshot times are not uniformly spaced."""
-
-
 class NonPositiveDeltaX(ConfigError):
     """Position uncertainty must be strictly positive."""
 

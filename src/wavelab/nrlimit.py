@@ -5,22 +5,19 @@ written psi = e^{-i m c^2 t / hbar} psi_c, where the slow envelope psi_c
 carries only the kinetic part of the phase.  Dropping the envelope's second
 time derivative against the rest-energy terms turns the equation for psi_c
 into the free Schrodinger equation.  This module measures both halves of that
-argument numerically:
+argument in closed form, mode by mode, with no lab-frame time series:
 
 * the dominance condition -- how small |d^2 psi_c/dt^2| is compared with
-  |(m^2 c^4/hbar^2) psi_c + (2 i m c^2/hbar) d psi_c/dt|, evaluated exactly
-  per mode and by finite differences on snapshot series;
+  |(m^2 c^4/hbar^2) psi_c + (2 i m c^2/hbar) d psi_c/dt|, for one mode and
+  for a whole packet;
 * the resulting approximation error -- the relative L2 distance between the
-  factored envelope and genuine Schrodinger evolution from the same initial
-  data, which shrinks as c grows.
+  envelope and genuine Schrodinger evolution from the same initial data, which
+  shrinks as c grows.
 
 Every frequency comes from `dispersion._envelope_frequency`: the rest frequency
 omega_r = m c^2/hbar and the envelope frequency Omega(k) = omega_KG(k) - omega_r
 in its cancellation-free form, so the c^-2 law survives to c far beyond the point
 where a lab-frame phase omega_r t would swamp the envelope in rounding.
-
-Sign convention: the factored phase is e^{-i m c^2 t / hbar} (particle
-branch), so factoring multiplies by e^{+i m c^2 t / hbar}.
 """
 
 from __future__ import annotations
@@ -38,21 +35,11 @@ from .core import (
     TimeSpec,
     WaveField,
     _finite,
-    _l2,
     dft,
 )
 from .dispersion import _envelope_frequency
-from .exceptions import ConfigError, InsufficientSnapshots, NonUniformTimes
+from .exceptions import ConfigError
 from .propagate import _snapshot_steps, gaussian_packet
-
-
-@dataclass
-class FactoredField:
-    """Slow envelope psi_c = e^{+i m c^2 t / hbar} psi at time t."""
-
-    psi_c: WaveField
-    t: float
-    m: float
 
 
 @dataclass(frozen=True)
@@ -62,27 +49,6 @@ class DominanceTerms:
     small_term: float  # ||d^2 psi_c / dt^2||
     big_term: float    # ||(m^2 c^4/hbar^2) psi_c + (2 i m c^2/hbar) d psi_c/dt||
     ratio: float       # small / big
-
-
-def factor_rest_phase(psi: WaveField, m: float,
-                      consts: PhysicalConstants = NATURAL_UNITS,
-                      t: float = 0.0) -> FactoredField:
-    """Remove the rest-mass phase: psi_c = e^{+i m c^2 t / hbar} psi.
-
-    The factor is unimodular, so |psi_c| equals |psi| pointwise and
-    restore_rest_phase inverts exactly (one rounding per sample).
-    """
-    omega_rest = _envelope_frequency(m, consts)[2]
-    with np.errstate(all="ignore"):
-        phase = np.exp(1j * (omega_rest * t))
-    _finite(lambda: f"non-finite rest phase at t = {t!r} (m c^2/hbar = {omega_rest!r})", phase)
-    return FactoredField(WaveField(psi.grid, phase * psi.samples), t=t, m=m)
-
-
-def restore_rest_phase(factored: FactoredField,
-                       consts: PhysicalConstants = NATURAL_UNITS) -> WaveField:
-    """Inverse of factor_rest_phase: psi = e^{-i m c^2 t / hbar} psi_c, the factoring at -t."""
-    return factor_rest_phase(factored.psi_c, factored.m, consts, -factored.t).psi_c
 
 
 def dominance_terms_mode(k: float, m: float,
@@ -107,44 +73,6 @@ def dominance_terms_mode(k: float, m: float,
     _finite(f"non-finite dominance terms at c = {consts.c!r} (m c^2/hbar = {omega_rest!r})",
             small, big)
     return DominanceTerms(small_term=float(small), big_term=float(big), ratio=float(ratio))
-
-
-def _uniform_dt(snapshots) -> float:
-    times = np.array([s.t for s in snapshots])
-    dts = np.diff(times)
-    if not np.all(dts > 0):
-        raise NonUniformTimes("snapshot times must be strictly increasing")
-    if np.ptp(dts) > 1e-9 * dts[0]:
-        raise NonUniformTimes(f"snapshot spacing varies: {dts.min()}..{dts.max()}")
-    return float(dts[0])
-
-
-def dominance_ratio_field(snapshots, consts: PhysicalConstants = NATURAL_UNITS) -> DominanceTerms:
-    """Field-level dominance terms from a uniformly spaced FactoredField series.
-
-    Time derivatives are second-order central differences over consecutive
-    snapshots; the norms are L2 over the grid, averaged over the interior
-    snapshot times.  Agrees with dominance_terms_mode to O(dt^2) on
-    single-mode input.
-    """
-    snapshots = list(snapshots)
-    if len(snapshots) < 3:
-        raise InsufficientSnapshots(
-            f"need at least 3 snapshots for central differences, got {len(snapshots)}"
-        )
-    dt = _uniform_dt(snapshots)
-    dx = snapshots[0].psi_c.grid.spacing
-    omega_rest = _envelope_frequency(snapshots[0].m, consts)[2]
-    stack = np.stack([s.psi_c.samples for s in snapshots])
-    prev, mid, nxt = stack[:-2], stack[1:-1], stack[2:]  # rows are the interior times
-    with np.errstate(all="ignore"):
-        d1 = (nxt - prev) / (2.0 * dt)
-        d2 = (nxt - 2.0 * mid + prev) / (dt * dt)
-        small = float(np.mean(_l2(d2, dx)))
-        big = float(np.mean(_l2(omega_rest * omega_rest * mid + 2j * omega_rest * d1, dx)))
-    _finite(f"non-finite field dominance terms (m c^2/hbar = {omega_rest!r})", small, big)
-    return DominanceTerms(small_term=small, big_term=big,
-                          ratio=small / big if big > 0 else float("inf"))
 
 
 @dataclass

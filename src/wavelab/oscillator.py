@@ -91,8 +91,8 @@ def energy_bound(problem: OscillatorProblem, delta_x: float) -> UncertaintyPoint
         raise NonPositiveDeltaX(f"delta_x must be positive, got {delta_x}")
     hbar, m, omega_c, dx = (np.float64(v) for v in
                             (problem.consts.hbar, problem.m, problem.omega_c, delta_x))
-    with np.errstate(all="ignore"):
-        e = hbar ** 2 / (8.0 * m * dx ** 2) + 0.5 * m * omega_c ** 2 * dx ** 2
+    with np.errstate(all="ignore"):  # no hbar^2 alone; m scales omega_c before it is squared
+        e = hbar * ((hbar / (8.0 * m)) / dx ** 2) + 0.5 * m * omega_c * omega_c * dx ** 2
     _finite(f"bound curve E(dx) = {float(e)!r} at dx = {delta_x!r}", e)
     return UncertaintyPoint(delta_x=delta_x, energy=float(e))
 
@@ -182,13 +182,13 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
     that width reaches L/8: sinh(phi_max) = (L / dx*)^2 / 128, at least
     asinh(2) ~ 1.44 on any grid accepted below.
 
-    The factors are real, so a real start (the default) is stepped as one real
-    row, and a start with a nonzero imaginary part as two, Re and Im, sharing
-    one norm.  Each step renormalizes.  The loop stops at the first step at
-    phi_max whose energy <psi|H|psi> differs by less than energy_tol from the
-    previous step's, also at phi_max: such a step shrinks E - E0 by
-    e^{-2 phi_max} or more, so that change bounds the energy error itself.  The
-    returned energy is `energy_expectation` of the returned state.
+    Each step renormalizes.  The factors are real, so a real start (the
+    default) stays real up to the transforms' rounding, and its stopped state
+    is returned as its real part.  The loop stops at the first step at phi_max
+    whose energy <psi|H|psi> differs by less than energy_tol from the previous
+    step's, also at phi_max: such a step shrinks E - E0 by e^{-2 phi_max} or
+    more, so that change bounds the energy error itself.  The returned energy
+    is `energy_expectation` of the returned state.
 
     The stopped state's energy spread sigma = sqrt(<H^2> - <H>^2) is computed
     once; by Weinstein's bound some eigenvalue lies within sigma of E.
@@ -220,15 +220,15 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
             f"{16.0 * ground_width:.4g}; enlarge the box"
         )
 
-    # the state: a real (R, N) stack, R = 1 for a real start, R = 2 (Re, Im) otherwise
     if initial is None:
         with np.errstate(all="ignore"):  # an overflow is refused below
             four_var = 4.0 * np.float64(2.0 * ground_width) ** 2
-            psi = np.exp(-((grid.positions - grid.length / 2.0) ** 2) / four_var)[np.newaxis]
+            start = np.exp(-((grid.positions - grid.length / 2.0) ** 2) / four_var)
     else:
         start = initial.samples
-        psi = np.stack([start.real, start.imag] if np.any(start.imag) else [start.real])
-    nrm = _l2(psi.reshape(-1), dx)
+    real = not np.any(start.imag)
+    psi = start.astype(np.complex128)
+    nrm = _l2(psi, dx)
     if initial is not None and nrm == 0.0:
         raise ConfigError("initial state must be nonzero")
     if not 0.0 < nrm < math.inf:
@@ -241,8 +241,7 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
     phi_max = math.asinh((grid.length / ground_width) ** 2 / 128.0)
     phi, energy_prev = min(max(omega_c * tau_step, math.ulp(0.0)), phi_max), math.inf
     for iteration in range(1, max_iters + 1):
-        step = _strang(v / math.cosh(0.5 * phi) ** 2, grid, m, hbar, math.sinh(phi) / omega_c,
-                       1, rows=psi.shape[:-1])
+        step = _strang(v / math.cosh(0.5 * phi) ** 2, grid, m, hbar, math.sinh(phi) / omega_c, 1)
         step(psi, psi)
         with np.errstate(all="ignore"):
             h, norm_sq = _energies(psi, v, symbol, dx)
@@ -254,8 +253,7 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
         if phi == phi_max:
             energy = h / norm_sq
             if abs(energy - energy_prev) < energy_tol:
-                return _accept(problem, grid, v, symbol,
-                               psi[0] + 1j * psi[1] if len(psi) == 2 else psi[0])
+                return _accept(problem, grid, v, symbol, psi.real if real else psi)
             energy_prev = energy
         phi = min(2.0 * phi, phi_max)
     raise NoConvergence(

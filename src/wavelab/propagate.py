@@ -242,49 +242,33 @@ def _stepped_evolution(psi0: WaveField, step, time: TimeSpec,
     return EvolutionResult(final=snapshots[-1][1].copy(), snapshots=snapshots, norms=norms)
 
 
-def _real_kernels():
-    """`(rfft_n_even, irfft)`: the pocketfft gufuncs `np.fft.rfft`/`irfft` call, numpy >= 2.0."""
-    from numpy.fft._pocketfft_umath import irfft, rfft_n_even  # here: the CLI loads no numpy.fft
-    return rfft_n_even, irfft
-
-
-def _strang(v: np.ndarray, grid: Grid1D, m: float, hbar: float, dt: float, unit, rows=(),
-            failure=None):
+def _strang(v: np.ndarray, grid: Grid1D, m: float, hbar: float, dt: float, unit, failure=None):
     """`step(psi, out)`: one Strang step, half kick, spectral drift, half kick.
 
-    `step` writes the new samples into `out` (which may be `psi`) and returns
-    it, through a spectrum buffer of shape `rows + (modes,)` that the builder
-    owns, so a step allocates nothing.  `unit` is 1j for real time: a complex
-    state through the full spectrum (`fft`/`ifft`) with complex factors.  It
-    is 1 for imaginary time (dt -> -i tau): a real state, shape rows + (N,),
-    through its half spectrum (N/2 + 1 modes) by the `_real_kernels` at the
-    fct 1.0 of `rfft` and `irfft(norm="forward")`, with real factors, which
-    keep every iterate real.  The drift, stored complex as numpy would cast
-    it, carries the inverse transform's 1/N: N is a power of two, so the
-    unscaled inverse of the pre-scaled product equals the scaled inverse of
-    the plain product bit for bit (barring subnormals).  Each product keeps
-    the factor first: complex multiplication is not bitwise commutative.
+    `step` writes the new complex samples into `out` (which may be `psi`) and
+    returns it, through a spectrum buffer that the builder owns, so a step
+    allocates nothing.  `unit` is 1j for real time and 1 for imaginary time
+    (dt -> -i tau), whose factors are real.  Either way the state goes through
+    the full spectrum, `fft` and `ifft(norm="forward")`.  The drift, stored
+    complex, carries the inverse transform's 1/N: N is a power of two, so the
+    unscaled inverse of the pre-scaled product equals the scaled inverse of the
+    plain product bit for bit (barring subnormals).  Each product keeps the
+    factor first: complex multiplication is not bitwise commutative.
 
     Raises NumericalFailure (step 0; message `failure` if given) when a factor is not finite.
     """
-    k = grid.wavenumbers
-    forward, inverse = np.fft.fft, np.fft.ifft
-    fwd_args, inv_args = (), (grid.n_points, -1, "forward")  # ifft(a, n, axis, norm)
-    if np.isrealobj(unit):
-        k = k[:grid.n_points // 2 + 1]
-        (forward, inverse), fwd_args, inv_args = _real_kernels(), (1.0,), (1.0,)
     with np.errstate(all="ignore"):
         half_kick = np.exp(-0.5 * unit * v * dt / hbar)
-        drift = np.exp(-unit * hbar * k ** 2 * dt / (2.0 * m))
+        drift = np.exp(-unit * hbar * grid.wavenumbers ** 2 * dt / (2.0 * m))
         drift = (drift / grid.n_points).astype(np.complex128)
     _finite(failure or f"non-finite Strang factors at dt = {dt}", half_kick, drift, step=0)
-    spec = np.empty(rows + (len(k),), dtype=np.complex128)
+    spec = np.empty(grid.n_points, dtype=np.complex128)
 
     def step(psi, out):
         np.multiply(half_kick, psi, out=out)
-        forward(out, *fwd_args, out=spec)
+        np.fft.fft(out, out=spec)
         np.multiply(drift, spec, out=spec)
-        inverse(spec, *inv_args, out=out)
+        np.fft.ifft(spec, norm="forward", out=out)
         np.multiply(half_kick, out, out=out)
         return out
     return step
@@ -443,17 +427,21 @@ def packet_width(field: WaveField) -> float:
 
 
 def _kinetic_symbol(grid: Grid1D, m: float, consts: PhysicalConstants) -> np.ndarray:
-    """hbar^2 k^2 / 2m on the grid's modes, in float64; NumericalFailure if not finite."""
+    """hbar^2 k^2 / 2m on the grid's modes, in float64; NumericalFailure if not finite.
+
+    Taken as hbar ((hbar / 2m) k^2), so no hbar^2 underflows where the symbol does not.
+    """
+    hbar = np.float64(consts.hbar)
     with np.errstate(all="ignore"):
-        symbol = np.float64(consts.hbar) ** 2 * grid.wavenumbers ** 2 / (2.0 * m)
+        symbol = hbar * (hbar / (2.0 * m) * grid.wavenumbers ** 2)
     _finite(lambda: f"kinetic symbol hbar^2 k^2 / 2m is not finite at hbar = {consts.hbar!r}, "
             f"m = {m!r}", symbol)
     return symbol
 
 
 def _energies(samples: np.ndarray, v: np.ndarray, symbol: np.ndarray, dx: float):
-    """(<psi|H|psi>, <psi|psi>) of samples, shape (..., N), summed over the rows; `symbol`
-    is `_kinetic_symbol`'s.  H is real, so real rows Re and Im give the energy of Re + i Im."""
+    """(<psi|H|psi>, <psi|psi>) of samples; `symbol` is `_kinetic_symbol`'s.  A stack of
+    shape (..., N) gives the sums over its rows."""
     amps = np.fft.fft(samples, norm="ortho")
     dens = np.abs(samples) ** 2
     kinetic = np.sum(symbol * np.abs(amps) ** 2) * dx

@@ -163,3 +163,30 @@ def imaginary_time_oracle(n, length, m, omega_c, hbar, tau, energy_tol, max_iter
             previous = energy
         phi = min(2.0 * phi, phi_max)
     return None
+
+
+def rest_phase_envelope(samples, m, hbar, c, t):
+    """The slow envelope psi_c = e^{+i m c^2 t / hbar} psi of lab-frame samples at time t.
+
+    The particle branch carries the rest phase e^{-i m c^2 t / hbar}; this removes it.
+    """
+    return np.exp(1j * (m * c * c / hbar * t)) * np.asarray(samples)
+
+
+def central_difference_dominance(envelopes, dt, dx, m, hbar, c):
+    """(small, big): the norms of d^2 psi_c/dt^2 and of w^2 psi_c + 2 i w d psi_c/dt.
+
+    w = m c^2/hbar, and `envelopes` is a series of envelope samples at uniformly
+    spaced times dt apart.  The time derivatives are second-order central
+    differences, and each norm is the grid L2 norm averaged over the interior
+    times.
+    """
+    stack = np.asarray(envelopes)
+    w = m * c * c / hbar
+    prev, mid, nxt = stack[:-2], stack[1:-1], stack[2:]
+    d1 = (nxt - prev) / (2.0 * dt)
+    d2 = (nxt - 2.0 * mid + prev) / (dt * dt)
+
+    def norm(rows):
+        return float(np.mean(np.sqrt(np.sum(np.abs(rows) ** 2, axis=-1) * dx)))
+    return norm(d2), norm(w * w * mid + 2j * w * d1)

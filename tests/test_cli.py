@@ -440,6 +440,12 @@ GATE_CODES = {
     ("oscillator", (("tau_step", 1e300), ("n_points", 256))): 0,
     ("oscillator", (("tau_step", 5e-324), ("n_points", 256), ("max_iters", 50000))): 0,
     ("oscillator", (("tau_step", 1e-9), ("n_points", 256))): 0,
+    # a squared omega_c or hbar underflowed: rows below the bound at exit 0
+    ("oscillator", (("mass", 1e300), ("omega_c", 1e-300), ("n_points", 256),
+                    ("max_iters", 50000))): 0,
+    ("oscillator", (("hbar", 1e-200), ("mass", 1e-200), ("n_points", 256))): 0,
+    ("oscillator", (("hbar", 1e-200), ("length", 2e-99), ("bracket_lo", 1e-101),
+                    ("bracket_hi", 1e-100), ("search_tol", 1e-114), ("n_points", 256))): 0,
 }
 LABEL_COLUMNS = {"family", "method"}
 # documented nan: the NR pair of a massless family's dispersion row
@@ -486,6 +492,12 @@ def assert_finite_artifacts(out: Path):
 @example(case=("oscillator", (("tau_step", 1e300), ("n_points", 256))))
 @example(case=("oscillator", (("tau_step", 5e-324), ("n_points", 256), ("max_iters", 50000))))
 @example(case=("oscillator", (("tau_step", 1e-9), ("n_points", 256))))
+# each exited 0 with an energy row below the bound hbar omega_c / 2
+@example(case=("oscillator", (("mass", 1e300), ("omega_c", 1e-300), ("n_points", 256),
+                              ("max_iters", 50000))))
+@example(case=("oscillator", (("hbar", 1e-200), ("mass", 1e-200), ("n_points", 256))))
+@example(case=("oscillator", (("hbar", 1e-200), ("length", 2e-99), ("bracket_lo", 1e-101),
+                              ("bracket_hi", 1e-100), ("search_tol", 1e-114), ("n_points", 256))))
 def test_extreme_values_exit_0_2_3_or_4_cleanly(tmp_path, capsys, case):
     scenario, pairs = case
     run = Path(tempfile.mkdtemp(dir=tmp_path))
@@ -511,6 +523,10 @@ def test_extreme_values_exit_0_2_3_or_4_cleanly(tmp_path, capsys, case):
     assert rc == GATE_CODES.get(case, rc), err
     if rc == 0:
         assert_finite_artifacts(out)
+        if scenario == "oscillator":  # the paper's bound: no row below hbar omega_c / 2
+            header, rows = read_csv(out / "oscillator.csv")
+            bound, *energies = column(rows, header, "energy")
+            assert all(e >= bound * (1 - 64 * sys.float_info.epsilon) for e in energies), rows
     else:
         assert rc in (2, 3, 4), err
         prefix = {2: "config error: ", 3: "numerical failure: ", 4: "resolution error: "}[rc]
@@ -1298,9 +1314,9 @@ def test_oscillator_frozen_wrong_state_is_exit_3(monkeypatch, capsys, tmp_path, 
     # guard's refusal is exit 3
     build = oscillator._strang
 
-    def plain(v, grid, m, hbar, dt, unit, rows=()):
+    def plain(v, grid, m, hbar, dt, unit):
         return build(propagate.harmonic_potential(grid, m, 1.0), grid, m, hbar,
-                     float(tau_step), unit, rows=rows)
+                     float(tau_step), unit)
 
     monkeypatch.setattr(oscillator, "_strang", plain)
     rc = cli.main(["oscillator", "--config", str(CONFIGS / "oscillator.cfg"),

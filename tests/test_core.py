@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from wavelab import (
     ClassicalWave,
-    FactoredField,
     GaussianPacketSpec,
     Grid1D,
     KleinGordon,
@@ -23,12 +22,10 @@ from wavelab import (
     analytic_free_gaussian,
     crank_nicolson_evolve,
     dft,
-    dominance_ratio_field,
     dominance_terms_mode,
     energy_bound,
     energy_expectation,
     evolve_second_order_spectral,
-    factor_rest_phase,
     gaussian_packet,
     harmonic_ground_exact,
     harmonic_potential,
@@ -39,7 +36,6 @@ from wavelab import (
     nr_expansion_error,
     nr_limit_report,
     positive_branch_init,
-    restore_rest_phase,
     split_step_evolve,
 )
 from wavelab import cli, exceptions, propagate
@@ -189,7 +185,6 @@ POSITIVE_SITES = {
 
 _KG = KleinGordon(1.0)
 _DISPERSION_K = cli.build_config("dispersion", [], [("--set #1", "k_max", "1e100")])
-_C1E200 = PhysicalConstants(c=1e200)  # m c^2/hbar = inf
 # the one finiteness rule, at every site that refuses a computed value: (message, call
 # that drives the value to inf or nan); a message of None marks a call that must return a
 # finite value, its overflow harmless
@@ -221,16 +216,6 @@ FINITE_SITES = {
     "dispersion_row": (
         "dispersion row at k = 1.25e+99 has nr_bound = inf",
         lambda: cli.cmd_dispersion(_DISPERSION_K, "never-written")),
-    "factor_rest_phase": (
-        "non-finite rest phase at t = 1.0 (m c^2/hbar = inf)",
-        lambda: factor_rest_phase(_PSI8, 1.0, _C1E200, t=1.0)),
-    "restore_rest_phase": (
-        "non-finite rest phase at t = -1.0 (m c^2/hbar = inf)",
-        lambda: restore_rest_phase(FactoredField(_PSI8, 1.0, 1.0), _C1E200)),
-    "field_dominance_terms": (
-        "non-finite field dominance terms (m c^2/hbar = inf)",
-        lambda: dominance_ratio_field([FactoredField(_PSI8, 0.1 * i, 1.0) for i in range(3)],
-                                      _C1E200)),
     "energy_expectation": (
         "non-finite energy expectation inf / 1.0",
         lambda: energy_expectation(_PSI8, np.full(8, 1e308), 1.0)),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from wavelab import (
-    FactoredField,
     GaussianPacketSpec,
     Grid1D,
     KleinGordon,
@@ -12,11 +11,9 @@ from wavelab import (
     PlaneWaveMode,
     TimeSpec,
     WaveField,
-    dominance_ratio_field,
     dominance_terms_mode,
     evolve_schrodinger_spectral,
     evolve_second_order_spectral,
-    factor_rest_phase,
     gaussian_packet,
     kg_vs_schrodinger,
     l2_norm,
@@ -25,16 +22,28 @@ from wavelab import (
     omega_of_k,
     planewave_sample,
     positive_branch_init,
-    restore_rest_phase,
 )
 from wavelab.dispersion import _envelope_frequency
-from wavelab.exceptions import InsufficientSnapshots, NonUniformTimes, NumericalFailure
+from wavelab.exceptions import NumericalFailure
+
+from oracles import central_difference_dominance, rest_phase_envelope
 
 C10 = PhysicalConstants(1.0, 10.0)
 
 # frozen from the exact bracket modulus with Omega = omega_KG(1) - c^2 at c = 10
 DOMINANCE_RATIO_M1_C10_K1 = 2.4630087638103165e-05
 DOMINANCE_SHRINK_C10_TO_C20 = 15.822386763593977
+
+
+def factored(fld, t, m=1.0, consts=C10):
+    """The envelope samples of the lab-frame field `fld` at time t."""
+    return rest_phase_envelope(fld.samples, m, consts.hbar, consts.c, t)
+
+
+def dominance(series, dt, grid, m=1.0, consts=C10):
+    """(small, big, ratio) of the central-difference oracle on an envelope series."""
+    small, big = central_difference_dominance(series, dt, grid.spacing, m, consts.hbar, consts.c)
+    return small, big, small / big
 
 
 def normalized_mode(grid, n, consts=C10):
@@ -51,7 +60,7 @@ def factored_mode_series(grid, n, dt, count, m=1.0, consts=C10):
     for i in range(count):
         t = i * dt
         fld = psi0.copy() if t == 0 else evolve_second_order_spectral(state, eq, consts, t).psi
-        series.append(factor_rest_phase(fld, m, consts, t))
+        series.append(factored(fld, t, m, consts))
     return k, psi0, series
 
 
@@ -63,19 +72,7 @@ def test_factor_identity_at_t0():
     grid = Grid1D(32, 8.0)
     rng = np.random.default_rng(1)
     psi = WaveField(grid, rng.standard_normal(32) + 1j * rng.standard_normal(32))
-    out = factor_rest_phase(psi, 1.0, C10, 0.0)
-    assert np.array_equal(out.psi_c.samples, psi.samples)
-
-
-def test_factor_roundtrip_and_unimodularity():
-    grid = Grid1D(64, 16.0)
-    rng = np.random.default_rng(2)
-    psi = WaveField(grid, rng.standard_normal(64) + 1j * rng.standard_normal(64))
-    t = 3.7
-    env = factor_rest_phase(psi, 1.3, C10, t)
-    assert np.max(np.abs(np.abs(env.psi_c.samples) - np.abs(psi.samples))) <= 1e-15 * np.max(np.abs(psi.samples))
-    back = restore_rest_phase(env, C10)
-    assert np.max(np.abs(back.samples - psi.samples)) <= 1e-14 * np.max(np.abs(psi.samples))
+    assert np.array_equal(factored(psi, 0.0), psi.samples)
 
 
 def test_rest_mode_envelope_is_static():
@@ -87,8 +84,7 @@ def test_rest_mode_envelope_is_static():
     state = positive_branch_init(psi0, eq, C10)
     for t in (0.7, 2.0, 11.0):
         fld = evolve_second_order_spectral(state, eq, C10, t).psi
-        env = factor_rest_phase(fld, 1.0, C10, t)
-        assert np.max(np.abs(env.psi_c.samples - psi0.samples)) <= 1e-11
+        assert np.max(np.abs(factored(fld, t) - psi0.samples)) <= 1e-11
 
 
 def test_mode_identity_phase_advance():
@@ -99,9 +95,8 @@ def test_mode_identity_phase_advance():
     big_omega = omega_of_k(eq, k, C10) - C10.c ** 2 / C10.hbar
     t = 7.0
     fld = evolve_second_order_spectral(state, eq, C10, t).psi
-    env = factor_rest_phase(fld, 1.0, C10, t)
     want = psi0.samples * np.exp(-1j * big_omega * t)
-    assert np.max(np.abs(env.psi_c.samples - want)) <= 1e-10
+    assert np.max(np.abs(factored(fld, t) - want)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -155,24 +150,22 @@ def test_envelope_frequency_keeps_precision_at_large_c():
 
 
 # ---------------------------------------------------------------------------
-# dominance condition, finite differences on fields
+# dominance condition, against finite differences on fields
 # ---------------------------------------------------------------------------
 
 def test_dominance_field_matches_mode_oracle():
     grid = Grid1D(64, 16.0)
     k, _, series = factored_mode_series(grid, 4, dt=0.01, count=5)
-    got = dominance_ratio_field(series, C10)
-    want = dominance_terms_mode(k, 1.0, C10)
-    assert abs(got.ratio - want.ratio) / want.ratio <= 0.01
+    got = dominance(series, 0.01, grid)[2]
+    want = dominance_terms_mode(k, 1.0, C10).ratio
+    assert abs(got - want) / want <= 0.01
 
 
 def test_dominance_field_static_envelope():
     grid = Grid1D(32, 8.0)
-    psi = WaveField(grid, np.ones(32))
-    series = [FactoredField(psi.copy(), t=0.1 * i, m=1.0) for i in range(4)]
-    terms = dominance_ratio_field(series, C10)
-    assert terms.small_term == 0.0
-    assert terms.ratio == 0.0
+    small, _, ratio = dominance([np.ones(32, dtype=complex)] * 4, 0.1, grid)
+    assert small == 0.0
+    assert ratio == 0.0
 
 
 def test_dominance_field_second_order_in_dt():
@@ -182,23 +175,10 @@ def test_dominance_field_second_order_in_dt():
 
     def err(dt):
         _, _, series = factored_mode_series(grid, 4, dt=dt, count=5)
-        return abs(dominance_ratio_field(series, C10).small_term - exact_small)
+        return abs(dominance(series, dt, grid)[0] - exact_small)
 
     ratio = err(0.04) / err(0.02)
     assert 3.0 <= ratio <= 5.0
-
-
-def test_dominance_field_input_validation():
-    grid = Grid1D(32, 8.0)
-    psi = WaveField(grid, np.ones(32))
-    with pytest.raises(InsufficientSnapshots):
-        dominance_ratio_field([FactoredField(psi, 0.0, 1.0), FactoredField(psi, 0.1, 1.0)], C10)
-    bad_times = [FactoredField(psi, t, 1.0) for t in (0.0, 0.1, 0.35)]
-    with pytest.raises(NonUniformTimes):
-        dominance_ratio_field(bad_times, C10)
-    backwards = [FactoredField(psi, t, 1.0) for t in (0.2, 0.1, 0.0)]
-    with pytest.raises(NonUniformTimes):
-        dominance_ratio_field(backwards, C10)
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +302,11 @@ def test_relativistic_carrier_warns():
 # ---------------------------------------------------------------------------
 
 def lab_frame_envelope(psi0, m, consts, t):
-    """Factored envelope of lab-frame Klein-Gordon evolution (accurate for small c)."""
+    """Factored envelope samples of lab-frame Klein-Gordon evolution (accurate for small c)."""
     eq = KleinGordon(m)
     state = positive_branch_init(psi0, eq, consts)
     fld = psi0.copy() if t == 0 else evolve_second_order_spectral(state, eq, consts, t).psi
-    return factor_rest_phase(fld, m, consts, t)
+    return factored(fld, t, m, consts)
 
 
 @pytest.mark.parametrize("c", [10.0, 20.0])
@@ -339,7 +319,7 @@ def test_report_deviation_matches_lab_frame_oracle(c):
     for t, dev in zip(rep.times[1:], rep.deviation[1:]):
         env = lab_frame_envelope(psi0, 1.0, consts, t)
         schro = evolve_schrodinger_spectral(psi0, 1.0, consts, t)
-        want = l2_norm(WaveField(grid, env.psi_c.samples - schro.samples)) / l2_norm(psi0)
+        want = l2_norm(WaveField(grid, env - schro.samples)) / l2_norm(psi0)
         assert abs(dev - want) <= 1e-9 * want
 
 
@@ -351,7 +331,7 @@ def test_report_dominance_matches_dense_field_series(c):
     rep = nr_limit_report(psi0, 1.0, consts, TimeSpec(0.1, 20), snapshot_every=5)
     assert len(set(rep.dominance_ratio)) == 1  # one value, constant in t
     series = [lab_frame_envelope(psi0, 1.0, consts, 1e-3 * i) for i in range(5)]
-    want = dominance_ratio_field(series, consts).ratio
+    want = dominance(series, 1e-3, grid, 1.0, consts)[2]
     assert abs(rep.dominance_ratio[0] - want) <= 0.01 * want
 
 

@@ -21,7 +21,7 @@ from wavelab import (
     minimize_bound_analytic,
     minimize_bound_numeric,
 )
-from wavelab import oscillator, propagate
+from wavelab import oscillator
 from wavelab.exceptions import (
     GridTooCoarse,
     InvalidBracket,
@@ -29,7 +29,7 @@ from wavelab.exceptions import (
     NonPositiveDeltaX,
     NumericalFailure,
 )
-from wavelab.propagate import _energies, _kinetic_symbol, _strang, energy_expectation
+from wavelab.propagate import _energies, _kinetic_symbol, energy_expectation
 
 from oracles import grid_hamiltonian, grid_imaginary_time_evolution, imaginary_time_oracle
 
@@ -370,7 +370,7 @@ RELAX_CASES = {
     # a larger first step and a looser tolerance: stops at iteration 9
     "batch_start": (256, 20.0, 1.0, 0.05, 1e-11, False),
     "batch_end": (256, 20.0, 1.0, 0.03, 1e-10, False),
-    # two rows, Re and Im, from noise: stops at iteration 11
+    # a complex start from noise: stops at iteration 11
     "noisy_start": (2048, 40.0, 2.0, 0.01, 1e-10, True),
     # the oscillator_relax benchmark's size: stops at iteration 13
     "benchmark": (1024, 40.0, 1.0, 0.002, 1e-12, False),
@@ -379,9 +379,9 @@ RELAX_CASES = {
 
 @pytest.mark.parametrize("case", sorted(RELAX_CASES))
 def test_real_relaxation_tracks_the_complex_one(case):
-    # against the same exact steps in complex arithmetic, checked every step: the
-    # real rows drop only the imaginary rounding noise, so the relaxation stops at
-    # the same iteration, nearly bit for bit (measured 2.2e-16 in E, 1.4e-15 in psi)
+    # against the same exact steps written out in plain numpy, checked every step: the
+    # relaxation stops at the same iteration, nearly bit for bit, and a real start
+    # drops only the imaginary rounding noise
     n, length, omega_c, tau, tol, noisy = RELAX_CASES[case]
     start = None
     if noisy:
@@ -448,9 +448,9 @@ def test_steps_double_up_to_the_wrap_cap(monkeypatch):
 @pytest.mark.parametrize("n", [64, 1024])
 @pytest.mark.parametrize("r", [1, 2])
 def test_stopping_energies_within_64_ulps_of_the_energy_expectation(r, n):
-    # the stopping energy is `_energies` of the real (R, N) rows, the energy of
-    # Re + i Im since H is real: it may move from `energy_expectation`'s in the
-    # last bits only, on random and on relaxed states
+    # H is real, so `_energies` of the real rows Re and Im is the energy of Re + i Im:
+    # it may move from `energy_expectation`'s in the last bits only, on random and on
+    # relaxed states
     problem = OscillatorProblem(1.0, 0.5)  # ground width 1: the coarsest box at N = 64
     grid = Grid1D(n, 16.0)
     v = harmonic_potential(grid, 1.0, 0.5)
@@ -464,60 +464,26 @@ def test_stopping_energies_within_64_ulps_of_the_energy_expectation(r, n):
         assert abs(h / norm_sq - want) <= 64 * np.finfo(float).eps * abs(want)
 
 
-@pytest.mark.parametrize("n", [64, 1024])
-@pytest.mark.parametrize("r", [1, 2])
-@pytest.mark.parametrize("b", [1, 3, 8])
-def test_stopping_energy_of_a_state_is_the_same_in_any_batch(b, r, n):
-    # the relaxation steps its R real rows as one batch of a `_strang` builder and
-    # takes the stopping energy of them together: a state of r rows stepped in a
-    # stack of b, or each of its rows stepped alone, must come out, with its
-    # energy, bit for bit the same, so no row leaks into another
-    grid = Grid1D(n, 16.0)
-    v = harmonic_potential(grid, 1.0, 0.5)
-    symbol = _kinetic_symbol(grid, 1.0, PhysicalConstants())
-
-    def stepped(states):  # one exact step at phi = 1
-        step = _strang(v / math.cosh(0.5) ** 2, grid, 1.0, 1.0, math.sinh(1.0) / 0.5, 1,
-                       rows=states.shape[:-1])
-        return step(states, np.empty_like(states))
-
-    stack = np.random.default_rng(b * r * n).standard_normal((b, r, n))
-    together = stepped(stack)
-    for i in range(b):
-        alone = stepped(stack[i])
-        assert np.array_equal(together[i], alone)
-        assert np.array_equal(alone, [stepped(row) for row in stack[i]])
-        assert _energies(together[i], v, symbol, grid.spacing) == _energies(
-            alone, v, symbol, grid.spacing)
-
-
 def _as_field(grid, rows):
     return WaveField(grid, rows[0] + 1j * rows[1] if len(rows) == 2 else rows[0])
 
 
 def test_relaxation_transform_count(monkeypatch):
     # oscillator.cfg's problem stops after 10 steps (253 Strang steps before): each step
-    # transforms forward and back by the real kernels and takes its energy by one fft;
-    # the stopped state's energy and spread take 2 fft and 1 ifft
-    calls = {"forward": 0, "inverse": 0, "fft": 0, "ifft": 0}
-    forward, inverse = propagate._real_kernels()
+    # transforms forward and back by the public fft and ifft and takes its energy by one
+    # fft; the stopped state's energy and spread take 2 fft and 1 ifft
+    calls = {"fft": 0, "ifft": 0}
 
-    def counted(kernel, name):
+    def counted(transform, name):
         def call(*args, **kwargs):
             calls[name] += 1
-            return kernel(*args, **kwargs)
+            return transform(*args, **kwargs)
         return call
 
-    def kernels():
-        return counted(forward, "forward"), counted(inverse, "inverse")
-
-    monkeypatch.setattr(propagate, "_real_kernels", kernels)
-    # the oscillator binds no kernel of its own, so none is called past the count
-    assert not hasattr(oscillator, "_real_kernels")
     monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft, "fft"))
     monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft, "ifft"))
     imaginary_time_ground_state(UNIT, Grid1D(256, 20.0))
-    assert calls == {"forward": 10, "inverse": 10, "fft": 12, "ifft": 1}
+    assert calls == {"fft": 22, "ifft": 11}
 
 
 def test_real_start_relaxes_to_a_real_state():
@@ -527,8 +493,8 @@ def test_real_start_relaxes_to_a_real_state():
 
 @pytest.mark.parametrize("theta", [0.3, 1.0, 2.5, -2.0])
 def test_complex_start_relaxes_as_its_real_and_imaginary_parts(theta):
-    # e^{i theta} g relaxes as two real rows, cos(theta) g and sin(theta) g,
-    # under one shared norm: the result is e^{i theta} times g's
+    # the step is linear with real factors, so e^{i theta} g relaxes as
+    # e^{i theta} times g's result
     grid = Grid1D(256, 20.0)
     g = np.random.default_rng(5).standard_normal(256)
     phase = np.exp(1j * theta)
@@ -551,8 +517,8 @@ def _plain_strang(monkeypatch, tau_step):
     """Relax UNIT's trap by plain imaginary-time Strang steps of size tau_step."""
     build = oscillator._strang
 
-    def plain(v, grid, m, hbar, dt, unit, rows=()):
-        return build(harmonic_potential(grid, m, 1.0), grid, m, hbar, tau_step, unit, rows=rows)
+    def plain(v, grid, m, hbar, dt, unit):
+        return build(harmonic_potential(grid, m, 1.0), grid, m, hbar, tau_step, unit)
 
     monkeypatch.setattr(oscillator, "_strang", plain)
 

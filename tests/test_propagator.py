@@ -39,7 +39,6 @@ from wavelab.propagate import (
     _energies,
     _harmonic_snapshots,
     _kinetic_symbol,
-    _real_kernels,
     energy_expectation,
 )
 
@@ -296,30 +295,10 @@ def test_strang_kernel_matches_out_of_place_loop(n):
 
 
 @pytest.mark.parametrize("rows", [(), (1,), (2,), (8, 1), (4, 2)], ids=str)
-@pytest.mark.parametrize("n", [8, 64, 1024, 16384], ids=lambda n: f"N={n}")
-def test_real_kernels_equal_the_public_transforms(n, rows):
-    # the relaxation calls numpy's pocketfft gufuncs without numpy.fft's
-    # wrapper; a numpy that moves or changes them fails here by name
-    rfft, irfft = _real_kernels()
-    rng = np.random.default_rng(n)
-    x = rng.standard_normal(rows + (n,))
-    spec = np.fft.rfft(x)
-    # the output fixes the gufuncs' core lengths: N/2 + 1 modes, N samples
-    assert np.array_equal(rfft(x, 1.0, out=np.empty_like(spec)), spec)
-    assert np.array_equal(rfft(x, np.reciprocal(np.sqrt(n)), out=np.empty_like(spec)),
-                          np.fft.rfft(x, norm="ortho"))
-    assert np.array_equal(irfft(spec, 1.0, out=np.empty_like(x)),
-                          np.fft.irfft(spec, n=n, norm="forward"))
-    # the drift is stored complex: the product numpy forms from a real one
-    drift = np.exp(-rng.random(n // 2 + 1))
-    assert np.array_equal(drift.astype(np.complex128) * spec, drift * spec)
-
-
-@pytest.mark.parametrize("rows", [(), (1,), (2,), (8, 1), (4, 2)], ids=str)
 def test_real_batch_energies_equal_the_public_formula(rows):
-    # the relaxation's stopping energy: `_energies` of a real stack, shape
-    # rows + (N,), is that of all its rows together, the public
-    # `energy_expectation` of each row weighted by its squared norm, to the last bits
+    # `_energies` of a real stack, shape rows + (N,), is that of all its rows
+    # together, the public `energy_expectation` of each row weighted by its
+    # squared norm, to the last bits
     grid = Grid1D(256, 20.0)
     v = harmonic_potential(grid, 1.0, 1.3)
     x = np.random.default_rng(7).standard_normal(rows + (256,))
