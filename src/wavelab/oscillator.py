@@ -91,8 +91,8 @@ def energy_bound(problem: OscillatorProblem, delta_x: float) -> UncertaintyPoint
         raise NonPositiveDeltaX(f"delta_x must be positive, got {delta_x}")
     hbar, m, omega_c, dx = (np.float64(v) for v in
                             (problem.consts.hbar, problem.m, problem.omega_c, delta_x))
-    with np.errstate(all="ignore"):  # no hbar^2 alone; m scales omega_c before it is squared
-        e = hbar * ((hbar / (8.0 * m)) / dx ** 2) + 0.5 * m * omega_c * omega_c * dx ** 2
+    with np.errstate(all="ignore"):  # no hbar^2 or omega_c^2 alone, which could underflow
+        e = hbar * ((hbar / (8.0 * m)) / dx ** 2) + (0.5 * m * omega_c) * (omega_c * dx ** 2)
     _finite(f"bound curve E(dx) = {float(e)!r} at dx = {delta_x!r}", e)
     return UncertaintyPoint(delta_x=delta_x, energy=float(e))
 

@@ -83,9 +83,8 @@ def harmonic_potential(grid: Grid1D, m: float, omega_c: float,
                        center: float | None = None) -> np.ndarray:
     """V(x) = (1/2) m omega_c^2 (x - x_c)^2, centered at L/2; NumericalFailure unless finite."""
     xc = grid.length / 2.0 if center is None else center
-    coef = 0.5 * m * omega_c * omega_c  # plain multiplication: an overflow gives inf
-    with np.errstate(all="ignore"):
-        v = coef * (grid.positions - xc) ** 2
+    with np.errstate(all="ignore"):  # an overflow gives inf; omega_c^2 is never formed alone
+        v = (0.5 * m * omega_c) * (omega_c * (grid.positions - xc) ** 2)
     _finite(f"non-finite trap potential at m = {m!r}, omega_c = {omega_c!r}, center = {center!r}",
             v, step=0)
     return v
