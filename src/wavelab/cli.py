@@ -716,8 +716,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: out of memory ({str(exc) or 'MemoryError'})", file=sys.stderr)
         return EXIT_NUMERIC
     except GridTooCoarse as exc:
-        print(f"resolution error: {exc}", file=sys.stderr)
-        print("hint: raise n_points, shrink length, or lower omega_c", file=sys.stderr)
+        print(f"resolution error: {exc}", file=sys.stderr)  # each refusal names its remedy
         return EXIT_RESOLUTION
 
 

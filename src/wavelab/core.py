@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,10 +79,16 @@ class Grid1D:
     def positions(self) -> np.ndarray:
         return np.arange(self.n_points) * self.spacing
 
-    @property
+    @cached_property
     def wavenumbers(self) -> np.ndarray:
-        """Mode wavenumbers 2*pi*n/L in FFT order, n in [-N/2, N/2), Nyquist negative."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing)
+        """Mode wavenumbers 2*pi*n/L in FFT order, n in [-N/2, N/2), Nyquist negative.
+
+        Computed once per grid and returned read-only, so every caller shares one array
+        and none can corrupt it.
+        """
+        k = 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing)
+        k.flags.writeable = False
+        return k
 
 
 @dataclass(frozen=True)
@@ -191,10 +198,3 @@ def _l2(samples: np.ndarray, dx: float):
 def l2_norm(field: WaveField) -> float:
     """Discrete L2 norm, sqrt(sum |psi_j|^2 dx)."""
     return float(_l2(field.samples, field.grid.spacing))
-
-
-def inner_product(bra: WaveField, ket: WaveField) -> complex:
-    """Discrete inner product sum conj(bra_j) ket_j dx."""
-    if bra.grid != ket.grid:
-        raise ConfigError("fields must share one grid")
-    return complex(np.vdot(bra.samples, ket.samples) * bra.grid.spacing)

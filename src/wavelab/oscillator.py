@@ -26,10 +26,8 @@ from .core import (
     Grid1D,
     PhysicalConstants,
     WaveField,
-    _finite,
     _l2,
     _positive,
-    l2_norm,
 )
 from .exceptions import (
     ConfigError,
@@ -52,6 +50,8 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/golden ratio
 
 # A relaxed state is refused if its energy spread exceeds this fraction of its energy.
 _SPREAD_TOL = 1e-2
+# A stopped state is nodeless, so accepted, if |sum psi| >= (1 - _NODE_TOL) sum |psi|.
+_NODE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -81,20 +81,39 @@ class GroundState(NamedTuple):
     psi: WaveField
 
 
+def _bound_curve(problem: OscillatorProblem):
+    """E(dx) of `problem` for dx > 0, as a function; call it under `np.errstate(all="ignore")`.
+
+    hbar, m, omega_c and the grouped constants hbar / 8m and m omega_c / 2 are converted
+    to float64 once, so a search pays for them once.  Each call squares dx by numpy's
+    scalar pow (libm pow, as Python's `**`, but inf where Python raises OverflowError;
+    `dx * dx` differs from it in the last bit near ties).  A non-finite E raises
+    NumericalFailure naming E and dx.
+    """
+    hbar, m, omega_c = (np.float64(v) for v in (problem.consts.hbar, problem.m, problem.omega_c))
+    kinetic, trap = hbar / (8.0 * m), 0.5 * m * omega_c  # no hbar^2 or omega_c^2 alone
+
+    def energy(delta_x: float) -> float:
+        dx_sq = np.float64(delta_x) ** 2
+        e = hbar * (kinetic / dx_sq) + trap * (omega_c * dx_sq)
+        if not math.isfinite(e):
+            raise NumericalFailure(f"bound curve E(dx) = {float(e)!r} at dx = {delta_x!r}")
+        return float(e)
+    return energy
+
+
 def energy_bound(problem: OscillatorProblem, delta_x: float) -> UncertaintyPoint:
     """Evaluate the bound curve E(dx); always >= hbar omega_c / 2.
 
-    Taken in float64 (the same pow as Python floats), so an overflow gives inf
-    instead of an exception; NumericalFailure is raised when E is not finite.
+    Taken in float64 as hbar (hbar / 8m) / dx^2 + (m omega_c / 2) omega_c dx^2, so neither
+    hbar^2 nor omega_c^2 underflows alone and an overflow gives inf instead of an
+    exception.  NonPositiveDeltaX is raised unless dx > 0, and NumericalFailure when E is
+    not finite (an overflow gives inf, a 0/0 or inf/inf nan).
     """
     if not delta_x > 0:
         raise NonPositiveDeltaX(f"delta_x must be positive, got {delta_x}")
-    hbar, m, omega_c, dx = (np.float64(v) for v in
-                            (problem.consts.hbar, problem.m, problem.omega_c, delta_x))
-    with np.errstate(all="ignore"):  # no hbar^2 or omega_c^2 alone, which could underflow
-        e = hbar * ((hbar / (8.0 * m)) / dx ** 2) + (0.5 * m * omega_c) * (omega_c * dx ** 2)
-    _finite(f"bound curve E(dx) = {float(e)!r} at dx = {delta_x!r}", e)
-    return UncertaintyPoint(delta_x=delta_x, energy=float(e))
+    with np.errstate(all="ignore"):
+        return UncertaintyPoint(delta_x=delta_x, energy=_bound_curve(problem)(delta_x))
 
 
 def minimize_bound_analytic(problem: OscillatorProblem) -> BoundMinimum:
@@ -114,50 +133,38 @@ def minimize_bound_numeric(problem: OscillatorProblem,
     The bracket must contain the minimum; an interior maximum (both edge
     values below the midpoint value) is evidence the objective is not unimodal
     there and raises InvalidBracket.  The search stops once hi - lo is within
-    tol or within 4 ulps of the midpoint, whichever is larger.
+    tol or within 4 ulps of the midpoint, whichever is larger.  The curve's
+    constants are converted to float64 once and the search runs under one
+    errstate, yet each E(dx) has `energy_bound`'s bits, and a non-finite one
+    raises its NumericalFailure.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < lo < hi):
         raise InvalidBracket(f"need 0 < lo < hi, got ({lo}, {hi})")
     _positive("tol", tol)
-
-    def f(d):
-        return energy_bound(problem, d).energy
-
-    mid = 0.5 * (lo + hi)
-    if f(lo) < f(mid) and f(hi) < f(mid):
-        raise InvalidBracket(
-            f"E({lo}) and E({hi}) both lie below E({mid}); no interior minimum"
-        )
-    c = hi - (hi - lo) * _INV_PHI
-    d = lo + (hi - lo) * _INV_PHI
-    fc, fd = f(c), f(d)
-    # the bracket cannot shrink much below one ulp of its midpoint: floor tol there
-    while hi - lo > max(tol, 4.0 * math.ulp(0.5 * (lo + hi))):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - (hi - lo) * _INV_PHI
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + (hi - lo) * _INV_PHI
-            fd = f(d)
-    best = 0.5 * (lo + hi)
-    return BoundMinimum(delta_x=best, energy=f(best))
-
-
-def harmonic_ground_exact(problem: OscillatorProblem, grid: Grid1D,
-                          center: float | None = None) -> WaveField:
-    """Analytic ground state exp(-m omega_c (x-xc)^2 / 2 hbar), grid-normalized."""
-    xc = grid.length / 2.0 if center is None else center
-    x = grid.positions
-    with np.errstate(all="ignore"):  # a square past the float range gives inf, so psi 0 there
-        psi = np.exp(-problem.m * problem.omega_c * (x - xc) ** 2
-                     / (2.0 * problem.consts.hbar))
-        fld = WaveField(grid, psi)
-        psi = fld.samples / l2_norm(fld)
-    _finite(lambda: f"ground state underflows to 0 at every grid point (center = {xc!r})", psi)
-    return WaveField(grid, psi)
+    with np.errstate(all="ignore"):  # one errstate for the whole search
+        f = _bound_curve(problem)
+        mid = 0.5 * (lo + hi)
+        f_lo, f_mid = f(lo), f(mid)
+        if f_lo < f_mid and f(hi) < f_mid:
+            raise InvalidBracket(
+                f"E({lo}) and E({hi}) both lie below E({mid}); no interior minimum"
+            )
+        c = hi - (hi - lo) * _INV_PHI
+        d = lo + (hi - lo) * _INV_PHI
+        fc, fd = f(c), f(d)
+        # the bracket cannot shrink much below one ulp of its midpoint: floor tol there
+        while hi - lo > max(tol, 4.0 * math.ulp(0.5 * (lo + hi))):
+            if fc < fd:
+                hi, d, fd = d, c, fc
+                c = hi - (hi - lo) * _INV_PHI
+                fc = f(c)
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + (hi - lo) * _INV_PHI
+                fd = f(d)
+        best = 0.5 * (lo + hi)
+        return BoundMinimum(delta_x=best, energy=f(best))
 
 
 def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
@@ -187,8 +194,9 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
     is returned as its real part.  The loop stops at the first step at phi_max
     whose energy <psi|H|psi> differs by less than energy_tol from the previous
     step's, also at phi_max: such a step shrinks E - E0 by e^{-2 phi_max} or
-    more, so that change bounds the energy error itself.  The returned energy
-    is `energy_expectation` of the returned state.
+    more, so that change bounds the energy error itself.  So <H> is taken only
+    at phi_max; a step below it takes the norm alone, `_energies`' own sum.  The
+    returned energy is `energy_expectation` of the returned state.
 
     The stopped state's energy spread sigma = sqrt(<H^2> - <H>^2) is computed
     once; by Weinstein's bound some eigenvalue lies within sigma of E.
@@ -197,9 +205,13 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
     dx*, trap potential or start state, and for a step that loses the state
     altogether (its norm underflows to 0 or overflows).
 
-    Any generic start (the default even Gaussian, or random noise) converges
-    to the ground state.  An exactly odd-parity start keeps its parity until
-    rounding breaks it, so it may settle on the lowest odd state.
+    The ground state has no node, and e^{-tau H} is positivity improving, so a
+    stopped state is accepted only if its samples share one sign up to a global
+    phase: |sum psi| >= (1 - 1e-6) sum |psi|.  A start with no ground component
+    (an exactly odd one, or an excited eigenstate) settles on an excited state,
+    which has a node; the loop then restarts from |psi|, which overlaps the
+    ground state, with no previous energy, and the restart's steps count
+    toward max_iters.  So every start converges to the ground state.
     """
     _positive("tau_step", tau_step)
     if max_iters < 1:
@@ -240,11 +252,17 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
 
     phi_max = math.asinh((grid.length / ground_width) ** 2 / 128.0)
     phi, energy_prev = min(max(omega_c * tau_step, math.ulp(0.0)), phi_max), math.inf
+    step_phi = None
     for iteration in range(1, max_iters + 1):
-        step = _strang(v / math.cosh(0.5 * phi) ** 2, grid, m, hbar, math.sinh(phi) / omega_c, 1)
+        if phi != step_phi:  # phi stays at phi_max once there, so that step is built once
+            step_phi, step = phi, _strang(v / math.cosh(0.5 * phi) ** 2, grid, m, hbar,
+                                          math.sinh(phi) / omega_c, 1)
         step(psi, psi)
-        with np.errstate(all="ignore"):
-            h, norm_sq = _energies(psi, v, symbol, dx)
+        with np.errstate(all="ignore"):  # <H> is read only at phi_max, where the loop can stop
+            if phi == phi_max:
+                h, norm_sq = _energies(psi, v, symbol, dx)
+            else:
+                norm_sq = np.sum(np.abs(psi) ** 2) * dx  # `_energies`' norm, bit for bit
         nrm = math.sqrt(norm_sq)
         if not 0.0 < nrm < math.inf:
             raise NumericalFailure(f"state lost at iteration {iteration} (norm {nrm})",
@@ -253,7 +271,10 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
         if phi == phi_max:
             energy = h / norm_sq
             if abs(energy - energy_prev) < energy_tol:
-                return _accept(problem, grid, v, symbol, psi.real if real else psi)
+                if abs(np.sum(psi)) >= (1.0 - _NODE_TOL) * np.sum(np.abs(psi)):
+                    return _accept(problem, grid, v, symbol, psi.real if real else psi)
+                psi[:] = np.abs(psi)  # a node, so an excited state: restart from |psi|
+                energy = math.inf
             energy_prev = energy
         phi = min(2.0 * phi, phi_max)
     raise NoConvergence(

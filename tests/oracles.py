@@ -2,8 +2,13 @@
 
 Everything here is deliberately slow and simple: direct O(N^2) transform
 sums, trigonometric interpolation by explicit mode summation, and plain
-moment integrals.  None of it shares code with the package paths it checks.
+moment integrals.  None of it shares code with the package paths it checks,
+except the bit-pinning references at the end: they keep an earlier, more
+wasteful loop around the package's own arithmetic, so that a leaner loop can
+be held to the same bits.
 """
+
+import math
 
 import numpy as np
 
@@ -58,6 +63,17 @@ def moment_mean_and_width(samples, positions):
     mean = float((w * positions).sum() / total)
     var = float((w * (positions - mean) ** 2).sum() / total)
     return mean, float(np.sqrt(var))
+
+
+def inner_product(bra, ket, dx):
+    """Discrete inner product sum conj(bra_j) ket_j dx of two sample arrays."""
+    return complex(np.vdot(bra, ket) * dx)
+
+
+def harmonic_ground_exact(grid, m, omega_c, hbar):
+    """Analytic ground state exp(-m omega_c (x - L/2)^2 / 2 hbar), grid-normalized samples."""
+    psi = np.exp(-m * omega_c * (grid.positions - grid.length / 2.0) ** 2 / (2.0 * hbar))
+    return psi / np.sqrt(np.sum(np.abs(psi) ** 2) * grid.spacing)
 
 
 def coherent_state_oracle(grid, m, omega_c, hbar, displacement, center, t):
@@ -190,3 +206,90 @@ def central_difference_dominance(envelopes, dt, dx, m, hbar, c):
     def norm(rows):
         return float(np.mean(np.sqrt(np.sum(np.abs(rows) ** 2, axis=-1) * dx)))
     return norm(d2), norm(w * w * mid + 2j * w * d1)
+
+
+def relaxation_energy_every_step(problem, grid, tau_step=0.02, max_iters=50000,
+                                 energy_tol=1e-12, initial=None):
+    """`imaginary_time_ground_state`'s loop as it was when it took <H> after every step.
+
+    Each step is built afresh and followed by `_energies`, whose <H> is read only
+    at phi_max; the stopped state goes through the package's `_accept`.  The
+    preamble's refusals are left out, and so is the nodal restart: use it on
+    starts with a ground component.  Returns the GroundState, or None once
+    max_iters steps pass without stopping.
+    """
+    from wavelab.core import _l2
+    from wavelab.oscillator import _accept, minimize_bound_analytic
+    from wavelab.propagate import _energies, _kinetic_symbol, _strang, harmonic_potential
+
+    dx = grid.spacing
+    ground_width = minimize_bound_analytic(problem).delta_x
+    if initial is None:
+        with np.errstate(all="ignore"):
+            four_var = 4.0 * np.float64(2.0 * ground_width) ** 2
+            start = np.exp(-((grid.positions - grid.length / 2.0) ** 2) / four_var)
+    else:
+        start = initial.samples
+    real = not np.any(start.imag)
+    psi = start.astype(np.complex128)
+    psi *= 1.0 / _l2(psi, dx)
+    m, hbar, omega_c = problem.m, problem.consts.hbar, problem.omega_c
+    v = harmonic_potential(grid, m, omega_c)
+    symbol = _kinetic_symbol(grid, m, problem.consts)
+    phi_max = math.asinh((grid.length / ground_width) ** 2 / 128.0)
+    phi, energy_prev = min(max(omega_c * tau_step, math.ulp(0.0)), phi_max), math.inf
+    for _ in range(max_iters):
+        step = _strang(v / math.cosh(0.5 * phi) ** 2, grid, m, hbar, math.sinh(phi) / omega_c, 1)
+        step(psi, psi)
+        with np.errstate(all="ignore"):
+            h, norm_sq = _energies(psi, v, symbol, dx)
+        psi *= 1.0 / math.sqrt(norm_sq)
+        if phi == phi_max:
+            energy = h / norm_sq
+            if abs(energy - energy_prev) < energy_tol:
+                return _accept(problem, grid, v, symbol, psi.real if real else psi)
+            energy_prev = energy
+        phi = min(2.0 * phi, phi_max)
+    return None
+
+
+def bound_energy_per_call(problem, delta_x):
+    """E(dx) of the bound curve as `energy_bound` took it when each call converted its own
+    float64 constants under its own errstate; NumericalFailure when E is not finite."""
+    from wavelab.exceptions import NumericalFailure
+
+    hbar, m, omega_c, dx = (np.float64(v) for v in
+                            (problem.consts.hbar, problem.m, problem.omega_c, delta_x))
+    with np.errstate(all="ignore"):
+        e = hbar * ((hbar / (8.0 * m)) / dx ** 2) + (0.5 * m * omega_c) * (omega_c * dx ** 2)
+    if not np.isfinite(e):
+        raise NumericalFailure(f"bound curve E(dx) = {float(e)!r} at dx = {delta_x!r}")
+    return float(e)
+
+
+def golden_section_per_call(problem, bracket, tol):
+    """(delta_x, energy): the golden-section search of `minimize_bound_numeric` on
+    `bound_energy_per_call`, one conversion and one errstate per evaluation."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = float(bracket[0]), float(bracket[1])
+
+    def f(d):
+        return bound_energy_per_call(problem, d)
+
+    mid = 0.5 * (lo + hi)
+    if f(lo) < f(mid) and f(hi) < f(mid):
+        raise ValueError(f"E({lo}) and E({hi}) both lie below E({mid}); no interior minimum")
+    c = hi - (hi - lo) * inv_phi
+    d = lo + (hi - lo) * inv_phi
+    fc, fd = f(c), f(d)
+    while hi - lo > max(tol, 4.0 * math.ulp(0.5 * (lo + hi))):
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - (hi - lo) * inv_phi
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + (hi - lo) * inv_phi
+            fd = f(d)
+    best = 0.5 * (lo + hi)
+    return best, f(best)

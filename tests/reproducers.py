@@ -266,7 +266,11 @@ ROWS = (
                                      ("energy_tol", "0", "positive and finite", "0.0"),
                                      ("energy_tol", "-1", "positive and finite", "-1.0"))),
     row("test_oscillator_coarse_grid_is_exit_4", f"{OSC} --set n_points=8", 4,
-        "ground width 0.7071 is below 4 dx = 10", "hint: raise n_points"),
+        "ground width 0.7071 is below 4 dx = 10; increase n_points or shrink length\n"),
+    row(f"{REPRO}[oscillator_small_box]", f"{OSC} --set length=5", 4,
+        "length 5 is below 16 x ground width 11.31; enlarge the box\n",
+        note="a fixed hint followed: raise n_points, shrink length, or lower omega_c, "
+        "of which the last two make the box smaller still against the ground width"),
     row(f"{REPRO}[omega_c_squared_underflow]", f"{OSC} --set omega_c=1e-200 --set length=2e101 "
         "--set bracket_lo=1e99 --set bracket_hi=1e101 --set search_tol=1e86 --set tau_step=1e198",
         0, note="omega_c^2 underflowed: golden_section 1.25e-203 and imaginary_time 1.13e-202, "
@@ -363,9 +367,9 @@ def _assert_finite_artifacts(out):
 def check(argv, code, fragments, rc, err, before, root):
     """Assert that wavelab `argv`, run in `root` (whose tree was `before`), ended as pinned.
 
-    A refusal (`code` 2, 3 or 4) prints its family's one line (a hint line too for 4; an
-    unknown command prints argparse's usage) naming every fragment, with no traceback, and
-    leaves `root` as it was: --out untouched and no stage.  A success leaves finite CSV and
+    A refusal (`code` 2, 3 or 4) prints its family's one line (an unknown command prints
+    argparse's usage) naming every fragment, with no traceback, and leaves `root` as it
+    was: --out untouched and no stage.  A success leaves finite CSV and
     JSON cells, no energy row of `oscillator` below the analytic one, and no stage.  With
     `code` None any of 0, 2, 3 and 4 passes.
     """
@@ -375,7 +379,7 @@ def check(argv, code, fragments, rc, err, before, root):
     after = tree(root)
     if rc:
         if argv[0] in COMMANDS:
-            assert err.startswith(PREFIX[rc]) and err.count("\n") == (2 if rc == 4 else 1), run
+            assert err.startswith(PREFIX[rc]) and err.count("\n") == 1, run
         else:
             assert err.startswith("usage: wavelab ") and "wavelab: error: " in err, run
         assert after == before, f"{run}changed {sorted(set(after) ^ set(before))} or their bytes"

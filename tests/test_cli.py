@@ -196,8 +196,7 @@ def test_stray_value_error_is_not_a_config_error(tmp_path, capsys, monkeypatch):
 
 
 _FAMILY_LINES = {2: "config error: boom\n", 3: "numerical failure: boom\n",
-                 4: "resolution error: boom\n"
-                    "hint: raise n_points, shrink length, or lower omega_c\n"}
+                 4: "resolution error: boom\n"}
 
 
 @pytest.mark.parametrize("error", [cls for cls in vars(exceptions).values()

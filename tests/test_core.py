@@ -27,7 +27,6 @@ from wavelab import (
     energy_expectation,
     evolve_second_order_spectral,
     gaussian_packet,
-    harmonic_ground_exact,
     harmonic_potential,
     idft,
     imaginary_time_ground_state,
@@ -95,6 +94,18 @@ def test_grid_geometry():
     assert k[1] == pytest.approx(2 * np.pi / 8.0)
     assert k[8] == pytest.approx(-2 * np.pi * 8 / 8.0)
     assert np.min(k) == k[8]
+
+
+def test_wavenumbers_are_computed_once_and_read_only():
+    # every Strang step build and kinetic symbol called fftfreq again; one array per grid
+    # is shared now, so no caller may write into it
+    grid = Grid1D(16, 8.0)
+    k = grid.wavenumbers
+    assert grid.wavenumbers is k
+    assert np.array_equal(k, 2.0 * np.pi * np.fft.fftfreq(16, d=0.5))
+    with pytest.raises(ValueError, match="read-only"):
+        k[0] = 1.0
+    assert k[0] == 0.0
 
 
 def test_timespec_validation():
@@ -186,8 +197,7 @@ POSITIVE_SITES = {
 _KG = KleinGordon(1.0)
 _DISPERSION_K = cli.build_config("dispersion", [], [("--set #1", "k_max", "1e100")])
 # the one finiteness rule, at every site that refuses a computed value: (message, call
-# that drives the value to inf or nan); a message of None marks a call that must return a
-# finite value, its overflow harmless
+# that drives the value to inf or nan)
 FINITE_SITES = {
     "trap_potential": (
         "non-finite trap potential at m = 1e+300, omega_c = 1e+300, center = None",
@@ -222,12 +232,6 @@ FINITE_SITES = {
     "kinetic_symbol": (  # hbar^2 in Python floats raised a bare OverflowError
         "kinetic symbol hbar^2 k^2 / 2m is not finite at hbar = 1e+200, m = 1.0",
         lambda: energy_expectation(_PSI8, np.zeros(8), 1.0, PhysicalConstants(hbar=1e200))),
-    "ground_state_square": (  # (x - xc)^2 overflows: psi is 0 there, nonzero only at xc
-        None,
-        lambda: harmonic_ground_exact(_UNIT_TRAP, Grid1D(8, 1.7e308)).samples),
-    "ground_state_underflow": (
-        "ground state underflows to 0 at every grid point (center = 0.1)",
-        lambda: harmonic_ground_exact(OscillatorProblem(1e300, 1e300), _GRID8, 0.1)),
 }
 
 
@@ -238,9 +242,6 @@ def test_every_non_finite_result_is_a_numerical_failure(site):
     message, call = FINITE_SITES[site]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if message is None:
-            assert np.all(np.isfinite(call()))
-            return
         with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
             call()
 

@@ -1,4 +1,5 @@
 import math
+import re
 import signal
 import warnings
 
@@ -13,10 +14,8 @@ from wavelab import (
     PhysicalConstants,
     WaveField,
     energy_bound,
-    harmonic_ground_exact,
     harmonic_potential,
     imaginary_time_ground_state,
-    inner_product,
     l2_norm,
     minimize_bound_analytic,
     minimize_bound_numeric,
@@ -31,7 +30,16 @@ from wavelab.exceptions import (
 )
 from wavelab.propagate import _energies, _kinetic_symbol, energy_expectation
 
-from oracles import grid_hamiltonian, grid_imaginary_time_evolution, imaginary_time_oracle
+from oracles import (
+    bound_energy_per_call,
+    golden_section_per_call,
+    grid_hamiltonian,
+    grid_imaginary_time_evolution,
+    harmonic_ground_exact,
+    imaginary_time_oracle,
+    inner_product,
+    relaxation_energy_every_step,
+)
 
 UNIT = OscillatorProblem(1.0, 1.0)
 
@@ -70,15 +78,31 @@ def test_energy_bound_dual_width_symmetry():
         assert a == pytest.approx(b, rel=1e-12)
 
 
-@pytest.mark.parametrize("problem, dx", [
-    (UNIT, 1e300),                           # dx^2 overflows
-    (OscillatorProblem(5e-324, 1.0), 0.05),  # 8 m dx^2 underflows to 0
-], ids=["dx_overflow", "subnormal_mass"])
-def test_energy_bound_overflow_is_numerical_failure(problem, dx):
+@pytest.mark.parametrize("problem, dx, e", [
+    (UNIT, 1e300, "inf"),                           # dx^2 overflows
+    (OscillatorProblem(5e-324, 1.0), 0.05, "inf"),  # 8 m dx^2 underflows to 0
+    # hbar / 8m and dx^2 both underflow to 0: 0 / 0
+    (OscillatorProblem(1e300, 1.0, PhysicalConstants(hbar=1e-300)), 1e-200, "nan"),
+], ids=["dx_overflow", "subnormal_mass", "zero_over_zero"])
+def test_energy_bound_overflow_is_numerical_failure(problem, dx, e):
+    # the curve's constants are converted once per search: its refusal names E and dx as
+    # each call's own conversion did, in energy_bound and in the search (whose first
+    # probe is lo)
+    message = f"bound curve E(dx) = {e} at dx = {dx!r}"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalFailure, match="bound curve"):
-            energy_bound(problem, dx)
+        for call in (energy_bound, bound_energy_per_call,
+                     lambda p, d: minimize_bound_numeric(p, (d, 2.0 * d), 1e300)):
+            with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
+                call(problem, dx)
+
+
+@pytest.mark.parametrize("dx", [1.507312435950805, 2.780227525271408, 13.929142875532719,
+                                14.030786776585998])
+def test_energy_bound_squares_by_pow(dx):
+    # near-tie squares: glibc's pow (numpy's scalar **) and dx * dx differ in the last bit
+    # here, and so does E(dx); the curve keeps the per-call pow's bits
+    assert energy_bound(UNIT, dx).energy == bound_energy_per_call(UNIT, dx)
 
 
 def test_energy_bound_rejects_non_positive_width():
@@ -191,6 +215,52 @@ def test_golden_section_agrees_with_analytic_on_random_problems():
         assert abs(num.energy - ana.energy) / ana.energy <= 1e-10
 
 
+# (m, omega_c, hbar, bracket, tol) at the float range's edges
+GOLDEN_EDGES = {
+    "shipped": (1.0, 1.0, 1.0, (0.05, 20.0), 1e-12),
+    "mass_1e300": (1e300, 1.0, 1.0, (1e-160, 1e-140), 1e-165),
+    "mass_1e-300": (1e-300, 1.0, 1.0, (1e140, 1e160), 1e135),
+    "mass_1e300_slow": (1e300, 1e-300, 1.0, (0.1, 10.0), 1e-12),
+    "mass_1e-300_fast": (1e-300, 1e300, 1.0, (0.1, 10.0), 1e-12),
+    "hbar_1e-300": (1e300, 1.0, 1e-300, (1e-310, 1e-290), 1e-320),
+    "omega_c_squared_underflow": (1.0, 1e-200, 1.0, (1e99, 1e101), 1e86),
+    "subnormal_mass": (5e-324, 1.0, 1.0, (1e-2, 1e2), 1e-12),  # E = inf: refused
+}
+
+
+def _search_outcome(search, problem, bracket, tol):
+    """The search's (delta_x, energy), or its NumericalFailure's text."""
+    try:
+        return tuple(search(problem, bracket, tol))
+    except NumericalFailure as exc:
+        return str(exc)
+
+
+def _assert_golden_section_bits(m, omega_c, hbar, bracket, tol):
+    problem = OscillatorProblem(m, omega_c, PhysicalConstants(hbar=hbar))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _search_outcome(minimize_bound_numeric, problem, bracket, tol)
+    assert got == _search_outcome(golden_section_per_call, problem, bracket, tol)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_EDGES))
+def test_golden_section_has_the_per_call_bits(case):
+    # the curve's constants are converted once per search, under one errstate: every
+    # probe, the result and any refusal are those of one energy_bound per probe
+    _assert_golden_section_bits(*GOLDEN_EDGES[case])
+
+
+def test_golden_section_has_the_per_call_bits_on_random_problems():
+    rng = np.random.default_rng(32)
+    for _ in range(200):
+        m, omega_c, hbar = 10.0 ** rng.uniform(-90.0, 90.0, size=3)
+        dx_star = math.sqrt(hbar / (2.0 * m * omega_c))
+        lo, hi = dx_star * 10.0 ** rng.uniform(-3.0, 0.5), dx_star * 10.0 ** rng.uniform(0.5, 3.0)
+        _assert_golden_section_bits(m, omega_c, hbar, (lo, hi),
+                                    dx_star * 10.0 ** rng.uniform(-16.0, -2.0))
+
+
 def test_scaling_laws():
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -209,8 +279,8 @@ def test_ground_state_energy_default_problem():
     got = imaginary_time_ground_state(UNIT, grid)
     assert abs(got.energy - 0.5) <= 5e-5
     assert l2_norm(got.psi) == pytest.approx(1.0, abs=1e-10)
-    exact = harmonic_ground_exact(UNIT, grid)
-    assert abs(inner_product(exact, got.psi)) >= 1.0 - 1e-6
+    exact = harmonic_ground_exact(grid, 1.0, 1.0, 1.0)
+    assert abs(inner_product(exact, got.psi.samples, grid.spacing)) >= 1.0 - 1e-6
 
 
 def test_ground_state_energy_is_the_grid_ground_energy():
@@ -345,6 +415,81 @@ def test_relaxed_state_is_the_dense_grid_ground_vector(case, kind):
         assert np.max(np.abs(samples - overlap / abs(overlap) * ground)) <= 1e-8
 
 
+def _assert_every_step_bits(problem, grid, tau_step, initial):
+    got = imaginary_time_ground_state(problem, grid, tau_step=tau_step, initial=initial)
+    want = relaxation_energy_every_step(problem, grid, tau_step, initial=initial)
+    assert got.energy == want.energy
+    assert np.array_equal(got.psi.samples, want.psi.samples)
+
+
+@pytest.mark.parametrize("kind", ["default", "noisy", "displaced"])
+@pytest.mark.parametrize("case", sorted(DENSE_GRIDS))
+def test_relaxation_has_the_every_step_energy_bits(case, kind):
+    # <H> is taken only at phi_max, the norm alone below it, and the step at phi_max is
+    # built once: the energy and samples are still those of the loop that took <H>
+    # after every step and built every step, bit for bit
+    n, length, omega_c = DENSE_GRIDS[case]
+    grid = Grid1D(n, length)
+    initial = None if kind == "default" else WaveField(grid, _start(grid, omega_c, kind))
+    for phi in FIRST_PHIS:
+        _assert_every_step_bits(OscillatorProblem(1.0, omega_c), grid, phi / omega_c, initial)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_relaxation_has_the_every_step_energy_bits_from_random_starts(seed):
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(256, 20.0)
+    start = rng.standard_normal(256) + (1j * rng.standard_normal(256) if seed % 2 else 0.0)
+    _assert_every_step_bits(UNIT, grid, 10.0 ** rng.uniform(-3.0, 0.0), WaveField(grid, start))
+
+
+@pytest.mark.parametrize("n, length, omega_c, tau_step", [
+    (256, 20.0, 1.0, 0.02),  # oscillator.cfg
+    (1024, 40.0, 1.05, 0.002 / 1.05),  # the oscillator_relax benchmark at one seed
+])
+def test_relaxation_has_the_every_step_energy_bits_on_shipped_problems(n, length, omega_c,
+                                                                        tau_step):
+    _assert_every_step_bits(OscillatorProblem(1.0, omega_c), Grid1D(n, length), tau_step, None)
+
+
+def _odd_noise(grid):
+    """Complex noise odd about the trap's center L/2: psi(L/2 + x) = -psi(L/2 - x)."""
+    n = grid.n_points
+    rng = np.random.default_rng(17)
+    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    j = np.arange(1, n // 2)
+    odd = np.zeros(n, dtype=complex)
+    odd[n // 2 + j], odd[n // 2 - j] = noise[j], -noise[j]
+    return odd
+
+
+@pytest.mark.parametrize("kind", ["odd", "second", "odd_noise"])
+def test_start_with_no_ground_component_relaxes_to_the_ground_state(kind):
+    # the odd start returned 1.5000000000000002 and the even second state
+    # 2.499999999999906: eigenstates that pass the spread guard.  The ground state is
+    # nodeless, so a stopped state with a node restarts from |psi|
+    grid = Grid1D(256, 20.0)
+    x = grid.positions - 10.0
+    start = {"odd": x * np.exp(-x ** 2), "second": (2.0 * x ** 2 - 1.0) * np.exp(-x ** 2 / 2.0),
+             "odd_noise": _odd_noise(grid)}[kind]
+    got = imaginary_time_ground_state(UNIT, grid, initial=WaveField(grid, start))
+    assert abs(got.energy - 0.5) <= 64 * np.finfo(float).eps * 0.5
+    samples = got.psi.samples
+    assert abs(np.sum(samples)) >= (1.0 - 1e-6) * np.sum(np.abs(samples))
+
+
+def test_restart_counts_toward_the_iteration_budget(monkeypatch):
+    # the odd start stops on the odd state, restarts, and stops again: one step fewer
+    # than all of them is refused
+    steps = _counted_steps(monkeypatch)
+    grid = Grid1D(256, 20.0)
+    x = grid.positions - 10.0
+    odd = WaveField(grid, x * np.exp(-x ** 2))
+    imaginary_time_ground_state(UNIT, grid, initial=odd)
+    with pytest.raises(NoConvergence, match=f"after {len(steps) - 1} iterations"):
+        imaginary_time_ground_state(UNIT, grid, max_iters=len(steps) - 1, initial=odd)
+
+
 @pytest.mark.parametrize("n, length, omega_c", [
     (256, 20.0, 1.0), (256, 20.0, 2.0), (512, 40.0, 1.0), (1024, 40.0, 0.9),
     (1024, 40.0, 1.1), (2048, 40.0, 2.0), (2048, 80.0, 0.5),
@@ -469,9 +614,10 @@ def _as_field(grid, rows):
 
 
 def test_relaxation_transform_count(monkeypatch):
-    # oscillator.cfg's problem stops after 10 steps (253 Strang steps before): each step
-    # transforms forward and back by the public fft and ifft and takes its energy by one
-    # fft; the stopped state's energy and spread take 2 fft and 1 ifft
+    # oscillator.cfg's problem stops after 10 exact steps: each step transforms forward
+    # and back by the public fft and ifft, and only the 3 steps at phi_max, where the loop
+    # can stop, take their energy by one more fft; the stopped state's energy and spread
+    # take 2 fft and 1 ifft
     calls = {"fft": 0, "ifft": 0}
 
     def counted(transform, name):
@@ -483,7 +629,7 @@ def test_relaxation_transform_count(monkeypatch):
     monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft, "fft"))
     monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft, "ifft"))
     imaginary_time_ground_state(UNIT, Grid1D(256, 20.0))
-    assert calls == {"fft": 22, "ifft": 11}
+    assert calls == {"fft": 15, "ifft": 11}
 
 
 def test_real_start_relaxes_to_a_real_state():
