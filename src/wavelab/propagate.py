@@ -4,7 +4,8 @@ Spectral propagation is the primary method wherever coefficients are constant
 (each Fourier mode gets its exact phase) and in the harmonic trap (an exact
 chirp, drift and chirp), so the only error is rounding.  The split-step
 (Strang) scheme handles any potential V(x), and a Crank-Nicolson finite-
-difference scheme exists purely as an independent cross-check of it.
+difference scheme, dense and in numpy alone, exists purely as an independent
+cross-check of it.
 """
 
 from __future__ import annotations
@@ -297,37 +298,32 @@ def crank_nicolson_evolve(psi0: WaveField, m: float, potential,
     """Cayley-form implicit scheme on the central-difference Laplacian.
 
     (1 + i dt H / 2 hbar) psi^{n+1} = (1 - i dt H / 2 hbar) psi^n with periodic
-    boundaries, i.e. a tridiagonal system with corner entries.  H is Hermitian,
-    so the step is exactly unitary in exact arithmetic; accuracy is
-    O(dt^2 + dx^2).  Used only as an independent cross-check of the spectral
-    split-step scheme, so scipy is imported here and never by the CLI.
+    boundaries; accuracy is O(dt^2 + dx^2).  H / hbar, real symmetric, is built
+    densely (no hbar^2 is formed) and diagonalised once, H / hbar = U diag(lam) U^T,
+    so one step is the Cayley map U diag((1 - ia) / (1 + ia)) U^T with a = lam dt / 2:
+    unitary to rounding at any dt.  That costs O(N^3) once and one O(N^2) matvec per
+    step, and holds N^2 complex values (16 MiB at N = 1024).  Used only as an
+    independent cross-check of the spectral split-step scheme.  NumericalFailure
+    naming dx or dt if H / hbar or a is not finite.
     """
-    from scipy import sparse
-    from scipy.sparse.linalg import splu
-
     _positive("mass", m)
     grid = psi0.grid
     v = _on_grid(potential, grid, "potential", "potential samples", float)
-    n = grid.n_points
-    dx = grid.spacing
-    hbar = consts.hbar
-
-    hop = -hbar * hbar / (2.0 * m * dx * dx)
-    ham = sparse.diags(
-        [np.full(n - 1, hop), -2.0 * hop + v, np.full(n - 1, hop)],
-        offsets=[-1, 0, 1], format="lil", dtype=complex,
-    )
-    ham[0, n - 1] = hop  # periodic corners
-    ham[n - 1, 0] = hop
-    z = 1j * time.dt / (2.0 * hbar)
-    eye = sparse.identity(n, format="csc", dtype=complex)
-    a_mat = (eye + z * ham.tocsc()).tocsc()
-    b_mat = (eye - z * ham.tocsc()).tocsr()
+    dx, hbar, j = grid.spacing, consts.hbar, np.arange(grid.n_points)
+    with np.errstate(all="ignore"):
+        hop = -(hbar / (2.0 * m)) / dx / dx
+        h_over_hbar = np.diag(v / hbar - 2.0 * hop)
+        h_over_hbar[j, j - 1] = h_over_hbar[j - 1, j] = hop  # j - 1 wraps: periodic corners
+    _finite(f"non-finite Crank-Nicolson H / hbar at dx = {dx!r}", h_over_hbar)
     try:
-        lu = splu(a_mat)
-    except RuntimeError as exc:  # singular system; cannot occur for dt > 0
+        lam, u = np.linalg.eigh(h_over_hbar)
+    except np.linalg.LinAlgError as exc:  # eigenvalues did not converge
         raise LinearSolveFailure(str(exc)) from exc
-    return _stepped_evolution(psi0, lambda psi: lu.solve(b_mat @ psi), time, snapshot_every)
+    with np.errstate(all="ignore"):
+        a = lam * (0.5 * time.dt)
+    _finite(f"non-finite Crank-Nicolson step lam dt / 2 at dt = {time.dt!r}", a)
+    cayley = (u * ((1.0 - 1j * a) / (1.0 + 1j * a))) @ u.T
+    return _stepped_evolution(psi0, lambda psi: cayley @ psi, time, snapshot_every)
 
 
 # ---------------------------------------------------------------------------

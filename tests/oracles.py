@@ -107,6 +107,17 @@ def grid_hamiltonian(length, m, v, hbar):
     return dft_matrix.conj().T @ (kinetic[:, None] * dft_matrix) + np.diag(np.asarray(v, float))
 
 
+def central_difference_hamiltonian(v, dx, m, hbar):
+    """Dense H / hbar = -(hbar / 2m) D2 + diag(V / hbar), D2 the periodic three-point Laplacian.
+
+    The spatial discretisation of the Crank-Nicolson scheme, built from shifted
+    identities (`np.roll`), so that no hbar^2 is formed.
+    """
+    eye = np.eye(len(v))
+    laplacian = (np.roll(eye, 1, axis=0) - 2.0 * eye + np.roll(eye, -1, axis=0)) / (dx * dx)
+    return -(hbar / (2.0 * m)) * laplacian + np.diag(np.asarray(v, float) / hbar)
+
+
 def grid_exact_evolution(length, m, v, hbar, psi0, times):
     """psi(t) = U e^{-iEt/hbar} U^dagger psi0 for the dense `grid_hamiltonian`, each t in `times`.
 

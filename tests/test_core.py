@@ -214,6 +214,12 @@ FINITE_SITES = {
     "strang_factors": (
         "non-finite Strang factors at dt = 1e+300",
         lambda: split_step_evolve(_PSI8, 1.0, np.full(8, 1e300), time=TimeSpec(1e300, 1))),
+    "crank_nicolson_hamiltonian": (  # the sparse LU raised "Factor is exactly singular"
+        "non-finite Crank-Nicolson H / hbar at dx = 1e-160",
+        lambda: crank_nicolson_evolve(WaveField(Grid1D(8, 8e-160), np.ones(8)), 1.0, np.zeros(8))),
+    "crank_nicolson_step": (  # ConfigError "field samples must all be finite", and a warning
+        "non-finite Crank-Nicolson step lam dt / 2 at dt = 10000000000.0",
+        lambda: crank_nicolson_evolve(_PSI8, 1.0, np.full(8, 1e308), time=TimeSpec(1e10, 1))),
     "dominance_terms": (
         "non-finite dominance terms at c = 1e+200 (m c^2/hbar = inf)",
         lambda: dominance_terms_mode(1.0, 1.0, PhysicalConstants(c=1e200))),

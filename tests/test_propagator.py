@@ -42,6 +42,7 @@ from wavelab.propagate import (
 )
 
 from oracles import (
+    central_difference_hamiltonian,
     coherent_state_oracle,
     dft_bruteforce,
     grid_exact_evolution,
@@ -382,6 +383,37 @@ def test_crank_nicolson_tiny_step_is_near_identity():
     res = crank_nicolson_evolve(psi0, 1.0, harmonic_potential(grid, 1.0, 1.0),
                                 NATURAL, TimeSpec(1e-8, 1))
     assert l2_norm(WaveField(grid, res.final.samples - psi0.samples)) <= 1e-6
+
+
+CN_DEFINITION_CASES = [(n, trap, dt, 1.0, 1.0) for n in (64, 128, 256) for trap in (False, True)
+                       for dt in (1e-2, 1e-1, 1.0)]
+CN_DEFINITION_CASES.append((128, False, 1e-3, 1e-170, 1e-300))  # hbar^2 underflowed: psi0 back
+
+
+@pytest.mark.parametrize("n_points, trap, dt, hbar, m", CN_DEFINITION_CASES)
+def test_crank_nicolson_step_satisfies_its_definition(n_points, trap, dt, hbar, m):
+    # (I + zH) psi^1 = (I - zH) psi^0, z = i dt / 2 hbar, to rounding in the size of zH; at
+    # hbar = 1e-170 the hop -hbar^2 / 2m dx^2 underflowed to -0.0 and the residual read 1.6e-2
+    grid = Grid1D(n_points, 20.0)
+    psi0 = gaussian_packet(GaussianPacketSpec(10.0, 1.0, 1.5), grid).samples
+    v = harmonic_potential(grid, m, 1.0) if trap else zero_potential(grid)
+    psi1 = crank_nicolson_evolve(WaveField(grid, psi0), m, v, PhysicalConstants(hbar=hbar),
+                                 TimeSpec(dt, 1)).final.samples
+    zh = 0.5j * dt * central_difference_hamiltonian(v, grid.spacing, m, hbar)
+    residual = np.linalg.norm(psi1 + zh @ psi1 - (psi0 - zh @ psi0))
+    scale = np.linalg.norm(psi0) * (1.0 + np.linalg.norm(zh, 2))
+    assert residual <= 64 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("dt, n_steps, hbar, m", [(1e300, 1, 1.0, 1.0), (1e-3, 5, 1e-160, 1e-300)],
+                         ids=["dt_1e300", "hbar_1e-160"])
+def test_crank_nicolson_is_unitary_at_stiff_steps(dt, n_steps, hbar, m):
+    # the sparse LU solve read norms 1.126 and 2.10 here
+    grid = Grid1D(128, 20.0)
+    psi0 = gaussian_packet(GaussianPacketSpec(10.0, 1.0, 1.0), grid)
+    res = crank_nicolson_evolve(psi0, m, zero_potential(grid), PhysicalConstants(hbar=hbar),
+                                TimeSpec(dt, n_steps))
+    assert abs(l2_norm(res.final) - 1.0) <= 1e-13
 
 
 def test_schemes_self_converge_at_order_two():
