@@ -340,7 +340,7 @@ def _build_packet(cfg: dict, grid: Grid1D) -> WaveField:
         fld = planewave_sample(PlaneWaveMode(1.0, k, 0.0), grid, 0.0)
         return WaveField(grid, fld.samples / l2_norm(fld))
     spec = GaussianPacketSpec(x0=cfg["x0"], k0=cfg["k0"], sigma=cfg["sigma"])
-    return gaussian_packet(spec, grid, normalize=True)
+    return gaussian_packet(spec, grid)
 
 
 def _loglog_slope(xs, ys):
@@ -660,7 +660,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=_DISPATCH, help="the scenario to run")
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--out", help="output directory (default out/<scenario>)")
-    parser.add_argument("--seed", type=int, help="random seed override (u64)")
+    parser.add_argument("--seed", type=int, help="u64 echoed into config_echo.cfg and "
+                        "report.json; no scenario draws a random number")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
     return parser

@@ -22,7 +22,6 @@ place, `_envelope_frequency`, for this module and `nrlimit` alike.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -118,16 +117,6 @@ class PlaneWaveMode:
     def __post_init__(self):
         if self.omega < 0:
             raise ConfigError(f"omega must be >= 0 (positive-frequency branch), got {self.omega}")
-
-    @property
-    def wavelength(self) -> float:
-        """2*pi/k (inf for the k = 0 mode)."""
-        return 2.0 * np.pi / abs(self.k) if self.k != 0 else math.inf
-
-    @property
-    def frequency(self) -> float:
-        """Ordinary frequency omega / 2*pi."""
-        return self.omega / (2.0 * np.pi)
 
 
 class KinematicPair(NamedTuple):

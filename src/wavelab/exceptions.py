@@ -13,10 +13,6 @@ class ConfigError(WaveLabError, ValueError):
 class NumericalFailure(WaveLabError):
     """A computation that failed: non-finite values, no convergence (the CLI's exit 3)."""
 
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
-
 
 class GridTooCoarse(WaveLabError):
     """Grid cannot resolve (or contain) the state the computation needs (the CLI's exit 4)."""

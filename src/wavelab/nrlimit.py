@@ -162,5 +162,5 @@ def kg_vs_schrodinger(spec: GaussianPacketSpec, grid: Grid1D, m: float,
             "packet is outside the non-relativistic regime",
             stacklevel=2,
         )
-    psi0 = gaussian_packet(spec, grid, normalize=True)
+    psi0 = gaussian_packet(spec, grid)
     return nr_limit_report(psi0, m, consts, time, snapshot_every)

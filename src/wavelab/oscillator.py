@@ -26,6 +26,7 @@ from .core import (
     Grid1D,
     PhysicalConstants,
     WaveField,
+    _finite,
     _l2,
     _positive,
 )
@@ -65,13 +66,9 @@ class OscillatorProblem:
         _positive("omega_c", self.omega_c)
 
 
-@dataclass(frozen=True)
-class UncertaintyPoint:
-    delta_x: float
-    energy: float
+class UncertaintyPoint(NamedTuple):
+    """A point (dx, E(dx)) of the bound curve: a probe, or a minimum."""
 
-
-class BoundMinimum(NamedTuple):
     delta_x: float
     energy: float
 
@@ -88,7 +85,7 @@ def _bound_curve(problem: OscillatorProblem):
     to float64 once, so a search pays for them once.  Each call squares dx by numpy's
     scalar pow (libm pow, as Python's `**`, but inf where Python raises OverflowError;
     `dx * dx` differs from it in the last bit near ties).  A non-finite E raises
-    NumericalFailure naming E and dx.
+    NumericalFailure naming E and dx, through `core._finite`.
     """
     hbar, m, omega_c = (np.float64(v) for v in (problem.consts.hbar, problem.m, problem.omega_c))
     kinetic, trap = hbar / (8.0 * m), 0.5 * m * omega_c  # no hbar^2 or omega_c^2 alone
@@ -96,8 +93,7 @@ def _bound_curve(problem: OscillatorProblem):
     def energy(delta_x: float) -> float:
         dx_sq = np.float64(delta_x) ** 2
         e = hbar * (kinetic / dx_sq) + trap * (omega_c * dx_sq)
-        if not math.isfinite(e):
-            raise NumericalFailure(f"bound curve E(dx) = {float(e)!r} at dx = {delta_x!r}")
+        _finite(lambda: f"bound curve E(dx) = {float(e)!r} at dx = {delta_x!r}", e)
         return float(e)
     return energy
 
@@ -116,18 +112,18 @@ def energy_bound(problem: OscillatorProblem, delta_x: float) -> UncertaintyPoint
         return UncertaintyPoint(delta_x=delta_x, energy=_bound_curve(problem)(delta_x))
 
 
-def minimize_bound_analytic(problem: OscillatorProblem) -> BoundMinimum:
+def minimize_bound_analytic(problem: OscillatorProblem) -> UncertaintyPoint:
     """Closed-form minimum dx* = sqrt(hbar/2 m omega_c), E0 = hbar omega_c / 2, with dx*
     taken in float64: a 2 m omega_c that under- or overflows gives inf or 0, not an error."""
     hbar = problem.consts.hbar
     with np.errstate(all="ignore"):
         dx_star = float(np.sqrt(hbar / (2.0 * np.float64(problem.m) * problem.omega_c)))
-    return BoundMinimum(delta_x=dx_star, energy=0.5 * hbar * problem.omega_c)
+    return UncertaintyPoint(delta_x=dx_star, energy=0.5 * hbar * problem.omega_c)
 
 
 def minimize_bound_numeric(problem: OscillatorProblem,
                            bracket: tuple = (1e-2, 1e2),
-                           tol: float = 1e-12) -> BoundMinimum:
+                           tol: float = 1e-12) -> UncertaintyPoint:
     """Golden-section search for the minimum of the bound curve on [lo, hi].
 
     The bracket must contain the minimum; an interior maximum (both edge
@@ -164,7 +160,7 @@ def minimize_bound_numeric(problem: OscillatorProblem,
                 d = lo + (hi - lo) * _INV_PHI
                 fd = f(d)
         best = 0.5 * (lo + hi)
-        return BoundMinimum(delta_x=best, energy=f(best))
+        return UncertaintyPoint(delta_x=best, energy=f(best))
 
 
 def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
@@ -220,7 +216,7 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
     dx = grid.spacing
     ground_width = minimize_bound_analytic(problem).delta_x
     if not 0.0 < ground_width < math.inf:
-        raise NumericalFailure(f"ground width sqrt(hbar / 2 m omega_c) = {ground_width!r}", step=0)
+        raise NumericalFailure(f"ground width sqrt(hbar / 2 m omega_c) = {ground_width!r}")
     if ground_width < 4.0 * dx:
         raise GridTooCoarse(
             f"ground width {ground_width:.4g} is below 4 dx = {4.0 * dx:.4g}; "
@@ -244,7 +240,7 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
     if initial is not None and nrm == 0.0:
         raise ConfigError("initial state must be nonzero")
     if not 0.0 < nrm < math.inf:
-        raise NumericalFailure(f"start state has norm {nrm}", step=0)
+        raise NumericalFailure(f"start state has norm {nrm}")
     psi *= 1.0 / nrm
     m, hbar, omega_c = problem.m, problem.consts.hbar, problem.omega_c
     v = harmonic_potential(grid, m, omega_c)
@@ -261,12 +257,11 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
         with np.errstate(all="ignore"):  # <H> is read only at phi_max, where the loop can stop
             if phi == phi_max:
                 h, norm_sq = _energies(psi, v, symbol, dx)
+                nrm = math.sqrt(norm_sq)
             else:
-                norm_sq = np.sum(np.abs(psi) ** 2) * dx  # `_energies`' norm, bit for bit
-        nrm = math.sqrt(norm_sq)
+                nrm = _l2(psi, dx)  # `_energies`' norm, bit for bit
         if not 0.0 < nrm < math.inf:
-            raise NumericalFailure(f"state lost at iteration {iteration} (norm {nrm})",
-                                   step=iteration)
+            raise NumericalFailure(f"state lost at iteration {iteration} (norm {nrm})")
         psi *= 1.0 / nrm
         if phi == phi_max:
             energy = h / norm_sq

@@ -87,7 +87,7 @@ def harmonic_potential(grid: Grid1D, m: float, omega_c: float,
     with np.errstate(all="ignore"):  # an overflow gives inf; omega_c^2 is never formed alone
         v = (0.5 * m * omega_c) * (omega_c * (grid.positions - xc) ** 2)
     _finite(f"non-finite trap potential at m = {m!r}, omega_c = {omega_c!r}, center = {center!r}",
-            v, step=0)
+            v)
     return v
 
 
@@ -255,13 +255,13 @@ def _strang(v: np.ndarray, grid: Grid1D, m: float, hbar: float, dt: float, unit,
     plain product bit for bit (barring subnormals).  Each product keeps the
     factor first: complex multiplication is not bitwise commutative.
 
-    Raises NumericalFailure (step 0; message `failure` if given) when a factor is not finite.
+    Raises NumericalFailure (message `failure` if given) when a factor is not finite.
     """
     with np.errstate(all="ignore"):
         half_kick = np.exp(-0.5 * unit * v * dt / hbar)
         drift = np.exp(-unit * hbar * grid.wavenumbers ** 2 * dt / (2.0 * m))
         drift = (drift / grid.n_points).astype(np.complex128)
-    _finite(failure or f"non-finite Strang factors at dt = {dt}", half_kick, drift, step=0)
+    _finite(failure or f"non-finite Strang factors at dt = {dt}", half_kick, drift)
     spec = np.empty(grid.n_points, dtype=np.complex128)
 
     def step(psi, out):
@@ -330,9 +330,8 @@ def crank_nicolson_evolve(psi0: WaveField, m: float, potential,
 # Gaussian packets and moment diagnostics
 # ---------------------------------------------------------------------------
 
-def gaussian_packet(spec: GaussianPacketSpec, grid: Grid1D,
-                    normalize: bool = True) -> WaveField:
-    """Sample exp(-(x-x0)^2/4 sigma^2) e^{i k0 x}, optionally L2-normalized.
+def gaussian_packet(spec: GaussianPacketSpec, grid: Grid1D) -> WaveField:
+    """Sample exp(-(x-x0)^2/4 sigma^2) e^{i k0 x}, L2-normalized on the grid.
 
     Periodic images are ignored; the packet-width guidance on
     GaussianPacketSpec keeps them negligible.
@@ -359,18 +358,18 @@ def gaussian_packet(spec: GaussianPacketSpec, grid: Grid1D,
     if not 0.0 < nrm < np.inf:  # a non-finite sample, or no sample above underflow
         raise ConfigError(f"packet with sigma = {spec.sigma!r}, x0 = {spec.x0!r} has no "
                           "finite, nonzero samples on the grid")
-    return WaveField(grid, psi / nrm if normalize else psi)
+    return WaveField(grid, psi / nrm)
 
 
 def analytic_free_gaussian(spec: GaussianPacketSpec, grid: Grid1D, m: float,
                            consts: PhysicalConstants = NATURAL_UNITS,
-                           t: float = 0.0, normalize: bool = True) -> WaveField:
+                           t: float = 0.0) -> WaveField:
     """Closed-form free evolution of the Gaussian packet, sampled on the grid.
 
     With complex width alpha(t) = sigma^2 + i hbar t / 2m and drifting center
     x0 + hbar k0 t / m:
 
-        psi = (sigma/sqrt(alpha)) exp(-(x - x0 - v t)^2 / 4 alpha)
+        psi = (2 pi sigma^2)^(-1/4) (sigma/sqrt(alpha)) exp(-(x - x0 - v t)^2 / 4 alpha)
               exp(i(k0 x - hbar k0^2 t / 2m))
 
     This is the exact continuum solution and serves as the oracle for the
@@ -384,9 +383,7 @@ def analytic_free_gaussian(spec: GaussianPacketSpec, grid: Grid1D, m: float,
     psi = (spec.sigma / np.sqrt(alpha)) * np.exp(
         -beta ** 2 / (4.0 * alpha) + 1j * (spec.k0 * x - hbar * spec.k0 ** 2 * t / (2.0 * m))
     )
-    if normalize:
-        psi = psi / (2.0 * np.pi * spec.sigma ** 2) ** 0.25
-    return WaveField(grid, psi)
+    return WaveField(grid, psi / (2.0 * np.pi * spec.sigma ** 2) ** 0.25)
 
 
 def packet_moments(field: WaveField) -> tuple:
@@ -435,8 +432,7 @@ def _kinetic_symbol(grid: Grid1D, m: float, consts: PhysicalConstants) -> np.nda
 
 
 def _energies(samples: np.ndarray, v: np.ndarray, symbol: np.ndarray, dx: float):
-    """(<psi|H|psi>, <psi|psi>) of samples; `symbol` is `_kinetic_symbol`'s.  A stack of
-    shape (..., N) gives the sums over its rows."""
+    """(<psi|H|psi>, <psi|psi>) of samples; `symbol` is `_kinetic_symbol`'s."""
     amps = np.fft.fft(samples, norm="ortho")
     dens = np.abs(samples) ** 2
     kinetic = np.sum(symbol * np.abs(amps) ** 2) * dx

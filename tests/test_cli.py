@@ -294,13 +294,34 @@ GATE_SIZES = {
 }
 
 
+def choice_options(parse):
+    """The options of a `cli._parse_choice` parser, as its refusal of "" lists them."""
+    try:
+        parse("")
+    except ValueError as exc:
+        return str(exc).removeprefix("must be one of ").split(", ")
+
+
+# family, potential and packet_kind, each with the options its scenario's parser accepts
+GATE_CHOICES = {
+    scenario: {key: choice_options(parse) for key, (parse, _) in cli.SCHEMAS[scenario].items()
+               if parse.__qualname__.startswith("_parse_choice.")}
+    for scenario in GATE_SIZES
+}
+
+
 @st.composite
 def extreme_case(draw):
-    """(scenario, ((key, value), ...)): 2-3 of its float keys, each at an extreme value."""
+    """(scenario, ((key, value), ...)): 2-3 of its float keys, each at an extreme value, then
+    any subset of its choice keys, each at one of its options."""
     scenario = draw(st.sampled_from(sorted(GATE_SIZES)))
     floats = [key for key, (parse, _) in cli.SCHEMAS[scenario].items() if parse is cli._parse_float]
     keys = draw(st.lists(st.sampled_from(floats), min_size=2, max_size=3, unique=True))
-    return scenario, tuple((key, draw(st.sampled_from(EXTREMES))) for key in keys)
+    pairs = [(key, draw(st.sampled_from(EXTREMES))) for key in keys]
+    for key, options in sorted(GATE_CHOICES[scenario].items()):
+        if draw(st.booleans()):
+            pairs.append((key, draw(st.sampled_from(options))))
+    return scenario, tuple(pairs)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
@@ -312,7 +333,7 @@ def test_extreme_values_exit_0_2_3_or_4_cleanly(tmp_path, capsys, case):
     root = tempfile.mkdtemp(dir=tmp_path)
     argv = [scenario, "--out", os.path.join(root, "o")]
     sets = {**GATE_SIZES[scenario], **dict(pairs)}
-    argv += [arg for key, value in sets.items() for arg in ("--set", f"{key}={value!r}")]
+    argv += [arg for key, value in sets.items() for arg in ("--set", f"{key}={value}")]
     rc, err = run_in_process(argv, capsys)
     reproducers.check(argv, None, (), rc, err, {}, root)
     shutil.rmtree(root)
@@ -830,7 +851,7 @@ def test_nrlimit_dominance_column_is_exact_parseval_value(tmp_path):
            if c == 10.0]
 
     grid = Grid1D(512, 64.0)
-    psi0 = gaussian_packet(GaussianPacketSpec(16.0, 1.0, 2.0), grid, normalize=True)
+    psi0 = gaussian_packet(GaussianPacketSpec(16.0, 1.0, 2.0), grid)
     power = np.abs(np.fft.fft(psi0.samples)) ** 2
     c, omega_rest = 10.0, 100.0
     big_omega = np.sqrt((grid.wavenumbers * c) ** 2 + omega_rest ** 2) - omega_rest

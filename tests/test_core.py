@@ -37,7 +37,8 @@ from wavelab import (
     positive_branch_init,
     split_step_evolve,
 )
-from wavelab import cli, exceptions, propagate
+import wavelab
+from wavelab import cli, core, exceptions, propagate
 from wavelab.exceptions import (
     ConfigError,
     GridTooCoarse,
@@ -115,7 +116,6 @@ def test_timespec_validation():
         TimeSpec(0.1, 0)
     with pytest.raises(ValueError):
         TimeSpec(np.inf, 3)
-    assert TimeSpec(0.5, 4).total_time == 2.0
 
 
 def test_wavefield_validation():
@@ -252,6 +252,26 @@ def test_every_non_finite_result_is_a_numerical_failure(site):
             call()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", [float, np.float64, np.complex128, lambda v: np.array([1.0, v])],
+                         ids=["float", "float64", "complex128", "array"])
+def test_finite_refuses_each_non_finite_scalar_and_array(kind, value):
+    # a real scalar takes `math.isfinite`, anything else numpy's reduction: both must refuse
+    with pytest.raises(NumericalFailure, match=f"^value {value!r} refused$"):
+        core._finite(f"value {value!r} refused", kind(1.0), kind(value))
+    with pytest.raises(NumericalFailure, match="^lazy$"):
+        core._finite(lambda: "lazy", kind(value))
+    for finite in (0.0, -5e-324, 1.7976931348623157e308):
+        core._finite(lambda: pytest.fail(f"{finite!r} refused"), kind(finite), kind(-finite))
+
+
+def test_all_lists_exactly_the_public_names():
+    public = {name for name, value in vars(wavelab).items()
+              if not name.startswith("_") and not isinstance(value, type(wavelab))}
+    assert len(set(wavelab.__all__)) == len(wavelab.__all__)
+    assert set(wavelab.__all__) == public
+
+
 @pytest.mark.parametrize("value", [math.inf, -1.0], ids=["inf", "negative"])
 @pytest.mark.parametrize("site", POSITIVE_SITES)
 def test_every_positive_parameter_refuses_the_same_values(site, value):
@@ -312,16 +332,6 @@ def test_idft_matches_bruteforce_oracle():
     assert np.max(np.abs(got - want)) < 1e-11
 
 
-def test_spectral_wavelength_accessor():
-    grid = Grid1D(16, 8.0)
-    spec = dft(WaveField(grid, np.ones(16)))
-    lam = spec.wavelengths
-    assert lam[0] == np.inf
-    assert lam[1] == pytest.approx(8.0)
-    assert lam[2] == pytest.approx(4.0)
-    assert lam[8] == pytest.approx(8.0 / 8)  # Nyquist
-
-
 def test_parseval_on_random_field():
     grid = Grid1D(64, 9.0)
     fld = random_field(grid, seed=7)
@@ -380,5 +390,5 @@ def test_l2_norm_constant_field():
 
 def test_l2_norm_normalized_gaussian():
     grid = Grid1D(256, 32.0)
-    packet = gaussian_packet(GaussianPacketSpec(16.0, 2.0, 1.5), grid, normalize=True)
+    packet = gaussian_packet(GaussianPacketSpec(16.0, 2.0, 1.5), grid)
     assert l2_norm(packet) == pytest.approx(1.0, abs=1e-10)

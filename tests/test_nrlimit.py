@@ -313,7 +313,7 @@ def lab_frame_envelope(psi0, m, consts, t):
 def test_report_deviation_matches_lab_frame_oracle(c):
     grid = Grid1D(512, 64.0)
     consts = PhysicalConstants(1.0, c)
-    psi0 = gaussian_packet(GaussianPacketSpec(16.0, 1.0, 2.0), grid, normalize=True)
+    psi0 = gaussian_packet(GaussianPacketSpec(16.0, 1.0, 2.0), grid)
     rep = nr_limit_report(psi0, 1.0, consts, TimeSpec(0.1, 200), snapshot_every=25)
     assert rep.deviation[0] == 0.0
     for t, dev in zip(rep.times[1:], rep.deviation[1:]):
@@ -327,7 +327,7 @@ def test_report_deviation_matches_lab_frame_oracle(c):
 def test_report_dominance_matches_dense_field_series(c):
     grid = Grid1D(512, 64.0)
     consts = PhysicalConstants(1.0, c)
-    psi0 = gaussian_packet(GaussianPacketSpec(16.0, 1.0, 2.0), grid, normalize=True)
+    psi0 = gaussian_packet(GaussianPacketSpec(16.0, 1.0, 2.0), grid)
     rep = nr_limit_report(psi0, 1.0, consts, TimeSpec(0.1, 20), snapshot_every=5)
     assert len(set(rep.dominance_ratio)) == 1  # one value, constant in t
     series = [lab_frame_envelope(psi0, 1.0, consts, 1e-3 * i) for i in range(5)]

@@ -467,8 +467,8 @@ def test_gaussian_packet_warns_when_underresolved_or_wide():
 def test_analytic_gaussian_reduces_to_packet_at_t0():
     grid = Grid1D(256, 64.0)
     spec = GaussianPacketSpec(32.0, 1.0, 2.0)
-    a = gaussian_packet(spec, grid, normalize=True)
-    b = analytic_free_gaussian(spec, grid, 1.0, NATURAL, 0.0, normalize=True)
+    a = gaussian_packet(spec, grid)
+    b = analytic_free_gaussian(spec, grid, 1.0, NATURAL, 0.0)
     assert np.max(np.abs(a.samples - b.samples)) <= 1e-12
 
 
@@ -496,7 +496,7 @@ def test_centroid_handles_wraparound():
     # roll a centered packet across the seam; the sampled formula itself
     # ignores periodic images, so the wrap must come from an index shift
     grid = Grid1D(128, 32.0)
-    fld = gaussian_packet(GaussianPacketSpec(16.0, 0.0, 1.0), grid, normalize=False)
+    fld = gaussian_packet(GaussianPacketSpec(16.0, 0.0, 1.0), grid)
     wrapped = WaveField(grid, np.roll(fld.samples, -62))  # center 16.0 -> 0.5
     c = centroid(wrapped)
     assert min(abs(c - 0.5), abs(c - 0.5 - 32.0), abs(c - 0.5 + 32.0)) <= grid.spacing
