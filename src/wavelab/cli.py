@@ -596,11 +596,15 @@ def _check_dominance_scaling():
 
 def _check_oscillator_bound():
     problem = OscillatorProblem(1.0, 1.0)  # oscillator.cfg's problem, grid and search
+    grid = Grid1D(256, 20.0)
+    x = grid.positions - grid.length / 2.0  # x e^{-x^2} is odd: it has no ground component
     e0 = minimize_bound_analytic(problem).energy
     golden = minimize_bound_numeric(problem, (0.05, 20.0), 1e-12).energy
-    relaxed = imaginary_time_ground_state(problem, Grid1D(256, 20.0)).energy
+    relaxed, odd = (imaginary_time_ground_state(problem, grid, initial=start).energy
+                    for start in (None, WaveField(grid, x * np.exp(-x ** 2))))
     return _worst([(abs(golden - e0), _ROUNDING * e0, "golden-section gap to hbar omega_c / 2"),
-                   (abs(relaxed - e0), _ROUNDING * e0, "relaxation gap to hbar omega_c / 2")])
+                   (abs(relaxed - e0), _ROUNDING * e0, "relaxation gap to hbar omega_c / 2"),
+                   (abs(odd - e0), _ROUNDING * e0, "odd-start relaxation gap to hbar omega_c / 2")])
 
 
 DEFAULT_CHECKS = [

@@ -167,12 +167,18 @@ class GaussianPacketSpec:
 
 def dft(field: WaveField) -> SpectralField:
     """Forward unitary transform, psi_hat_n = (1/sqrt(N)) sum_j psi_j e^{-i k_n x_j}."""
-    return SpectralField(field.grid, np.fft.fft(field.samples, norm="ortho"))
+    with np.errstate(all="ignore"):  # an overflow gives inf, refused below
+        amps = np.fft.fft(field.samples, norm="ortho")
+    _finite("non-finite mode amplitudes: the forward transform overflowed", amps)
+    return SpectralField(field.grid, amps)
 
 
 def idft(spec: SpectralField) -> WaveField:
     """Inverse unitary transform; exact inverse of :func:`dft` up to rounding."""
-    return WaveField(spec.grid, np.fft.ifft(spec.mode_amplitudes, norm="ortho"))
+    with np.errstate(all="ignore"):
+        samples = np.fft.ifft(spec.mode_amplitudes, norm="ortho")
+    _finite("non-finite field samples: the inverse transform overflowed", samples)
+    return WaveField(spec.grid, samples)
 
 
 def _l2(samples: np.ndarray, dx: float):
@@ -187,5 +193,8 @@ def _l2(samples: np.ndarray, dx: float):
 
 
 def l2_norm(field: WaveField) -> float:
-    """Discrete L2 norm, sqrt(sum |psi_j|^2 dx)."""
-    return float(_l2(field.samples, field.grid.spacing))
+    """Discrete L2 norm, sqrt(sum |psi_j|^2 dx); NumericalFailure if the sum overflows."""
+    with np.errstate(all="ignore"):
+        norm = float(_l2(field.samples, field.grid.spacing))
+    _finite("non-finite L2 norm: sum |psi|^2 dx overflowed", norm)
+    return norm

@@ -27,7 +27,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .core import NATURAL_UNITS, Grid1D, PhysicalConstants, WaveField, _positive
+from .core import NATURAL_UNITS, Grid1D, PhysicalConstants, WaveField, _finite, _positive
 from .exceptions import ConfigError, DispersionUndefined, NonCommensurateWavenumber
 
 
@@ -183,15 +183,17 @@ def planewave_sample(mode: PlaneWaveMode, grid: Grid1D, t: float) -> WaveField:
     """Sample A e^{i(k x_j - omega t)} on the grid.
 
     k must be commensurate (k = 2*pi*n/L for integer n); anything else would
-    leak across modes and corrupt residual tests.
+    leak across modes and corrupt residual tests; NumericalFailure unless finite.
     """
     n = mode.k * grid.length / (2.0 * np.pi)
-    if abs(n - round(n)) > 1e-9 * max(1.0, abs(n)):
+    if not (np.isfinite(n) and abs(n - round(n)) <= 1e-9 * max(1.0, abs(n))):
         raise NonCommensurateWavenumber(
             f"k = {mode.k} is not a multiple of 2*pi/L (mode index {n})"
         )
-    x = grid.positions
-    return WaveField(grid, mode.amplitude * np.exp(1j * (mode.k * x - mode.omega * t)))
+    with np.errstate(all="ignore"):
+        samples = mode.amplitude * np.exp(1j * (mode.k * grid.positions - mode.omega * t))
+    _finite(f"non-finite plane-wave samples at t = {t!r}, omega = {mode.omega!r}", samples)
+    return WaveField(grid, samples)
 
 
 def planewave_residual(eq: EquationKind, mode: PlaneWaveMode,

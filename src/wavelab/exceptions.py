@@ -47,4 +47,4 @@ class NoConvergence(NumericalFailure):
 
 
 class LinearSolveFailure(NumericalFailure):
-    """The implicit linear system could not be solved."""
+    """Crank-Nicolson's eigendecomposition of H / hbar (numpy's eigh) did not converge."""

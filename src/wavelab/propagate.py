@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .core import (
     _positive,
     dft,
     idft,
-    l2_norm,
 )
 from .dispersion import EquationKind, SchrodingerFree, is_second_order, omega_of_k
 from .exceptions import ConfigError, LinearSolveFailure, WrongEquationFamily, ZeroField
@@ -53,19 +53,6 @@ class SecondOrderState:
 
     def copy(self) -> "SecondOrderState":
         return SecondOrderState(self.psi.copy(), self.psi_dot.copy())
-
-
-@dataclass
-class EvolutionResult:
-    """Final state plus snapshots; the first snapshot is the initial condition."""
-
-    final: object  # WaveField or SecondOrderState
-    snapshots: list = field(default_factory=list)  # [(t, WaveField), ...]
-    norms: list = field(default_factory=list)
-
-    @property
-    def times(self) -> list:
-        return [t for t, _ in self.snapshots]
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +194,10 @@ def positive_branch_init(psi0: WaveField, eq: EquationKind,
     """Pair psi0 with psidot_hat = -i omega(k) psi_hat so every mode evolves as e^{-i omega t}."""
     _require_second_order(eq)
     spec = dft(psi0)
-    w = omega_of_k(eq, spec.wavenumbers, consts)
-    psi_dot = idft(SpectralField(psi0.grid, -1j * w * spec.mode_amplitudes))
-    return SecondOrderState(psi0.copy(), psi_dot)
+    with np.errstate(all="ignore"):
+        rate = -1j * omega_of_k(eq, spec.wavenumbers, consts) * spec.mode_amplitudes
+    _finite(f"non-finite -i omega psi_hat at c = {consts.c!r}, hbar = {consts.hbar!r}", rate)
+    return SecondOrderState(psi0.copy(), idft(SpectralField(psi0.grid, rate)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +214,13 @@ def _snapshot_steps(n_steps: int, every: int) -> list:
     return steps
 
 
-def _stepped_evolution(psi0: WaveField, step, time: TimeSpec,
-                       snapshot_every: int) -> EvolutionResult:
-    """Apply `step(samples) -> samples` n_steps times, recording each snapshot step."""
-    snapshots, norms = [], []
+def _stepped_evolution(psi0: WaveField, step, dt: float, steps: list):
+    """Yield (n dt, psi) at each step n of `steps`, applying `step(samples) -> samples` between."""
     psi = psi0.samples.copy()
-    done = 0
-    for n in _snapshot_steps(time.n_steps, snapshot_every):
+    for done, n in zip([0, *steps], steps):
         for _ in range(n - done):
             psi = step(psi)
-        done = n
-        fld = WaveField(psi0.grid, psi.copy())
-        snapshots.append((n * time.dt, fld))
-        norms.append(l2_norm(fld))
-    return EvolutionResult(final=snapshots[-1][1].copy(), snapshots=snapshots, norms=norms)
+        yield n * dt, WaveField(psi0.grid, psi.copy())
 
 
 def _strang(v: np.ndarray, grid: Grid1D, m: float, hbar: float, dt: float, unit, failure=None):
@@ -277,24 +258,25 @@ def _strang(v: np.ndarray, grid: Grid1D, m: float, hbar: float, dt: float, unit,
 def split_step_evolve(psi0: WaveField, m: float, potential,
                       consts: PhysicalConstants = NATURAL_UNITS,
                       time: TimeSpec = TimeSpec(0.01, 1),
-                      snapshot_every: int = 0) -> EvolutionResult:
+                      snapshot_every: int = 0) -> Iterator[tuple[float, WaveField]]:
     """Strang splitting: half kick e^{-iV dt/2 hbar}, spectral drift, half kick.
 
     Both factors are unitary, so the norm is conserved to rounding per step;
-    the global error against the exact solution is O(dt^2).  Snapshots are
-    recorded at step 0, every `snapshot_every` steps (if > 0), and at the
-    final step; a negative `snapshot_every` raises ConfigError.
+    the global error against the exact solution is O(dt^2).  Returns the lazy
+    (t, psi) at step 0 (psi0's copy), every `snapshot_every` steps (if > 0) and the
+    last; the call raises every refusal (ConfigError for `snapshot_every` < 0).
     """
     _positive("mass", m)
     v = _on_grid(potential, psi0.grid, "potential", "potential samples", float)
     step = _strang(v, psi0.grid, m, consts.hbar, time.dt, 1j)
-    return _stepped_evolution(psi0, lambda psi: step(psi, psi), time, snapshot_every)
+    return _stepped_evolution(psi0, lambda psi: step(psi, psi), time.dt,
+                              _snapshot_steps(time.n_steps, snapshot_every))
 
 
 def crank_nicolson_evolve(psi0: WaveField, m: float, potential,
                           consts: PhysicalConstants = NATURAL_UNITS,
                           time: TimeSpec = TimeSpec(0.01, 1),
-                          snapshot_every: int = 0) -> EvolutionResult:
+                          snapshot_every: int = 0) -> Iterator[tuple[float, WaveField]]:
     """Cayley-form implicit scheme on the central-difference Laplacian.
 
     (1 + i dt H / 2 hbar) psi^{n+1} = (1 - i dt H / 2 hbar) psi^n with periodic
@@ -303,8 +285,8 @@ def crank_nicolson_evolve(psi0: WaveField, m: float, potential,
     so one step is the Cayley map U diag((1 - ia) / (1 + ia)) U^T with a = lam dt / 2:
     unitary to rounding at any dt.  That costs O(N^3) once and one O(N^2) matvec per
     step, and holds N^2 complex values (16 MiB at N = 1024).  Used only as an
-    independent cross-check of the spectral split-step scheme.  NumericalFailure
-    naming dx or dt if H / hbar or a is not finite.
+    independent cross-check of the spectral split-step scheme, with the same
+    snapshots.  NumericalFailure naming dx or dt if H / hbar or a is not finite.
     """
     _positive("mass", m)
     grid = psi0.grid
@@ -323,7 +305,8 @@ def crank_nicolson_evolve(psi0: WaveField, m: float, potential,
         a = lam * (0.5 * time.dt)
     _finite(f"non-finite Crank-Nicolson step lam dt / 2 at dt = {time.dt!r}", a)
     cayley = (u * ((1.0 - 1j * a) / (1.0 + 1j * a))) @ u.T
-    return _stepped_evolution(psi0, lambda psi: cayley @ psi, time, snapshot_every)
+    return _stepped_evolution(psi0, lambda psi: cayley @ psi, time.dt,
+                              _snapshot_steps(time.n_steps, snapshot_every))
 
 
 # ---------------------------------------------------------------------------
@@ -373,17 +356,19 @@ def analytic_free_gaussian(spec: GaussianPacketSpec, grid: Grid1D, m: float,
               exp(i(k0 x - hbar k0^2 t / 2m))
 
     This is the exact continuum solution and serves as the oracle for the
-    spectral propagator.
+    spectral propagator.  NumericalFailure if a sample is not finite.
     """
     _positive("mass", m)
-    hbar = consts.hbar
-    x = grid.positions
-    alpha = spec.sigma ** 2 + 0.5j * hbar * t / m
-    beta = x - spec.x0 - hbar * spec.k0 * t / m
-    psi = (spec.sigma / np.sqrt(alpha)) * np.exp(
-        -beta ** 2 / (4.0 * alpha) + 1j * (spec.k0 * x - hbar * spec.k0 ** 2 * t / (2.0 * m))
-    )
-    return WaveField(grid, psi / (2.0 * np.pi * spec.sigma ** 2) ** 0.25)
+    hbar, x = consts.hbar, grid.positions
+    sigma, k0 = np.float64(spec.sigma), np.float64(spec.k0)  # a numpy square overflows to inf
+    with np.errstate(all="ignore"):
+        alpha = sigma ** 2 + 0.5j * hbar * t / m
+        beta = x - spec.x0 - hbar * k0 * t / m
+        psi = (sigma / np.sqrt(alpha)) * np.exp(
+            -beta ** 2 / (4.0 * alpha) + 1j * (k0 * x - hbar * k0 ** 2 * t / (2.0 * m))
+        ) / (2.0 * np.pi * sigma ** 2) ** 0.25
+    _finite(f"non-finite analytic packet at t = {t!r} (sigma = {spec.sigma!r}, m = {m!r})", psi)
+    return WaveField(grid, psi)
 
 
 def packet_moments(field: WaveField) -> tuple:

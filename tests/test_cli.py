@@ -1113,6 +1113,17 @@ def test_verify_catches_a_relaxation_off_the_bound(monkeypatch, capsys):
     assert "dominance_scaling: PASS" in out
 
 
+def test_verify_catches_a_relaxation_stuck_on_the_odd_state(monkeypatch, capsys):
+    # verify relaxed from the even default start only, which the nodal rule leaves untouched;
+    # without that rule an odd start stops on the lowest odd state, 3 hbar omega_c / 2
+    monkeypatch.setattr(oscillator, "_NODE_TOL", 2.0)  # accept any stopped state
+    assert cli.main(["verify"]) == 3
+    out = capsys.readouterr().out
+    assert ("oscillator_bound: FAIL (odd-start relaxation gap to hbar omega_c / 2: "
+            "1.0000000000000002 > ") in out
+    assert "verification failed: oscillator_bound" in out
+
+
 def test_verify_nan_value_fails(monkeypatch, capsys):
     monkeypatch.setattr(cli, "DEFAULT_CHECKS",
                         cli.DEFAULT_CHECKS + [("nan_value", lambda: (float("nan"), 1.0, "gap"))])

@@ -46,8 +46,8 @@ def scipy_modules():
 after_cli = scipy_modules()
 grid = Grid1D(64, 20.0)
 psi0 = gaussian_packet(GaussianPacketSpec(10.0, 1.0, 1.0), grid)
-res = crank_nicolson_evolve(psi0, 1.0, harmonic_potential(grid, 1.0, 1.0),
-                            PhysicalConstants(), TimeSpec(0.01, 50))
+*_, (_, final) = crank_nicolson_evolve(psi0, 1.0, harmonic_potential(grid, 1.0, 1.0),
+                                       PhysicalConstants(), TimeSpec(0.01, 50))
 print(json.dumps({
     "fft_at_import": fft_at_import,
     "scenarios": sorted({s for s, _ in runs}),
@@ -55,8 +55,8 @@ print(json.dumps({
     "codes": codes,
     "scipy_after_cli": after_cli,
     "scipy_after_cn": scipy_modules(),
-    "cn_finite": bool(np.all(np.isfinite(res.final.samples))),
-    "cn_norm": l2_norm(res.final),
+    "cn_finite": bool(np.all(np.isfinite(final.samples))),
+    "cn_norm": l2_norm(final),
 }))
 """
 

@@ -14,6 +14,7 @@ from wavelab import (
     KleinGordon,
     OscillatorProblem,
     PhysicalConstants,
+    PlaneWaveMode,
     SchrodingerFree,
     SchrodingerPotential,
     SpectralField,
@@ -34,6 +35,7 @@ from wavelab import (
     minimize_bound_numeric,
     nr_expansion_error,
     nr_limit_report,
+    planewave_sample,
     positive_branch_init,
     split_step_evolve,
 )
@@ -238,13 +240,36 @@ FINITE_SITES = {
     "kinetic_symbol": (  # hbar^2 in Python floats raised a bare OverflowError
         "kinetic symbol hbar^2 k^2 / 2m is not finite at hbar = 1e+200, m = 1.0",
         lambda: energy_expectation(_PSI8, np.zeros(8), 1.0, PhysicalConstants(hbar=1e200))),
+    "positive_branch_rate": (  # ConfigError "mode amplitudes must all be finite", and a warning
+        "non-finite -i omega psi_hat at c = 1e+160, hbar = 1.0",
+        lambda: positive_branch_init(_PSI8, _KG, PhysicalConstants(c=1e160))),
+    "forward_transform": (  # ConfigError, after an overflow warning
+        "non-finite mode amplitudes: the forward transform overflowed",
+        lambda: dft(WaveField(Grid1D(64, 1.0), np.full(64, 1.7e308)))),
+    "inverse_transform": (  # ConfigError, after an overflow warning
+        "non-finite field samples: the inverse transform overflowed",
+        lambda: idft(SpectralField(Grid1D(64, 1.0), np.full(64, 1.7e308)))),
+    "l2_norm": (  # returned inf, with an overflow warning
+        "non-finite L2 norm: sum |psi|^2 dx overflowed",
+        lambda: l2_norm(WaveField(_GRID8, np.full(8, 1e200)))),
+    "plane_wave": (  # ConfigError "field samples must all be finite", and a warning
+        "non-finite plane-wave samples at t = 1e+300, omega = 1e+300",
+        lambda: planewave_sample(PlaneWaveMode(1.0, 2 * math.pi / 16, 1e300), Grid1D(8, 16.0),
+                                 1e300)),
+    "analytic_gaussian_width": (  # sigma ** 2 in Python floats raised a bare OverflowError
+        "non-finite analytic packet at t = 0.0 (sigma = 1e+200, m = 1.0)",
+        lambda: analytic_free_gaussian(GaussianPacketSpec(0.5, 0.0, 1e200), _GRID8, 1.0)),
+    "analytic_gaussian_time": (  # ConfigError "field samples must all be finite", and a warning
+        "non-finite analytic packet at t = 10000000000.0 (sigma = 0.1, m = 5e-324)",
+        lambda: analytic_free_gaussian(GaussianPacketSpec(0.5, 0.0, 0.1), _GRID8, 5e-324,
+                                       t=1e10)),
 }
 
 
 @pytest.mark.parametrize("site", FINITE_SITES)
 def test_every_non_finite_result_is_a_numerical_failure(site):
-    # nine sites each tested finiteness their own way; now `core._finite` decides, and the
-    # arithmetic before it is quiet: no numpy warning on the way
+    # the sites each tested finiteness their own way, or not at all; now `core._finite`
+    # decides, and the arithmetic before it is quiet: no numpy warning on the way
     message, call = FINITE_SITES[site]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -150,6 +150,13 @@ def test_planewave_sample_rejects_leaky_wavenumber():
         planewave_sample(PlaneWaveMode(1.0, 1.1, 0.0), grid, 0.0)
 
 
+@pytest.mark.parametrize("k, length, index", [(1e308, 1e10, "inf"), (math.nan, 1.0, "nan")])
+def test_planewave_sample_refuses_a_non_finite_mode_index(k, length, index):
+    # round(n) of the inf or nan index raised a bare OverflowError or ValueError
+    with pytest.raises(NonCommensurateWavenumber, match=rf"\(mode index {index}\)$"):
+        planewave_sample(PlaneWaveMode(1.0, k, 0.0), Grid1D(8, length), 0.0)
+
+
 def test_mode_rejects_negative_omega():
     with pytest.raises(ValueError):
         PlaneWaveMode(1.0, 1.0, -0.5)

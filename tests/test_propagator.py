@@ -32,7 +32,7 @@ from wavelab import (
     split_step_evolve,
     zero_potential,
 )
-from wavelab.exceptions import WrongEquationFamily, ZeroField
+from wavelab.exceptions import LinearSolveFailure, WrongEquationFamily, ZeroField
 from wavelab.oscillator import OscillatorProblem
 from wavelab.propagate import (
     _energies,
@@ -55,6 +55,12 @@ NATURAL = PhysicalConstants()
 
 def rel_l2(a: WaveField, b: WaveField) -> float:
     return l2_norm(WaveField(a.grid, a.samples - b.samples)) / l2_norm(b)
+
+
+def last_field(snapshots) -> WaveField:
+    """The field of a stepper's last (t, psi) snapshot."""
+    *_, (_, fld) = snapshots
+    return fld
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +223,9 @@ def test_split_step_exact_for_zero_potential():
     grid = Grid1D(128, 32.0)
     psi0 = gaussian_packet(GaussianPacketSpec(16.0, 1.0, 1.0), grid)
     time = TimeSpec(0.25, 8)  # deliberately coarse; splitting exact when V = 0
-    res = split_step_evolve(psi0, 1.0, zero_potential(grid), NATURAL, time)
+    got = last_field(split_step_evolve(psi0, 1.0, zero_potential(grid), NATURAL, time))
     want = evolve_schrodinger_spectral(psi0, 1.0, NATURAL, 2.0)
-    assert np.max(np.abs(res.final.samples - want.samples)) <= 1e-10
+    assert np.max(np.abs(got.samples - want.samples)) <= 1e-10
 
 
 def test_split_step_constant_potential_is_global_phase():
@@ -227,21 +233,22 @@ def test_split_step_constant_potential_is_global_phase():
     psi0 = gaussian_packet(GaussianPacketSpec(16.0, 1.0, 1.0), grid)
     v0 = 0.7
     time = TimeSpec(0.05, 40)
-    res = split_step_evolve(psi0, 1.0, constant_potential(grid, v0), NATURAL, time)
+    got = last_field(split_step_evolve(psi0, 1.0, constant_potential(grid, v0), NATURAL, time))
     free = evolve_schrodinger_spectral(psi0, 1.0, NATURAL, 2.0)
     want = free.samples * np.exp(-1j * v0 * 2.0)
-    assert np.max(np.abs(res.final.samples - want)) <= 1e-10
+    assert np.max(np.abs(got.samples - want)) <= 1e-10
 
 
 def test_split_step_snapshots_and_unitarity():
     grid = Grid1D(128, 20.0)
     psi0 = gaussian_packet(GaussianPacketSpec(10.0, 0.0, 1.0), grid)
     v = harmonic_potential(grid, 1.0, 1.0)
-    res = split_step_evolve(psi0, 1.0, v, NATURAL, TimeSpec(0.01, 100), snapshot_every=10)
-    assert res.times[0] == 0.0
-    assert np.array_equal(res.snapshots[0][1].samples, psi0.samples)
-    assert res.times == pytest.approx(np.arange(0, 11) * 0.1)
-    norms = np.asarray(res.norms)
+    snaps = list(split_step_evolve(psi0, 1.0, v, NATURAL, TimeSpec(0.01, 100), snapshot_every=10))
+    times = [t for t, _ in snaps]
+    assert times[0] == 0.0
+    assert np.array_equal(snaps[0][1].samples, psi0.samples)
+    assert times == pytest.approx(np.arange(0, 11) * 0.1)
+    norms = np.array([l2_norm(fld) for _, fld in snaps])
     assert np.max(np.abs(np.diff(norms))) / norms[0] <= 1e-12
 
 
@@ -260,7 +267,7 @@ def test_split_step_equals_out_of_place_strang_loop():
     psi0 = gaussian_packet(GaussianPacketSpec(8.0, 1.5, 1.0), grid)
     v = harmonic_potential(grid, 1.0, 1.3)
     dt = 0.01
-    res = split_step_evolve(psi0, 1.0, v, NATURAL, TimeSpec(dt, 200))
+    got = last_field(split_step_evolve(psi0, 1.0, v, NATURAL, TimeSpec(dt, 200)))
     half_kick = np.exp(-0.5j * v * dt)
     drift = np.exp(-1j * grid.wavenumbers ** 2 * dt / 2.0)
     psi = psi0.samples.copy()
@@ -268,7 +275,7 @@ def test_split_step_equals_out_of_place_strang_loop():
         psi = half_kick * psi
         psi = np.fft.ifft(drift * np.fft.fft(psi))
         psi = half_kick * psi
-    assert np.array_equal(res.final.samples, psi)
+    assert np.array_equal(got.samples, psi)
 
 
 @pytest.mark.parametrize("n", [8, 1024, 4096], ids=lambda n: f"N={n}")
@@ -280,7 +287,7 @@ def test_strang_kernel_matches_out_of_place_loop(n):
     psi0 = WaveField(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
     v = harmonic_potential(grid, 1.0, 1.1)
     dt = 0.003
-    res = split_step_evolve(psi0, 1.0, v, NATURAL, TimeSpec(dt, 60), snapshot_every=25)
+    snaps = list(split_step_evolve(psi0, 1.0, v, NATURAL, TimeSpec(dt, 60), snapshot_every=25))
     half_kick = np.exp(-0.5j * v * dt)
     drift = np.exp(-1j * grid.wavenumbers ** 2 * dt / 2.0)
     psi = psi0.samples.copy()
@@ -290,8 +297,8 @@ def test_strang_kernel_matches_out_of_place_loop(n):
         psi = np.fft.ifft(drift * np.fft.fft(psi))
         psi = half_kick * psi
         want[step] = psi
-    assert res.times == [0.0, 25 * dt, 50 * dt, 60 * dt]
-    for (_, fld), step in zip(res.snapshots, (0, 25, 50, 60)):
+    assert [t for t, _ in snaps] == [0.0, 25 * dt, 50 * dt, 60 * dt]
+    for (_, fld), step in zip(snaps, (0, 25, 50, 60)):
         assert np.array_equal(fld.samples, want[step])
 
 
@@ -318,13 +325,13 @@ def test_split_step_ground_state_is_stationary():
     grid = Grid1D(256, 20.0)
     ground = imaginary_time_ground_state(problem, grid)
     v = harmonic_potential(grid, 1.0, 1.0)
-    res = split_step_evolve(ground.psi, 1.0, v, NATURAL, TimeSpec(0.005, 400),
-                            snapshot_every=40)
+    snaps = list(split_step_evolve(ground.psi, 1.0, v, NATURAL, TimeSpec(0.005, 400),
+                                   snapshot_every=40))
     overlaps = [inner_product(ground.psi.samples, fld.samples, grid.spacing)
-                for _, fld in res.snapshots]
+                for _, fld in snaps]
     assert min(abs(o) for o in overlaps) >= 1.0 - 1e-6
     phases = np.unwrap([np.angle(o) for o in overlaps])
-    slope = np.polyfit(res.times, phases, 1)[0]
+    slope = np.polyfit([t for t, _ in snaps], phases, 1)[0]
     # accumulated phase ~ -E0 t / hbar with E0 = hbar omega_c / 2
     assert slope == pytest.approx(-0.5, abs=1e-5)
 
@@ -337,8 +344,9 @@ def test_split_step_order_two_against_coherent_oracle():
     dts = [0.1, 0.05, 0.025, 0.0125]
     errs = []
     for dt in dts:
-        res = split_step_evolve(psi0, 1.0, v, NATURAL, TimeSpec(dt, int(round(2.0 / dt))))
-        errs.append(l2_norm(WaveField(grid, res.final.samples - ref.samples)))
+        time = TimeSpec(dt, int(round(2.0 / dt)))
+        got = last_field(split_step_evolve(psi0, 1.0, v, NATURAL, time))
+        errs.append(l2_norm(WaveField(grid, got.samples - ref.samples)))
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert abs(slope - 2.0) <= 0.15
 
@@ -363,26 +371,26 @@ def test_split_step_order_two_against_grid_exact_reference():
     psi0 = WaveField(grid, coherent_state_oracle(grid, 1.0, 1.0, 1.0, 1.0, 10.0, 0.0))
     ref = grid_exact_evolution(grid.length, 1.0, v, 1.0, psi0.samples, [2.0])[0]
     dts = [0.1, 0.05, 0.025, 0.0125]
-    errs = [np.max(np.abs(split_step_evolve(psi0, 1.0, v, NATURAL, TimeSpec(dt, round(2.0 / dt)))
-                          .final.samples - ref)) for dt in dts]
+    errs = [np.max(np.abs(last_field(split_step_evolve(psi0, 1.0, v, NATURAL,
+                                                       TimeSpec(dt, round(2.0 / dt))))
+                          .samples - ref)) for dt in dts]
     assert np.polyfit(np.log(dts), np.log(errs), 1)[0] == pytest.approx(2.0, abs=0.05)
 
 
 def test_crank_nicolson_unitarity_over_1000_steps():
     grid = Grid1D(128, 32.0)
     psi0 = gaussian_packet(GaussianPacketSpec(16.0, 1.0, 1.0), grid)
-    res = crank_nicolson_evolve(psi0, 1.0, zero_potential(grid), NATURAL,
-                                TimeSpec(0.02, 1000), snapshot_every=1)
-    norms = np.asarray(res.norms)
+    norms = np.array([l2_norm(fld) for _, fld in crank_nicolson_evolve(
+        psi0, 1.0, zero_potential(grid), NATURAL, TimeSpec(0.02, 1000), snapshot_every=1)])
     assert np.max(np.abs(np.diff(norms))) / norms[0] <= 1e-10
 
 
 def test_crank_nicolson_tiny_step_is_near_identity():
     grid = Grid1D(128, 20.0)
     psi0 = gaussian_packet(GaussianPacketSpec(10.0, 1.0, 1.0), grid)
-    res = crank_nicolson_evolve(psi0, 1.0, harmonic_potential(grid, 1.0, 1.0),
-                                NATURAL, TimeSpec(1e-8, 1))
-    assert l2_norm(WaveField(grid, res.final.samples - psi0.samples)) <= 1e-6
+    got = last_field(crank_nicolson_evolve(psi0, 1.0, harmonic_potential(grid, 1.0, 1.0),
+                                           NATURAL, TimeSpec(1e-8, 1)))
+    assert l2_norm(WaveField(grid, got.samples - psi0.samples)) <= 1e-6
 
 
 CN_DEFINITION_CASES = [(n, trap, dt, 1.0, 1.0) for n in (64, 128, 256) for trap in (False, True)
@@ -397,8 +405,8 @@ def test_crank_nicolson_step_satisfies_its_definition(n_points, trap, dt, hbar, 
     grid = Grid1D(n_points, 20.0)
     psi0 = gaussian_packet(GaussianPacketSpec(10.0, 1.0, 1.5), grid).samples
     v = harmonic_potential(grid, m, 1.0) if trap else zero_potential(grid)
-    psi1 = crank_nicolson_evolve(WaveField(grid, psi0), m, v, PhysicalConstants(hbar=hbar),
-                                 TimeSpec(dt, 1)).final.samples
+    psi1 = last_field(crank_nicolson_evolve(WaveField(grid, psi0), m, v,
+                                            PhysicalConstants(hbar=hbar), TimeSpec(dt, 1))).samples
     zh = 0.5j * dt * central_difference_hamiltonian(v, grid.spacing, m, hbar)
     residual = np.linalg.norm(psi1 + zh @ psi1 - (psi0 - zh @ psi0))
     scale = np.linalg.norm(psi0) * (1.0 + np.linalg.norm(zh, 2))
@@ -411,9 +419,20 @@ def test_crank_nicolson_is_unitary_at_stiff_steps(dt, n_steps, hbar, m):
     # the sparse LU solve read norms 1.126 and 2.10 here
     grid = Grid1D(128, 20.0)
     psi0 = gaussian_packet(GaussianPacketSpec(10.0, 1.0, 1.0), grid)
-    res = crank_nicolson_evolve(psi0, m, zero_potential(grid), PhysicalConstants(hbar=hbar),
-                                TimeSpec(dt, n_steps))
-    assert abs(l2_norm(res.final) - 1.0) <= 1e-13
+    got = last_field(crank_nicolson_evolve(psi0, m, zero_potential(grid),
+                                           PhysicalConstants(hbar=hbar), TimeSpec(dt, n_steps)))
+    assert abs(l2_norm(got) - 1.0) <= 1e-13
+
+
+def test_crank_nicolson_refuses_a_failed_eigensolve_at_call_time(monkeypatch):
+    # eigh's LinAlgError (no convergence) is exit 3's family, raised before any snapshot is read
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    grid = Grid1D(16, 4.0)
+    with pytest.raises(LinearSolveFailure, match="^Eigenvalues did not converge$"):
+        crank_nicolson_evolve(WaveField(grid, np.ones(16)), 1.0, zero_potential(grid))
 
 
 def test_schemes_self_converge_at_order_two():
@@ -425,9 +444,9 @@ def test_schemes_self_converge_at_order_two():
         v = harmonic_potential(grid, 1.0, 1.0)
         psi0 = WaveField(grid, coherent_state_oracle(grid, 1.0, 1.0, 1.0, 1.0, 10.0, 0.0))
         time = TimeSpec(dt, int(round(2.0 / dt)))
-        ss = split_step_evolve(psi0, 1.0, v, NATURAL, time)
-        cn = crank_nicolson_evolve(psi0, 1.0, v, NATURAL, time)
-        diffs.append(l2_norm(WaveField(grid, ss.final.samples - cn.final.samples)))
+        ss = last_field(split_step_evolve(psi0, 1.0, v, NATURAL, time))
+        cn = last_field(crank_nicolson_evolve(psi0, 1.0, v, NATURAL, time))
+        diffs.append(l2_norm(WaveField(grid, ss.samples - cn.samples)))
     assert diffs[0] <= 1e-3
     assert 3.5 <= diffs[0] / diffs[1] <= 4.5
 
