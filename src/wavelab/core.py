@@ -109,7 +109,7 @@ class TimeSpec:
 
 
 def _on_grid(values, grid: Grid1D, name: str, what: str, dtype=np.complex128) -> np.ndarray:
-    """`values` as `dtype`, refused (ConfigError) unless finite and of shape (N,)."""
+    """A user's array as `dtype`, refused (ConfigError) unless finite and of shape (N,)."""
     values = np.asarray(values, dtype=dtype)
     if values.shape != (grid.n_points,):
         raise ConfigError(f"{name} shape {values.shape} does not match grid "
@@ -130,7 +130,7 @@ class WaveField:
         self.samples = _on_grid(self.samples, self.grid, "samples", "field samples")
 
     def copy(self) -> "WaveField":
-        return WaveField(self.grid, self.samples.copy())
+        return _wrap(WaveField, self.grid, self.samples.copy())
 
 
 @dataclass
@@ -147,6 +147,14 @@ class SpectralField:
     @property
     def wavenumbers(self) -> np.ndarray:
         return self.grid.wavenumbers
+
+
+def _wrap(cls, grid: Grid1D, values: np.ndarray):
+    """A `cls` (WaveField or SpectralField) over `values`, complex128 of shape (N,), that the
+    library formed and refused through `_finite`: set as they are, with no second pass."""
+    field = object.__new__(cls)
+    field.__dict__.update(zip(cls.__dataclass_fields__, (grid, values)))
+    return field
 
 
 @dataclass(frozen=True)
@@ -170,7 +178,7 @@ def dft(field: WaveField) -> SpectralField:
     with np.errstate(all="ignore"):  # an overflow gives inf, refused below
         amps = np.fft.fft(field.samples, norm="ortho")
     _finite("non-finite mode amplitudes: the forward transform overflowed", amps)
-    return SpectralField(field.grid, amps)
+    return _wrap(SpectralField, field.grid, amps)
 
 
 def idft(spec: SpectralField) -> WaveField:
@@ -178,7 +186,7 @@ def idft(spec: SpectralField) -> WaveField:
     with np.errstate(all="ignore"):
         samples = np.fft.ifft(spec.mode_amplitudes, norm="ortho")
     _finite("non-finite field samples: the inverse transform overflowed", samples)
-    return WaveField(spec.grid, samples)
+    return _wrap(WaveField, spec.grid, samples)
 
 
 def _l2(samples: np.ndarray, dx: float):

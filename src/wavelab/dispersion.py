@@ -27,7 +27,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .core import NATURAL_UNITS, Grid1D, PhysicalConstants, WaveField, _finite, _positive
+from .core import NATURAL_UNITS, Grid1D, PhysicalConstants, WaveField, _finite, _positive, _wrap
 from .exceptions import ConfigError, DispersionUndefined, NonCommensurateWavenumber
 
 
@@ -69,7 +69,7 @@ class SchrodingerPotential:
         _positive("mass", self.m)
         v = np.asarray(self.potential, dtype=float)
         if not np.all(np.isfinite(v)):
-            raise ConfigError("potential samples must be finite")
+            raise ConfigError("potential samples must all be finite")
         object.__setattr__(self, "potential", v)
 
 
@@ -193,7 +193,7 @@ def planewave_sample(mode: PlaneWaveMode, grid: Grid1D, t: float) -> WaveField:
     with np.errstate(all="ignore"):
         samples = mode.amplitude * np.exp(1j * (mode.k * grid.positions - mode.omega * t))
     _finite(f"non-finite plane-wave samples at t = {t!r}, omega = {mode.omega!r}", samples)
-    return WaveField(grid, samples)
+    return _wrap(WaveField, grid, samples)
 
 
 def planewave_residual(eq: EquationKind, mode: PlaneWaveMode,

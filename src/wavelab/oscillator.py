@@ -236,7 +236,8 @@ def imaginary_time_ground_state(problem: OscillatorProblem, grid: Grid1D,
         start = initial.samples
     real = not np.any(start.imag)
     psi = start.astype(np.complex128)
-    nrm = _l2(psi, dx)
+    with np.errstate(all="ignore"):  # an overflow gives inf, refused below
+        nrm = _l2(psi, dx)
     if initial is not None and nrm == 0.0:
         raise ConfigError("initial state must be nonzero")
     if not 0.0 < nrm < math.inf:

@@ -29,6 +29,7 @@ from .core import (
     _l2,
     _on_grid,
     _positive,
+    _wrap,
     dft,
     idft,
 )
@@ -58,14 +59,6 @@ class SecondOrderState:
 # ---------------------------------------------------------------------------
 # potentials
 # ---------------------------------------------------------------------------
-
-def zero_potential(grid: Grid1D) -> np.ndarray:
-    return np.zeros(grid.n_points)
-
-
-def constant_potential(grid: Grid1D, v0: float) -> np.ndarray:
-    return np.full(grid.n_points, float(v0))
-
 
 def harmonic_potential(grid: Grid1D, m: float, omega_c: float,
                        center: float | None = None) -> np.ndarray:
@@ -108,7 +101,7 @@ def _phase_snapshots(psi0: WaveField, omega, times):
         with np.errstate(all="ignore"):
             a = amps * np.exp(-1j * omega * t)
         _finite(f"non-finite mode amplitudes at t = {t}", a)
-        yield t, idft(SpectralField(psi0.grid, a))
+        yield t, idft(_wrap(SpectralField, psi0.grid, a))
 
 
 def _harmonic_snapshots(psi0: WaveField, m: float, omega_c: float, center, hbar: float,
@@ -123,8 +116,8 @@ def _harmonic_snapshots(psi0: WaveField, m: float, omega_c: float, center, hbar:
     into at most two parts: an interval costs at most two steps, built when it
     differs from the last one (so memory stays O(N)), and a zero interval none,
     so t = 0 gives a copy of psi0, bit for bit.  A non-finite potential raises
-    NumericalFailure before the first snapshot, and a non-finite omega_c t or
-    trap factor one naming the snapshot time t.
+    NumericalFailure before the first snapshot, and a non-finite omega_c t,
+    trap factor or field one naming the snapshot time t.
     """
     v = harmonic_potential(psi0.grid, m, omega_c, center)
     built, psi, t_prev = {0.0: (0, None, 0)}, psi0.samples.copy(), 0.0
@@ -142,10 +135,12 @@ def _harmonic_snapshots(psi0: WaveField, m: float, omega_c: float, center, hbar:
                            failure=f"non-finite trap factors at t = {t} (interval {dt})")
             built = {0.0: built[0.0], dt: (parts, step, round((theta - turn) / (2 * math.pi)) % 2)}
         parts, step, odd = built[dt]
-        for _ in range(parts):
-            step(psi, psi)
+        with np.errstate(all="ignore"):  # an overflow gives inf or nan, refused below
+            for _ in range(parts):
+                step(psi, psi)
         psi = -psi if odd else psi
-        yield t, WaveField(psi0.grid, psi.copy())
+        _finite(f"non-finite trap snapshot at t = {t}", psi)
+        yield t, _wrap(WaveField, psi0.grid, psi.copy())
 
 
 def _require_second_order(eq: EquationKind):
@@ -183,10 +178,7 @@ def evolve_second_order_spectral(state0: SecondOrderState, eq: EquationKind,
         a = a0 * cos_wt + b0 * sin_over_w
         b = -w * sin_wt * a0 + b0 * cos_wt
     _finite(f"non-finite mode amplitudes at t = {t}", a, b)
-    return SecondOrderState(
-        idft(SpectralField(grid, a)),
-        idft(SpectralField(grid, b)),
-    )
+    return SecondOrderState(*(idft(_wrap(SpectralField, grid, x)) for x in (a, b)))
 
 
 def positive_branch_init(psi0: WaveField, eq: EquationKind,
@@ -197,7 +189,7 @@ def positive_branch_init(psi0: WaveField, eq: EquationKind,
     with np.errstate(all="ignore"):
         rate = -1j * omega_of_k(eq, spec.wavenumbers, consts) * spec.mode_amplitudes
     _finite(f"non-finite -i omega psi_hat at c = {consts.c!r}, hbar = {consts.hbar!r}", rate)
-    return SecondOrderState(psi0.copy(), idft(SpectralField(psi0.grid, rate)))
+    return SecondOrderState(psi0.copy(), idft(_wrap(SpectralField, psi0.grid, rate)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +210,11 @@ def _stepped_evolution(psi0: WaveField, step, dt: float, steps: list):
     """Yield (n dt, psi) at each step n of `steps`, applying `step(samples) -> samples` between."""
     psi = psi0.samples.copy()
     for done, n in zip([0, *steps], steps):
-        for _ in range(n - done):
-            psi = step(psi)
-        yield n * dt, WaveField(psi0.grid, psi.copy())
+        with np.errstate(all="ignore"):  # an overflow gives inf or nan, refused below
+            for _ in range(n - done):
+                psi = step(psi)
+        _finite(f"non-finite stepper snapshot at t = {n * dt}", psi)
+        yield n * dt, _wrap(WaveField, psi0.grid, psi.copy())
 
 
 def _strang(v: np.ndarray, grid: Grid1D, m: float, hbar: float, dt: float, unit, failure=None):
@@ -262,9 +256,9 @@ def split_step_evolve(psi0: WaveField, m: float, potential,
     """Strang splitting: half kick e^{-iV dt/2 hbar}, spectral drift, half kick.
 
     Both factors are unitary, so the norm is conserved to rounding per step;
-    the global error against the exact solution is O(dt^2).  Returns the lazy
-    (t, psi) at step 0 (psi0's copy), every `snapshot_every` steps (if > 0) and the
-    last; the call raises every refusal (ConfigError for `snapshot_every` < 0).
+    the global error against the exact solution is O(dt^2).  Returns the lazy (t, psi) at
+    step 0 (psi0's copy), every `snapshot_every` steps (if > 0) and the last; the call raises
+    each refusal of its arguments, the stream NumericalFailure naming a non-finite snapshot's t.
     """
     _positive("mass", m)
     v = _on_grid(potential, psi0.grid, "potential", "potential samples", float)
@@ -286,7 +280,7 @@ def crank_nicolson_evolve(psi0: WaveField, m: float, potential,
     unitary to rounding at any dt.  That costs O(N^3) once and one O(N^2) matvec per
     step, and holds N^2 complex values (16 MiB at N = 1024).  Used only as an
     independent cross-check of the spectral split-step scheme, with the same
-    snapshots.  NumericalFailure naming dx or dt if H / hbar or a is not finite.
+    snapshots and refusals.  NumericalFailure naming dx or dt if H / hbar or a is not finite.
     """
     _positive("mass", m)
     grid = psi0.grid
@@ -368,7 +362,7 @@ def analytic_free_gaussian(spec: GaussianPacketSpec, grid: Grid1D, m: float,
             -beta ** 2 / (4.0 * alpha) + 1j * (k0 * x - hbar * k0 ** 2 * t / (2.0 * m))
         ) / (2.0 * np.pi * sigma ** 2) ** 0.25
     _finite(f"non-finite analytic packet at t = {t!r} (sigma = {spec.sigma!r}, m = {m!r})", psi)
-    return WaveField(grid, psi)
+    return _wrap(WaveField, grid, psi)
 
 
 def packet_moments(field: WaveField) -> tuple:

@@ -65,6 +65,16 @@ def moment_mean_and_width(samples, positions):
     return mean, float(np.sqrt(var))
 
 
+def zero_potential(grid):
+    """V = 0 on every grid point."""
+    return np.zeros(grid.n_points)
+
+
+def constant_potential(grid, v0):
+    """V = v0 on every grid point."""
+    return np.full(grid.n_points, float(v0))
+
+
 def inner_product(bra, ket, dx):
     """Discrete inner product sum conj(bra_j) ket_j dx of two sample arrays."""
     return complex(np.vdot(bra, ket) * dx)

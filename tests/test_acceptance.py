@@ -29,7 +29,6 @@ from wavelab import (
     analytic_free_gaussian,
     centroid,
     cli,
-    constant_potential,
     crank_nicolson_evolve,
     dominance_terms_mode,
     energy_bound,
@@ -51,7 +50,7 @@ from wavelab import (
     split_step_evolve,
 )
 
-from oracles import coherent_state_oracle
+from oracles import coherent_state_oracle, constant_potential
 
 NATURAL = PhysicalConstants()
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

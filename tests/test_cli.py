@@ -27,7 +27,6 @@ from wavelab import (
     SchrodingerPotential,
     WaveField,
     analytic_free_gaussian,
-    constant_potential,
     evolve_second_order_spectral,
     gaussian_packet,
     group_velocity,
@@ -41,7 +40,7 @@ from wavelab.exceptions import ConfigError, NumericalFailure, WaveLabError
 from wavelab.propagate import _phase_snapshots
 
 import reproducers
-from oracles import coherent_state_oracle
+from oracles import coherent_state_oracle, constant_potential
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

@@ -170,6 +170,7 @@ def test_refusals_are_config_errors_and_value_errors():
 _GRID8 = Grid1D(8, 1.0)
 _PSI8 = WaveField(_GRID8, np.ones(8))
 _UNIT_TRAP = OscillatorProblem(1.0, 1.0)
+_PSI8_HUGE = WaveField(Grid1D(8, 8.0), np.full(8, 1e308))  # finite; its transform overflows
 # the one positivity rule, at every parameter it guards: (name in the message, call)
 POSITIVE_SITES = {
     "hbar": ("hbar", lambda v: PhysicalConstants(hbar=v)),
@@ -263,6 +264,16 @@ FINITE_SITES = {
         "non-finite analytic packet at t = 10000000000.0 (sigma = 0.1, m = 5e-324)",
         lambda: analytic_free_gaussian(GaussianPacketSpec(0.5, 0.0, 0.1), _GRID8, 5e-324,
                                        t=1e10)),
+    "trap_snapshot": (  # ConfigError "field samples must all be finite", after 3 warnings
+        "non-finite trap snapshot at t = 0.5",
+        lambda: list(propagate._harmonic_snapshots(_PSI8_HUGE, 1.0, 1.0, None, 1.0, [0.5]))),
+    "stepper_snapshot": (  # ConfigError "field samples must all be finite", after 4 warnings
+        "non-finite stepper snapshot at t = 0.1",
+        lambda: list(split_step_evolve(_PSI8_HUGE, 1.0, np.zeros(8), time=TimeSpec(0.1, 1)))),
+    "relaxation_start_norm": (  # a RuntimeWarning from the start's norm came first
+        "start state has norm inf",
+        lambda: imaginary_time_ground_state(_UNIT_TRAP, Grid1D(256, 20.0), initial=WaveField(
+            Grid1D(256, 20.0), np.full(256, 1e308)))),
 }
 
 
@@ -295,6 +306,81 @@ def test_all_lists_exactly_the_public_names():
               if not name.startswith("_") and not isinstance(value, type(wavelab))}
     assert len(set(wavelab.__all__)) == len(wavelab.__all__)
     assert set(wavelab.__all__) == public
+
+
+def _second_order_fields(psi):
+    start = positive_branch_init(psi, _KG)
+    later = evolve_second_order_spectral(start, _KG, t=0.5)
+    yield from (start.psi, start.psi_dot, later.psi, later.psi_dot)
+
+
+# every library path that forms a field: each returns a lazy iterable of the fields (and
+# spectra) it forms, after the checks of the caller's own arrays
+_TIMES5 = [0.0, 0.25, 0.5, 0.5, 1.0]
+LIBRARY_FIELDS = {
+    "dft": lambda psi, v: map(dft, [psi]),
+    "idft": lambda psi, v: map(idft, [dft(psi)]),
+    "dft_idft_round_trip": lambda psi, v: map(lambda f: idft(dft(f)), [psi]),
+    "copy": lambda psi, v: map(WaveField.copy, [psi]),
+    "phase_snapshots": lambda psi, v: (f for _, f in propagate._phase_snapshots(
+        psi, np.linspace(0.0, 3.0, psi.grid.n_points), _TIMES5)),
+    "trap_snapshots": lambda psi, v: (f for _, f in propagate._harmonic_snapshots(
+        psi, 1.0, 1.0, None, 1.0, _TIMES5)),
+    "split_step": lambda psi, v: (f for _, f in split_step_evolve(
+        psi, 1.0, v, time=TimeSpec(0.05, 4), snapshot_every=1)),
+    "crank_nicolson": lambda psi, v: (f for _, f in crank_nicolson_evolve(
+        psi, 1.0, v, time=TimeSpec(0.05, 4), snapshot_every=1)),
+    "second_order": lambda psi, v: _second_order_fields(psi),
+    "plane_wave": lambda psi, v: map(lambda t: planewave_sample(
+        PlaneWaveMode(1.0, 2 * math.pi / 16, 1.0), Grid1D(8, 16.0), t), [0.0, 0.5]),
+    "analytic_gaussian": lambda psi, v: map(lambda t: analytic_free_gaussian(
+        GaussianPacketSpec(0.5, 0.0, 0.1), _GRID8, 1.0, t=t), [0.0, 0.5]),
+}
+
+
+@pytest.mark.parametrize("path", LIBRARY_FIELDS)
+def test_library_formed_fields_skip_the_input_check(path, monkeypatch):
+    # `_on_grid` checks arrays from outside the library; a field the library formed was
+    # refused through `_finite` already, so no second pass runs on it
+    psi = random_field(_GRID8, seed=3)
+    fields = LIBRARY_FIELDS[path](psi, harmonic_potential(_GRID8, 1.0, 1.0))
+    calls = []
+    real = core._on_grid
+    for module in (core, propagate):
+        monkeypatch.setattr(module, "_on_grid", lambda *a, **k: calls.append(a) or real(*a, **k))
+    fields = list(fields)
+    assert calls == []
+    assert fields
+    for f in fields:
+        samples = f.samples if isinstance(f, WaveField) else f.mode_amplitudes
+        assert samples.dtype == np.complex128 and samples.shape == (f.grid.n_points,)
+        assert np.isfinite(samples).all()
+    if path in ("phase_snapshots", "trap_snapshots"):
+        assert len(fields) == 5
+
+
+_NAN8 = [math.nan] * 8
+# every array that comes from outside the library: (message, call that hands over a nan)
+USER_ARRAYS = {
+    "wave_field": ("field samples", lambda: WaveField(_GRID8, _NAN8)),
+    "spectral_field": ("mode amplitudes", lambda: SpectralField(_GRID8, _NAN8)),
+    "relaxation_initial": ("field samples", lambda: imaginary_time_ground_state(
+        _UNIT_TRAP, _GRID8, initial=WaveField(_GRID8, _NAN8))),
+    "schrodinger_potential": ("potential samples", lambda: SchrodingerPotential(1.0, _NAN8)),
+    "split_step_potential": ("potential samples", lambda: split_step_evolve(_PSI8, 1.0, _NAN8)),
+    "crank_nicolson_potential": ("potential samples",
+                                 lambda: crank_nicolson_evolve(_PSI8, 1.0, _NAN8)),
+    "energy_potential": ("potential samples", lambda: energy_expectation(_PSI8, _NAN8, 1.0)),
+}
+
+
+@pytest.mark.parametrize("site", USER_ARRAYS)
+def test_every_non_finite_user_array_is_a_config_error(site):
+    # a user's array is refused at the boundary, exit 2's family, with one message per
+    # quantity: `SchrodingerPotential` said "potential samples must be finite"
+    what, call = USER_ARRAYS[site]
+    with pytest.raises(ConfigError, match=f"^{what} must all be finite$"):
+        call()
 
 
 @pytest.mark.parametrize("value", [math.inf, -1.0], ids=["inf", "negative"])

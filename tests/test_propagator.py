@@ -15,7 +15,6 @@ from wavelab import (
     WaveField,
     analytic_free_gaussian,
     centroid,
-    constant_potential,
     crank_nicolson_evolve,
     dft,
     evolve_schrodinger_spectral,
@@ -30,7 +29,6 @@ from wavelab import (
     planewave_sample,
     positive_branch_init,
     split_step_evolve,
-    zero_potential,
 )
 from wavelab.exceptions import LinearSolveFailure, WrongEquationFamily, ZeroField
 from wavelab.oscillator import OscillatorProblem
@@ -44,10 +42,12 @@ from wavelab.propagate import (
 from oracles import (
     central_difference_hamiltonian,
     coherent_state_oracle,
+    constant_potential,
     dft_bruteforce,
     grid_exact_evolution,
     inner_product,
     moment_mean_and_width,
+    zero_potential,
 )
 
 NATURAL = PhysicalConstants()
