@@ -38,6 +38,7 @@ from .core import (
     WaveField,
     _finite,
     _positive,
+    _wrap,
     dft,
     l2_norm,
 )
@@ -336,9 +337,8 @@ def _carrier_k(cfg: dict, grid: Grid1D) -> float:
 
 def _build_packet(cfg: dict, grid: Grid1D) -> WaveField:
     if cfg["packet_kind"] == "plane_wave":
-        k = _carrier_k(cfg, grid)
-        fld = planewave_sample(PlaneWaveMode(1.0, k, 0.0), grid, 0.0)
-        return WaveField(grid, fld.samples / l2_norm(fld))
+        fld = planewave_sample(PlaneWaveMode(1.0, _carrier_k(cfg, grid), 0.0), grid, 0.0)
+        return _wrap(WaveField, grid, fld.samples / l2_norm(fld))
     spec = GaussianPacketSpec(x0=cfg["x0"], k0=cfg["k0"], sigma=cfg["sigma"])
     return gaussian_packet(spec, grid)
 

@@ -335,7 +335,7 @@ def gaussian_packet(spec: GaussianPacketSpec, grid: Grid1D) -> WaveField:
     if not 0.0 < nrm < np.inf:  # a non-finite sample, or no sample above underflow
         raise ConfigError(f"packet with sigma = {spec.sigma!r}, x0 = {spec.x0!r} has no "
                           "finite, nonzero samples on the grid")
-    return WaveField(grid, psi / nrm)
+    return _wrap(WaveField, grid, psi / nrm)
 
 
 def analytic_free_gaussian(spec: GaussianPacketSpec, grid: Grid1D, m: float,

@@ -8,18 +8,36 @@ PATH instead, as an installed package runs:
 
     python tests/reproducers.py
 
+The rows pinned to exit 0 are also the artifact streams.  With a git revision,
+
+    python tests/reproducers.py --against REV
+
+runs each of them through `python -m wavelab` on this tree and on REV (extracted with
+`git archive`), each tree with its own src and configs, and compares the exit code, stdout
+and every file under the row's directory byte for byte.  It prints each differing
+`row-id/path` and exits 1 unless those are exactly the paths listed in `MOVED`.
+
 Standard library only: the script must not import the package it checks.
 """
 
+import argparse
+import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+import tarfile
 import tempfile
 from typing import NamedTuple
 
-CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIGS = os.path.join(REPO, "configs")
+ENV = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning,ignore::UserWarning")
+# "row-id/path" of every artifact whose bytes this tree moves on purpose against its parent,
+# each said in CHANGES.md; a listed path whose bytes do not move fails the comparison too
+MOVED = set()
 COMMANDS = ("dispersion", "evolve", "nrlimit", "oscillator", "verify")
 PREFIX = {2: "config error: ", 3: "numerical failure: ", 4: "resolution error: "}
 LABEL_COLUMNS = {"family", "method"}
@@ -198,6 +216,14 @@ ROWS = (
         "dispersion --set family=schrodinger_potential --set v0=0.25", 0),
     # -- evolve
     row(f"{REPRO}[shipped_free_gaussian]", "evolve --config {configs}/free_gaussian.cfg", 0),
+    row(f"{REPRO}[shipped_harmonic_ground]", "evolve --config {configs}/harmonic_ground.cfg", 0),
+    # two snapshot streams beyond the shipped configs: 401 trap snapshots, whose float
+    # intervals rebuild the trap step, and 21 Klein-Gordon snapshots, the shape of the
+    # benchmark's write-bound workload
+    row(f"{REPRO}[harmonic_ground_401]", "evolve --config {configs}/harmonic_ground.cfg "
+        "--set dt=0.1 --set n_steps=400 --set snapshot_every=1", 0),
+    row(f"{REPRO}[klein_gordon_21]", "evolve --config {configs}/free_gaussian.cfg "
+        "--set family=klein_gordon --set dt=0.5 --set n_steps=20 --set snapshot_every=1", 0),
     row("test_evolve_rejects_potential_for_free_families",
         "evolve --set family=schrodinger_free --set potential=harmonic", 2,
         f"family 'schrodinger_free' {NO_POTENTIAL}"),
@@ -246,6 +272,10 @@ ROWS = (
     row(f"{REPRO}[nrlimit_flat_packet_in_tiny_box]", f"{NR} --set length=1e-12 --set sigma=1e300",
         0, note="sigma ** 2 overflowed in the packet (OverflowError, exit 1)"),
     # -- oscillator
+    row(f"{REPRO}[shipped_oscillator]", OSC, 0),
+    row(f"{REPRO}[oscillator_relax]", f"{OSC} --set n_points=1024 --set length=40.0 "
+        "--set omega_c=1.05 --set tau_step=0.0019047619047619048", 0,
+        note="the oscillator_relax benchmark's problem"),
     row("test_oscillator_bad_bracket_is_exit_2",
         f"{OSC} --set bracket_lo=5.0 --set bracket_hi=1.0", 2, "need 0 < lo < hi, got (5.0, 1.0)"),
     # E(dx) overflowed (OverflowError) or divided by an underflowed 8 m dx^2
@@ -324,14 +354,14 @@ ROWS = (
 )
 
 
-def prepare(row, root):
+def prepare(row, root, configs=CONFIGS):
     """Write the row's files under `root`; return its argv, with an --out under `root`."""
     for name, text in row.files.items():
         path = os.path.join(root, name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w") as fh:
             fh.write(text)
-    argv = [arg.format(tmp=root, configs=CONFIGS) for arg in row.argv]
+    argv = [arg.format(tmp=root, configs=configs) for arg in row.argv]
     return argv if "--out" in argv else [*argv, "--out", os.path.join(root, "out")]
 
 
@@ -400,13 +430,12 @@ def main():
     """Run every row through the `wavelab` on PATH; exit 1 if any row fails."""
     if not __debug__:
         sys.exit("the checks are assert statements: run without -O")
-    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning,ignore::UserWarning")
     failed = []
     for case in ROWS:
         with tempfile.TemporaryDirectory() as root:
             argv = prepare(case, root)
             before = tree(root)
-            proc = subprocess.run(["wavelab", *argv], env=env, cwd=root, capture_output=True,
+            proc = subprocess.run(["wavelab", *argv], env=ENV, cwd=root, capture_output=True,
                                   text=True, timeout=600)
             try:
                 check(argv, case.code, case.fragments, proc.returncode, proc.stderr, before, root)
@@ -417,5 +446,68 @@ def main():
     return 1 if failed else 0
 
 
+def compare(rows, theirs, ours, moved):
+    """The verdict of `--against`: (every differing "row-id/path", whether they are `moved`).
+
+    `theirs` and `ours` map a row id to its run, as `stream` returns it.  Only the rows pinned
+    to exit 0 are compared: a refusal writes nothing.
+    """
+    differ = sorted(f"{row.id}/{path}" for row in rows if row.code == 0
+                    for path in theirs[row.id].keys() | ours[row.id].keys()
+                    if theirs[row.id].get(path) != ours[row.id].get(path))
+    return differ, set(differ) == moved
+
+
+def stream(row, root, top):
+    """The row's run by `python -m wavelab` from the tree at `top`, in `root`: {path under
+    `root`: bytes, or None for a directory}, with the exit code and stdout under "exit" and
+    "stdout"."""
+    argv = prepare(row, root, os.path.join(top, "configs"))
+    proc = subprocess.run([sys.executable, "-m", "wavelab", *argv], cwd=root, timeout=600,
+                          env=dict(ENV, PYTHONPATH=os.path.join(top, "src")), capture_output=True)
+    return {**tree(root), "exit": str(proc.returncode).encode(), "stdout": proc.stdout}
+
+
+def against(rev):
+    """Run every exit-0 row on this tree and on `rev`; exit 1 unless exactly `MOVED` differ."""
+    rows = [row for row in ROWS if row.code == 0]
+    archive = subprocess.run(["git", "-C", REPO, "archive", rev], capture_output=True)
+    if archive.returncode:
+        sys.exit(f"git archive {rev}: {archive.stderr.decode().strip()}")
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = os.path.join(tmp, "parent")
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(parent, filter="data")
+        for top in (parent, REPO):
+            # each tree's own sources, not an installed wavelab
+            want = os.path.join(top, "src", "wavelab", "__init__.py")
+            found = subprocess.run(
+                [sys.executable, "-c", "import wavelab; print(wavelab.__file__)"], cwd=tmp,
+                env=dict(ENV, PYTHONPATH=os.path.join(top, "src")), capture_output=True, text=True)
+            if found.stdout.strip() != want:
+                sys.exit(f"PYTHONPATH={top}/src imports wavelab from {found.stdout or 'nowhere'}")
+            runs.append({})
+            for row in rows:  # one directory for both trees, so no path differs in the bytes
+                root = os.path.join(tmp, "run")
+                os.mkdir(root)
+                runs[-1][row.id] = stream(row, root, top)
+                shutil.rmtree(root)
+    differ, same_as_moved = compare(rows, *runs, MOVED)
+    for path in differ:
+        print(f"{'moved' if path in MOVED else 'DIFFERS'}: {path}")
+    for path in sorted(MOVED - set(differ)):
+        print(f"listed in MOVED but as at {rev}: {path}")
+    files = sum(value is not None and path not in ("exit", "stdout")
+                for run in runs[1].values() for path, value in run.items())
+    print(f"{len(rows)} rows against {rev}: {files} files, each exit code and stdout; "
+          f"{len(differ)} differ, {len(MOVED)} listed in MOVED")
+    return 0 if same_as_moved else 1
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    parser = argparse.ArgumentParser(description="Run every pinned wavelab command line.")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare the exit-0 rows' artifacts with those of git revision REV")
+    rev = parser.parse_args().against
+    sys.exit(main() if rev is None else against(rev))

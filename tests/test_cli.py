@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -281,6 +282,49 @@ def test_reproducer_table_is_well_formed():
         if "unknown key" not in " ".join(row.fragments):  # else every key is the schema's
             sets = [item for flag, item in zip(row.argv, row.argv[1:]) if flag == "--set"]
             assert all(item.split("=")[0] in cli.SCHEMAS[row.argv[0]] for item in sets), row.id
+
+
+def test_every_shipped_config_is_an_artifact_stream():
+    # `--against` compares the exit-0 rows, so a new shipped config without one escapes it
+    streams = {row.argv for row in reproducers.ROWS if row.code == 0}
+    for cfg in sorted(CONFIGS.glob("*.cfg")):
+        (scenario,) = re.findall(r"^scenario = (\w+)$", cfg.read_text(), re.M)
+        assert (scenario, "--config", f"{{configs}}/{cfg.name}") in streams, cfg.name
+
+
+# the verdict of `reproducers.py --against`, on two trees' runs of one row
+_STREAM = reproducers.row("stream", "evolve", 0)
+_RUN = {"exit": b"0", "stdout": b"", "out": None, "out/a.csv": b"x\n1.0\n"}
+
+
+def _compare(ours, moved=frozenset(), row=_STREAM):
+    return reproducers.compare([row], {row.id: _RUN}, {row.id: ours}, moved)
+
+
+def test_against_fails_on_an_undeclared_difference():
+    assert _compare({**_RUN, "out/a.csv": b"x\n1.5\n"}) == (["stream/out/a.csv"], False)
+    assert _compare({**_RUN, "out/b.csv": b""}) == (["stream/out/b.csv"], False)
+
+
+def test_against_passes_a_declared_difference():
+    moved = {"stream/out/a.csv"}
+    assert _compare({**_RUN, "out/a.csv": b"x\n1.5\n"}, moved) == (["stream/out/a.csv"], True)
+
+
+def test_against_fails_on_a_declared_path_that_did_not_move():
+    assert _compare(dict(_RUN), {"stream/out/a.csv"}) == ([], False)
+    moved = {"stream/out/a.csv", "stream/out/b.csv"}
+    assert _compare({**_RUN, "out/a.csv": b""}, moved) == (["stream/out/a.csv"], False)
+
+
+@pytest.mark.parametrize("key, value", [("exit", b"3"), ("stdout", b"all checks passed\n")])
+def test_against_fails_on_another_exit_code_or_stdout(key, value):
+    assert _compare({**_RUN, key: value}) == ([f"stream/{key}"], False)
+
+
+def test_against_compares_no_refusal():
+    refusal = reproducers.row("refusal", "evolve --set n_steps=-1", 2, "n_steps")
+    assert _compare({}, row=refusal) == ([], True)
 
 
 EXTREMES = (1e300, -1e300, 1.7e308, 1e154, 1e200, 1e-160, 1e-200, 1e-310, 5e-324, 0.0, -1.0)
@@ -692,15 +736,19 @@ def test_free_packet_error_does_not_grow_with_step_count(tmp_path):
     assert np.max(np.abs(got - want.samples)) <= 5e-13
 
 
+def _row_args(name):
+    """The arguments after the command of the table's row `name`, on the shipped configs."""
+    (row,) = [row for row in reproducers.ROWS if row.id == f"{reproducers.REPRO}[{name}]"]
+    return [arg.format(configs=CONFIGS) for arg in row.argv[1:]]
+
+
 # name -> evolve arguments: 3, 9 (harmonic trap) and 21 snapshots (the shape of the
-# benchmark's write-bound workload at N = 512)
+# benchmark's write-bound workload at N = 512), the last two the table's artifact streams
 _WRITER_RUNS = {
     "free_gaussian": ["--config", str(CONFIGS / "free_gaussian.cfg"),
                       "--set", "n_steps=50", "--set", "snapshot_every=25"],
-    "harmonic_ground": ["--config", str(CONFIGS / "harmonic_ground.cfg")],
-    "klein_gordon_21": ["--config", str(CONFIGS / "free_gaussian.cfg"),
-                        "--set", "family=klein_gordon", "--set", "dt=0.5",
-                        "--set", "n_steps=20", "--set", "snapshot_every=1"],
+    "harmonic_ground": _row_args("shipped_harmonic_ground"),
+    "klein_gordon_21": _row_args("klein_gordon_21"),
 }
 
 

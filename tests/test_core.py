@@ -335,6 +335,10 @@ LIBRARY_FIELDS = {
         PlaneWaveMode(1.0, 2 * math.pi / 16, 1.0), Grid1D(8, 16.0), t), [0.0, 0.5]),
     "analytic_gaussian": lambda psi, v: map(lambda t: analytic_free_gaussian(
         GaussianPacketSpec(0.5, 0.0, 0.1), _GRID8, 1.0, t=t), [0.0, 0.5]),
+    "gaussian_packet": lambda psi, v: map(
+        gaussian_packet, [GaussianPacketSpec(0.0, 1.0, 1.0)], [Grid1D(64, 16.0)]),
+    "plane_wave_packet": lambda psi, v: map(
+        cli._build_packet, [{"packet_kind": "plane_wave", "k0": 2 * math.pi}], [_GRID8]),
 }
 
 
