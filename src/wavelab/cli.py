@@ -36,6 +36,7 @@ from .core import (
     PhysicalConstants,
     TimeSpec,
     WaveField,
+    _budget,
     _finite,
     _positive,
     _wrap,
@@ -177,8 +178,8 @@ SCHEMAS = {
         "n_points": (_parse_int(), 512),
         "length": (_parse_float, 64.0),
         "dt": (_parse_float, 0.01),
-        "n_steps": (_parse_int(0), 500),
-        "snapshot_every": (_parse_int(0), 100),
+        "n_steps": (_parse_int(0, 2 ** 53), 500),  # past 2**53, step * dt is not exact
+        "snapshot_every": (_parse_int(0, 2 ** 53), 100),
         **_PACKET,
         "potential": (_parse_choice("none", "constant", "harmonic"), "none"),
         "v0": (_parse_float, 0.0),
@@ -192,8 +193,8 @@ SCHEMAS = {
         "n_points": (_parse_int(), 512),
         "length": (_parse_float, 64.0),
         "dt": (_parse_float, 0.05),
-        "n_steps": (_parse_int(), 400),
-        "snapshot_every": (_parse_int(0), 20),
+        "n_steps": (_parse_int(maximum=2 ** 53), 400),
+        "snapshot_every": (_parse_int(0, 2 ** 53), 20),
         **_PACKET,
     },
     "oscillator": {
@@ -203,7 +204,7 @@ SCHEMAS = {
         "n_points": (_parse_int(), 256),
         "length": (_parse_float, 20.0),
         "tau_step": (_parse_float, 0.02),
-        "max_iters": (_parse_int(), 50000),
+        "max_iters": (_parse_int(maximum=2 ** 53), 50000),
         "energy_tol": (_parse_float, 1e-12),
         "bracket_lo": (_parse_float, 0.05),
         "bracket_hi": (_parse_float, 20.0),
@@ -528,15 +529,10 @@ def cmd_oscillator(cfg: dict, out: str):
 
 
 # ---------------------------------------------------------------------------
-# verify: each check measures and returns (value, bound, label); one comparison decides
+# verify: each check measures its cases, and `core._budget` refuses the first past its bound
 # ---------------------------------------------------------------------------
 
 _ROUNDING = 64.0 * sys.float_info.epsilon  # bound of a claim "to rounding", per unit scale
-
-
-def _worst(cases):
-    """The first (value, bound, label) case that fails, else the one nearest its bound."""
-    return max(cases, key=lambda case: case[0] / case[1] if case[0] <= case[1] else math.inf)
 
 
 def _check_plane_wave_exactness():
@@ -544,19 +540,16 @@ def _check_plane_wave_exactness():
     consts = PhysicalConstants()
     cfg = {"wave_speed": 1.3, "mass": 1.0, "potential": "constant", "v0": 0.5}
     t = 3.0
-
-    def cases():
-        for eq in (build(cfg) for build in _FAMILIES.values()):
-            for n in (0, 1, 3, -5):
-                k = 2.0 * np.pi * n / grid.length
-                mode = PlaneWaveMode(1.0, k, omega_of_k(eq, k, consts))
-                case = f"for {type(eq).__name__}, n={n}"
-                yield planewave_residual(eq, mode, consts), 1e-12, f"residual {case}"
-                psi0 = planewave_sample(mode, grid, 0.0)
-                (_, evolved), = _propagate(eq, psi0, consts, [t])
-                err = np.max(np.abs(evolved.samples - planewave_sample(mode, grid, t).samples))
-                yield err, _ROUNDING * max(1.0, abs(mode.omega * t)), f"phase error {case}"
-    return _worst(cases())
+    for eq in (build(cfg) for build in _FAMILIES.values()):
+        for n in (0, 1, 3, -5):
+            k = 2.0 * np.pi * n / grid.length
+            mode = PlaneWaveMode(1.0, k, omega_of_k(eq, k, consts))
+            case = f"for {type(eq).__name__}, n={n}"
+            _budget(planewave_residual(eq, mode, consts), 1e-12, f"residual {case}")
+            psi0 = planewave_sample(mode, grid, 0.0)
+            (_, evolved), = _propagate(eq, psi0, consts, [t])
+            err = np.max(np.abs(evolved.samples - planewave_sample(mode, grid, t).samples))
+            _budget(err, _ROUNDING * max(1.0, abs(mode.omega * t)), f"phase error {case}")
 
 
 def _check_parseval():
@@ -564,7 +557,7 @@ def _check_parseval():
     fld = WaveField(Grid1D(64, 10.0), rng.standard_normal(64) + 1j * rng.standard_normal(64))
     a = float(np.sum(np.abs(dft(fld).mode_amplitudes) ** 2))
     b = float(np.sum(np.abs(fld.samples) ** 2))
-    return abs(a - b), _ROUNDING * b, "Parseval gap"
+    _budget(abs(a - b), _ROUNDING * b, "Parseval gap")
 
 
 def _check_norm_conservation():
@@ -573,25 +566,23 @@ def _check_norm_conservation():
     psi0 = gaussian_packet(GaussianPacketSpec(8.0, 1.0, 1.0), Grid1D(128, 20.0))
     norms = [l2_norm(fld) for _, fld in _propagate(_equation(cfg), psi0, PhysicalConstants(),
                                                    (s * 0.01 for s in range(201)), _trap(cfg))]
-    return np.max(np.abs(np.diff(norms))) / norms[0], _ROUNDING, "per-interval norm drift"
+    _budget(np.max(np.abs(np.diff(norms))) / norms[0], _ROUNDING, "per-interval norm drift")
 
 
 def _check_massless_limit():
     consts = PhysicalConstants()
-
-    def gap(n):
+    for n in range(1, 9):
         k = 2.0 * np.pi * n / 16.0
         w = omega_of_k(Electromagnetic(), k, consts)
-        rel = abs(omega_of_k(KleinGordon(1e-8), k, consts) - w) / w
-        return rel, 1e-7, f"massless-limit gap at mode {n}"
-    return _worst(map(gap, range(1, 9)))
+        _budget(abs(omega_of_k(KleinGordon(1e-8), k, consts) - w) / w, 1e-7,
+                f"massless-limit gap at mode {n}")
 
 
 def _check_dominance_scaling():
     cs = [5.0, 10.0, 20.0, 40.0]
     slope = _loglog_slope(cs, [dominance_terms_mode(1.0, 1.0, PhysicalConstants(1.0, c)).ratio
                                for c in cs])
-    return abs(math.nan if slope is None else slope + 4.0), 0.2, f"dominance c-exponent {slope}"
+    _budget(abs(math.nan if slope is None else slope + 4.0), 0.2, f"dominance c-exponent {slope}")
 
 
 def _check_oscillator_bound():
@@ -602,9 +593,9 @@ def _check_oscillator_bound():
     golden = minimize_bound_numeric(problem, (0.05, 20.0), 1e-12).energy
     relaxed, odd = (imaginary_time_ground_state(problem, grid, initial=start).energy
                     for start in (None, WaveField(grid, x * np.exp(-x ** 2))))
-    return _worst([(abs(golden - e0), _ROUNDING * e0, "golden-section gap to hbar omega_c / 2"),
-                   (abs(relaxed - e0), _ROUNDING * e0, "relaxation gap to hbar omega_c / 2"),
-                   (abs(odd - e0), _ROUNDING * e0, "odd-start relaxation gap to hbar omega_c / 2")])
+    for energy, label in ((golden, "golden-section"), (relaxed, "relaxation"),
+                          (odd, "odd-start relaxation")):
+        _budget(abs(energy - e0), _ROUNDING * e0, f"{label} gap to hbar omega_c / 2")
 
 
 DEFAULT_CHECKS = [
@@ -617,28 +608,18 @@ DEFAULT_CHECKS = [
 ]
 
 
-def run_verification() -> list:
-    """Run the DEFAULT_CHECKS; returns [(name, passed, message), ...].
-
-    A check passes only if value <= bound, so a nan fails; one that raises fails
-    with its message, and the others still run.
-    """
-    results = []
-    for name, fn in DEFAULT_CHECKS:
-        try:
-            value, bound, label = fn()
-            value, bound = float(value), float(bound)
-            results.append((name, value <= bound, f"{label}: {value!r} > {bound!r}"))
-        except Exception as exc:
-            results.append((name, False, str(exc)))
-    return results
-
-
 def cmd_verify(cfg: dict, out: Path) -> int:
-    results = run_verification()
-    for name, ok, msg in results:
-        print(f"{name}: PASS" if ok else f"{name}: FAIL ({msg})" if msg else f"{name}: FAIL")
-    failed = next((name for name, ok, _ in results if not ok), None)
+    """One PASS/FAIL line per DEFAULT_CHECKS entry: a check fails by raising, with its message
+    (`_budget`'s "label: value > bound" for a case past its bound), and the others still run."""
+    failed = None
+    for name, check in DEFAULT_CHECKS:
+        try:
+            check()
+        except Exception as exc:
+            failed = failed or name
+            print(f"{name}: FAIL ({exc})" if str(exc) else f"{name}: FAIL")
+        else:
+            print(f"{name}: PASS")
     print("all checks passed" if failed is None else f"verification failed: {failed}")
     return EXIT_OK if failed is None else EXIT_NUMERIC
 

@@ -35,6 +35,7 @@ from .core import (
     TimeSpec,
     WaveField,
     _finite,
+    _phase_budget,
     dft,
 )
 from .dispersion import _envelope_frequency
@@ -116,7 +117,8 @@ def nr_limit_report(psi0: WaveField, m: float,
     full N-sine sum bit for bit.
 
     Raises NumericalFailure when the envelope phases or the dominance ratio
-    are not finite (m c^2/hbar underflowing to 0 or overflowing, or t too long).
+    are not finite (m c^2/hbar underflowing to 0 or overflowing, or t too long),
+    then by `_phase_budget` at the last t, w = sum_k p_k |delta_k / 2|.
     """
     times = [step * time.dt for step in _snapshot_steps(time.n_steps, snapshot_every)]
     spec = dft(psi0)
@@ -129,8 +131,10 @@ def nr_limit_report(psi0: WaveField, m: float,
         # both norms divided by omega_r^2, which cancels in the ratio
         ratio = float(np.sqrt(np.dot(power, x ** 4) / np.dot(power, (1.0 + 2.0 * x) ** 2)))
         last_phase = np.max(np.abs(half_gap)) * times[-1]  # bounds every snapshot's phase
+        w = float(np.dot(power, np.abs(half_gap)))
     _finite(f"non-finite envelope phase (t = {times[-1]!r}) or dominance ratio at c = "
             f"{consts.c!r} (m c^2/hbar = {omega_rest!r})", last_phase, ratio)
+    _phase_budget(times[-1], w, f", c = {consts.c!r}")
 
     # one snapshot at a time: memory stays O(N) however many snapshots there are
     h = psi0.grid.n_points // 2

@@ -28,6 +28,7 @@ from .core import (
     _finite,
     _l2,
     _on_grid,
+    _phase_budget,
     _positive,
     _wrap,
     dft,
@@ -83,7 +84,8 @@ def evolve_schrodinger_spectral(psi0: WaveField, m: float,
     Exact for any t (no time-step error); the L2 norm is preserved to rounding.
     """
     eq = SchrodingerFree(m)  # refuses m <= 0, also at t = 0
-    return next(_phase_snapshots(psi0, omega_of_k(eq, psi0.grid.wavenumbers, consts), [t]))[1]
+    (_, psi), = _phase_snapshots(psi0, omega_of_k(eq, psi0.grid.wavenumbers, consts), [t])
+    return psi
 
 
 def _phase_snapshots(psi0: WaveField, omega, times):
@@ -91,9 +93,14 @@ def _phase_snapshots(psi0: WaveField, omega, times):
 
     One forward transform serves every time; each t > 0 then costs one phase
     and one inverse transform, so one field at a time is held.  t = 0 gives a
-    copy of psi0, bit for bit.
+    copy of psi0, bit for bit.  The stream ends in `_phase_budget` at the last
+    (largest) t, w = sum_k p_k |omega_k| over psi0's normalized mode power p_k.
     """
     amps = dft(psi0).mode_amplitudes
+    with np.errstate(all="ignore"):
+        power = np.abs(amps) ** 2
+        w = float(np.dot(power / np.sum(power), np.abs(omega)))
+    t = 0.0
     for t in times:
         if t == 0.0:
             yield t, psi0.copy()
@@ -102,6 +109,7 @@ def _phase_snapshots(psi0: WaveField, omega, times):
             a = amps * np.exp(-1j * omega * t)
         _finite(f"non-finite mode amplitudes at t = {t}", a)
         yield t, idft(_wrap(SpectralField, psi0.grid, a))
+    _phase_budget(t, w)
 
 
 def _harmonic_snapshots(psi0: WaveField, m: float, omega_c: float, center, hbar: float,
@@ -117,7 +125,9 @@ def _harmonic_snapshots(psi0: WaveField, m: float, omega_c: float, center, hbar:
     differs from the last one (so memory stays O(N)), and a zero interval none,
     so t = 0 gives a copy of psi0, bit for bit.  A non-finite potential raises
     NumericalFailure before the first snapshot, and a non-finite omega_c t,
-    trap factor or field one naming the snapshot time t.
+    trap factor or field one naming the snapshot time t.  The stream ends in
+    `_phase_budget` at the last t, w = |omega_c| (reducing theta against the float
+    2 pi adds 0.18 eps |theta| to the rounding of omega_c dt, within eps |theta|).
     """
     v = harmonic_potential(psi0.grid, m, omega_c, center)
     built, psi, t_prev = {0.0: (0, None, 0)}, psi0.samples.copy(), 0.0
@@ -141,6 +151,7 @@ def _harmonic_snapshots(psi0: WaveField, m: float, omega_c: float, center, hbar:
         psi = -psi if odd else psi
         _finite(f"non-finite trap snapshot at t = {t}", psi)
         yield t, _wrap(WaveField, psi0.grid, psi.copy())
+    _phase_budget(t_prev, abs(omega_c))
 
 
 def _require_second_order(eq: EquationKind):

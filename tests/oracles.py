@@ -103,6 +103,20 @@ def coherent_state_oracle(grid, m, omega_c, hbar, displacement, center, t):
             * np.exp(-(m * omega_c / (2.0 * hbar)) * (x - xt) ** 2 - 1j * phase))
 
 
+def group_law_gap(propagate, psi0, a, b):
+    """||U(b) U(a) psi0 - U(a + b) psi0|| / ||psi0|| of an exact propagator, `propagate(psi,
+    t)` returning the WaveField U(t) psi.
+
+    U(b) U(a) = U(a + b) holds exactly, so the gap is rounding alone, with no reference
+    solution and at any N.  a = b is degenerate (omega 2a = 2 (omega a) exactly), so draw
+    non-dyadic splits.  A bias linear in t (a wrong omega(k), or a reduction against the
+    float 2 pi) composes consistently: the law complements the closed forms, never
+    replaces them.
+    """
+    gap = propagate(propagate(psi0, a), b).samples - propagate(psi0, a + b).samples
+    return math.sqrt(np.sum(np.abs(gap) ** 2) / np.sum(np.abs(psi0.samples) ** 2))
+
+
 def grid_hamiltonian(length, m, v, hbar):
     """Dense H = F^-1 diag(hbar^2 k^2 / 2m) F + diag(V), F the unitary DFT matrix.
 

@@ -153,6 +153,22 @@ ROWS = (
         note="numpy's \"array is too big\" ValueError, which main reported as a config error"),
     row(f"{REFUSED}[k_count_past_numpy]", "dispersion --set k_count=4611686018427387904", 2,
         "--set #1: k_count must be <= 288230376151711744, got 4611686018427387904"),
+    # past 2**53 a step count is not exact in step * dt
+    row(f"{REFUSED}[evolve_n_steps_past_2**53]",
+        "evolve --set n_steps=4611686018427387904 --set snapshot_every=0", 2,
+        "--set #1: n_steps must be <= 9007199254740992, got 4611686018427387904",
+        note="exit 0 with t = 4.6e16 and width 18.57, phase noise"),
+    row(f"{REFUSED}[nrlimit_n_steps_past_2**53]",
+        "nrlimit --set n_steps=4611686018427387904 --set snapshot_every=0", 2,
+        "--set #1: n_steps must be <= 9007199254740992, got 4611686018427387904",
+        note="exit 0 with final_deviation_c_exponent -0.197"),
+    row(f"{REFUSED}[snapshot_every_past_2**53]", "nrlimit --set snapshot_every=9007199254740993",
+        2, "--set #1: snapshot_every must be <= 9007199254740992, got 9007199254740993"),
+    row(f"{REFUSED}[max_iters_past_2**53]", "oscillator --set max_iters=9007199254740993", 2,
+        "--set #1: max_iters must be <= 9007199254740992, got 9007199254740993"),
+    row(f"{REPRO}[n_steps_at_2**53]", "evolve --set n_steps=9007199254740992 "
+        "--set snapshot_every=0", 3, "phase rounding bound eps |t| W at t = 90071992547409.92",
+        note="the largest step count the parser takes; its t is past the phase budget"),
     row("test_library_refusal_is_exit_2_in_one_line[grid]", "evolve --set n_points=100", 2,
         "config error: n_points must be a power of two >= 8, got 100\n"),
     row("test_library_refusal_is_exit_2_in_one_line[bracket]",
@@ -246,8 +262,26 @@ ROWS = (
                      "classical_wave", "electromagnetic")),
     row(f"{REPRO}[flat_packet]", "evolve --set sigma=1e308", 0,
         note="sigma ** 2 overflowed (OverflowError, exit 1)"),
-    row(f"{REPRO}[trap_huge_interval]", f"{TRAP} --set dt=1e307 --set n_steps=1", 0,
-        note="t = 1e307 overflowed a Strang factor; whole periods are reduced away now"),
+    row(f"{REPRO}[trap_huge_interval]", f"{TRAP} --set dt=1e307 --set n_steps=1", 3,
+        "phase rounding bound eps |t| W at t = 1e+307: ",
+        note="t = 1e307 overflowed a Strang factor (exit 3); with whole periods reduced away it "
+        "exited 0, pinned so, though omega_c t kept no correct digit"),
+    # -- the phase budget: eps |t| W <= 1e-6 rad, W the path's power-weighted |frequency|; each
+    # exited 0 with a phase that kept no correct digit
+    row(f"{REPRO}[phase_budget_trap]", "evolve --config {configs}/harmonic_ground.cfg "
+        "--set x0=12 --set dt=1e16 --set n_steps=1", 3,
+        "phase rounding bound eps |t| W at t = 1e+16: 2.22",
+        note="centroid 8.249, where the coherent state sits at 8.748"),
+    row(f"{REPRO}[phase_budget_free]", "evolve --config {configs}/free_gaussian.cfg "
+        "--set dt=1e16 --set n_steps=1", 3, "phase rounding bound eps |t| W at t = 1e+16: 1.38",
+        note="width 16.57"),
+    row(f"{REPRO}[phase_budget_klein_gordon]", "evolve --set family=klein_gordon --set dt=1e300 "
+        "--set n_steps=2 --set snapshot_every=1", 3, "phase rounding bound eps |t| W at t = 2e+300",
+        note="three unit norms, pinned so: the rotation stays unitary at any phase"),
+    row(f"{REPRO}[phase_budget_nrlimit]", "nrlimit --set dt=1e13 --set n_steps=20 "
+        "--set snapshot_every=0", 3,
+        "phase rounding bound eps |t| W at t = 200000000000000.0, c = 10.0: 3.8",
+        note="final_deviation_c_exponent -0.11, where the law says -2"),
     # each exited 2 after numpy RuntimeWarnings, naming neither sigma nor x0
     row("test_degenerate_packet_is_exit_2[evolve_sigma_underflow]", "evolve --set sigma=1e-300",
         2, "sigma = ", "x0 = ", note="4 sigma^2 underflows: 0/0 at x0"),

@@ -28,6 +28,7 @@ from wavelab import (
     SchrodingerPotential,
     WaveField,
     analytic_free_gaussian,
+    dft,
     evolve_second_order_spectral,
     gaussian_packet,
     group_velocity,
@@ -36,7 +37,7 @@ from wavelab import (
     omega_of_k,
     positive_branch_init,
 )
-from wavelab import exceptions, oscillator, propagate
+from wavelab import core, exceptions, oscillator, propagate
 from wavelab.exceptions import ConfigError, NumericalFailure, WaveLabError
 from wavelab.propagate import _phase_snapshots
 
@@ -328,6 +329,11 @@ def test_against_compares_no_refusal():
 
 
 EXTREMES = (1e300, -1e300, 1.7e308, 1e154, 1e200, 1e-160, 1e-200, 1e-310, 5e-324, 0.0, -1.0)
+# the integer keys' extremes, up to 2**62: their parsers refuse anything past 2**53.  2**53
+# itself is left out, since a relaxation allowed 2**53 iterations need not end in a test
+INT_EXTREMES = (-1, 0, 1, 2 ** 53 + 1, 2 ** 62)
+GATE_INTEGERS = {"evolve": ("n_steps", "snapshot_every"), "nrlimit": ("n_steps", "snapshot_every"),
+                 "oscillator": ("max_iters",), "dispersion": ()}
 # sizes capped so a case takes milliseconds
 GATE_SIZES = {
     "dispersion": {"k_count": 5},
@@ -356,7 +362,8 @@ GATE_CHOICES = {
 @st.composite
 def extreme_case(draw):
     """(scenario, ((key, value), ...)): 2-3 of its float keys, each at an extreme value, then
-    any subset of its choice keys, each at one of its options."""
+    any subset of its choice keys, each at one of its options, and of its integer keys, each
+    at an integer extreme."""
     scenario = draw(st.sampled_from(sorted(GATE_SIZES)))
     floats = [key for key, (parse, _) in cli.SCHEMAS[scenario].items() if parse is cli._parse_float]
     keys = draw(st.lists(st.sampled_from(floats), min_size=2, max_size=3, unique=True))
@@ -364,6 +371,9 @@ def extreme_case(draw):
     for key, options in sorted(GATE_CHOICES[scenario].items()):
         if draw(st.booleans()):
             pairs.append((key, draw(st.sampled_from(options))))
+    for key in GATE_INTEGERS[scenario]:
+        if draw(st.booleans()):
+            pairs.append((key, draw(st.sampled_from(INT_EXTREMES))))
     return scenario, tuple(pairs)
 
 
@@ -580,13 +590,14 @@ def test_evolve_trap_ground_width_stays_put_at_coarse_dt(tmp_path):
 
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
 @pytest.mark.parametrize("overrides, intervals", [
-    (["--set", "dt=1e307", "--set", "n_steps=1"], 1),
+    (["--set", "dt=1e9", "--set", "n_steps=1"], 1),
     ([], 8),
 ], ids=["huge_interval", "shipped"])
 def test_evolve_trap_costs_at_most_two_steps_per_interval(tmp_path, monkeypatch, overrides,
                                                           intervals):
-    # t = 1e307 used to overflow a per-step Strang factor (exit 3); whole
-    # periods are reduced away, so an interval of any length takes <= 2 steps
+    # t = 1e307 used to overflow a per-step Strang factor (exit 3); whole periods are
+    # reduced away, so an interval of any length takes <= 2 steps.  dt = 1e9 is 1.6e8
+    # periods, within the phase budget (eps t omega_c = 2.2e-7); 1e307 is past it (exit 3)
     steps, build = [], propagate._strang
 
     def counting(*args, **kwargs):
@@ -637,15 +648,37 @@ def test_evolve_flat_packet_is_exit_0(tmp_path):
     assert column(rows, header, "abs2") == pytest.approx([1.0 / 64.0] * 512, rel=1e-12)
 
 
-def test_second_order_rotation_stays_unitary_at_huge_time(tmp_path):
+def test_second_order_rotation_stays_unitary_at_huge_time(tmp_path, capsys):
+    # the largest t the phase budget accepts: eps t W <= 1e-6 rad, W = sum p |omega| of the
+    # default packet (1.43), so t = 3.2e9; dt = 1e300 exited 0 here with unit norms too, though
+    # no phase kept a correct digit
+    psi0 = gaussian_packet(GaussianPacketSpec(16.0, 1.0, 2.0), Grid1D(512, 64.0))
+    power = np.abs(dft(psi0).mode_amplitudes) ** 2
+    w = np.dot(power / power.sum(), omega_of_k(KleinGordon(1.0), psi0.grid.wavenumbers,
+                                                PhysicalConstants()))
+    t_max = float(core._PHASE_TOL / (sys.float_info.epsilon * w))
+    argv = ["evolve", "--set", "family=klein_gordon", "--set", "n_steps=2",
+            "--set", "snapshot_every=1"]
     out = tmp_path / "o"
-    rc = cli.main(["evolve", "--out", str(out), "--set", "family=klein_gordon",
-                   "--set", "dt=1e300", "--set", "n_steps=2", "--set", "snapshot_every=1"])
-    assert rc == 0
+    assert cli.main([*argv, "--out", str(out), "--set", f"dt={0.5 * t_max * (1 - 1e-9)!r}"]) == 0
     header, rows = read_csv(out / "summary.csv")
     norms = column(rows, header, "norm")
-    assert len(norms) == 3
+    assert len(norms) == 3 and column(rows, header, "t")[-1] > 0.999 * t_max > 3e9
     assert max(abs(n - 1.0) for n in norms) <= 1e-12
+    assert cli.main([*argv, "--out", str(tmp_path / "past"), "--set", "dt=1e300"]) == 3
+    assert "phase rounding bound eps |t| W at t = 2e+300: " in capsys.readouterr().err
+    assert not (tmp_path / "past").exists()
+
+
+def test_trap_centroid_holds_just_inside_the_phase_budget(tmp_path):
+    # eps t omega_c = 2.2e-7 rad at t = 1e9: the reduction against the float 2 pi costs
+    # 3.9e-17 t, so the centroid sits within 1e-7 of x_c + A cos t (4.3e-8 off)
+    out = tmp_path / "o"
+    assert cli.main(["evolve", "--config", str(CONFIGS / "harmonic_ground.cfg"), "--out",
+                     str(out), "--set", "x0=12", "--set", "dt=1e9", "--set", "n_steps=1"]) == 0
+    header, rows = read_csv(out / "summary.csv")
+    assert column(rows, header, "t") == [0.0, 1e9]
+    assert abs(column(rows, header, "centroid")[-1] - (10.0 + 2.0 * math.cos(1e9))) <= 1e-7
 
 
 # family -> extra --set overrides of its CLI run
@@ -1064,6 +1097,12 @@ def test_verify_passes_and_is_deterministic(capsys):
     assert first == second
 
 
+def test_every_verify_check_returns_nothing():
+    # a check refuses its first case past the bound through `_budget`: no (value, bound,
+    # label) comes back for a second comparison
+    assert [fn() for _, fn in cli.DEFAULT_CHECKS] == [None] * len(cli.DEFAULT_CHECKS)
+
+
 def test_python_m_wavelab(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
 
@@ -1172,8 +1211,9 @@ def test_verify_catches_a_relaxation_stuck_on_the_odd_state(monkeypatch, capsys)
 
 
 def test_verify_nan_value_fails(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "DEFAULT_CHECKS",
-                        cli.DEFAULT_CHECKS + [("nan_value", lambda: (float("nan"), 1.0, "gap"))])
+    # a check is `_budget` over its cases, and a nan fails it
+    nan_value = ("nan_value", lambda: cli._budget(math.nan, 1.0, "gap"))
+    monkeypatch.setattr(cli, "DEFAULT_CHECKS", cli.DEFAULT_CHECKS + [nan_value])
     assert cli.main(["verify"]) == 3
     out = capsys.readouterr().out
     assert "nan_value: FAIL (gap: nan > 1.0)" in out

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -26,6 +27,7 @@ from wavelab import (
     dominance_terms_mode,
     energy_bound,
     energy_expectation,
+    evolve_schrodinger_spectral,
     evolve_second_order_spectral,
     gaussian_packet,
     harmonic_potential,
@@ -35,6 +37,7 @@ from wavelab import (
     minimize_bound_numeric,
     nr_expansion_error,
     nr_limit_report,
+    omega_of_k,
     planewave_sample,
     positive_branch_init,
     split_step_evolve,
@@ -299,6 +302,53 @@ def test_finite_refuses_each_non_finite_scalar_and_array(kind, value):
         core._finite(lambda: "lazy", kind(value))
     for finite in (0.0, -5e-324, 1.7976931348623157e308):
         core._finite(lambda: pytest.fail(f"{finite!r} refused"), kind(finite), kind(-finite))
+
+
+def test_budget_passes_only_a_value_at_or_below_its_bound():
+    # `core._budget` is the one bound rule: value <= bound, so a nan fails, and the label
+    # of a passing case is never formatted
+    for value in (1.0, 0.0, -math.inf):
+        core._budget(value, 1.0, lambda: pytest.fail(f"{value!r} refused or its label formatted"))
+    for value in (math.nan, math.inf, math.nextafter(1.0, 2.0)):
+        with pytest.raises(NumericalFailure, match=f"^gap: {re.escape(repr(value))} > 1.0$"):
+            core._budget(value, 1.0, "gap")
+    with pytest.raises(NumericalFailure, match="^gap: 0.0 > nan$"):
+        core._budget(0.0, math.nan, "gap")
+
+
+def test_budget_prints_numpy_scalars_as_plain_floats():
+    # numpy 2 prints repr(np.float64(2.5)) as "np.float64(2.5)"
+    with pytest.raises(ConfigError, match=r"^lazy gap: 2\.5 > 1\.0$"):
+        core._budget(np.float64(2.5), np.float32(1.0), lambda: "lazy gap", ConfigError)
+
+
+_PACKET = gaussian_packet(GaussianPacketSpec(16.0, 1.0, 2.0), Grid1D(256, 64.0))
+_POWER = np.abs(dft(_PACKET).mode_amplitudes) ** 2
+_POWER /= _POWER.sum()  # the normalized mode power p
+_C10 = PhysicalConstants(c=10.0)
+
+# each exact path's phase: (its W = sum p |frequency| on _PACKET, a run of the path to t)
+PHASE_PATHS = {
+    "phase": (lambda: _POWER @ omega_of_k(SchrodingerFree(1.0), _PACKET.grid.wavenumbers),
+              lambda t: evolve_schrodinger_spectral(_PACKET, 1.0, t=t)),
+    "trap": (lambda: 2.5,
+             lambda t: list(propagate._harmonic_snapshots(_PACKET, 1.0, 2.5, None, 1.0, [0.0, t]))),
+    "envelope": (  # |delta / 2| = Omega^2 / 4 omega_r
+        lambda: _POWER @ (0.5 * nr_expansion_error(1.0, _PACKET.grid.wavenumbers, _C10)[0]),
+        lambda t: nr_limit_report(_PACKET, 1.0, _C10, TimeSpec(t, 1))),
+}
+
+
+@pytest.mark.parametrize("path", PHASE_PATHS)
+def test_each_phase_path_refuses_a_time_just_past_its_budget(path):
+    # eps |t| W <= _PHASE_TOL: inside it the run goes through, a part in 1e6 past it is refused
+    w, run = PHASE_PATHS[path]
+    limit = float(core._PHASE_TOL / (sys.float_info.epsilon * w()))
+    run(limit * (1.0 - 1e-6))
+    t = limit * (1.0 + 1e-6)
+    with pytest.raises(NumericalFailure,
+                       match=f"^phase rounding bound eps \\|t\\| W at t = {re.escape(repr(t))}"):
+        run(t)
 
 
 def test_all_lists_exactly_the_public_names():
