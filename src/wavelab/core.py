@@ -40,11 +40,12 @@ def _finite(message, *values):
             raise NumericalFailure(message() if callable(message) else message)
 
 
-def _budget(value, bound, label, exc=NumericalFailure):
-    """Raise exc("label: value > bound") unless value <= bound (so a nan fails): the one bound
-    rule; a callable label is lazy, and both numbers print as plain float reprs."""
+def _budget(value, bound, label):
+    """Raise NumericalFailure("label: value > bound") unless value <= bound (so a nan fails):
+    the one bound rule; a callable label is lazy, and both numbers print as plain float reprs."""
     if not value <= bound:
-        raise exc(f"{label() if callable(label) else label}: {float(value)!r} > {float(bound)!r}")
+        label = label() if callable(label) else label
+        raise NumericalFailure(f"{label}: {float(value)!r} > {float(bound)!r}")
 
 
 _PHASE_TOL = 1e-6  # rad: the largest rounding error bound an exact path's phase may carry
@@ -52,9 +53,9 @@ _PHASE_TOL = 1e-6  # rad: the largest rounding error bound an exact path's phase
 
 def _phase_budget(t, w: float, where: str = ""):
     """`_budget` of eps |t| w against _PHASE_TOL: a phase w t formed by a rounded product is off
-    by up to eps |w t| / 2, w being the path's power-weighted |frequency|."""
+    by up to eps |w t| / 2, w being the path's power-weighted |frequency|; t = 0 has no phase."""
     t = float(t)
-    _budget(sys.float_info.epsilon * abs(t) * w, _PHASE_TOL,
+    _budget(sys.float_info.epsilon * abs(t) * w if t else 0.0, _PHASE_TOL,
             lambda: f"phase rounding bound eps |t| W at t = {t!r}{where}")
 
 

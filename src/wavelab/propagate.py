@@ -98,8 +98,8 @@ def _phase_snapshots(psi0: WaveField, omega, times):
     """
     amps = dft(psi0).mode_amplitudes
     with np.errstate(all="ignore"):
-        power = np.abs(amps) ** 2
-        w = float(np.dot(power / np.sum(power), np.abs(omega)))
+        p = (np.abs(amps) / max(np.abs(amps).max(), 5e-324)) ** 2  # max 1: no overflow, and
+        w = float(np.dot(p, np.abs(omega)) / max(np.sum(p), 1.0))  # 0 for a zero field
     t = 0.0
     for t in times:
         if t == 0.0:

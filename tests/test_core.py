@@ -318,8 +318,8 @@ def test_budget_passes_only_a_value_at_or_below_its_bound():
 
 def test_budget_prints_numpy_scalars_as_plain_floats():
     # numpy 2 prints repr(np.float64(2.5)) as "np.float64(2.5)"
-    with pytest.raises(ConfigError, match=r"^lazy gap: 2\.5 > 1\.0$"):
-        core._budget(np.float64(2.5), np.float32(1.0), lambda: "lazy gap", ConfigError)
+    with pytest.raises(NumericalFailure, match=r"^lazy gap: 2\.5 > 1\.0$"):
+        core._budget(np.float64(2.5), np.float32(1.0), lambda: "lazy gap")
 
 
 _PACKET = gaussian_packet(GaussianPacketSpec(16.0, 1.0, 2.0), Grid1D(256, 64.0))
@@ -349,6 +349,24 @@ def test_each_phase_path_refuses_a_time_just_past_its_budget(path):
     with pytest.raises(NumericalFailure,
                        match=f"^phase rounding bound eps \\|t\\| W at t = {re.escape(repr(t))}"):
         run(t)
+
+
+@pytest.mark.parametrize("samples", [np.zeros(8), np.full(8, 1e200)], ids=["zero", "1e200"])
+def test_phase_budget_weighs_a_zero_or_huge_field_without_refusing_it(samples):
+    # W is formed from |a| / max |a|: a zero field has W = 0, and a field whose |a|^2
+    # overflows (its transform is finite) has a finite W, so neither is refused at any t
+    psi = WaveField(Grid1D(8, 8.0), samples)
+    assert np.array_equal(evolve_schrodinger_spectral(psi, 1.0, t=0.0).samples, samples)
+    assert np.isfinite(evolve_schrodinger_spectral(psi, 1.0, t=1.0).samples).all()
+    for t, _ in propagate._phase_snapshots(psi, np.full(8, 1e300), [0.0, 1e-300]):
+        pass  # eps * 1e-300 * 1e300 = eps: within the budget
+    assert t == 1e-300
+
+
+def test_phase_budget_charges_nothing_at_t_zero():
+    # a phase omega * 0 is exactly 0, even where omega overflows to inf (m = 1e-310)
+    psi = WaveField(Grid1D(8, 8.0), np.ones(8))
+    assert np.array_equal(evolve_schrodinger_spectral(psi, 1e-310, t=0.0).samples, np.ones(8))
 
 
 def test_all_lists_exactly_the_public_names():
