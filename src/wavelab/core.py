@@ -59,6 +59,14 @@ def _phase_budget(t, w: float, where: str = ""):
             lambda: f"phase rounding bound eps |t| W at t = {t!r}{where}")
 
 
+def _mode_power(amps) -> np.ndarray:
+    """|a_k|^2 / sum |a|^2 (zeros for a zero field), the one normalized mode power: |a| is scaled
+    exactly by the power of two that brings max |a| into [0.5, 1), so no square overflows."""
+    mag = np.abs(amps)
+    np.square(np.ldexp(mag, -math.frexp(mag.max())[1], out=mag), out=mag)
+    return mag / (np.sum(mag) or 1.0)
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Reduced Planck constant and speed of light."""

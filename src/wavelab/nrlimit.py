@@ -35,6 +35,7 @@ from .core import (
     TimeSpec,
     WaveField,
     _finite,
+    _mode_power,
     _phase_budget,
     dft,
 )
@@ -118,7 +119,7 @@ def nr_limit_report(psi0: WaveField, m: float,
 
     Raises NumericalFailure when the envelope phases or the dominance ratio
     are not finite (m c^2/hbar underflowing to 0 or overflowing, or t too long),
-    then by `_phase_budget` at the last t, w = sum_k p_k |delta_k / 2|.
+    then by `_phase_budget` at the last t, w = sum_k p_k |delta_k / 2|, p = `_mode_power`.
     """
     times = [step * time.dt for step in _snapshot_steps(time.n_steps, snapshot_every)]
     spec = dft(psi0)
@@ -126,8 +127,7 @@ def nr_limit_report(psi0: WaveField, m: float,
         _, big_omega, omega_rest = _envelope_frequency(m, consts, spec.wavenumbers)
         x = big_omega / omega_rest
         half_gap = -0.25 * big_omega * x  # delta / 2
-        power = np.abs(spec.mode_amplitudes) ** 2
-        power /= np.sum(power)
+        power = _mode_power(spec.mode_amplitudes)
         # both norms divided by omega_r^2, which cancels in the ratio
         ratio = float(np.sqrt(np.dot(power, x ** 4) / np.dot(power, (1.0 + 2.0 * x) ** 2)))
         last_phase = np.max(np.abs(half_gap)) * times[-1]  # bounds every snapshot's phase

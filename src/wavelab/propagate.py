@@ -27,6 +27,7 @@ from .core import (
     WaveField,
     _finite,
     _l2,
+    _mode_power,
     _on_grid,
     _phase_budget,
     _positive,
@@ -94,12 +95,11 @@ def _phase_snapshots(psi0: WaveField, omega, times):
     One forward transform serves every time; each t > 0 then costs one phase
     and one inverse transform, so one field at a time is held.  t = 0 gives a
     copy of psi0, bit for bit.  The stream ends in `_phase_budget` at the last
-    (largest) t, w = sum_k p_k |omega_k| over psi0's normalized mode power p_k.
+    (largest) t, w = sum_k p_k |omega_k|, p = `_mode_power` of psi0's spectrum.
     """
     amps = dft(psi0).mode_amplitudes
-    with np.errstate(all="ignore"):
-        p = (np.abs(amps) / max(np.abs(amps).max(), 5e-324)) ** 2  # max 1: no overflow, and
-        w = float(np.dot(p, np.abs(omega)) / max(np.sum(p), 1.0))  # 0 for a zero field
+    with np.errstate(all="ignore"):  # an inf omega gives a W of inf or nan, refused at t > 0
+        w = float(np.dot(_mode_power(amps), np.abs(omega)))
     t = 0.0
     for t in times:
         if t == 0.0:
@@ -171,6 +171,8 @@ def evolve_second_order_spectral(state0: SecondOrderState, eq: EquationKind,
 
     The w = 0 mode uses the sin(wt)/w -> t limit, i.e. psi_hat = psi_hat_0 +
     psidot_hat_0 * t.  Each mode conserves w^2 |psi_hat|^2 + |psidot_hat|^2.
+    Then `_phase_budget` at t, W = sum_k p_k w_k, p = `_mode_power` of max(|psi_hat_0|,
+    |psidot_hat_0| / w) (0 at w = 0, at most 1e308): for a positive-branch state, `evolve`'s W.
     """
     _require_second_order(eq)
     if t == 0.0:
@@ -188,7 +190,9 @@ def evolve_second_order_spectral(state0: SecondOrderState, eq: EquationKind,
         sin_over_w = np.divide(sin_wt, w, out=np.full(w.shape, float(t)), where=w != 0.0)
         a = a0 * cos_wt + b0 * sin_over_w
         b = -w * sin_wt * a0 + b0 * cos_wt
+        p = _mode_power(np.fmin(np.maximum(abs(a0), abs(b0) / np.where(w > 0, w, np.inf)), 1e308))
     _finite(f"non-finite mode amplitudes at t = {t}", a, b)
+    _phase_budget(t, float(np.dot(p, w)))
     return SecondOrderState(*(idft(_wrap(SpectralField, grid, x)) for x in (a, b)))
 
 

@@ -103,9 +103,9 @@ def coherent_state_oracle(grid, m, omega_c, hbar, displacement, center, t):
             * np.exp(-(m * omega_c / (2.0 * hbar)) * (x - xt) ** 2 - 1j * phase))
 
 
-def group_law_gap(propagate, psi0, a, b):
+def group_law_gap(propagate, psi0, a, b, field=lambda psi: psi):
     """||U(b) U(a) psi0 - U(a + b) psi0|| / ||psi0|| of an exact propagator, `propagate(psi,
-    t)` returning the WaveField U(t) psi.
+    t)` returning U(t) psi, and `field(state)` its WaveField (a second-order state's psi).
 
     U(b) U(a) = U(a + b) holds exactly, so the gap is rounding alone, with no reference
     solution and at any N.  a = b is degenerate (omega 2a = 2 (omega a) exactly), so draw
@@ -113,8 +113,8 @@ def group_law_gap(propagate, psi0, a, b):
     float 2 pi) composes consistently: the law complements the closed forms, never
     replaces them.
     """
-    gap = propagate(propagate(psi0, a), b).samples - propagate(psi0, a + b).samples
-    return math.sqrt(np.sum(np.abs(gap) ** 2) / np.sum(np.abs(psi0.samples) ** 2))
+    gap = field(propagate(propagate(psi0, a), b)).samples - field(propagate(psi0, a + b)).samples
+    return math.sqrt(np.sum(np.abs(gap) ** 2) / np.sum(np.abs(field(psi0).samples) ** 2))
 
 
 def grid_hamiltonian(length, m, v, hbar):

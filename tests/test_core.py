@@ -18,6 +18,7 @@ from wavelab import (
     PlaneWaveMode,
     SchrodingerFree,
     SchrodingerPotential,
+    SecondOrderState,
     SpectralField,
     TimeSpec,
     WaveField,
@@ -336,6 +337,9 @@ PHASE_PATHS = {
     "envelope": (  # |delta / 2| = Omega^2 / 4 omega_r
         lambda: _POWER @ (0.5 * nr_expansion_error(1.0, _PACKET.grid.wavenumbers, _C10)[0]),
         lambda t: nr_limit_report(_PACKET, 1.0, _C10, TimeSpec(t, 1))),
+    "rotation": (  # a positive-branch state: the phase path's W of its family
+        lambda: _POWER @ omega_of_k(_KG, _PACKET.grid.wavenumbers),
+        lambda t: evolve_second_order_spectral(positive_branch_init(_PACKET, _KG), _KG, t=t)),
 }
 
 
@@ -361,6 +365,44 @@ def test_phase_budget_weighs_a_zero_or_huge_field_without_refusing_it(samples):
     for t, _ in propagate._phase_snapshots(psi, np.full(8, 1e300), [0.0, 1e-300]):
         pass  # eps * 1e-300 * 1e300 = eps: within the budget
     assert t == 1e-300
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 31), n_exp=st.integers(3, 12), low=st.floats(-150.0, 150.0),
+       decades=st.floats(0.0, 149.9))
+def test_mode_power_has_the_plain_quotients_bits(seed, n_exp, low, decades):
+    # scaling |a| by a power of two is exact: with |a| in [1e-150, 1e150] and under 150
+    # decades of range, no square is subnormal and no sum overflows, so p has the bits
+    # of |a|^2 / sum |a|^2 (nr_limit_report's form before `_mode_power`)
+    rng = np.random.default_rng(seed)
+    exps = low + min(decades, 150.0 - low) * rng.random(2 ** n_exp)
+    amps = 10.0 ** exps * np.exp(2j * np.pi * rng.random(2 ** n_exp))
+    power = np.abs(amps) ** 2
+    assert np.array_equal(core._mode_power(amps), power / np.sum(power))
+
+
+def test_mode_power_of_a_zero_or_huge_field():
+    # a zero field has no power to share, and |a|^2 of this finite field overflows
+    assert np.array_equal(core._mode_power(np.zeros(8, complex)), np.zeros(8))
+    p = core._mode_power(dft(WaveField(Grid1D(8, 8.0), np.full(8, 1e200))).mode_amplitudes)
+    assert np.isfinite(p).all() and p.sum() == 1.0
+
+
+def test_nrlimit_weighs_a_field_whose_power_overflows():
+    # |a|^2 / sum |a|^2 overflowed: "non-finite envelope phase (t = 1.0) or dominance ratio"
+    psi = WaveField(Grid1D(8, 8.0), np.full(8, 1e200))
+    report = nr_limit_report(psi, 1.0, _C10, TimeSpec(1.0, 1))
+    assert np.isfinite(report.deviation + report.dominance_ratio).all()
+
+
+def test_rotation_weighs_a_mode_whose_reach_passes_the_largest_float():
+    # at w ~ 1e-309, |psidot_hat_0| / w overflowed to inf, and the W it gave (nan) refused a
+    # phase of 1e-309 rad; the field is psi_0 + psidot_0 t to rounding
+    grid = Grid1D(8, 8.0)
+    psi, psi_dot = np.ones(8), np.cos(np.pi * np.arange(8) / 4)
+    state = SecondOrderState(WaveField(grid, psi), WaveField(grid, psi_dot))
+    out = evolve_second_order_spectral(state, ClassicalWave(1e-308), t=1.0)
+    assert np.allclose(out.psi.samples, psi + psi_dot, rtol=0.0, atol=1e-15)
 
 
 def test_phase_budget_charges_nothing_at_t_zero():

@@ -375,6 +375,8 @@ def test_harmonic_snapshots_match_grid_exact_reference(a):
 _GROUP_LAW_CFG = {"wave_speed": 1.3, "mass": 1.0, "potential": "constant", "v0": 0.5,
                   "omega_c": 1.0, "x_c": -1.0}
 GROUP_LAW_C = 8.0  # 300 draws read up to 2.53 (the trap at N = 4096 and small t)
+# the library's rotation of (psi, psi_dot), on each second-order family's positive branch
+_ROTATIONS = [f"rotation/{f}" for f in ("classical_wave", "electromagnetic", "klein_gordon")]
 
 
 @st.composite
@@ -382,19 +384,20 @@ def group_law_case(draw):
     """(path, N, displacement A, decades below the phase budget's limit of a + b, ratio b / a,
     no power of two); the trap at A <= 2 only, on harmonic_ground.cfg's grid scaled with N,
     since a larger A reaches the box edge (ROADMAP item 9)."""
-    path = draw(st.sampled_from([*cli._FAMILIES, "trap"]))
+    path = draw(st.sampled_from([*cli._FAMILIES, "trap", *_ROTATIONS]))
     n = draw(st.sampled_from([256, 4096]))
     ratio = draw(st.floats(0.1, 10.0).filter(
         lambda r: abs(math.log2(r) - round(math.log2(r))) > 0.01))  # not 1, 2, 1/2, ...
     return (path, n, draw(st.floats(0.0, 2.0)), draw(st.floats(0.001, 15.0)), ratio)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=90, deadline=None, derandomize=True, database=None)
 @given(case=group_law_case())
 def test_exact_paths_obey_the_group_law_up_to_the_phase_budget(case):
-    # every path `evolve` runs is exact, so U(b) U(a) = U(a + b) up to rounding: the gap
-    # stays within C eps (1 + W (a + b)), W the path's weight in the phase budget
+    # every path `evolve` runs, and the rotation, is exact, so U(b) U(a) = U(a + b) up to
+    # rounding: the gap stays within C eps (1 + W (a + b)), W the path's phase-budget weight
     path, n, shift, decades, ratio = case
+    family = path.removeprefix("rotation/")
     if path == "trap":  # omega_c = 1, the matched packet displaced by A
         eq, trap = cli._FAMILIES["schrodinger_potential"](_GROUP_LAW_CFG), (1.0, None)
         length = {256: 20.0, 4096: 80.0}[n]
@@ -402,7 +405,7 @@ def test_exact_paths_obey_the_group_law_up_to_the_phase_budget(case):
                                Grid1D(n, length))
         w = 1.0
     else:  # dx = 1/4, as ROADMAP item 20's N = 256, L = 64 probe
-        eq, trap = cli._FAMILIES[path](_GROUP_LAW_CFG), None
+        eq, trap = cli._FAMILIES[family](_GROUP_LAW_CFG), None
         psi0 = gaussian_packet(GaussianPacketSpec(n / 8.0, 1.0, 1.0), Grid1D(n, n / 4.0))
         power = np.abs(dft(psi0).mode_amplitudes) ** 2
         w = np.dot(power / power.sum(), np.abs(omega_of_k(eq, psi0.grid.wavenumbers, NATURAL)))
@@ -413,7 +416,11 @@ def test_exact_paths_obey_the_group_law_up_to_the_phase_budget(case):
 
     a = _PHASE_TOL / (sys.float_info.epsilon * w) * 10.0 ** -decades / (1.0 + ratio)
     b = ratio * a
-    gap = group_law_gap(propagate, psi0, a, b)
+    if family != path:  # (psi, psi_dot) through both legs
+        gap = group_law_gap(lambda state, t: evolve_second_order_spectral(state, eq, NATURAL, t),
+                            positive_branch_init(psi0, eq, NATURAL), a, b, lambda s: s.psi)
+    else:
+        gap = group_law_gap(propagate, psi0, a, b)
     assert gap <= GROUP_LAW_C * sys.float_info.epsilon * (1.0 + w * (a + b)), (gap, a, b)
 
 
