@@ -120,13 +120,6 @@ def _parse_int(minimum=None, maximum=None):
     return parse
 
 
-def _parse_seed(s: str) -> int:
-    v = _parse_int(0)(s)
-    if v >= 2 ** 64:
-        raise ValueError(f"must fit in u64, got {v}")
-    return v
-
-
 def _parse_choice(*options):
     def parse(s: str) -> str:
         if s not in options:
@@ -146,7 +139,7 @@ def _parse_ladder(s: str) -> tuple:
 
 _COMMON = {
     "hbar": (_parse_float, 1.0),
-    "seed": (_parse_seed, 0),
+    "seed": (_parse_int(0, 2 ** 64 - 1), 0),
 }
 
 _PACKET = {

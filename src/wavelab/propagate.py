@@ -82,7 +82,8 @@ def evolve_schrodinger_spectral(psi0: WaveField, m: float,
                                 t: float = 0.0) -> WaveField:
     """Free-particle evolution psi_hat(k, t) = psi_hat(k, 0) e^{-i omega(k) t}.
 
-    Exact for any t (no time-step error); the L2 norm is preserved to rounding.
+    Exact for any t (no time-step error); the L2 norm is preserved to rounding.  A t
+    past the phase budget of `_phase_snapshots` raises NumericalFailure naming t.
     """
     eq = SchrodingerFree(m)  # refuses m <= 0, also at t = 0
     (_, psi), = _phase_snapshots(psi0, omega_of_k(eq, psi0.grid.wavenumbers, consts), [t])
@@ -94,13 +95,12 @@ def _phase_snapshots(psi0: WaveField, omega, times):
 
     One forward transform serves every time; each t > 0 then costs one phase
     and one inverse transform, so one field at a time is held.  t = 0 gives a
-    copy of psi0, bit for bit.  The stream ends in `_phase_budget` at the last
-    (largest) t, w = sum_k p_k |omega_k|, p = `_mode_power` of psi0's spectrum.
+    copy of psi0, bit for bit.  Each t > 0 takes `_finite`, then `_phase_budget` at t, w =
+    sum_k p_k |omega_k|, p = `_mode_power` of psi0's spectrum, refusing the first t past it.
     """
     amps = dft(psi0).mode_amplitudes
     with np.errstate(all="ignore"):  # an inf omega gives a W of inf or nan, refused at t > 0
         w = float(np.dot(_mode_power(amps), np.abs(omega)))
-    t = 0.0
     for t in times:
         if t == 0.0:
             yield t, psi0.copy()
@@ -108,8 +108,8 @@ def _phase_snapshots(psi0: WaveField, omega, times):
         with np.errstate(all="ignore"):
             a = amps * np.exp(-1j * omega * t)
         _finite(f"non-finite mode amplitudes at t = {t}", a)
+        _phase_budget(t, w)
         yield t, idft(_wrap(SpectralField, psi0.grid, a))
-    _phase_budget(t, w)
 
 
 def _harmonic_snapshots(psi0: WaveField, m: float, omega_c: float, center, hbar: float,
@@ -125,9 +125,10 @@ def _harmonic_snapshots(psi0: WaveField, m: float, omega_c: float, center, hbar:
     differs from the last one (so memory stays O(N)), and a zero interval none,
     so t = 0 gives a copy of psi0, bit for bit.  A non-finite potential raises
     NumericalFailure before the first snapshot, and a non-finite omega_c t,
-    trap factor or field one naming the snapshot time t.  The stream ends in
-    `_phase_budget` at the last t, w = |omega_c| (reducing theta against the float
-    2 pi adds 0.18 eps |theta| to the rounding of omega_c dt, within eps |theta|).
+    trap factor or field one naming the snapshot time t.  After its field's finiteness
+    check, each snapshot takes `_phase_budget` at t, w = |omega_c| (reducing theta against
+    the float 2 pi adds 0.18 eps |theta| to the rounding of omega_c dt, within eps |theta|),
+    so the first snapshot past the budget is refused, naming its t.
     """
     v = harmonic_potential(psi0.grid, m, omega_c, center)
     built, psi, t_prev = {0.0: (0, None, 0)}, psi0.samples.copy(), 0.0
@@ -150,8 +151,8 @@ def _harmonic_snapshots(psi0: WaveField, m: float, omega_c: float, center, hbar:
                 step(psi, psi)
         psi = -psi if odd else psi
         _finite(f"non-finite trap snapshot at t = {t}", psi)
+        _phase_budget(t, abs(omega_c))
         yield t, _wrap(WaveField, psi0.grid, psi.copy())
-    _phase_budget(t_prev, abs(omega_c))
 
 
 def _require_second_order(eq: EquationKind):

@@ -118,7 +118,7 @@ ROWS = (
     row(f"{REFUSED}[n_steps_not_integer]", "evolve --set n_steps=abc", 2,
         "--set #1: n_steps must be an integer, got 'abc'"),
     row(f"{REFUSED}[seed_past_u64]", "evolve --seed 18446744073709551616", 2,
-        "--seed: seed must fit in u64"),
+        "--seed: seed must be <= 18446744073709551615"),
     row(f"{REFUSED}[seed_named_as_itself]", "evolve --set dt=0.1 --set n_steps=3 --seed -1", 2,
         "--seed: seed must be >= 0, got -1"),
     row(f"{REFUSED}[n_points_library_bound]", "evolve --set n_points=100", 2,
@@ -189,11 +189,12 @@ ROWS = (
         "non-finite trap angle omega_c * t at t = inf"),
     row(f"{FAILED}[phase_overflow_at_2]",
         "evolve --set dt=4e305 --set n_steps=3 --set snapshot_every=1", 3,
-        "non-finite mode amplitudes at t = 8e+305", note="snapshots 0 and 1 succeed first"),
+        "phase rounding bound eps |t| W at t = 4e+305", note="snapshot 0 succeeds first"),
     row(f"{REPRO}[existing_out_kept]",
         "evolve --set dt=4e305 --set n_steps=3 --set snapshot_every=1", 3,
-        "non-finite mode amplitudes at t = 8e+305", files={"out/notes.txt": "kept\n"},
-        note="a write error at snapshot 2 left snapshots 0 and 1 in an existing --out"),
+        "phase rounding bound eps |t| W at t = 4e+305", files={"out/notes.txt": "kept\n"},
+        note="a write error at snapshot 2 left snapshots 0 and 1 in an existing --out; "
+        "snapshot 0 succeeds first"),
     row(f"{FAILED}[trap_factor_overflow]", f"{TRAP} --set mass=1e-310 --set n_steps=3", 3,
         "non-finite trap factors at t = 0.03 (interval 0.03)",
         note="the trap's refusal named its inner step size, dt = 0.02999550020249566"),
@@ -276,8 +277,12 @@ ROWS = (
         "--set dt=1e16 --set n_steps=1", 3, "phase rounding bound eps |t| W at t = 1e+16: 1.38",
         note="width 16.57"),
     row(f"{REPRO}[phase_budget_klein_gordon]", "evolve --set family=klein_gordon --set dt=1e300 "
-        "--set n_steps=2 --set snapshot_every=1", 3, "phase rounding bound eps |t| W at t = 2e+300",
-        note="three unit norms, pinned so: the rotation stays unitary at any phase"),
+        "--set n_steps=2 --set snapshot_every=1", 3, "phase rounding bound eps |t| W at t = 1e+300",
+        note="three unit norms, pinned so: the rotation stays unitary at any phase; "
+        "snapshot 0 succeeds first"),
+    row(f"{REPRO}[phase_budget_first_snapshot]", "evolve --set dt=1e16 --set n_steps=3000 "
+        "--set snapshot_every=1", 3, "phase rounding bound eps |t| W at t = 1e+16: ",
+        note="3,000 snapshots computed and staged before exit 3 named t = 3e+19"),
     row(f"{REPRO}[phase_budget_nrlimit]", "nrlimit --set dt=1e13 --set n_steps=20 "
         "--set snapshot_every=0", 3,
         "phase rounding bound eps |t| W at t = 200000000000000.0, c = 10.0: 3.8",

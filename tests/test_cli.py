@@ -151,8 +151,21 @@ def test_failed_run_into_a_new_out_leaves_nothing(tmp_path, capsys):
     # only once the run has succeeded
     argv = ["evolve", "--set", "dt=4e305", "--set", "n_steps=3", "--set", "snapshot_every=1"]
     assert cli.main([*argv, "--out", str(tmp_path / "new" / "a" / "b")]) == 3
-    assert "non-finite mode amplitudes at t = 8e+305" in capsys.readouterr().err
+    assert "phase rounding bound eps |t| W at t = 4e+305" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_evolve_past_the_budget_is_refused_before_any_transform(tmp_path, capsys, monkeypatch):
+    # the budget was checked once the stream had ended: 3,000 inverse transforms and staged
+    # snapshots before exit 3 named t = 3e+19
+    calls = []
+    idft = propagate.idft
+    monkeypatch.setattr(propagate, "idft", lambda f: calls.append(f) or idft(f))
+    usable_cpus(monkeypatch, 1)  # the writer's one pass runs in this process
+    assert cli.main(["evolve", "--set", "dt=1e16", "--set", "n_steps=3000",
+                     "--set", "snapshot_every=1", "--out", str(tmp_path / "o")]) == 3
+    assert "phase rounding bound eps |t| W at t = 1e+16: " in capsys.readouterr().err
+    assert calls == [] and not list(tmp_path.iterdir())
 
 
 # caps the child's address space at 2 GiB, so an absurd size fails fast and
@@ -667,7 +680,7 @@ def test_second_order_rotation_stays_unitary_at_huge_time(tmp_path, capsys):
     assert len(norms) == 3 and column(rows, header, "t")[-1] > 0.999 * t_max > 3e9
     assert max(abs(n - 1.0) for n in norms) <= 1e-12
     assert cli.main([*argv, "--out", str(tmp_path / "past"), "--set", "dt=1e300"]) == 3
-    assert "phase rounding bound eps |t| W at t = 2e+300: " in capsys.readouterr().err
+    assert "phase rounding bound eps |t| W at t = 1e+300: " in capsys.readouterr().err
     assert not (tmp_path / "past").exists()
 
 

@@ -355,6 +355,29 @@ def test_each_phase_path_refuses_a_time_just_past_its_budget(path):
         run(t)
 
 
+# each exact stream over `times`, with the W of PHASE_PATHS
+STREAMS = {
+    "phase": lambda times: propagate._phase_snapshots(
+        _PACKET, omega_of_k(SchrodingerFree(1.0), _PACKET.grid.wavenumbers), times),
+    "trap": lambda times: propagate._harmonic_snapshots(_PACKET, 1.0, 2.5, None, 1.0, times),
+}
+
+
+@pytest.mark.parametrize("path", STREAMS)
+def test_each_stream_refuses_the_first_snapshot_past_its_budget(path):
+    # the budget was checked once the stream had ended: it yielded every snapshot, t = 1e300
+    # with no correct phase digit among them, and then named the last t
+    w, _ = PHASE_PATHS[path]
+    limit = float(core._PHASE_TOL / (sys.float_info.epsilon * w()))
+    times = [0.0, limit * (1.0 - 1e-6), limit * (1.0 + 1e-6), 1e300]
+    seen = []
+    with pytest.raises(NumericalFailure, match=f"^phase rounding bound eps \\|t\\| W at t = "
+                                                f"{re.escape(repr(times[2]))}: "):
+        for t, _ in STREAMS[path](times):
+            seen.append(t)
+    assert seen == times[:2]
+
+
 @pytest.mark.parametrize("samples", [np.zeros(8), np.full(8, 1e200)], ids=["zero", "1e200"])
 def test_phase_budget_weighs_a_zero_or_huge_field_without_refusing_it(samples):
     # W is formed from |a| / max |a|: a zero field has W = 0, and a field whose |a|^2
