@@ -68,6 +68,7 @@ from .oscillator import (
 )
 from .propagate import (
     _harmonic_snapshots,
+    _line_moments,
     _phase_snapshots,
     _snapshot_steps,
     gaussian_packet,
@@ -142,8 +143,8 @@ _COMMON = {
     "seed": (_parse_int(0, 2 ** 64 - 1), 0),
 }
 
-_PACKET = {
-    "packet_kind": (_parse_choice("gaussian", "plane_wave"), "gaussian"),
+_PACKET = {  # evolve's: a plane wave has no line moments, so only nrlimit takes one
+    "packet_kind": (_parse_choice("gaussian"), "gaussian"),
     "x0": (_parse_float, 16.0),
     "k0": (_parse_float, 1.0),
     "sigma": (_parse_float, 2.0),
@@ -189,6 +190,7 @@ SCHEMAS = {
         "n_steps": (_parse_int(maximum=2 ** 53), 400),
         "snapshot_every": (_parse_int(0, 2 ** 53), 20),
         **_PACKET,
+        "packet_kind": (_parse_choice("gaussian", "plane_wave"), "gaussian"),
     },
     "oscillator": {
         **_COMMON,
@@ -367,6 +369,9 @@ def cmd_dispersion(cfg: dict, out: str):
     _write_csv(os.path.join(out, "dispersion.csv"), header, rows)
 
 
+_MOMENTS_TOL = 1e-9  # of the width: each line-moment gap an evolve summary row may carry
+
+
 def cmd_evolve(cfg: dict, out: str):
     consts = PhysicalConstants(hbar=cfg["hbar"], c=cfg["c"])
     grid = Grid1D(cfg["n_points"], cfg["length"])
@@ -374,8 +379,24 @@ def cmd_evolve(cfg: dict, out: str):
     eq = _equation(cfg)
     _positive("dt", cfg["dt"])  # refused even at 0 steps
     steps = _snapshot_steps(cfg["n_steps"], cfg["snapshot_every"])
+    trap = _trap(cfg)
+    predict = _line_moments(psi0, group_velocity(eq, grid.wavenumbers, consts), trap)
+
+    def check(t, centroid, width):
+        """GridTooCoarse (exit 4) unless the row's centroid (on the circle) and width lie
+        within _MOMENTS_TOL of the width from the line's: the packet spec at t = 0, else
+        `predict(t)`, the closed form of the same path."""
+        start = t == 0.0
+        want, width_want = (cfg["x0"] % grid.length, cfg["sigma"]) if start else predict(t)
+        _finite(f"non-finite line moments at t = {t!r}", want, width_want)
+        gap = max(abs(math.remainder(centroid - want, grid.length)), abs(width - width_want))
+        _budget(gap, _MOMENTS_TOL * width_want, lambda: (
+            f"packet does not fit length = {grid.length!r} at t = {t!r}"
+            + (f" (x0 = {cfg['x0']!r}, sigma = {cfg['sigma']!r})" if start else "")
+            + ", so enlarge length; line-moment gap"), GridTooCoarse)
+
     _write_snapshots(out, lambda: _propagate(eq, psi0, consts, (s * cfg["dt"] for s in steps),
-                                             _trap(cfg)), len(steps), grid.positions)
+                                             trap), len(steps), grid.positions, check)
 
 
 def _propagate(eq, psi0: WaveField, consts: PhysicalConstants, times, trap=None):
@@ -387,9 +408,10 @@ def _propagate(eq, psi0: WaveField, consts: PhysicalConstants, times, trap=None)
             _phase_snapshots(psi0, omega_of_k(eq, psi0.grid.wavenumbers, consts), times))
 
 
-def _write_snapshots(out: str, passes, count: int, positions):
+def _write_snapshots(out: str, passes, count: int, positions, check):
     """Write snapshot_NNNN.csv for each of the `count` (t, field) pairs that `passes()`
-    yields into `out`, and their summary.csv rows (t, norm, centroid, width).
+    yields into `out`, and their summary.csv rows (t, norm, centroid, width), each passed
+    to `check(t, centroid, width)` first.
 
     Up to one process per CPU this process may use (forked, so nothing is
     pickled) makes its own pass and writes the files whose index is r modulo
@@ -407,7 +429,9 @@ def _write_snapshots(out: str, passes, count: int, positions):
     def write_share(r, summary=None):
         for idx, (t, fld) in enumerate(passes()):
             if summary is not None:  # every snapshot is a WaveField, so finite
-                summary.write(",".join(map(_fmt, (t, l2_norm(fld), *packet_moments(fld)))) + "\n")
+                row = (t, l2_norm(fld), *packet_moments(fld))
+                check(t, *row[2:])
+                summary.write(",".join(map(_fmt, row)) + "\n")
             if idx % n_procs == r:
                 prefix = f"{t!r},"
                 # scalar abs(z) ** 2: vectorised np.abs(samples) ** 2 can differ in the last digit

@@ -40,12 +40,12 @@ def _finite(message, *values):
             raise NumericalFailure(message() if callable(message) else message)
 
 
-def _budget(value, bound, label):
-    """Raise NumericalFailure("label: value > bound") unless value <= bound (so a nan fails):
-    the one bound rule; a callable label is lazy, and both numbers print as plain float reprs."""
+def _budget(value, bound, label, exc=NumericalFailure):
+    """Raise exc("label: value > bound") unless value <= bound (so a nan fails): the one bound
+    rule; a callable label is lazy, and both numbers print as plain float reprs."""
     if not value <= bound:
         label = label() if callable(label) else label
-        raise NumericalFailure(f"{label}: {float(value)!r} > {float(bound)!r}")
+        raise exc(f"{label}: {float(value)!r} > {float(bound)!r}")
 
 
 _PHASE_TOL = 1e-6  # rad: the largest rounding error bound an exact path's phase may carry
@@ -188,8 +188,9 @@ def _wrap(cls, grid: Grid1D, values: np.ndarray):
 class GaussianPacketSpec:
     """Localized initial data: envelope exp(-(x-x0)^2/4 sigma^2) times exp(i k0 x).
 
-    sigma should satisfy 4*dx <= sigma <= L/8 to be both resolved and
-    non-wrapping; violations are reported as warnings, not errors.
+    sigma below 4*dx is warned of as underresolved.  A packet that does not fit the box is
+    refused: `evolve` exits 4 unless its sampled centroid and width lie within 1e-9 sigma of
+    x0 (mod L) and sigma, as every later summary row must of its closed-form line moments.
     """
 
     x0: float

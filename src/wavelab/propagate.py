@@ -326,19 +326,13 @@ def crank_nicolson_evolve(psi0: WaveField, m: float, potential,
 def gaussian_packet(spec: GaussianPacketSpec, grid: Grid1D) -> WaveField:
     """Sample exp(-(x-x0)^2/4 sigma^2) e^{i k0 x}, L2-normalized on the grid.
 
-    Periodic images are ignored; the packet-width guidance on
-    GaussianPacketSpec keeps them negligible.
+    Periodic images are ignored: `evolve` refuses a packet whose images move its
+    line moments (GaussianPacketSpec).
     """
     dx = grid.spacing
     if spec.sigma < 4.0 * dx:
         warnings.warn(
             f"sigma = {spec.sigma} is below 4 dx = {4.0 * dx}; packet underresolved",
-            stacklevel=2,
-        )
-    if spec.sigma > grid.length / 8.0:
-        warnings.warn(
-            f"sigma = {spec.sigma} exceeds L/8 = {grid.length / 8.0}; "
-            "periodic images may overlap",
             stacklevel=2,
         )
     x = grid.positions
@@ -401,6 +395,47 @@ def packet_moments(field: WaveField) -> tuple:
     _finite(f"non-finite packet moments at dx = {grid.spacing!r}", total, mean_off, var)
     return (float((j_peak + mean_off) * grid.spacing % grid.length),
             float(np.sqrt(var) * grid.spacing))
+
+
+def _line_moments(psi0: WaveField, velocity, trap=None):
+    """`moments(t)`: the (centroid in [0, L), width) of psi0's packet on the line at time t.
+
+    Both exact paths of `evolve` move the position linearly in psi0's x and v (Ehrenfest):
+    x(t) = x + v t on the phase path, v the group velocity d omega / dk of each mode, and
+    x(t) - x_c = (x - x_c) cos theta + (v / omega_c) sin theta in a `trap` (omega_c, x_c, None
+    for L/2), v = hbar k / m and theta = omega_c t reduced against the float 2 pi as the trap
+    reduces it.  So for x(t) = x_c + a (x - x_c) + b v the centroid is x_c + a (<x> - x_c) +
+    b <v> and the variance a^2 Var x + 2 a b C + b^2 Var v, with C = Re <(x - <x>) psi0,
+    (v - <v>) psi0> and x unwrapped around psi0's centroid: one forward and one inverse
+    transform here, O(1) per t.  A periodic grid holds them only while the state fits the box
+    (Kosloff & Kosloff 1983).  A velocity that overflowed gives non-finite moments.
+    """
+    grid, samples = psi0.grid, psi0.samples
+    length = grid.length
+    c0, width0 = packet_moments(psi0)
+    amps = dft(psi0).mode_amplitudes
+    with np.errstate(all="ignore"):  # non-finite coefficients are refused where t is checked
+        p = _mode_power(amps)
+        mean_v = float(p @ velocity)
+        dv = velocity - mean_v
+        var_v = float(p @ (dv * dv))
+        x = (grid.positions - c0 + 0.5 * length) % length - 0.5 * length
+        cov = float(np.vdot(x * samples, np.fft.ifft(dv * amps, norm="ortho")).real
+                    / np.vdot(samples, samples).real)
+    var_x = width0 * width0
+    omega_c, x_c = trap or (None, 0.0)
+    x_c = 0.5 * length if x_c is None else x_c
+
+    def moments(t):
+        if omega_c is None:
+            a, b = 1.0, t
+        else:
+            theta = math.remainder(omega_c * t, 2.0 * math.pi)
+            a, b = math.cos(theta), math.sin(theta) / omega_c
+        var = a * a * var_x + 2.0 * a * b * cov + b * b * var_v
+        return ((x_c + a * (c0 - x_c) + b * mean_v) % length,
+                math.sqrt(var) if var >= 0.0 else math.nan)
+    return moments
 
 
 def centroid(field: WaveField) -> float:

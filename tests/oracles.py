@@ -103,6 +103,47 @@ def coherent_state_oracle(grid, m, omega_c, hbar, displacement, center, t):
             * np.exp(-(m * omega_c / (2.0 * hbar)) * (x - xt) ** 2 - 1j * phase))
 
 
+def line_moments(cfg, t):
+    """(centroid in [0, L), width) at time t of an `evolve` run's Gaussian packet on the line.
+
+    `cfg` maps the keys of the run's config_echo.cfg to their text.  The packet's Wigner
+    function is exp(-(x - x0)^2 / 2 sigma^2) exp(-2 sigma^2 (k - k0)^2), so x and k are
+    independent normals (k of standard deviation 1 / 2 sigma) and every symmetrised moment of
+    the linear Heisenberg position is a moment of them: x(t) = x + v(k) t with v = d omega / dk,
+    so <x> = x0 + <v> t and Var x = sigma^2 + Var v t^2, and in a harmonic trap
+    x(t) - x_c = (x - x_c) cos(omega_c t) + hbar k / (m omega_c) sin(omega_c t).  <v> and its
+    deviation are closed forms but for Klein-Gordon, whose are a trapezoid sum over +-40
+    deviations of k.
+    """
+    f = {key: float(value) for key, value in cfg.items()
+         if key not in ("scenario", "family", "packet_kind", "potential")}
+    x0, k0, sigma, length, hbar = f["x0"], f["k0"], f["sigma"], f["length"], f["hbar"]
+    if t == 0.0:
+        return x0 % length, sigma
+    s = 0.5 / sigma
+    family = cfg["family"]
+    if family.startswith("schrodinger"):
+        mean_v, sd_v = hbar * k0 / f["mass"], hbar * s / f["mass"]
+    elif family == "klein_gordon":  # v = c k / hypot(k, m c / hbar)
+        with np.errstate(all="ignore"):
+            z = np.linspace(-40.0, 40.0, 16001)
+            weight = np.exp(-0.5 * z * z) / np.sum(np.exp(-0.5 * z * z))
+            v = f["c"] * (k0 + s * z) / np.hypot(k0 + s * z, f["mass"] * f["c"] / hbar)
+            mean_v = float(np.sum(weight * v))
+            sd_v = float(np.sqrt(np.sum(weight * (v - mean_v) ** 2)))
+    else:  # v = speed sign(k): P(k > 0) = erfc(-z) / 2
+        speed = f["wave_speed"] if family == "classical_wave" else f["c"]
+        z = k0 / (s * math.sqrt(2.0))
+        mean_v, sd_v = speed * math.erf(z), speed * math.sqrt(math.erfc(z) * math.erfc(-z))
+    if cfg["potential"] == "harmonic":
+        omega_c = f["omega_c"]
+        x_c = 0.5 * length if f["x_c"] < 0 else f["x_c"]
+        a, b = math.cos(omega_c * t), math.sin(omega_c * t) / omega_c
+    else:
+        x_c, a, b = 0.0, 1.0, t
+    return (x_c + a * (x0 - x_c) + b * mean_v) % length, math.hypot(a * sigma, b * sd_v)
+
+
 def group_law_gap(propagate, psi0, a, b, field=lambda psi: psi):
     """||U(b) U(a) psi0 - U(a + b) psi0|| / ||psi0|| of an exact propagator, `propagate(psi,
     t)` returning U(t) psi, and `field(state)` its WaveField (a second-order state's psi).

@@ -129,12 +129,17 @@ ROWS = (
         "--set #1: c_ladder must list at least 2 distinct"),
     row(f"{REFUSED}[ladder_one_speed_thrice]", "nrlimit --set c_ladder=10,10,10", 2,
         "2 distinct speeds, got 1"),
-    row(f"{REFUSED}[plane_wave_k0_overflow]", "evolve --set packet_kind=plane_wave --set k0=1e308",
+    row(f"{REFUSED}[plane_wave_k0_overflow]", "nrlimit --set packet_kind=plane_wave --set k0=1e308",
         2, "k0 = 1e+308 has no grid mode on length = 64.0",
-        note="round() of an infinite mode index raised OverflowError, exit 1"),
+        note="round() of an infinite mode index raised OverflowError, exit 1 (in evolve, which "
+        "has no plane wave since)"),
     row(f"{REFUSED}[plane_wave_k0_overflow_negative]",
         "nrlimit --set packet_kind=plane_wave --set k0=-1e308", 2,
         "k0 = -1e+308 has no grid mode on length = 64.0"),
+    row(f"{REFUSED}[evolve_plane_wave]", "evolve --set packet_kind=plane_wave", 2,
+        "--set #1: packet_kind must be one of gaussian",
+        note="exit 0 with centroids 1.19, 45.31, 57.69 and 20.44 at t = 0..3: a uniform density "
+        "has no centroid, and the written one was the argmax of rounding noise"),
     row(f"{REFUSED}[dispersion_potential_without_family]",
         "dispersion --set family=klein_gordon --set potential=constant --set v0=3", 2,
         f"family 'klein_gordon' {NO_POTENTIAL}",
@@ -261,8 +266,30 @@ ROWS = (
           note="no TimeSpec was built: exit 0, and the second-order families wrote t = -0.0")
       for family in ("schrodinger_free", "schrodinger_potential", "klein_gordon",
                      "classical_wave", "electromagnetic")),
-    row(f"{REPRO}[flat_packet]", "evolve --set sigma=1e308", 0,
-        note="sigma ** 2 overflowed (OverflowError, exit 1)"),
+    row(f"{REPRO}[flat_packet]", "evolve --set sigma=1e308", 4,
+        "at t = 0.0 (x0 = 16.0, sigma = 1e+308), so enlarge length; line-moment gap: ",
+        note="sigma ** 2 overflowed (OverflowError, exit 1); then exit 0 with a flat density, "
+        "width L / sqrt(12) for sigma 1e308 and a centroid of rounding noise"),
+    # -- the line moments: each row's centroid (on the circle) and width within 1e-9 of the
+    # width from the packet spec at t = 0, else from the closed-form Heisenberg moments; each
+    # exited 0 with the moments of a packet that no longer fits the box
+    row(f"{REPRO}[moments_free_wrap]", "evolve --config {configs}/free_gaussian.cfg --set dt=5 "
+        "--set n_steps=12 --set snapshot_every=1", 4, "at t = 15.0, so enlarge length; ",
+        note="width 19.42 and centroid 27.91 at t = 45, where the line packet has 22.52 and 61.0"),
+    row(f"{REPRO}[moments_trap_orbit]", "evolve --config {configs}/harmonic_ground.cfg "
+        "--set omega_c=5 --set sigma=0.31622776601683794 --set x0=18 --set dt=0.3 --set n_steps=1",
+        4, "at t = 0.0 (x0 = 18.0, sigma = 0.31622776601683794), so enlarge length; ",
+        note="width 1.280 and centroid 10.23 at t = 0.3, where the coherent state has 0.3162 "
+        "at 10.57"),
+    row(f"{REPRO}[moments_trap_edge]", "evolve --config {configs}/harmonic_ground.cfg --set x0=17 "
+        "--set dt=1.5 --set n_steps=2 --set snapshot_every=1", 4,
+        "at t = 0.0 (x0 = 17.0, sigma = 0.7071067811865476), so enlarge length; ",
+        note="centroid 16.999956 at t = 0, and a width 1.1e-3 (relative) off the closed form "
+        "at t = 1.5"),
+    row(f"{REPRO}[moments_non_finite_prediction]", "evolve --set n_points=64 --set length=1e6 "
+        "--set sigma=62500 --set x0=5e5 --set k0=0 --set mass=1e-313 --set dt=1e-300 "
+        "--set n_steps=1", 3, "non-finite line moments at t = 1e-300",
+        note="new with the rule: hbar k / m overflows at the Nyquist mode, where omega is finite"),
     row(f"{REPRO}[trap_huge_interval]", f"{TRAP} --set dt=1e307 --set n_steps=1", 3,
         "phase rounding bound eps |t| W at t = 1e+307: ",
         note="t = 1e307 overflowed a Strang factor (exit 3); with whole periods reduced away it "
