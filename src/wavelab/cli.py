@@ -414,17 +414,36 @@ def _write_snapshots(out: str, passes, count: int, positions, check):
     to `check(t, centroid, width)` first.
 
     Up to one process per CPU this process may use (forked, so nothing is
-    pickled) makes its own pass and writes the files whose index is r modulo
-    their count, the caller taking r = 0 and the summary, row by row, so one
-    field at a time is held.  The bytes do not depend on the count.  The caller
-    rewrites the share of any child that fails or cannot be forked: a
-    persistent fault then raises here.
+    pickled) makes its own pass, the caller's also writing the summary row by
+    row, so one field at a time is held.  Each file is cut into B contiguous
+    row blocks, B = ceil(2 processes / count) with fewer than two files per
+    process and else 1, and block b of file idx, unit idx B + b, is written by
+    the process of that number modulo their count.  Block 0, with the header,
+    is the file itself; the caller appends the later blocks' part files in
+    order and unlinks them.  Each child pins itself to a usable CPU of its
+    own, never the caller's, unless that CPU cannot be read or the pin is
+    refused.  The bytes do not depend on the count.  The caller rewrites the
+    units of any child that fails or cannot be forked: a persistent fault
+    then raises here.
     """
     # the x column is the same in every snapshot file: format it once
     x_cells = [f"{xj!r}," for xj in positions.tolist()]
-    n_procs = (min(len(os.sched_getaffinity(0)), count)
-               if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+    cpus = (sorted(os.sched_getaffinity(0))
+            if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else [])
+    n_procs = min(len(cpus), count) or 1
+    # many files balance by whole files; a few unequal ones (zeros format fast) do not
+    blocks = -(-2 * n_procs // count) if n_procs > 1 else 1
+    try:  # the caller's CPU: field 39 of /proc/self/stat, counted past the command name
+        with open("/proc/self/stat") as f:
+            caller = int(f.read().rpartition(")")[2].split()[36])
+    except (OSError, ValueError, IndexError):
+        caller = None
+    spare = [cpu for cpu in cpus if cpu != caller]  # child r takes spare[r - 1]
     import numpy.fft  # noqa: F401  loaded once here, not again in every writer process
+
+    def path(idx, b):
+        name = os.path.join(out, f"snapshot_{idx:04d}.csv")
+        return f"{name}.{b}" if b else name
 
     def write_share(r, summary=None):
         for idx, (t, fld) in enumerate(passes()):
@@ -432,14 +451,15 @@ def _write_snapshots(out: str, passes, count: int, positions, check):
                 row = (t, l2_norm(fld), *packet_moments(fld))
                 check(t, *row[2:])
                 summary.write(",".join(map(_fmt, row)) + "\n")
-            if idx % n_procs == r:
+            for b in range((r - idx * blocks) % n_procs, blocks, n_procs):  # r's units of idx
+                rows = slice(len(x_cells) * b // blocks, len(x_cells) * (b + 1) // blocks)
                 prefix = f"{t!r},"
                 # scalar abs(z) ** 2: vectorised np.abs(samples) ** 2 can differ in the last digit
-                lines = ["t,x,re_psi,im_psi,abs2"]
+                lines = [] if b else ["t,x,re_psi,im_psi,abs2"]
                 lines.extend(f"{prefix}{xc}{z.real!r},{z.imag!r},{abs(z) ** 2!r}"
-                             for xc, z in zip(x_cells, fld.samples.tolist()))
-                lines.append("")  # one join, so the file's text exists once
-                _write_text(os.path.join(out, f"snapshot_{idx:04d}.csv"), "\n".join(lines))
+                             for xc, z in zip(x_cells[rows], fld.samples[rows].tolist()))
+                lines.append("")  # one join, so the unit's text exists once
+                _write_text(path(idx, b), "\n".join(lines))
 
     children = {}
     for r in range(1, n_procs):
@@ -453,6 +473,11 @@ def _write_snapshots(out: str, passes, count: int, positions, check):
             pid = None
         if pid == 0:  # os._exit skips the inherited buffers, atexit handlers and finally clauses
             try:
+                if caller is not None:  # a fork starts on its parent's CPU and may stay there
+                    try:
+                        os.sched_setaffinity(0, {spare[r - 1]})
+                    except OSError:  # e.g. a CPU gone offline: run where the kernel puts it
+                        pass
                 write_share(r)
                 os._exit(0)
             finally:
@@ -468,6 +493,16 @@ def _write_snapshots(out: str, passes, count: int, positions, check):
         failed = [r for r, pid in children.items() if pid is None or os.waitpid(pid, 0)[1]]
     for r in failed:
         write_share(r)
+    if blocks > 1:
+        for idx in range(count):
+            # sendfile refuses a file opened for O_APPEND, so seek to the end instead
+            with open(path(idx, 0), "r+b") as f:
+                f.seek(0, os.SEEK_END)
+                for b in range(1, blocks):
+                    with open(path(idx, b), "rb") as part:
+                        while os.sendfile(f.fileno(), part.fileno(), None, 1 << 30):
+                            pass
+                    os.unlink(path(idx, b))
 
 
 def cmd_nrlimit(cfg: dict, out: str):

@@ -843,9 +843,11 @@ def _row_args(name):
     return [arg.format(configs=CONFIGS) for arg in row.argv[1:]]
 
 
-# name -> evolve arguments: 3, 9 (harmonic trap) and 21 snapshots (the shape of the
-# benchmark's write-bound workload at N = 512), the last two the table's artifact streams
+# name -> evolve arguments: 2 (harmonic trap: each file in row blocks at 2 and 4
+# processes), 3, 9 (harmonic trap) and 21 snapshots (the shape of the benchmark's
+# write-bound workload at N = 512), the last two the table's artifact streams
 _WRITER_RUNS = {
+    "harmonic_2": ["--config", str(CONFIGS / "harmonic_ground.cfg"), "--set", "snapshot_every=0"],
     "free_gaussian": ["--config", str(CONFIGS / "free_gaussian.cfg"),
                       "--set", "n_steps=50", "--set", "snapshot_every=25"],
     "harmonic_ground": _row_args("shipped_harmonic_ground"),
@@ -874,6 +876,9 @@ def test_evolve_deterministic_and_reproducible_from_echo(tmp_path, monkeypatch):
                              "--out", str(out3)]) == 0
         assert len(forks) == min(4, len(list(out1.glob("snapshot_*.csv")))) - 1
         assert reproducers.tree(out1) == reproducers.tree(out3)
+        for out in (out1, out2, out3):  # no part file of a row block is left behind
+            names = {p.name for p in out.iterdir()} - {"config_echo.cfg", "summary.csv"}
+            assert names and all(re.fullmatch(r"snapshot_\d{4}\.csv", n) for n in names), names
 
 
 def test_evolve_memory_does_not_grow_with_snapshot_count(tmp_path, monkeypatch):
@@ -901,32 +906,85 @@ def test_evolve_memory_does_not_grow_with_snapshot_count(tmp_path, monkeypatch):
 
 
 def test_failed_writer_child_share_is_rewritten(tmp_path, monkeypatch):
-    # every child fails to write, or no child can be forked: the parent
-    # writes their shares
-    args = ["evolve", "--config", str(CONFIGS / "free_gaussian.cfg")]
-    assert cli.main([*args, "--out", str(tmp_path / "a")]) == 0
+    # every child fails to write, or no child can be forked: the parent writes their
+    # shares (whole files, or the row blocks of a 2-snapshot run).  A child whose CPU
+    # pin is refused writes its own share unpinned, so the parent rewrites none
     parent, write_text = os.getpid(), cli._write_text
-    faults = tmp_path / "faults"
-    faults.mkdir()
+    written = []
 
-    def parent_only(path, text):
-        if os.getpid() != parent:
-            write_text(str(faults / str(os.getpid())), "")  # the fault fired in this child
-            raise OSError("no space left on device")
+    def counted(path, text):
+        if os.getpid() == parent:
+            written.append(os.path.basename(path))
         return write_text(path, text)
 
     def no_fork():
         raise BlockingIOError("fork: resource temporarily unavailable")
 
     usable_cpus(monkeypatch, 4)
-    with monkeypatch.context() as m:
-        m.setattr(cli, "_write_text", parent_only)
-        assert cli.main([*args, "--out", str(tmp_path / "b")]) == 0
-    assert len(list(faults.iterdir())) == min(4, len(list((tmp_path / "a").glob("snapshot_*")))) - 1
-    monkeypatch.setattr(os, "fork", no_fork)
-    assert cli.main([*args, "--out", str(tmp_path / "c")]) == 0
-    a, b, c = (reproducers.tree(tmp_path / name) for name in "abc")
-    assert a == b == c
+    monkeypatch.setattr(cli, "_write_text", counted)
+    for name, run in (("free_gaussian", ["--config", str(CONFIGS / "free_gaussian.cfg")]),
+                      ("harmonic_2", _WRITER_RUNS["harmonic_2"])):
+        args, top = ["evolve", *run], tmp_path / name
+        faults, pins = top / "faults", top / "pins"
+        faults.mkdir(parents=True)
+        pins.mkdir()
+
+        def parent_only(path, text):
+            if os.getpid() != parent:
+                write_text(str(faults / str(os.getpid())), "")  # the fault fired in this child
+                raise OSError("no space left on device")
+            return write_text(path, text)
+
+        def no_pin(pid, cpus):
+            write_text(str(pins / str(os.getpid())), "")
+            raise OSError(22, "Invalid argument")
+
+        written.clear()
+        assert cli.main([*args, "--out", str(top / "a")]) == 0
+        shares = list(written)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_write_text", parent_only)
+            assert cli.main([*args, "--out", str(top / "b")]) == 0
+        children = min(4, len(list((top / "a").glob("snapshot_*")))) - 1
+        assert len(list(faults.iterdir())) == children
+        written.clear()
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_setaffinity", no_pin)
+            assert cli.main([*args, "--out", str(top / "c")]) == 0
+        assert written == shares  # the parent wrote its own units and no child's
+        assert len(list(pins.iterdir())) == children
+        with monkeypatch.context() as m:
+            m.setattr(os, "fork", no_fork)
+            assert cli.main([*args, "--out", str(top / "d")]) == 0
+        a, b, c, d = (reproducers.tree(top / out) for out in "abcd")
+        assert a == b == c == d, name
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_each_writer_child_asks_for_one_cpu_of_its_own(tmp_path, monkeypatch):
+    # a forked writer starts on its parent's CPU and mostly stayed there, so the
+    # writers took turns on one CPU.  The caller is held on one CPU for the run
+    pin, real = os.sched_setaffinity, os.sched_getaffinity(0)
+    here = max(real)
+    low = max(here - 1, 0)  # the caller's CPU is not the first usable one, where it can be
+    args, pins = ["evolve", "--config", str(CONFIGS / "free_gaussian.cfg")], tmp_path / "pins"
+    pins.mkdir()
+
+    def record(pid, cpus):
+        (pins / str(os.getpid())).write_text(" ".join(map(str, sorted(cpus))))
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(low, low + 4)))
+    monkeypatch.setattr(os, "sched_setaffinity", record)
+    pin(0, {here})
+    try:
+        assert cli.main([*args, "--out", str(tmp_path / "out")]) == 0  # 4 snapshots: 3 children
+    finally:
+        pin(0, real)
+    asked = {p.name: p.read_text().split() for p in pins.iterdir()}
+    assert len(asked) == 3 and str(os.getpid()) not in asked, asked
+    assert all(len(cpus) == 1 for cpus in asked.values()), asked
+    cpus = {int(cpu) for (cpu,) in asked.values()}
+    assert len(cpus) == 3 and here not in cpus and cpus <= set(range(low, low + 4)), asked
 
 
 def test_unwritable_snapshot_path_is_exit_2(tmp_path, capsys, monkeypatch):
