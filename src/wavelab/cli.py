@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import os
+import signal
 import sys
 import warnings
 from pathlib import Path
@@ -296,10 +297,34 @@ def _write_csv(path: str, header: str, rows):
     _write_text(path, "\n".join(lines) + "\n")
 
 
+class _Cells(tuple):
+    """A JSON array whose items are already rendered: each the repr of a finite float."""
+
+
+def _json(value, pad: str = "") -> str:
+    """json.dumps's text of `value` with a two-space indent and sorted keys (dict keys are str),
+    at indent `pad`.  A finite float and an int are their own reprs (json's text for both), a
+    `_Cells` goes in verbatim, and any other scalar (str, bool, None, nan, inf, a float
+    subclass) is json's."""
+    kind = type(value)
+    if kind is float and math.isfinite(value) or kind is int:
+        return repr(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        ends, items = "{}", [f"{json.dumps(k)}: {_json(v, inner)}"
+                             for k, v in sorted(value.items())]
+    elif isinstance(value, (list, tuple)):
+        ends, items = "[]", value if kind is _Cells else [_json(v, inner) for v in value]
+    else:
+        return json.dumps(value)
+    if not items:
+        return ends
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
+
+
 def _write_report(out: str, cfg: dict, **sections):
-    """report.json: {"config": cfg, **sections}, keys sorted (a tuple is a JSON list)."""
-    text = json.dumps({"config": cfg, **sections}, indent=2, sort_keys=True) + "\n"
-    _write_text(os.path.join(out, "report.json"), text)
+    """report.json: {"config": cfg, **sections} through `_json` (a tuple is a JSON list)."""
+    _write_text(os.path.join(out, "report.json"), _json({"config": cfg, **sections}) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +387,13 @@ def cmd_dispersion(cfg: dict, out: str):
     w = omega_of_k(eq, k, consts)
     nr = (np.full_like(k, np.nan),) * 2 if m is None else nr_expansion_error(m, k, consts)
     cols = [k, w, group_velocity(eq, k, consts), *kinematic_map(k, w, consts), *nr]
-    rows = list(zip([cfg["family"]] * len(k), *(col.tolist() for col in cols)))
-    _finite(lambda: next(f"dispersion row at k = {row[1]!r} has {name} = {v!r}" for row in rows
-                         for name, v in zip(checked, row[1:]) if not math.isfinite(v)),
+    rows = list(zip(*(col.tolist() for col in cols)))
+    _finite(lambda: next(f"dispersion row at k = {row[0]!r} has {name} = {v!r}" for row in rows
+                         for name, v in zip(checked, row) if not math.isfinite(v)),
             *cols[:len(checked)])
-    _write_csv(os.path.join(out, "dispersion.csv"), header, rows)
+    family = f"{cfg['family']},"  # the one text cell, the same in every row
+    lines = [header, *(family + ",".join(map(float.__repr__, row)) for row in rows)]
+    _write_text(os.path.join(out, "dispersion.csv"), "\n".join(lines) + "\n")
 
 
 _MOMENTS_TOL = 1e-9  # of the width: each line-moment gap an evolve summary row may carry
@@ -424,7 +451,8 @@ def _write_snapshots(out: str, passes, count: int, positions, check):
     own, never the caller's, unless that CPU cannot be read or the pin is
     refused.  The bytes do not depend on the count.  The caller rewrites the
     units of any child that fails or cannot be forked: a persistent fault
-    then raises here.
+    then raises here.  When the caller's own pass raises (a refused row, or any
+    error of its own), every child is killed before it is reaped.
     """
     # the x column is the same in every snapshot file: format it once
     x_cells = [f"{xj!r}," for xj in positions.tolist()]
@@ -489,6 +517,11 @@ def _write_snapshots(out: str, passes, count: int, positions, check):
             summary.reconfigure(write_through=True)
             summary.write("t,norm,centroid,width\n")
             write_share(0, summary)
+    except BaseException:  # a refused run: the children's units would go into a deleted stage
+        for pid in children.values():
+            if pid is not None:  # not yet reaped, so the pid is still this child's
+                os.kill(pid, signal.SIGKILL)
+        raise
     finally:
         failed = [r for r, pid in children.items() if pid is None or os.waitpid(pid, 0)[1]]
     for r in failed:
@@ -513,12 +546,18 @@ def cmd_nrlimit(cfg: dict, out: str):
 
     runs = [nr_limit_report(psi0, cfg["mass"], PhysicalConstants(hbar=cfg["hbar"], c=c), time,
                             cfg["snapshot_every"]) for c in ladder]
-    # one TimeSpec gives every run the same t cells; a run's dominance ratio is one value
-    t_cells = [f"{t!r}," for t in runs[0].times]
+    # each distinct number is rendered once, and nrlimit.csv and report.json share the cells
+    # (all finite: nr_limit_report refuses a non-finite phase or ratio): one TimeSpec gives
+    # every run the same t cells, and a run's dominance ratio is one value
+    t_cells = _Cells(map(repr, runs[0].times))
     lines = ["c,t,deviation,dominance_ratio"]
+    series = []
     for c, r in zip(ladder, runs):
-        prefix, suffix = f"{float(c)!r},", f",{r.dominance_ratio[0]!r}"
-        lines.extend(f"{prefix}{tc}{dev!r}{suffix}" for tc, dev in zip(t_cells, r.deviation))
+        dev_cells, ratio_cell = _Cells(map(repr, r.deviation)), repr(r.dominance_ratio[0])
+        prefix, suffix = f"{float(c)!r},", f",{ratio_cell}"
+        lines.extend(f"{prefix}{tc},{dev}{suffix}" for tc, dev in zip(t_cells, dev_cells))
+        series.append({"c": float(c), "times": t_cells, "deviation": dev_cells,
+                       "dominance_ratio": _Cells([ratio_cell] * len(dev_cells))})
 
     k_carrier = _carrier_k(cfg, grid)
     dev_exponent = _loglog_slope(ladder, [r.deviation[-1] for r in runs])
@@ -531,15 +570,7 @@ def cmd_nrlimit(cfg: dict, out: str):
     _write_text(os.path.join(out, "nrlimit.csv"), "\n".join(lines) + "\n")
     _write_report(
         out, cfg,
-        ladder=[
-            {
-                "c": float(c),
-                "times": r.times,
-                "deviation": r.deviation,
-                "dominance_ratio": r.dominance_ratio,
-            }
-            for c, r in zip(ladder, runs)
-        ],
+        ladder=series,
         fits={
             "final_deviation_c_exponent": dev_exponent,
             "carrier_dominance_c_exponent": ratio_exponent,

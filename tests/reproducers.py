@@ -450,8 +450,9 @@ def _assert_finite_artifacts(out):
     for name in sorted(os.listdir(out)):
         with open(os.path.join(out, name)) as fh:
             text = fh.read()
-        if name.endswith(".json"):
-            json.loads(text, parse_constant=refuse_constant)
+        if name.endswith(".json"):  # json's own text of its value, keys sorted
+            value = json.loads(text, parse_constant=refuse_constant)
+            assert json.dumps(value, indent=2, sort_keys=True) + "\n" == text, name
         elif name.endswith(".csv"):
             header, *rows = (line.split(",") for line in text.splitlines())
             for cells in rows:

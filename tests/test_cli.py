@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -258,6 +259,39 @@ def test_nrlimit_infinite_carrier_ratio_has_no_exponent(tmp_path, capsys):
     report = (out / "report.json").read_text()
     fits = json.loads(report, parse_constant=reproducers.refuse_constant)["fits"]
     assert fits["carrier_dominance_c_exponent"] is None
+
+
+# ---------------------------------------------------------------------------
+# report.json: one emitter, json's own text
+# ---------------------------------------------------------------------------
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.225073858507201e-308, 1e16, 1.7976931348623157e308,
+                math.inf, -math.inf, math.nan]
+_EDGE_TEXTS = ["", "\x00\t\n\x1f\x7f", "\"\\/", "é ∞   \U0001f30a", "\ud800"]
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.sampled_from(_EDGE_FLOATS)
+                 | st.floats() | st.floats().map(np.float64) | st.sampled_from(_EDGE_TEXTS)
+                 | st.text(st.characters(codec=None, exclude_categories=())))
+_JSON_KEYS = st.sampled_from(_EDGE_TEXTS) | st.text(max_size=4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(value=st.recursive(_JSON_SCALARS, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_KEYS, inner, max_size=4)), max_leaves=24))
+def test_json_emitter_writes_json_dumps_text(value):
+    # report.json went through json.dumps(..., indent=2), json's pure-Python encoder
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(xs=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
+       depth=st.integers(0, 3))
+def test_json_emitter_takes_rendered_cells_verbatim(xs, depth):
+    # nrlimit renders each cell once for nrlimit.csv and report.json alike
+    nested, want = cli._Cells(map(repr, xs)), xs
+    for _ in range(depth):
+        nested, want = {"a": [nested]}, {"a": [want]}
+    assert cli._json(nested) == json.dumps(want, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -958,6 +992,51 @@ def test_failed_writer_child_share_is_rewritten(tmp_path, monkeypatch):
             assert cli.main([*args, "--out", str(top / "d")]) == 0
         a, b, c, d = (reproducers.tree(top / out) for out in "abcd")
         assert a == b == c == d, name
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no forked writers here")
+def test_refused_run_stops_its_writers(tmp_path, capsys, monkeypatch):
+    # the caller's pass refuses t = 15.0 at its fourth row; its blocking reap let the child
+    # first write its whole share, 300 files of 4,096 rows (~2.5 s), into a stage that
+    # main then deleted
+    args = ["evolve", "--config", str(CONFIGS / "free_gaussian.cfg"), "--set", "dt=5",
+            "--set", "n_steps=600", "--set", "snapshot_every=1", "--set", "n_points=4096"]
+    parent, write_text, waitpid, budget = os.getpid(), cli._write_text, os.waitpid, cli._budget
+    units, refused, statuses = tmp_path / "units", [], {}
+    units.mkdir()
+
+    def logged(path, text):  # a child logs when each of its units is written
+        write_text(path, text)
+        if os.getpid() != parent:
+            with open(units / str(os.getpid()), "a") as log:
+                log.write(f"{time.monotonic()!r}\n")
+
+    def timed(*args):
+        try:
+            return budget(*args)
+        except exceptions.GridTooCoarse:
+            refused.append(time.monotonic())
+            raise
+
+    def reaped(pid, options):
+        statuses[pid] = waitpid(pid, options)[1]
+        return pid, statuses[pid]
+
+    monkeypatch.setattr(cli, "_write_text", logged)
+    monkeypatch.setattr(cli, "_budget", timed)
+    monkeypatch.setattr(os, "waitpid", reaped)
+    errs = []
+    for n in (1, 2):  # one writer process, then the caller and one forked child
+        usable_cpus(monkeypatch, n)
+        assert cli.main([*args, "--out", str(tmp_path / str(n))]) == 4
+        errs.append(capsys.readouterr().err)
+        assert not (tmp_path / str(n)).exists()
+    assert errs[0] == errs[1] and errs[0].count("\n") == 1, errs
+    assert errs[0].startswith("resolution error: packet does not fit length = 64.0 at t = 15.0")
+    (child, status), = statuses.items()
+    log = units / str(child)
+    times = map(float, log.read_text().split()) if log.exists() else ()
+    assert os.WIFSIGNALED(status) or all(t < refused[-1] for t in times), status
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
