@@ -24,7 +24,6 @@ import argparse
 import json
 import math
 import os
-import signal
 import sys
 import warnings
 from pathlib import Path
@@ -409,21 +408,24 @@ def cmd_evolve(cfg: dict, out: str):
     trap = _trap(cfg)
     predict = _line_moments(psi0, group_velocity(eq, grid.wavenumbers, consts), trap)
 
-    def check(t, centroid, width):
-        """GridTooCoarse (exit 4) unless the row's centroid (on the circle) and width lie
-        within _MOMENTS_TOL of the width from the line's: the packet spec at t = 0, else
-        `predict(t)`, the closed form of the same path."""
-        start = t == 0.0
-        want, width_want = (cfg["x0"] % grid.length, cfg["sigma"]) if start else predict(t)
-        _finite(f"non-finite line moments at t = {t!r}", want, width_want)
-        gap = max(abs(math.remainder(centroid - want, grid.length)), abs(width - width_want))
-        _budget(gap, _MOMENTS_TOL * width_want, lambda: (
-            f"packet does not fit length = {grid.length!r} at t = {t!r}"
-            + (f" (x0 = {cfg['x0']!r}, sigma = {cfg['sigma']!r})" if start else "")
-            + ", so enlarge length; line-moment gap"), GridTooCoarse)
+    def rows():
+        """Each (t, norm, centroid, width) summary row with its snapshot, in every writer's
+        pass, once the row has passed the moments rule: GridTooCoarse (exit 4) unless its
+        centroid (on the circle) and width lie within _MOMENTS_TOL of the width from the
+        line's, the packet spec at t = 0, else `predict(t)`, the closed form of the same path."""
+        for t, fld in _propagate(eq, psi0, consts, (s * cfg["dt"] for s in steps), trap):
+            norm, (centroid, width) = l2_norm(fld), packet_moments(fld)  # a WaveField: finite
+            start = t == 0.0
+            want, width_want = (cfg["x0"] % grid.length, cfg["sigma"]) if start else predict(t)
+            _finite(f"non-finite line moments at t = {t!r}", want, width_want)
+            gap = max(abs(math.remainder(centroid - want, grid.length)), abs(width - width_want))
+            _budget(gap, _MOMENTS_TOL * width_want, lambda: (
+                f"packet does not fit length = {grid.length!r} at t = {t!r}"
+                + (f" (x0 = {cfg['x0']!r}, sigma = {cfg['sigma']!r})" if start else "")
+                + ", so enlarge length; line-moment gap"), GridTooCoarse)
+            yield (t, norm, centroid, width), fld
 
-    _write_snapshots(out, lambda: _propagate(eq, psi0, consts, (s * cfg["dt"] for s in steps),
-                                             trap), len(steps), grid.positions, check)
+    _write_snapshots(out, rows, len(steps), grid.positions)
 
 
 def _propagate(eq, psi0: WaveField, consts: PhysicalConstants, times, trap=None):
@@ -435,10 +437,9 @@ def _propagate(eq, psi0: WaveField, consts: PhysicalConstants, times, trap=None)
             _phase_snapshots(psi0, omega_of_k(eq, psi0.grid.wavenumbers, consts), times))
 
 
-def _write_snapshots(out: str, passes, count: int, positions, check):
-    """Write snapshot_NNNN.csv for each of the `count` (t, field) pairs that `passes()`
-    yields into `out`, and their summary.csv rows (t, norm, centroid, width), each passed
-    to `check(t, centroid, width)` first.
+def _write_snapshots(out: str, passes, count: int, positions):
+    """Write snapshot_NNNN.csv for each of the `count` (row, field) pairs that `passes()`
+    yields into `out`, and summary.csv of their rows (t, norm, centroid, width).
 
     Up to one process per CPU this process may use (forked, so nothing is
     pickled) makes its own pass, the caller's also writing the summary row by
@@ -451,8 +452,9 @@ def _write_snapshots(out: str, passes, count: int, positions, check):
     own, never the caller's, unless that CPU cannot be read or the pin is
     refused.  The bytes do not depend on the count.  The caller rewrites the
     units of any child that fails or cannot be forked: a persistent fault
-    then raises here.  When the caller's own pass raises (a refused row, or any
-    error of its own), every child is killed before it is reaped.
+    then raises here.  Every pass is the same deterministic stream, so a
+    refusal in it raises in every process at the same row: each child exits
+    by itself, and the caller reaps them all before it re-raises.
     """
     # the x column is the same in every snapshot file: format it once
     x_cells = [f"{xj!r}," for xj in positions.tolist()]
@@ -467,21 +469,18 @@ def _write_snapshots(out: str, passes, count: int, positions, check):
     except (OSError, ValueError, IndexError):
         caller = None
     spare = [cpu for cpu in cpus if cpu != caller]  # child r takes spare[r - 1]
-    import numpy.fft  # noqa: F401  loaded once here, not again in every writer process
 
     def path(idx, b):
         name = os.path.join(out, f"snapshot_{idx:04d}.csv")
         return f"{name}.{b}" if b else name
 
     def write_share(r, summary=None):
-        for idx, (t, fld) in enumerate(passes()):
-            if summary is not None:  # every snapshot is a WaveField, so finite
-                row = (t, l2_norm(fld), *packet_moments(fld))
-                check(t, *row[2:])
+        for idx, (row, fld) in enumerate(passes()):
+            if summary is not None:
                 summary.write(",".join(map(_fmt, row)) + "\n")
             for b in range((r - idx * blocks) % n_procs, blocks, n_procs):  # r's units of idx
                 rows = slice(len(x_cells) * b // blocks, len(x_cells) * (b + 1) // blocks)
-                prefix = f"{t!r},"
+                prefix = f"{row[0]!r},"
                 # scalar abs(z) ** 2: vectorised np.abs(samples) ** 2 can differ in the last digit
                 lines = [] if b else ["t,x,re_psi,im_psi,abs2"]
                 lines.extend(f"{prefix}{xc}{z.real!r},{z.imag!r},{abs(z) ** 2!r}"
@@ -517,11 +516,6 @@ def _write_snapshots(out: str, passes, count: int, positions, check):
             summary.reconfigure(write_through=True)
             summary.write("t,norm,centroid,width\n")
             write_share(0, summary)
-    except BaseException:  # a refused run: the children's units would go into a deleted stage
-        for pid in children.values():
-            if pid is not None:  # not yet reaped, so the pid is still this child's
-                os.kill(pid, signal.SIGKILL)
-        raise
     finally:
         failed = [r for r, pid in children.items() if pid is None or os.waitpid(pid, 0)[1]]
     for r in failed:

@@ -404,8 +404,9 @@ def _line_moments(psi0: WaveField, velocity, trap=None):
     x(t) = x + v t on the phase path, v the group velocity d omega / dk of each mode, and
     x(t) - x_c = (x - x_c) cos theta + (v / omega_c) sin theta in a `trap` (omega_c, x_c, None
     for L/2), v = hbar k / m and theta = omega_c t reduced against the float 2 pi as the trap
-    reduces it.  So for x(t) = x_c + a (x - x_c) + b v the centroid is x_c + a (<x> - x_c) +
-    b <v> and the variance a^2 Var x + 2 a b C + b^2 Var v, with C = Re <(x - <x>) psi0,
+    reduces it (the free line where the unreduced omega_c t rounds to 0, as the trap's step
+    is dt there).  So for x(t) = x_c + a (x - x_c) + b v the centroid is x_c + a (<x> - x_c)
+    + b <v> and the variance a^2 Var x + 2 a b C + b^2 Var v, with C = Re <(x - <x>) psi0,
     (v - <v>) psi0> and x unwrapped around psi0's centroid: one forward and one inverse
     transform here, O(1) per t.  A periodic grid holds them only while the state fits the box
     (Kosloff & Kosloff 1983).  A velocity that overflowed gives non-finite moments.
@@ -427,7 +428,7 @@ def _line_moments(psi0: WaveField, velocity, trap=None):
     x_c = 0.5 * length if x_c is None else x_c
 
     def moments(t):
-        if omega_c is None:
+        if omega_c is None or omega_c * t == 0.0:  # the theta -> 0 limit, as the trap takes it
             a, b = 1.0, t
         else:
             theta = math.remainder(omega_c * t, 2.0 * math.pi)

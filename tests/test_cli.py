@@ -8,7 +8,6 @@ import signal
 import subprocess
 import sys
 import tempfile
-import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -317,6 +316,8 @@ def run_in_process(argv, capsys):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):  # no writer outlives the run, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
     return rc, capsys.readouterr().err
 
 
@@ -653,6 +654,20 @@ def test_evolve_trap_ground_width_stays_put_at_coarse_dt(tmp_path):
     widths = column(rows, header, "width")
     assert len(widths) == 9
     assert max(abs(w - widths[0]) for w in widths) <= 1e-12
+
+
+@pytest.mark.parametrize("omega_c", [0.0, -0.0, 5e-324])
+def test_evolve_trap_at_zero_omega_c_is_the_free_packet(tmp_path, omega_c):
+    # the trap stepped by dt where omega_c dt rounds to 0, but the line moments divided
+    # sin(theta) by omega_c: 0 and -0.0 raised ZeroDivisionError, 5e-324 exited 4 at t = 0.1
+    args = ["evolve", "--config", str(CONFIGS / "harmonic_ground.cfg"), "--set", "n_steps=100",
+            "--set", "snapshot_every=50"]
+    for name, value in (("trap", f"omega_c={omega_c!r}"), ("free", "potential=none")):
+        assert cli.main([*args, "--set", value, "--out", str(tmp_path / name)]) == 0
+    (_, trap), (_, free) = (read_csv(tmp_path / name / "summary.csv")
+                            for name in ("trap", "free"))
+    assert len(trap) == len(free) == 3
+    assert np.max(np.abs(np.array(trap, float) - np.array(free, float))) <= 1e-15
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
@@ -996,47 +1011,43 @@ def test_failed_writer_child_share_is_rewritten(tmp_path, monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no forked writers here")
 def test_refused_run_stops_its_writers(tmp_path, capsys, monkeypatch):
-    # the caller's pass refuses t = 15.0 at its fourth row; its blocking reap let the child
-    # first write its whole share, 300 files of 4,096 rows (~2.5 s), into a stage that
-    # main then deleted
+    # every pass refuses t = 15.0, the row of index 3, so each forked writer leaves by itself
+    # there; when the caller's pass alone checked the rows, it had to kill its writers, which
+    # would otherwise have written their whole shares of 601 files of 4,096 rows into a stage
+    # that main then deleted
     args = ["evolve", "--config", str(CONFIGS / "free_gaussian.cfg"), "--set", "dt=5",
             "--set", "n_steps=600", "--set", "snapshot_every=1", "--set", "n_points=4096"]
-    parent, write_text, waitpid, budget = os.getpid(), cli._write_text, os.waitpid, cli._budget
-    units, refused, statuses = tmp_path / "units", [], {}
-    units.mkdir()
+    parent, write_text, waitpid = os.getpid(), cli._write_text, os.waitpid
+    statuses = {}
 
-    def logged(path, text):  # a child logs when each of its units is written
-        write_text(path, text)
+    def logged(path, text):  # a child logs each unit before it writes it
         if os.getpid() != parent:
             with open(units / str(os.getpid()), "a") as log:
-                log.write(f"{time.monotonic()!r}\n")
-
-    def timed(*args):
-        try:
-            return budget(*args)
-        except exceptions.GridTooCoarse:
-            refused.append(time.monotonic())
-            raise
+                log.write(f"{os.path.basename(path)}\n")
+        write_text(path, text)
 
     def reaped(pid, options):
         statuses[pid] = waitpid(pid, options)[1]
         return pid, statuses[pid]
 
     monkeypatch.setattr(cli, "_write_text", logged)
-    monkeypatch.setattr(cli, "_budget", timed)
     monkeypatch.setattr(os, "waitpid", reaped)
     errs = []
-    for n in (1, 2):  # one writer process, then the caller and one forked child
+    for n in (1, 2, 4):  # one writer process, then the caller and n - 1 forked children
         usable_cpus(monkeypatch, n)
+        units = tmp_path / f"units_{n}"
+        units.mkdir()
+        statuses.clear()
         assert cli.main([*args, "--out", str(tmp_path / str(n))]) == 4
         errs.append(capsys.readouterr().err)
         assert not (tmp_path / str(n)).exists()
-    assert errs[0] == errs[1] and errs[0].count("\n") == 1, errs
+        assert len(statuses) == n - 1, statuses
+        assert all(os.WIFEXITED(s) and os.WEXITSTATUS(s) == 1 for s in statuses.values()), statuses
+        written = [name for log in units.iterdir() for name in log.read_text().split()]
+        # child r's units are the snapshots idx = r mod n: each one before the refused row
+        assert sorted(written) == [f"snapshot_{idx:04d}.csv" for idx in range(1, 3) if idx % n]
+    assert errs[0] == errs[1] == errs[2] and errs[0].count("\n") == 1, errs
     assert errs[0].startswith("resolution error: packet does not fit length = 64.0 at t = 15.0")
-    (child, status), = statuses.items()
-    log = units / str(child)
-    times = map(float, log.read_text().split()) if log.exists() else ()
-    assert os.WIFSIGNALED(status) or all(t < refused[-1] for t in times), status
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
