@@ -56,9 +56,7 @@ from .oscillator import (
 )
 from .propagate import (
     SecondOrderState,
-    analytic_free_gaussian,
     centroid,
-    crank_nicolson_evolve,
     energy_expectation,
     evolve_schrodinger_spectral,
     evolve_second_order_spectral,
@@ -95,9 +93,7 @@ __all__ = [
     "TimeSpec",
     "UncertaintyPoint",
     "WaveField",
-    "analytic_free_gaussian",
     "centroid",
-    "crank_nicolson_evolve",
     "dft",
     "dominance_terms_mode",
     "energy_bound",

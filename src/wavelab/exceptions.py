@@ -44,7 +44,3 @@ class InvalidBracket(ConfigError):
 
 class NoConvergence(NumericalFailure):
     """Iteration hit its step limit before reaching the requested tolerance."""
-
-
-class LinearSolveFailure(NumericalFailure):
-    """Crank-Nicolson's eigendecomposition of H / hbar (numpy's eigh) did not converge."""

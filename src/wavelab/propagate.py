@@ -3,9 +3,9 @@
 Spectral propagation is the primary method wherever coefficients are constant
 (each Fourier mode gets its exact phase) and in the harmonic trap (an exact
 chirp, drift and chirp), so the only error is rounding.  The split-step
-(Strang) scheme handles any potential V(x), and a Crank-Nicolson finite-
-difference scheme, dense and in numpy alone, exists purely as an independent
-cross-check of it.
+(Strang) scheme, which handles any potential V(x), is the one propagator with
+a time-step error; the Crank-Nicolson scheme and the closed-form free packet
+that check it are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .core import (
     idft,
 )
 from .dispersion import EquationKind, SchrodingerFree, is_second_order, omega_of_k
-from .exceptions import ConfigError, LinearSolveFailure, WrongEquationFamily, ZeroField
+from .exceptions import ConfigError, WrongEquationFamily, ZeroField
 
 
 @dataclass
@@ -112,6 +112,18 @@ def _phase_snapshots(psi0: WaveField, omega, times):
         yield t, idft(_wrap(SpectralField, psi0.grid, a))
 
 
+def _trap_turn(theta: float):
+    """(turn, odd, small): the one angle rule of the trap's step and of its line moments.
+
+    turn is the finite trap angle theta = omega_c t reduced against the float 2 pi into
+    [-pi, pi], odd the parity of the whole periods taken off (each negates psi), and small
+    whether |theta| < 2^-26.  There sin(theta) rounds to theta, so t is the correctly rounded
+    sin(theta) / omega_c, while the quotient itself loses bits at a subnormal theta.
+    """
+    turn = math.remainder(theta, 2.0 * math.pi)
+    return turn, round((theta - turn) / (2.0 * math.pi)) % 2, abs(theta) < 2.0 ** -26
+
+
 def _harmonic_snapshots(psi0: WaveField, m: float, omega_c: float, center, hbar: float,
                         times):
     """Yield exact (t, psi) at each t of `times` (read once) in V = m omega_c^2 (x - center)^2 / 2.
@@ -119,7 +131,7 @@ def _harmonic_snapshots(psi0: WaveField, m: float, omega_c: float, center, hbar:
     For |theta| = |omega_c dt| < pi the propagator over dt is exactly K D K, with
     K = exp(-i (m omega_c / 2 hbar) tan(theta/2) (x - center)^2) and D = exp(-i
     hbar k^2 sin(theta) / (2 m omega_c)): one `_strang` step of size
-    sin(theta)/omega_c (dt where theta rounds to 0) in V / cos^2(theta/2).  A
+    sin(theta)/omega_c (dt where `_trap_turn` finds theta small) in V / cos^2(theta/2).  A
     period 2 pi / omega_c negates psi, so theta is reduced mod 2 pi and split
     into at most two parts: an interval costs at most two steps, built when it
     differs from the last one (so memory stays O(N)), and a zero interval none,
@@ -137,14 +149,14 @@ def _harmonic_snapshots(psi0: WaveField, m: float, omega_c: float, center, hbar:
         if dt not in built:
             theta = omega_c * dt
             _finite(f"non-finite trap angle omega_c * t at t = {t}", theta)
-            turn = math.remainder(theta, 2.0 * math.pi)
+            turn, odd, small = _trap_turn(theta)
             parts = max(1, math.ceil(abs(turn) / (0.5 * math.pi)))
-            size = math.sin(turn / parts) / omega_c if theta else dt
+            size = dt if small else math.sin(turn / parts) / omega_c
             with np.errstate(all="ignore"):  # V near overflow gives inf: a non-finite factor
                 v_turn = v / math.cos(0.5 * turn / parts) ** 2
             step = _strang(v_turn, psi0.grid, m, hbar, size, 1j,  # no config names `size`
                            failure=f"non-finite trap factors at t = {t} (interval {dt})")
-            built = {0.0: built[0.0], dt: (parts, step, round((theta - turn) / (2 * math.pi)) % 2)}
+            built = {0.0: built[0.0], dt: (parts, step, odd)}
         parts, step, odd = built[dt]
         with np.errstate(all="ignore"):  # an overflow gives inf or nan, refused below
             for _ in range(parts):
@@ -223,12 +235,12 @@ def _snapshot_steps(n_steps: int, every: int) -> list:
 
 
 def _stepped_evolution(psi0: WaveField, step, dt: float, steps: list):
-    """Yield (n dt, psi) at each step n of `steps`, applying `step(samples) -> samples` between."""
+    """Yield (n dt, psi) at each step n of `steps`, applying `step(psi, psi)` in place between."""
     psi = psi0.samples.copy()
     for done, n in zip([0, *steps], steps):
         with np.errstate(all="ignore"):  # an overflow gives inf or nan, refused below
             for _ in range(n - done):
-                psi = step(psi)
+                step(psi, psi)
         _finite(f"non-finite stepper snapshot at t = {n * dt}", psi)
         yield n * dt, _wrap(WaveField, psi0.grid, psi.copy())
 
@@ -265,6 +277,8 @@ def _strang(v: np.ndarray, grid: Grid1D, m: float, hbar: float, dt: float, unit,
     return step
 
 
+# No command runs `split_step_evolve`; only tests and the benchmark do.  It stays in the
+# package while perfbench's tracer wraps it by name (perfbench/tracing.py's TARGETS).
 def split_step_evolve(psi0: WaveField, m: float, potential,
                       consts: PhysicalConstants = NATURAL_UNITS,
                       time: TimeSpec = TimeSpec(0.01, 1),
@@ -278,44 +292,7 @@ def split_step_evolve(psi0: WaveField, m: float, potential,
     """
     _positive("mass", m)
     v = _on_grid(potential, psi0.grid, "potential", "potential samples", float)
-    step = _strang(v, psi0.grid, m, consts.hbar, time.dt, 1j)
-    return _stepped_evolution(psi0, lambda psi: step(psi, psi), time.dt,
-                              _snapshot_steps(time.n_steps, snapshot_every))
-
-
-def crank_nicolson_evolve(psi0: WaveField, m: float, potential,
-                          consts: PhysicalConstants = NATURAL_UNITS,
-                          time: TimeSpec = TimeSpec(0.01, 1),
-                          snapshot_every: int = 0) -> Iterator[tuple[float, WaveField]]:
-    """Cayley-form implicit scheme on the central-difference Laplacian.
-
-    (1 + i dt H / 2 hbar) psi^{n+1} = (1 - i dt H / 2 hbar) psi^n with periodic
-    boundaries; accuracy is O(dt^2 + dx^2).  H / hbar, real symmetric, is built
-    densely (no hbar^2 is formed) and diagonalised once, H / hbar = U diag(lam) U^T,
-    so one step is the Cayley map U diag((1 - ia) / (1 + ia)) U^T with a = lam dt / 2:
-    unitary to rounding at any dt.  That costs O(N^3) once and one O(N^2) matvec per
-    step, and holds N^2 complex values (16 MiB at N = 1024).  Used only as an
-    independent cross-check of the spectral split-step scheme, with the same
-    snapshots and refusals.  NumericalFailure naming dx or dt if H / hbar or a is not finite.
-    """
-    _positive("mass", m)
-    grid = psi0.grid
-    v = _on_grid(potential, grid, "potential", "potential samples", float)
-    dx, hbar, j = grid.spacing, consts.hbar, np.arange(grid.n_points)
-    with np.errstate(all="ignore"):
-        hop = -(hbar / (2.0 * m)) / dx / dx
-        h_over_hbar = np.diag(v / hbar - 2.0 * hop)
-        h_over_hbar[j, j - 1] = h_over_hbar[j - 1, j] = hop  # j - 1 wraps: periodic corners
-    _finite(f"non-finite Crank-Nicolson H / hbar at dx = {dx!r}", h_over_hbar)
-    try:
-        lam, u = np.linalg.eigh(h_over_hbar)
-    except np.linalg.LinAlgError as exc:  # eigenvalues did not converge
-        raise LinearSolveFailure(str(exc)) from exc
-    with np.errstate(all="ignore"):
-        a = lam * (0.5 * time.dt)
-    _finite(f"non-finite Crank-Nicolson step lam dt / 2 at dt = {time.dt!r}", a)
-    cayley = (u * ((1.0 - 1j * a) / (1.0 + 1j * a))) @ u.T
-    return _stepped_evolution(psi0, lambda psi: cayley @ psi, time.dt,
+    return _stepped_evolution(psi0, _strang(v, psi0.grid, m, consts.hbar, time.dt, 1j), time.dt,
                               _snapshot_steps(time.n_steps, snapshot_every))
 
 
@@ -348,33 +325,6 @@ def gaussian_packet(spec: GaussianPacketSpec, grid: Grid1D) -> WaveField:
     return _wrap(WaveField, grid, psi / nrm)
 
 
-def analytic_free_gaussian(spec: GaussianPacketSpec, grid: Grid1D, m: float,
-                           consts: PhysicalConstants = NATURAL_UNITS,
-                           t: float = 0.0) -> WaveField:
-    """Closed-form free evolution of the Gaussian packet, sampled on the grid.
-
-    With complex width alpha(t) = sigma^2 + i hbar t / 2m and drifting center
-    x0 + hbar k0 t / m:
-
-        psi = (2 pi sigma^2)^(-1/4) (sigma/sqrt(alpha)) exp(-(x - x0 - v t)^2 / 4 alpha)
-              exp(i(k0 x - hbar k0^2 t / 2m))
-
-    This is the exact continuum solution and serves as the oracle for the
-    spectral propagator.  NumericalFailure if a sample is not finite.
-    """
-    _positive("mass", m)
-    hbar, x = consts.hbar, grid.positions
-    sigma, k0 = np.float64(spec.sigma), np.float64(spec.k0)  # a numpy square overflows to inf
-    with np.errstate(all="ignore"):
-        alpha = sigma ** 2 + 0.5j * hbar * t / m
-        beta = x - spec.x0 - hbar * k0 * t / m
-        psi = (sigma / np.sqrt(alpha)) * np.exp(
-            -beta ** 2 / (4.0 * alpha) + 1j * (k0 * x - hbar * k0 ** 2 * t / (2.0 * m))
-        ) / (2.0 * np.pi * sigma ** 2) ** 0.25
-    _finite(f"non-finite analytic packet at t = {t!r} (sigma = {spec.sigma!r}, m = {m!r})", psi)
-    return _wrap(WaveField, grid, psi)
-
-
 def packet_moments(field: WaveField) -> tuple:
     """(centroid, RMS width) of |psi|^2 from one pass over the samples.
 
@@ -403,13 +353,13 @@ def _line_moments(psi0: WaveField, velocity, trap=None):
     Both exact paths of `evolve` move the position linearly in psi0's x and v (Ehrenfest):
     x(t) = x + v t on the phase path, v the group velocity d omega / dk of each mode, and
     x(t) - x_c = (x - x_c) cos theta + (v / omega_c) sin theta in a `trap` (omega_c, x_c, None
-    for L/2), v = hbar k / m and theta = omega_c t reduced against the float 2 pi as the trap
-    reduces it (the free line where the unreduced omega_c t rounds to 0, as the trap's step
-    is dt there).  So for x(t) = x_c + a (x - x_c) + b v the centroid is x_c + a (<x> - x_c)
-    + b <v> and the variance a^2 Var x + 2 a b C + b^2 Var v, with C = Re <(x - <x>) psi0,
-    (v - <v>) psi0> and x unwrapped around psi0's centroid: one forward and one inverse
-    transform here, O(1) per t.  A periodic grid holds them only while the state fits the box
-    (Kosloff & Kosloff 1983).  A velocity that overflowed gives non-finite moments.
+    for L/2), v = hbar k / m and theta = omega_c t reduced by `_trap_turn`, as the trap's step
+    reduces it (the free line where theta is small, as the trap's step is dt there).  So for
+    x(t) = x_c + a (x - x_c) + b v the centroid is x_c + a (<x> - x_c) + b <v> and the variance
+    a^2 Var x + 2 a b C + b^2 Var v, with C = Re <(x - <x>) psi0, (v - <v>) psi0> and x
+    unwrapped around psi0's centroid: one forward and one inverse transform here, O(1) per t.
+    A periodic grid holds them only while the state fits the box (Kosloff & Kosloff 1983).
+    A velocity that overflowed gives non-finite moments.
     """
     grid, samples = psi0.grid, psi0.samples
     length = grid.length
@@ -428,11 +378,11 @@ def _line_moments(psi0: WaveField, velocity, trap=None):
     x_c = 0.5 * length if x_c is None else x_c
 
     def moments(t):
-        if omega_c is None or omega_c * t == 0.0:  # the theta -> 0 limit, as the trap takes it
-            a, b = 1.0, t
-        else:
-            theta = math.remainder(omega_c * t, 2.0 * math.pi)
-            a, b = math.cos(theta), math.sin(theta) / omega_c
+        a, b = 1.0, t  # the free line, and the trap's small-angle limit
+        if omega_c is not None:
+            turn, _, small = _trap_turn(omega_c * t)
+            if not small:
+                a, b = math.cos(turn), math.sin(turn) / omega_c
         var = a * a * var_x + 2.0 * a * b * cov + b * b * var_v
         return ((x_c + a * (c0 - x_c) + b * mean_v) % length,
                 math.sqrt(var) if var >= 0.0 else math.nan)

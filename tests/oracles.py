@@ -1,16 +1,23 @@
 """Independent reference implementations used only to check the package.
 
 Everything here is deliberately slow and simple: direct O(N^2) transform
-sums, trigonometric interpolation by explicit mode summation, and plain
-moment integrals.  None of it shares code with the package paths it checks,
-except the bit-pinning references at the end: they keep an earlier, more
-wasteful loop around the package's own arithmetic, so that a leaner loop can
-be held to the same bits.
+sums, trigonometric interpolation by explicit mode summation, plain moment
+integrals, the closed-form free packet and a dense Crank-Nicolson scheme.  None
+of it shares code with the package paths it checks, except the bit-pinning
+references at the end: they keep an earlier, more wasteful loop around the
+package's own arithmetic, so that a leaner loop can be held to the same bits.
+Two oracles reuse package types but none of its arithmetic, so that a test
+swaps them for a package path: `analytic_free_gaussian` returns a `WaveField`,
+and `crank_nicolson_evolve` takes `PhysicalConstants` and a `TimeSpec` and
+yields (t, WaveField) as `split_step_evolve` does.  Test code refuses nothing:
+neither checks its arguments nor its results.
 """
 
 import math
 
 import numpy as np
+
+from wavelab import PhysicalConstants, TimeSpec, WaveField
 
 
 def dft_bruteforce(samples):
@@ -175,12 +182,52 @@ def grid_hamiltonian(length, m, v, hbar):
 def central_difference_hamiltonian(v, dx, m, hbar):
     """Dense H / hbar = -(hbar / 2m) D2 + diag(V / hbar), D2 the periodic three-point Laplacian.
 
-    The spatial discretisation of the Crank-Nicolson scheme, built from shifted
+    The spatial discretisation of `crank_nicolson_evolve`, built from shifted
     identities (`np.roll`), so that no hbar^2 is formed.
     """
     eye = np.eye(len(v))
     laplacian = (np.roll(eye, 1, axis=0) - 2.0 * eye + np.roll(eye, -1, axis=0)) / (dx * dx)
     return -(hbar / (2.0 * m)) * laplacian + np.diag(np.asarray(v, float) / hbar)
+
+
+def crank_nicolson_evolve(psi0, m, potential, consts=PhysicalConstants(), time=TimeSpec(0.01, 1),
+                          snapshot_every=0):
+    """(t, WaveField) at step 0, every `snapshot_every` steps (if > 0) and the last of the
+    Crank-Nicolson scheme (1 + i dt H / 2 hbar) psi^{n+1} = (1 - i dt H / 2 hbar) psi^n.
+
+    H / hbar is the dense `central_difference_hamiltonian`, so the error is O(dt^2 + dx^2).
+    Its `numpy.linalg.eigh` basis, H / hbar = U diag(lam) U^T, makes each step the Cayley map
+    U diag((1 - ia) / (1 + ia)) U^T with a = lam dt / 2: unitary to rounding at any dt.
+    O(N^3) once and one O(N^2) matvec per step.
+    """
+    dt, n_steps = time.dt, time.n_steps
+    lam, u = np.linalg.eigh(central_difference_hamiltonian(potential, psi0.grid.spacing, m,
+                                                           consts.hbar))
+    a = lam * (0.5 * dt)
+    cayley = (u * ((1.0 - 1j * a) / (1.0 + 1j * a))) @ u.T
+    psi = psi0.samples.copy()
+    for n in range(n_steps + 1):
+        if n > 0:
+            psi = cayley @ psi
+        if n in (0, n_steps) or snapshot_every and n % snapshot_every == 0:
+            yield n * dt, WaveField(psi0.grid, psi)
+
+
+def analytic_free_gaussian(spec, grid, m, consts=PhysicalConstants(), t=0.0):
+    """The exact continuum free evolution of `gaussian_packet`'s spec, sampled on the grid.
+
+    With complex width alpha(t) = sigma^2 + i hbar t / 2m and drifting centre x0 + hbar k0 t / m:
+
+        psi = (2 pi sigma^2)^(-1/4) (sigma / sqrt(alpha)) exp(-(x - x0 - v t)^2 / 4 alpha)
+              exp(i (k0 x - hbar k0^2 t / 2m))
+    """
+    hbar, x, sigma, k0 = consts.hbar, grid.positions, spec.sigma, spec.k0
+    alpha = sigma ** 2 + 0.5j * hbar * t / m
+    beta = x - spec.x0 - hbar * k0 * t / m
+    psi = (sigma / np.sqrt(alpha)) * np.exp(
+        -beta ** 2 / (4.0 * alpha) + 1j * (k0 * x - hbar * k0 ** 2 * t / (2.0 * m))
+    ) / (2.0 * np.pi * sigma ** 2) ** 0.25
+    return WaveField(grid, psi)
 
 
 def grid_exact_evolution(length, m, v, hbar, psi0, times):

@@ -26,10 +26,8 @@ from wavelab import (
     SchrodingerPotential,
     TimeSpec,
     WaveField,
-    analytic_free_gaussian,
     centroid,
     cli,
-    crank_nicolson_evolve,
     dominance_terms_mode,
     energy_bound,
     evolve_schrodinger_spectral,
@@ -50,7 +48,14 @@ from wavelab import (
     split_step_evolve,
 )
 
-from oracles import coherent_state_oracle, constant_potential
+from wavelab.propagate import _harmonic_snapshots
+
+from oracles import (
+    analytic_free_gaussian,
+    coherent_state_oracle,
+    constant_potential,
+    crank_nicolson_evolve,
+)
 
 NATURAL = PhysicalConstants()
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -204,6 +209,23 @@ def test_criterion_7_unitarity_and_self_convergence():
             hs.append(dt)
         slope = np.polyfit(np.log(hs), np.log(diffs), 1)[0]
         assert abs(slope - 2.0) <= 0.15
+
+        # Strang against the shipped exact trap, which scales to any N: at T = 2, err / dt^2
+        # reads 0.0905 (ground) and 0.392 (displaced by 2) at every N and dt, within 2.1e-4
+        for shift in (0.0, 2.0):
+            per_dt2 = []
+            for n_points, length, dts in [(256, 20.0, (0.05, 0.01, 0.002)),
+                                          (4096, 80.0, (0.05, 0.01, 0.002)),
+                                          (65536, 320.0, (0.05, 0.025))]:
+                g = Grid1D(n_points, length)
+                vv = harmonic_potential(g, 1.0, 1.0)
+                p0 = gaussian_packet(GaussianPacketSpec(length / 2 + shift, 0.0, np.sqrt(0.5)), g)
+                (_, exact), = _harmonic_snapshots(p0, 1.0, 1.0, None, 1.0, [2.0])
+                for dt in dts:
+                    ts = TimeSpec(dt, round(2.0 / dt))
+                    *_, (_, a) = split_step_evolve(p0, 1.0, vv, NATURAL, ts)
+                    per_dt2.append(l2_norm(WaveField(g, a.samples - exact.samples)) / dt ** 2)
+            assert max(per_dt2) - min(per_dt2) <= 1e-3 * min(per_dt2), (shift, per_dt2)
 
 
 def test_criterion_8_oscillator_bound():

@@ -28,7 +28,6 @@ from wavelab import (
     SchrodingerFree,
     SchrodingerPotential,
     WaveField,
-    analytic_free_gaussian,
     dft,
     evolve_second_order_spectral,
     gaussian_packet,
@@ -44,7 +43,13 @@ from wavelab.exceptions import ConfigError, NumericalFailure, WaveLabError
 from wavelab.propagate import _phase_snapshots
 
 import reproducers
-from oracles import coherent_state_oracle, constant_potential, line_moments
+from oracles import (
+    analytic_free_gaussian,
+    coherent_state_oracle,
+    constant_potential,
+    grid_exact_evolution,
+    line_moments,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -656,10 +661,14 @@ def test_evolve_trap_ground_width_stays_put_at_coarse_dt(tmp_path):
     assert max(abs(w - widths[0]) for w in widths) <= 1e-12
 
 
-@pytest.mark.parametrize("omega_c", [0.0, -0.0, 5e-324])
+@pytest.mark.parametrize("omega_c", [0.0, -0.0, 5e-324, 1e-320, 1e-315, 1e-310, 1e-300, 1e-12,
+                                     1e-9])
 def test_evolve_trap_at_zero_omega_c_is_the_free_packet(tmp_path, omega_c):
     # the trap stepped by dt where omega_c dt rounds to 0, but the line moments divided
-    # sin(theta) by omega_c: 0 and -0.0 raised ZeroDivisionError, 5e-324 exited 4 at t = 0.1
+    # sin(theta) by omega_c: 0 and -0.0 raised ZeroDivisionError, 5e-324 exited 4 at t = 0.1.
+    # Both then formed sin(theta) / omega_c at any other theta, which loses bits where theta
+    # is subnormal: 1e-320 exited 4 ("enlarge length"), 1e-310 read widths 1.2e-15 off.
+    # Below |theta| = 2^-26 both take dt and t, the correctly rounded sin(theta) / omega_c.
     args = ["evolve", "--config", str(CONFIGS / "harmonic_ground.cfg"), "--set", "n_steps=100",
             "--set", "snapshot_every=50"]
     for name, value in (("trap", f"omega_c={omega_c!r}"), ("free", "potential=none")):
@@ -667,7 +676,7 @@ def test_evolve_trap_at_zero_omega_c_is_the_free_packet(tmp_path, omega_c):
     (_, trap), (_, free) = (read_csv(tmp_path / name / "summary.csv")
                             for name in ("trap", "free"))
     assert len(trap) == len(free) == 3
-    assert np.max(np.abs(np.array(trap, float) - np.array(free, float))) <= 1e-15
+    assert np.max(np.abs(np.array(trap, float) - np.array(free, float))) <= 4.4e-16
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
@@ -1398,6 +1407,27 @@ def test_verify_catches_a_trap_that_drifts_the_norm(monkeypatch, capsys):
     assert "norm_conservation: FAIL (per-interval norm drift: " in out
     assert "verification failed: norm_conservation" in out
     assert "plane_wave_exactness: PASS" in out  # the phase path is untouched
+
+
+def test_verify_norm_case_ends_on_the_grid_exact_evolution(monkeypatch):
+    # at L = 20 and x0 = 8 the packet's tail reached the box edge, and the end state lay
+    # 7.0e-11 from the grid Hamiltonian's own evolution while its norm drift passed
+    trap, seen = cli._harmonic_snapshots, []
+
+    def recorded(psi0, m, omega_c, center, hbar, times):
+        seen.append((psi0, m, omega_c, center, hbar))
+        for t, fld in trap(psi0, m, omega_c, center, hbar, times):
+            seen.append((t, fld))
+            yield t, fld
+
+    monkeypatch.setattr(cli, "_harmonic_snapshots", recorded)
+    cli._check_norm_conservation()
+    (psi0, m, omega_c, center, hbar), *_, (t, end) = seen
+    grid = psi0.grid
+    v = propagate.harmonic_potential(grid, m, omega_c, center)
+    (want,) = grid_exact_evolution(grid.length, m, v, hbar, psi0.samples, [t])
+    assert t == 2.0
+    assert np.sqrt(np.sum(np.abs(end.samples - want) ** 2) * grid.spacing) <= 1e-12
 
 
 def test_verify_catches_a_relaxation_off_the_bound(monkeypatch, capsys):

@@ -1,4 +1,4 @@
-"""Cold start: nothing loads scipy, neither a CLI scenario nor Crank-Nicolson.
+"""Cold start: nothing loads scipy, neither a CLI scenario nor the split-step stepper.
 
 Importing the CLI does not load `numpy.fft` either; `evolve` loads it once,
 before it forks its snapshot writers, so no writer process imports it again.
@@ -27,7 +27,7 @@ import wavelab.cli
 fft_at_import = "numpy.fft" in sys.modules  # no module-level binding of the transforms
 
 from wavelab import (GaussianPacketSpec, Grid1D, PhysicalConstants, TimeSpec,
-                     crank_nicolson_evolve, gaussian_packet, harmonic_potential, l2_norm)
+                     gaussian_packet, harmonic_potential, l2_norm, split_step_evolve)
 
 configs, out = sys.argv[1], sys.argv[2]
 runs = [("dispersion", "dispersion_kg"), ("evolve", "free_gaussian"),
@@ -46,17 +46,17 @@ def scipy_modules():
 after_cli = scipy_modules()
 grid = Grid1D(64, 20.0)
 psi0 = gaussian_packet(GaussianPacketSpec(10.0, 1.0, 1.0), grid)
-*_, (_, final) = crank_nicolson_evolve(psi0, 1.0, harmonic_potential(grid, 1.0, 1.0),
-                                       PhysicalConstants(), TimeSpec(0.01, 50))
+*_, (_, final) = split_step_evolve(psi0, 1.0, harmonic_potential(grid, 1.0, 1.0),
+                                   PhysicalConstants(), TimeSpec(0.01, 50))
 print(json.dumps({
     "fft_at_import": fft_at_import,
     "scenarios": sorted({s for s, _ in runs}),
     "dispatch": sorted(wavelab.cli._DISPATCH),
     "codes": codes,
     "scipy_after_cli": after_cli,
-    "scipy_after_cn": scipy_modules(),
-    "cn_finite": bool(np.all(np.isfinite(final.samples))),
-    "cn_norm": l2_norm(final),
+    "scipy_after_stepper": scipy_modules(),
+    "stepper_finite": bool(np.all(np.isfinite(final.samples))),
+    "stepper_norm": l2_norm(final),
 }))
 """
 
@@ -73,9 +73,9 @@ def test_nothing_loads_scipy(tmp_path):
     assert report["scenarios"] == report["dispatch"]  # every scenario was run
     assert all(rc == 0 for rc in report["codes"].values()), report["codes"]
     assert report["scipy_after_cli"] == []
-    assert report["scipy_after_cn"] == []  # Crank-Nicolson imported scipy.sparse
-    assert report["cn_finite"]
-    assert abs(report["cn_norm"] - 1.0) <= 1e-10
+    assert report["scipy_after_stepper"] == []  # the package once stepped through scipy.sparse
+    assert report["stepper_finite"]
+    assert abs(report["stepper_norm"] - 1.0) <= 1e-10
 
 
 FORK_CHILD = r"""

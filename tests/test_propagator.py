@@ -18,9 +18,7 @@ from wavelab import (
     SecondOrderState,
     TimeSpec,
     WaveField,
-    analytic_free_gaussian,
     centroid,
-    crank_nicolson_evolve,
     dft,
     evolve_schrodinger_spectral,
     evolve_second_order_spectral,
@@ -36,7 +34,7 @@ from wavelab import (
     split_step_evolve,
 )
 from wavelab import cli
-from wavelab.exceptions import LinearSolveFailure, WrongEquationFamily, ZeroField
+from wavelab.exceptions import WrongEquationFamily, ZeroField
 from wavelab.oscillator import OscillatorProblem
 from wavelab.core import _PHASE_TOL
 from wavelab.propagate import (
@@ -47,9 +45,11 @@ from wavelab.propagate import (
 )
 
 from oracles import (
+    analytic_free_gaussian,
     central_difference_hamiltonian,
     coherent_state_oracle,
     constant_potential,
+    crank_nicolson_evolve,
     dft_bruteforce,
     grid_exact_evolution,
     group_law_gap,
@@ -260,7 +260,7 @@ def test_split_step_snapshots_and_unitarity():
     assert np.max(np.abs(np.diff(norms))) / norms[0] <= 1e-12
 
 
-@pytest.mark.parametrize("evolve", [split_step_evolve, crank_nicolson_evolve])
+@pytest.mark.parametrize("evolve", [split_step_evolve])
 def test_negative_snapshot_every_is_refused(evolve):
     # it was read as 0: a first and a last snapshot only
     grid = Grid1D(128, 20.0)
@@ -482,17 +482,6 @@ def test_crank_nicolson_is_unitary_at_stiff_steps(dt, n_steps, hbar, m):
     got = last_field(crank_nicolson_evolve(psi0, m, zero_potential(grid),
                                            PhysicalConstants(hbar=hbar), TimeSpec(dt, n_steps)))
     assert abs(l2_norm(got) - 1.0) <= 1e-13
-
-
-def test_crank_nicolson_refuses_a_failed_eigensolve_at_call_time(monkeypatch):
-    # eigh's LinAlgError (no convergence) is exit 3's family, raised before any snapshot is read
-    def no_convergence(a):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
-    grid = Grid1D(16, 4.0)
-    with pytest.raises(LinearSolveFailure, match="^Eigenvalues did not converge$"):
-        crank_nicolson_evolve(WaveField(grid, np.ones(16)), 1.0, zero_potential(grid))
 
 
 def test_schemes_self_converge_at_order_two():
