@@ -448,27 +448,19 @@ def _write_snapshots(out: str, passes, count: int, positions):
     process and else 1, and block b of file idx, unit idx B + b, is written by
     the process of that number modulo their count.  Block 0, with the header,
     is the file itself; the caller appends the later blocks' part files in
-    order and unlinks them.  Each child pins itself to a usable CPU of its
-    own, never the caller's, unless that CPU cannot be read or the pin is
-    refused.  The bytes do not depend on the count.  The caller rewrites the
-    units of any child that fails or cannot be forked: a persistent fault
-    then raises here.  Every pass is the same deterministic stream, so a
-    refusal in it raises in every process at the same row: each child exits
-    by itself, and the caller reaps them all before it re-raises.
+    order and unlinks them.  The bytes do not depend on the count.  The caller
+    rewrites the units of any child that fails or cannot be forked: a
+    persistent fault then raises here.  Every pass is the same deterministic
+    stream, so a refusal in it raises in every process at the same row: each
+    child exits by itself, and the caller reaps them all before it re-raises.
     """
     # the x column is the same in every snapshot file: format it once
     x_cells = [f"{xj!r}," for xj in positions.tolist()]
-    cpus = (sorted(os.sched_getaffinity(0))
-            if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else [])
-    n_procs = min(len(cpus), count) or 1
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 0)
+    n_procs = min(cpus, count) or 1
     # many files balance by whole files; a few unequal ones (zeros format fast) do not
     blocks = -(-2 * n_procs // count) if n_procs > 1 else 1
-    try:  # the caller's CPU: field 39 of /proc/self/stat, counted past the command name
-        with open("/proc/self/stat") as f:
-            caller = int(f.read().rpartition(")")[2].split()[36])
-    except (OSError, ValueError, IndexError):
-        caller = None
-    spare = [cpu for cpu in cpus if cpu != caller]  # child r takes spare[r - 1]
 
     def path(idx, b):
         name = os.path.join(out, f"snapshot_{idx:04d}.csv")
@@ -500,11 +492,6 @@ def _write_snapshots(out: str, passes, count: int, positions):
             pid = None
         if pid == 0:  # os._exit skips the inherited buffers, atexit handlers and finally clauses
             try:
-                if caller is not None:  # a fork starts on its parent's CPU and may stay there
-                    try:
-                        os.sched_setaffinity(0, {spare[r - 1]})
-                    except OSError:  # e.g. a CPU gone offline: run where the kernel puts it
-                        pass
                 write_share(r)
                 os._exit(0)
             finally:

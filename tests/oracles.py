@@ -2,10 +2,11 @@
 
 Everything here is deliberately slow and simple: direct O(N^2) transform
 sums, trigonometric interpolation by explicit mode summation, plain moment
-integrals, the closed-form free packet and a dense Crank-Nicolson scheme.  None
-of it shares code with the package paths it checks, except the bit-pinning
-references at the end: they keep an earlier, more wasteful loop around the
-package's own arithmetic, so that a leaner loop can be held to the same bits.
+integrals, the closed-form free packet, a dense Crank-Nicolson scheme and the
+phase path in long double.  None of it shares code with the package paths it
+checks, except the bit-pinning references at the end: they keep an earlier,
+more wasteful loop around the package's own arithmetic, so that a leaner loop
+can be held to the same bits.
 Two oracles reuse package types but none of its arithmetic, so that a test
 swaps them for a package path: `analytic_free_gaussian` returns a `WaveField`,
 and `crank_nicolson_evolve` takes `PhysicalConstants` and a `TimeSpec` and
@@ -163,6 +164,19 @@ def group_law_gap(propagate, psi0, a, b, field=lambda psi: psi):
     """
     gap = field(propagate(propagate(psi0, a), b)).samples - field(propagate(psi0, a + b)).samples
     return math.sqrt(np.sum(np.abs(gap) ** 2) / np.sum(np.abs(field(psi0).samples) ** 2))
+
+
+def phase_twin(psi0, omega, t):
+    """F^-1 e^{-i omega t} F psi0, the phase path's formula in long double (`np.clongdouble`,
+    every transform unitary), reading the same float64 samples `psi0` and omega(k).
+
+    Both paths share the discretisation, so their gap is the float64 path's rounding alone,
+    against a reference whose own is ~2^11 times finer (eps 1.08e-19 on x86_64 Linux).
+    Where long double is double, the gap measures nothing.
+    """
+    amps = np.fft.fft(np.asarray(psi0, dtype=np.clongdouble), norm="ortho")
+    phase = np.asarray(omega, dtype=np.longdouble) * np.longdouble(t)
+    return np.fft.ifft(amps * np.exp(-1j * phase), norm="ortho")
 
 
 def grid_hamiltonian(length, m, v, hbar):

@@ -965,8 +965,7 @@ def test_evolve_memory_does_not_grow_with_snapshot_count(tmp_path, monkeypatch):
 
 def test_failed_writer_child_share_is_rewritten(tmp_path, monkeypatch):
     # every child fails to write, or no child can be forked: the parent writes their
-    # shares (whole files, or the row blocks of a 2-snapshot run).  A child whose CPU
-    # pin is refused writes its own share unpinned, so the parent rewrites none
+    # shares (whole files, or the row blocks of a 2-snapshot run)
     parent, write_text = os.getpid(), cli._write_text
     written = []
 
@@ -980,12 +979,15 @@ def test_failed_writer_child_share_is_rewritten(tmp_path, monkeypatch):
 
     usable_cpus(monkeypatch, 4)
     monkeypatch.setattr(cli, "_write_text", counted)
-    for name, run in (("free_gaussian", ["--config", str(CONFIGS / "free_gaussian.cfg")]),
-                      ("harmonic_2", _WRITER_RUNS["harmonic_2"])):
+    # the caller's own units, u = idx B + b = 0 mod P, are block 0 of these files: P = 4
+    # processes and B = 2 blocks for 4 snapshots, P = 2 and B = 2 for 2
+    for name, run, own in (
+            ("free_gaussian", ["--config", str(CONFIGS / "free_gaussian.cfg")],
+             ["snapshot_0000.csv", "snapshot_0002.csv"]),
+            ("harmonic_2", _WRITER_RUNS["harmonic_2"], ["snapshot_0000.csv", "snapshot_0001.csv"])):
         args, top = ["evolve", *run], tmp_path / name
-        faults, pins = top / "faults", top / "pins"
+        faults = top / "faults"
         faults.mkdir(parents=True)
-        pins.mkdir()
 
         def parent_only(path, text):
             if os.getpid() != parent:
@@ -993,29 +995,40 @@ def test_failed_writer_child_share_is_rewritten(tmp_path, monkeypatch):
                 raise OSError("no space left on device")
             return write_text(path, text)
 
-        def no_pin(pid, cpus):
-            write_text(str(pins / str(os.getpid())), "")
-            raise OSError(22, "Invalid argument")
-
         written.clear()
         assert cli.main([*args, "--out", str(top / "a")]) == 0
-        shares = list(written)
+        # the parent wrote its own units and no child's
+        assert [n for n in written if n.startswith("snapshot_")] == own, name
         with monkeypatch.context() as m:
             m.setattr(cli, "_write_text", parent_only)
             assert cli.main([*args, "--out", str(top / "b")]) == 0
         children = min(4, len(list((top / "a").glob("snapshot_*")))) - 1
         assert len(list(faults.iterdir())) == children
-        written.clear()
-        with monkeypatch.context() as m:
-            m.setattr(os, "sched_setaffinity", no_pin)
-            assert cli.main([*args, "--out", str(top / "c")]) == 0
-        assert written == shares  # the parent wrote its own units and no child's
-        assert len(list(pins.iterdir())) == children
         with monkeypatch.context() as m:
             m.setattr(os, "fork", no_fork)
-            assert cli.main([*args, "--out", str(top / "d")]) == 0
-        a, b, c, d = (reproducers.tree(top / out) for out in "abcd")
-        assert a == b == c == d, name
+            assert cli.main([*args, "--out", str(top / "c")]) == 0
+        a, b, c = (reproducers.tree(top / out) for out in "abc")
+        assert a == b == c, name
+
+
+@pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])  # macOS, Windows
+def test_writer_without_affinity_or_fork_writes_serially(tmp_path, monkeypatch, missing):
+    # with no usable-CPU count or no fork, the caller writes every file whole, in one pass
+    write_text = cli._write_text
+    for name in ("harmonic_2", "free_gaussian"):
+        args, top = ["evolve", *_WRITER_RUNS[name]], tmp_path / name
+        assert cli.main([*args, "--out", str(top / "default")]) == 0
+        written = []
+        with monkeypatch.context() as m:
+            m.delattr(os, missing, raising=False)
+            if hasattr(os, "fork"):
+                m.setattr(os, "fork", lambda: pytest.fail("a serial run forked"))
+            m.setattr(cli, "_write_text", lambda path, text: written.append(
+                os.path.basename(path)) or write_text(path, text))
+            assert cli.main([*args, "--out", str(top / "serial")]) == 0
+        files = sorted(p.name for p in (top / "default").glob("snapshot_*.csv"))
+        assert [n for n in written if n.startswith("snapshot_")] == files, name
+        assert reproducers.tree(top / "default") == reproducers.tree(top / "serial"), name
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no forked writers here")
@@ -1057,33 +1070,6 @@ def test_refused_run_stops_its_writers(tmp_path, capsys, monkeypatch):
         assert sorted(written) == [f"snapshot_{idx:04d}.csv" for idx in range(1, 3) if idx % n]
     assert errs[0] == errs[1] == errs[2] and errs[0].count("\n") == 1, errs
     assert errs[0].startswith("resolution error: packet does not fit length = 64.0 at t = 15.0")
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
-def test_each_writer_child_asks_for_one_cpu_of_its_own(tmp_path, monkeypatch):
-    # a forked writer starts on its parent's CPU and mostly stayed there, so the
-    # writers took turns on one CPU.  The caller is held on one CPU for the run
-    pin, real = os.sched_setaffinity, os.sched_getaffinity(0)
-    here = max(real)
-    low = max(here - 1, 0)  # the caller's CPU is not the first usable one, where it can be
-    args, pins = ["evolve", "--config", str(CONFIGS / "free_gaussian.cfg")], tmp_path / "pins"
-    pins.mkdir()
-
-    def record(pid, cpus):
-        (pins / str(os.getpid())).write_text(" ".join(map(str, sorted(cpus))))
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(low, low + 4)))
-    monkeypatch.setattr(os, "sched_setaffinity", record)
-    pin(0, {here})
-    try:
-        assert cli.main([*args, "--out", str(tmp_path / "out")]) == 0  # 4 snapshots: 3 children
-    finally:
-        pin(0, real)
-    asked = {p.name: p.read_text().split() for p in pins.iterdir()}
-    assert len(asked) == 3 and str(os.getpid()) not in asked, asked
-    assert all(len(cpus) == 1 for cpus in asked.values()), asked
-    cpus = {int(cpu) for (cpu,) in asked.values()}
-    assert len(cpus) == 3 and here not in cpus and cpus <= set(range(low, low + 4)), asked
 
 
 def test_unwritable_snapshot_path_is_exit_2(tmp_path, capsys, monkeypatch):
