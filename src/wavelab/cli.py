@@ -81,15 +81,15 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_RESOLUTION = 4
 
-# CLI family name -> builder(cfg) of its equation.  The potential family holds
-# its constant V0 only (v0 if potential = constant, else 0); a trap is `_trap`'s.
+# CLI family name -> builder(cfg) of its equation.  The potential family's equation is
+# SchrodingerPotential(m, V0), V0 = v0 if potential = constant, else 0; a trap is `_trap`'s.
 _FAMILIES = {
     "classical_wave": lambda cfg: ClassicalWave(cfg["wave_speed"]),
     "electromagnetic": lambda cfg: Electromagnetic(),
     "klein_gordon": lambda cfg: KleinGordon(cfg["mass"]),
     "schrodinger_free": lambda cfg: SchrodingerFree(cfg["mass"]),
     "schrodinger_potential": lambda cfg: SchrodingerPotential(
-        cfg["mass"], np.full(1, cfg["v0"] if cfg["potential"] == "constant" else 0.0)),
+        cfg["mass"], cfg["v0"] if cfg["potential"] == "constant" else 0.0),
 }
 
 

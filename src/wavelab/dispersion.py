@@ -9,11 +9,12 @@ the propagation sign carried by the phase e^{i(kx - omega t)}):
 * free Schrodinger, mass m:         omega = hbar k^2 / 2m
 * Schrodinger with constant V0:     omega = hbar k^2 / 2m + V0 / hbar
 
-A non-constant potential has no single dispersion relation and raises
-DispersionUndefined.  The module also provides the kinematic map
-(p, E) = (hbar k, hbar omega), exact plane-wave sampling on a grid, the
-analytic residual of a plane wave under each family's characteristic
-polynomial (zero exactly when (k, omega) satisfies the dispersion relation),
+A varying potential has no single dispersion relation, so the potential family
+holds only its constant V0 and every family has a closed form by construction.
+The module also provides the kinematic map (p, E) = (hbar k, hbar omega), exact
+plane-wave sampling on a grid, the analytic residual of a plane wave under each
+family's characteristic polynomial (zero exactly when (k, omega) satisfies the
+dispersion relation; NumericalFailure where its terms overflow to inf - inf),
 and the closed-form error of the non-relativistic truncation
 omega_KG ~ m c^2/hbar + hbar k^2/2m.  The massive family's rest frequency
 m c^2/hbar and envelope frequency omega_KG - m c^2/hbar are formed in one
@@ -23,12 +24,13 @@ place, `_envelope_frequency`, for this module and `nrlimit` alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import NamedTuple, Union
 
 import numpy as np
 
 from .core import NATURAL_UNITS, Grid1D, PhysicalConstants, WaveField, _finite, _positive, _wrap
-from .exceptions import ConfigError, DispersionUndefined, NonCommensurateWavenumber
+from .exceptions import ConfigError, NonCommensurateWavenumber, NumericalFailure
 
 
 @dataclass(frozen=True)
@@ -60,17 +62,15 @@ class SchrodingerFree:
         _positive("mass", self.m)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SchrodingerPotential:
     m: float
-    potential: np.ndarray  # V(x_j), energy units, real
+    v0: float  # the constant potential V0, energy units
 
     def __post_init__(self):
         _positive("mass", self.m)
-        v = np.asarray(self.potential, dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise ConfigError("potential samples must all be finite")
-        object.__setattr__(self, "potential", v)
+        if not (isinstance(self.v0, Real) and -np.inf < self.v0 < np.inf):
+            raise ConfigError(f"v0 must be a finite real scalar, got {self.v0!r}")
 
 
 EquationKind = Union[
@@ -97,12 +97,7 @@ def _closed_form(eq: EquationKind, consts: PhysicalConstants) -> tuple:
     if isinstance(eq, SchrodingerFree):
         return eq.m, 0.0
     if isinstance(eq, SchrodingerPotential):
-        v = eq.potential
-        if v.size and np.ptp(v) != 0.0:
-            raise DispersionUndefined(
-                "no single dispersion relation exists for a non-constant potential"
-            )
-        return eq.m, float(v[0]) if v.size else 0.0
+        return eq.m, float(eq.v0)
     raise TypeError(f"unknown equation family: {eq!r}")
 
 
@@ -115,8 +110,12 @@ class PlaneWaveMode:
     omega: float
 
     def __post_init__(self):
-        if self.omega < 0:
-            raise ConfigError(f"omega must be >= 0 (positive-frequency branch), got {self.omega}")
+        if not (0 <= self.omega < np.inf and np.isfinite(self.amplitude)):
+            raise ConfigError(f"omega must be finite and >= 0 (positive-frequency branch), and "
+                              f"the amplitude finite, got {self.omega}, {self.amplitude}")
+        if not np.isfinite(self.k):  # so is its mode index k L / 2 pi, at every L
+            raise NonCommensurateWavenumber(f"k = {self.k} is not a multiple of 2*pi/L "
+                                            f"(mode index {self.k})")
 
 
 class KinematicPair(NamedTuple):
@@ -162,7 +161,7 @@ def group_velocity(eq: EquationKind, k, consts: PhysicalConstants = NATURAL_UNIT
             s, m = _closed_form(eq, consts)
             g = s * np.sign(karr) if m is None else karr * s * s / omega_of_k(eq, karr, consts)
         else:
-            m, _ = _closed_form(eq, consts)  # raises unless the potential is constant
+            m, _ = _closed_form(eq, consts)
             g = consts.hbar * karr / m
     return g if g.ndim else float(g)
 
@@ -207,15 +206,19 @@ def planewave_residual(eq: EquationKind, mode: PlaneWaveMode,
     """
     k, w = mode.k, mode.omega
     hbar = consts.hbar
-    if is_second_order(eq):
-        s, m = _closed_form(eq, consts)
-        # in float64, so an s^2 or hbar^2 that underflows gives inf, not ZeroDivisionError
-        s, hbar = np.float64(s), np.float64(hbar)
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        if is_second_order(eq):
+            s, m = _closed_form(eq, consts)
+            # in float64, so an s^2 or hbar^2 that underflows gives inf, not ZeroDivisionError
+            s, hbar = np.float64(s), np.float64(hbar)
             mass_term = 0.0 if m is None else m * m * s * s / (hbar * hbar)
-            return float(abs(-k * k + w * w / (s * s) - mass_term))
-    m, v0 = _closed_form(eq, consts)
-    return abs(w - hbar * k * k / (2.0 * m) - v0 / hbar)
+            d = -k * k + w * w / (s * s) - mass_term
+        else:
+            m, v0 = _closed_form(eq, consts)
+            d = w - hbar * k * k / (2.0 * m) - v0 / hbar
+    if np.isnan(d):  # inf - inf: the k^2 term and the omega term both overflowed
+        raise NumericalFailure(f"residual at k = {k!r}, omega = {w!r} is nan (inf - inf)")
+    return float(abs(d))
 
 
 def nr_expansion_error(m: float, k,

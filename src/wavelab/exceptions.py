@@ -18,10 +18,6 @@ class GridTooCoarse(WaveLabError):
     """Grid cannot resolve (or contain) the state the computation needs (the CLI's exit 4)."""
 
 
-class DispersionUndefined(ConfigError):
-    """No single dispersion relation exists (e.g. non-constant potential)."""
-
-
 class NonCommensurateWavenumber(ConfigError):
     """Wavenumber is not of the form 2*pi*n/L and cannot be sampled exactly."""
 

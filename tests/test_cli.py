@@ -46,7 +46,6 @@ import reproducers
 from oracles import (
     analytic_free_gaussian,
     coherent_state_oracle,
-    constant_potential,
     grid_exact_evolution,
     line_moments,
 )
@@ -240,7 +239,7 @@ _FAMILY_LINES = {2: "config error: boom\n", 3: "numerical failure: boom\n",
                                    if isinstance(cls, type) and issubclass(cls, WaveLabError)
                                    and cls is not WaveLabError], ids=lambda cls: cls.__name__)
 def test_every_library_error_exits_with_its_family_code(tmp_path, capsys, monkeypatch, error):
-    # DispersionUndefined, ZeroField, WrongEquationFamily, ... mapped to no exit code: a traceback
+    # ZeroField, WrongEquationFamily, InvalidBracket, ... mapped to no exit code: a traceback
     def fault(cfg, out):
         raise error("boom")
 
@@ -819,7 +818,7 @@ def _library_case(family):
     """(psi0, equation, constants) of the CLI run of `_run_csv_family`."""
     grid = Grid1D(512, 64.0)
     eq = {"schrodinger_free": SchrodingerFree(1.0),
-          "schrodinger_potential": SchrodingerPotential(1.0, constant_potential(grid, 0.5)),
+          "schrodinger_potential": SchrodingerPotential(1.0, 0.5),
           "klein_gordon": KleinGordon(1.0), "classical_wave": ClassicalWave(1.5),
           "electromagnetic": Electromagnetic()}[family]
     k0 = float(dict(item.split("=") for item in _CSV_FAMILY_SETS[family]).get("k0", 1.0))

@@ -23,7 +23,7 @@ from wavelab import (
     planewave_residual,
     planewave_sample,
 )
-from wavelab.exceptions import DispersionUndefined, NonCommensurateWavenumber
+from wavelab.exceptions import ConfigError, NonCommensurateWavenumber
 
 NATURAL = PhysicalConstants()
 
@@ -35,11 +35,9 @@ GAP_M1_C10_K1 = 1.2437887910972977e-3
 GAP_RATIO_C10_OVER_C20 = 3.985097733880142
 
 
-def all_families(grid=None):
-    families = [ClassicalWave(2.0), Electromagnetic(), KleinGordon(1.0), SchrodingerFree(1.0)]
-    if grid is not None:
-        families.append(SchrodingerPotential(1.0, np.full(grid.n_points, 0.5)))
-    return families
+def all_families():
+    return [ClassicalWave(2.0), Electromagnetic(), KleinGordon(1.0), SchrodingerFree(1.0),
+            SchrodingerPotential(1.0, 0.5)]
 
 
 # ---------------------------------------------------------------------------
@@ -67,19 +65,20 @@ def test_omega_uses_constants():
 
 
 def test_constant_potential_shifts_dispersion():
-    eq = SchrodingerPotential(1.0, np.full(16, 0.75))
-    assert omega_of_k(eq, 2.0) == pytest.approx(2.0 + 0.75, abs=1e-14)
+    # an array of samples was read as v[0]: a scalar V0 raised IndexError
+    for v0 in (0.75, np.float64(0.75)):
+        eq = SchrodingerPotential(1.0, v0)
+        assert omega_of_k(eq, 2.0) == 2.0 + 0.75 and group_velocity(eq, 2.0) == 2.0
 
 
-def test_non_constant_potential_has_no_dispersion():
-    v = np.linspace(0.0, 1.0, 16)
-    eq = SchrodingerPotential(1.0, v)
-    with pytest.raises(DispersionUndefined):
-        omega_of_k(eq, 1.0)
-    with pytest.raises(DispersionUndefined):
-        group_velocity(eq, 1.0)
-    with pytest.raises(DispersionUndefined):
-        planewave_residual(eq, PlaneWaveMode(1.0, 1.0, 1.0))
+@pytest.mark.parametrize("v0", [np.full(3, 0.5), [[0.5]], [], math.nan, math.inf, 1j,
+                                [math.nan] * 8],
+                         ids=["array", "2d_array", "empty", "nan", "inf", "complex", "nan_samples"])
+def test_potential_refuses_all_but_a_finite_real_v0(v0):
+    # the family held an array: a 2-D one raised TypeError, [] read as V0 = 0, and one that
+    # varied had no dispersion relation; now no value of the type lacks a closed form
+    with pytest.raises(ConfigError, match=r"^v0 must be a finite real scalar, got "):
+        SchrodingerPotential(1.0, v0)
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +93,7 @@ def test_group_velocity_closed_forms():
 
 @pytest.mark.parametrize("k", [0.7, 2.3, -3.1, 5.0])
 def test_group_velocity_matches_finite_difference(k):
-    grid = Grid1D(16, 8.0)
-    for eq in all_families(grid):
+    for eq in all_families():
         h = 1e-6 * abs(k)
         fd = (omega_of_k(eq, k + h) - omega_of_k(eq, k - h)) / (2 * h)
         g = group_velocity(eq, k)
@@ -158,13 +156,17 @@ def test_planewave_sample_refuses_a_non_finite_mode_index(k, length, index):
 
 
 def test_mode_rejects_negative_omega():
-    with pytest.raises(ValueError):
-        PlaneWaveMode(1.0, 1.0, -0.5)
+    # nan passed `omega < 0`, and a nan amplitude surfaced as a NumericalFailure when sampled
+    for args in [(1.0, 1.0, -0.5), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf),
+                 (math.nan, 1.0, 1.0), (complex(0.0, math.inf), 1.0, 1.0),
+                 (1.0, math.inf, 1.0), (1.0, math.nan, 1.0)]:
+        with pytest.raises(ConfigError):
+            PlaneWaveMode(*args)
 
 
 def test_residual_zero_on_dispersion_curve():
     grid = Grid1D(16, 8.0)
-    for eq in all_families(grid):
+    for eq in all_families():
         for n in (-5, -1, 0, 2, 7):
             k = 2 * np.pi * n / grid.length
             mode = PlaneWaveMode(1.0, k, omega_of_k(eq, k))
@@ -219,7 +221,7 @@ def test_closed_forms_keep_their_bits():
              abs(-k * k + w * w / (c * c) - m * m * c * c / (hbar * hbar))),
             (SchrodingerFree(m), hbar * k * k / (2.0 * m), hbar * k / m,
              abs(w - hbar * k * k / (2.0 * m))),
-            (SchrodingerPotential(m, np.full(8, v0)), hbar * k * k / (2.0 * m) + v0 / hbar,
+            (SchrodingerPotential(m, v0), hbar * k * k / (2.0 * m) + v0 / hbar,
              hbar * k / m, abs(w - hbar * k * k / (2.0 * m) - v0 / hbar)),
         ]
 
@@ -335,7 +337,7 @@ def test_nyquist_mode_is_negative_and_dispersion_symmetric():
     k = grid.wavenumbers
     nyquist = k[8]
     assert nyquist < 0
-    for eq in all_families(grid):
+    for eq in all_families():
         assert omega_of_k(eq, nyquist) == pytest.approx(omega_of_k(eq, -nyquist), rel=1e-14)
 
 
